@@ -7,8 +7,13 @@ the (distance, id)-sorted sets a linear scan would produce. That keeps
 boundary semantics (inclusive ``distance <= r``) and tie-breaking (ascending
 id among equal distances) independent of the accelerator.
 
-``linear_ball_query`` / ``linear_knn_query`` are the reference scans used
-by the test suite; they share only the distance convention, not the index.
+The batch kernels (``*_query_batch``, CSR layout) are the one
+implementation; the scalar ``ball_query`` / ``knn_query`` /
+``hybrid_query`` methods are batch-of-one wrappers over them.
+
+``linear_ball_query`` / ``linear_knn_query`` / ``linear_hybrid_query`` are
+the reference scans used by the test suite; they share only the distance
+convention, not the index.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ def _distances(points, x):
 def _sort_by_distance_then_id(ids, dists):
     order = np.lexsort((ids, dists))
     return ids[order], dists[order]
+
+
+def _row_splits(owner, m):
+    """CSR row offsets from the row index of each entry."""
+    splits = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=m), out=splits[1:])
+    return splits
 
 
 class PointIndex:
@@ -53,25 +65,11 @@ class PointIndex:
     def points(self):
         return self._points
 
+    # -- scalar wrappers ---------------------------------------------------
+
     def ball_query(self, x, r: float):
         """All (id, distance) with distance <= r, sorted by (distance, id)."""
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        if self._tree is None:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        if not np.isfinite(r):
-            ids = np.arange(len(self._points), dtype=np.intp)
-            dists = _distances(self._points, x)
-            return _sort_by_distance_then_id(ids, dists)
-        # pad the tree radius a few ulps so exact recomputation never loses
-        # a boundary point to accelerator-side rounding
-        pad = np.nextafter(np.nextafter(r, np.inf), np.inf) + 1e-300
-        cand = np.asarray(self._tree.query_ball_point(np.asarray(x, dtype=np.float64), pad), dtype=np.intp)
-        if cand.size == 0:
-            return cand, np.empty(0, dtype=np.float64)
-        dists = _distances(self._points[cand], x)
-        keep = dists <= r
-        return _sort_by_distance_then_id(cand[keep], dists[keep])
+        return self._ball(np.asarray(x, dtype=np.float64).reshape(1, 3), r)[:2]
 
     def knn_query(self, x, k: int):
         """The min(k, n) nearest (id, distance), sorted by (distance, id).
@@ -79,20 +77,7 @@ class PointIndex:
         Ties at the k-th distance are resolved by ascending id, so results
         are unique for any input.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        n = len(self._points)
-        k_eff = min(k, n)
-        if k_eff == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        dists, _ = self._tree.query(np.asarray(x, dtype=np.float64), k=k_eff)
-        dmax = float(np.max(np.atleast_1d(dists)))
-        # fetch everything within the k-th distance and re-rank exactly;
-        # this makes the tie-break on id explicit
-        ids, d = self.ball_query(x, dmax * (1.0 + 1e-12) + 1e-300)
-        if len(ids) < k_eff:  # accelerator distance rounded low; widen once
-            ids, d = self.ball_query(x, dmax * (1.0 + 1e-9) + 1e-12)
-        return ids[:k_eff], d[:k_eff]
+        return self._knn(np.asarray(x, dtype=np.float64).reshape(1, 3), k)[:2]
 
     def hybrid_query(self, x, r: float, k_min: int):
         """Ball query, topped up with k-nearest neighbors when sparse.
@@ -101,14 +86,56 @@ class PointIndex:
         least ``k_min`` points, otherwise the union of ball and k_min-NN
         results. Size is always >= min(k_min, n).
         """
-        ids, _ = self.ball_query(x, r)
-        if len(ids) >= k_min:
-            return ids
-        knn_ids, _ = self.knn_query(x, k_min)
-        if len(ids) == 0:
-            return knn_ids
-        extra = knn_ids[~np.isin(knn_ids, ids)]
-        return np.concatenate([ids, extra])
+        return self.hybrid_query_batch(np.asarray(x, dtype=np.float64).reshape(1, 3), r, k_min)[0]
+
+    # -- batch kernels -----------------------------------------------------
+
+    def _ball(self, xs, r):
+        """Ball query of rows ``xs``: (ids, distances, row_splits)."""
+        if r < 0:
+            raise ValueError("radius must be non-negative")
+        m = len(xs)
+        if self._tree is None or m == 0:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64), np.zeros(m + 1, dtype=np.intp)
+        # pad the tree radius a few ulps so exact recomputation never loses
+        # a boundary point to accelerator-side rounding
+        pad = np.nextafter(np.nextafter(r, np.inf), np.inf) + 1e-300
+        pairs = cKDTree(xs).sparse_distance_matrix(self._tree, pad, output_type="ndarray")
+        owner, flat = pairs["i"].astype(np.intp), pairs["j"].astype(np.intp)
+        diff = self._points[flat] - xs[owner]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = dist <= r
+        flat, owner, dist = flat[keep], owner[keep], dist[keep]
+        order = np.lexsort((flat, dist, owner))
+        return flat[order], dist[order], _row_splits(owner[order], m)
+
+    def _knn(self, xs, k):
+        """k-nearest query of rows ``xs``: (ids, distances, row_splits)."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        m = len(xs)
+        k_eff = min(k, len(self._points))
+        if k_eff == 0 or m == 0:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64), np.zeros(m + 1, dtype=np.intp)
+        dists, _ = self._tree.query(xs, k=k_eff)
+        dmax = np.reshape(dists, (m, k_eff))[:, -1]
+        # fetch everything within the k-th distance and re-rank exactly;
+        # this makes the tie-break on id explicit
+        rows = self._tree.query_ball_point(xs, dmax * (1.0 + 1e-12) + 1e-300)
+        counts = np.fromiter((len(row) for row in rows), dtype=np.intp, count=m)
+        short = counts < k_eff
+        if np.any(short):  # accelerator distance rounded low; widen once
+            rows[short] = self._tree.query_ball_point(xs[short], dmax[short] * (1.0 + 1e-9) + 1e-12)
+            counts[short] = [len(row) for row in rows[short]]
+        flat = np.concatenate([np.asarray(row, dtype=np.intp) for row in rows])
+        owner = np.repeat(np.arange(m, dtype=np.intp), counts)
+        diff = self._points[flat] - xs[owner]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        order = np.lexsort((flat, dist, owner))
+        flat, owner, dist = flat[order], owner[order], dist[order]
+        rank = np.arange(len(flat), dtype=np.intp) - (np.cumsum(counts) - counts)[owner]
+        keep = rank < k_eff
+        return flat[keep], dist[keep], _row_splits(owner[keep], m)
 
     def ball_query_batch(self, xs, r: float):
         """Vectorized ball query: (ids, row_splits) in CSR layout.
@@ -116,86 +143,40 @@ class PointIndex:
         ``ids[row_splits[i]:row_splits[i+1]]`` are the neighbors of point i,
         each row sorted by (distance, id).
         """
-        xs = np.asarray(xs, dtype=np.float64)
-        m = len(xs)
-        if self._tree is None or m == 0:
-            return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp)
-        pad = np.nextafter(np.nextafter(r, np.inf), np.inf) + 1e-300
-        rows = self._tree.query_ball_point(xs, pad)
-        counts = np.fromiter((len(row) for row in rows), dtype=np.intp, count=m)
-        flat = np.concatenate([np.asarray(row, dtype=np.intp) for row in rows]) if counts.sum() else np.empty(0, dtype=np.intp)
-        owner = np.repeat(np.arange(m, dtype=np.intp), counts)
-        diff = self._points[flat] - xs[owner]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        keep = dist <= r
-        flat, owner, dist = flat[keep], owner[keep], dist[keep]
-        order = np.lexsort((flat, dist, owner))
-        flat, owner, dist = flat[order], owner[order], dist[order]
-        row_splits = np.zeros(m + 1, dtype=np.intp)
-        np.add.at(row_splits, owner + 1, 1)
-        np.cumsum(row_splits, out=row_splits)
-        return flat, row_splits
+        return self._ball(np.asarray(xs, dtype=np.float64).reshape(-1, 3), r)[::2]
 
     def knn_query_batch(self, xs, k: int):
         """Vectorized k-nearest query in CSR layout (ids, row_splits).
 
-        Each row holds exactly min(k, n) ids sorted by (distance, id),
-        matching :meth:`knn_query` row by row.
+        Each row holds exactly min(k, n) ids sorted by (distance, id).
         """
-        xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
-        m = len(xs)
-        n = len(self._points)
-        k_eff = min(k, n)
-        if k_eff == 0 or m == 0:
-            return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp)
-        dists, _ = self._tree.query(xs, k=k_eff)
-        dists = np.atleast_2d(dists)
-        if dists.shape[0] != m:  # k_eff == 1 returns (m,)
-            dists = dists.reshape(m, k_eff)
-        dmax = dists[:, -1]
-        pad = dmax * (1.0 + 1e-12) + 1e-300
-        rows = self._tree.query_ball_point(xs, pad)
-        counts = np.fromiter((len(row) for row in rows), dtype=np.intp, count=m)
-        flat = np.concatenate([np.asarray(row, dtype=np.intp) for row in rows])
-        owner = np.repeat(np.arange(m, dtype=np.intp), counts)
-        diff = self._points[flat] - xs[owner]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        order = np.lexsort((flat, dist, owner))
-        flat, owner = flat[order], owner[order]
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
-        rank = np.arange(len(flat), dtype=np.intp) - starts[owner]
-        keep = rank < k_eff
-        flat, owner = flat[keep], owner[keep]
-        row_splits = np.zeros(m + 1, dtype=np.intp)
-        np.add.at(row_splits, owner + 1, 1)
-        np.cumsum(row_splits, out=row_splits)
-        return flat, row_splits
+        return self._knn(np.asarray(xs, dtype=np.float64).reshape(-1, 3), k)[::2]
 
     def hybrid_query_batch(self, xs, r: float, k_min: int):
-        """Vectorized hybrid query in CSR layout (ids, row_splits)."""
+        """Vectorized hybrid query in CSR layout (ids, row_splits).
+
+        Each row is its ball result, followed, when that holds fewer than
+        min(k_min, n) ids, by the k_min-NN ids not already in it (in kNN
+        order).
+        """
         xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
         flat, row_splits = self.ball_query_batch(xs, r)
-        if len(self._points) == 0 or k_min <= 0:
-            return flat, row_splits
+        n, m = len(self._points), len(xs)
         counts = np.diff(row_splits)
-        sparse = np.nonzero(counts < min(k_min, len(self._points)))[0]
-        if len(sparse) == 0:
+        short = counts < min(k_min, n)
+        if not np.any(short):
             return flat, row_splits
+        sparse = np.nonzero(short)[0]
         kflat, ksplits = self.knn_query_batch(xs[sparse], k_min)
-        rows = [flat[row_splits[i]:row_splits[i + 1]] for i in range(len(xs))]
-        for j, i in enumerate(sparse):
-            ball_ids = rows[i]
-            knn_ids = kflat[ksplits[j]:ksplits[j + 1]]
-            if len(ball_ids) == 0:
-                rows[i] = knn_ids
-            else:
-                extra = knn_ids[~np.isin(knn_ids, ball_ids)]
-                rows[i] = np.concatenate([ball_ids, extra])
-        counts = np.fromiter((len(row) for row in rows), dtype=np.intp, count=len(xs))
-        out_splits = np.zeros(len(xs) + 1, dtype=np.intp)
-        np.cumsum(counts, out=out_splits[1:])
-        out = np.concatenate(rows) if counts.sum() else np.empty(0, dtype=np.intp)
-        return out, out_splits
+        kowner = np.repeat(sparse, np.diff(ksplits))
+        owner = np.repeat(np.arange(m, dtype=np.intp), counts)
+        # a kNN id is a duplicate when its (row, id) key is in a short ball
+        in_short = short[owner]
+        extra = ~np.isin(kowner * n + kflat, owner[in_short] * n + flat[in_short])
+        # a stable sort on the row keeps ball ids first, then the extras
+        owner = np.concatenate([owner, kowner[extra]])
+        order = np.argsort(owner, kind="stable")
+        return np.concatenate([flat, kflat[extra]])[order], _row_splits(owner, m)
 
 
 def build(points) -> PointIndex:

@@ -201,13 +201,25 @@ def dataset_loss(field: GaussianField, dataset: SampleSet, chunk: int = 8192) ->
     return total / n
 
 
+def _gather_rows(flat, splits, rows):
+    """CSR sub-batch holding rows ``rows`` of ``(flat, splits)``, in order."""
+    starts = splits[rows]
+    counts = splits[rows + 1] - starts
+    out_splits = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out_splits[1:])
+    pos = np.repeat(starts - out_splits[:-1], counts) + np.arange(out_splits[-1], dtype=np.intp)
+    return flat[pos], out_splits
+
+
 def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLog:
     """Minibatch Adam on the mean squared radiance error.
 
     The spatial index is rebuilt every ``rebuild_every`` steps as means
-    move; the optimizer step and the rebuild are exclusive phases. Batch
-    selection, forward, backward, and the ordered gradient reduction are
-    all deterministic for a fixed config, so training is bit-reproducible.
+    move. Neighborhoods are computed once per rebuild: the period's batches
+    are drawn ahead, each distinct sample they hold is queried once, and
+    each step slices its rows from that result. Batch selection, forward,
+    backward, and the ordered gradient reduction are all deterministic for
+    a fixed config, so training is bit-reproducible.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -224,14 +236,20 @@ def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLo
     initial_full = dataset_loss(field, dataset)
     for step in range(cfg.steps):
         if step % cfg.rebuild_every == 0:
-            field.rebuild_index()
-        u = core.draw_unit(core.fold_key(batch_key, step), np.arange(cfg.batch_size, dtype=np.uint64))
-        idx = np.minimum((u * n).astype(np.intp), n - 1)
+            if step > 0:
+                field.rebuild_index()
+            period = range(step, min(step + cfg.rebuild_every, cfg.steps))
+            draws = [core.draw_unit(core.fold_key(batch_key, t), np.arange(cfg.batch_size, dtype=np.uint64)) for t in period]
+            batches = np.minimum((np.stack(draws) * n).astype(np.intp), n - 1)
+            uniq, rows = np.unique(batches, return_inverse=True)
+            rows = rows.reshape(batches.shape)
+            nb_flat, nb_splits = field._neighbors(dataset.position[uniq])
+        i = step % cfg.rebuild_every
+        idx = batches[i]
         xs = dataset.position[idx]
-        target = dataset.l_ref[idx]
-        flat, splits = field._neighbors(xs)
+        flat, splits = _gather_rows(nb_flat, nb_splits, rows[i])
         pred, _, _ = field._forward(xs, flat, splits)
-        resid = pred - target
+        resid = pred - dataset.l_ref[idx]
         per_sample = np.sum(resid * resid, axis=1)
         loss = float(per_sample.mean())
         if not np.isfinite(loss):

@@ -182,6 +182,80 @@ class TestBatchQueries:
             np.testing.assert_array_equal(flat[splits[i]:splits[i + 1]], ids)
 
 
+
+def _assert_batch_rows_match_linear_scan(pts, xs, r, k_min):
+    """Every row of both batch kernels equals the linear-scan reference."""
+    idx = build(pts)
+    bflat, bsplits = idx.ball_query_batch(xs, r)
+    hflat, hsplits = idx.hybrid_query_batch(xs, r, k_min)
+    assert len(bsplits) == len(hsplits) == len(xs) + 1
+    for i, x in enumerate(xs):
+        ref_ball, _ = linear_ball_query(pts, x, r)
+        np.testing.assert_array_equal(bflat[bsplits[i]:bsplits[i + 1]], ref_ball)
+        ref_hybrid = linear_hybrid_query(pts, x, r, k_min)
+        np.testing.assert_array_equal(hflat[hsplits[i]:hsplits[i + 1]], ref_hybrid)
+    return np.diff(bsplits)
+
+
+class TestBatchKernelsAgainstLinearScan:
+    def test_empty_and_partly_overlapping_balls(self):
+        rng = np.random.default_rng(24)
+        pts = np.vstack([rng.normal(0.0, 0.03, (400, 3)), rng.uniform(-1, 1, (100, 3))])
+        xs = np.vstack([rng.normal(0.0, 0.05, (150, 3)), rng.uniform(-1.5, 1.5, (150, 3))])
+        ball_sizes = _assert_batch_rows_match_linear_scan(pts, xs, 0.02, 5)
+        assert np.any(ball_sizes == 0)  # pure kNN rows
+        assert np.any((ball_sizes > 0) & (ball_sizes < 5))  # ball and kNN overlap
+        assert np.any(ball_sizes >= 5)  # ball only
+
+    def test_k_min_at_least_n(self):
+        pts = _random_points(6, seed=25)
+        xs = np.vstack([pts[:2], _random_points(20, seed=26, lo=-2.0, hi=2.0)])
+        for k_min in (6, 9):
+            _assert_batch_rows_match_linear_scan(pts, xs, 0.3, k_min)
+        flat, splits = build(pts).hybrid_query_batch(xs, 0.3, 9)
+        assert np.all(np.diff(splits) == 6)
+
+    def test_points_exactly_at_radius_and_exact_ties(self):
+        # a grid on exact binary fractions: axis neighbors sit exactly at
+        # r = 0.125 and many neighbors share one distance bit for bit
+        g = 0.125 * np.arange(6)
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        xs = np.vstack([pts[::7], pts[::11] + 0.0625, [[2.0, 2.0, 2.0]]])
+        ball_sizes = _assert_batch_rows_match_linear_scan(pts, xs, 0.125, 8)
+        flat, splits = build(pts).ball_query_batch(pts[43:44], 0.125)
+        assert len(flat) == 7  # itself plus all six axis neighbors at exactly r
+        assert np.any(ball_sizes == 0) and np.any(ball_sizes >= 8)
+        # kNN cut-offs land inside a tie group: the id order decides
+        _assert_batch_rows_match_linear_scan(pts, xs, 0.0, 3)
+
+    def test_empty_index_and_empty_batch(self):
+        flat, splits = build(np.zeros((0, 3))).hybrid_query_batch(np.zeros((4, 3)), 0.1, 3)
+        assert len(flat) == 0
+        np.testing.assert_array_equal(splits, np.zeros(5))
+        flat, splits = build(_random_points(10)).hybrid_query_batch(np.zeros((0, 3)), 0.1, 3)
+        assert len(flat) == 0
+        np.testing.assert_array_equal(splits, [0])
+
+    def test_knn_widens_once_when_tree_distance_rounds_low(self):
+        pts = _random_points(300, seed=27)
+        idx = build(pts)
+        tree = idx._tree
+
+        class LowTree:  # reports every k-th distance a few ulps short
+            def query(self, xs, k):
+                d, i = tree.query(xs, k=k)
+                return np.asarray(d) * np.where(np.arange(k) == k - 1, 1.0 - 1e-10, 1.0), i
+
+            def query_ball_point(self, xs, r):
+                return tree.query_ball_point(xs, r)
+
+        idx._tree = LowTree()
+        xs = _random_points(40, seed=28)
+        flat, splits = idx.knn_query_batch(xs, 4)
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(flat[splits[i]:splits[i + 1]], linear_knn_query(pts, x, 4)[0])
+
+
 class TestStructuralProperties:
     def test_build_is_deterministic(self):
         pts = _random_points(1000, seed=18)

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from photonfield import core
 from photonfield.core import Rng
-from photonfield.field import GaussianField
+from photonfield.field import SCALE_MAX, SCALE_MIN, GaussianField
 from photonfield.integrators import SppmConfig, _camera_rays, trace_to_first_diffuse
 from photonfield.photons import trace_photons
 from photonfield.scene import builtin_scene, scene_from_dict
 from photonfield.training import (
+    _TAG_BATCH,
     SampleSet,
     TrainConfig,
+    _Adam,
     build_dataset,
     camera_seed,
     dataset_loss,
@@ -204,6 +207,85 @@ class TestTrain:
         resid = pred - ds.l_ref
         loss = float(np.mean(np.sum(resid * resid, axis=1)))
         assert abs(loss - log.final_full_loss) < 1e-9
+
+
+def _train_querying_every_batch(field, dataset, cfg):
+    """Reference loop: the same draws and Adam updates as ``train``, but
+    every minibatch queries its neighborhoods afresh."""
+    n = len(dataset)
+    opt = {
+        name: _Adam(getattr(field, attr).shape, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        for name, attr in (("mean", "means"), ("quat", "quats"), ("log_scale", "log_scales"), ("flux", "flux"))
+    }
+    batch_key = core.fold_key(core.seed_key(cfg.seed), _TAG_BATCH)
+    field.rebuild_index()
+    initial_full = dataset_loss(field, dataset)
+    losses = np.zeros(cfg.steps)
+    for step in range(cfg.steps):
+        if step % cfg.rebuild_every == 0:
+            field.rebuild_index()
+        u = core.draw_unit(core.fold_key(batch_key, step), np.arange(cfg.batch_size, dtype=np.uint64))
+        idx = np.minimum((u * n).astype(np.intp), n - 1)
+        xs = dataset.position[idx]
+        flat, splits = field._neighbors(xs)
+        pred, _, _ = field._forward(xs, flat, splits)
+        resid = pred - dataset.l_ref[idx]
+        losses[step] = float(np.sum(resid * resid, axis=1).mean())
+        grads = field.backward_scatter(xs, (2.0 / cfg.batch_size) * resid, flat, splits)
+        field.means -= opt["mean"].step(grads["mean"], cfg.learning_rate)
+        quat_step = opt["quat"].step(grads["quat"], cfg.learning_rate)
+        field.quats -= quat_step
+        moved = np.any(quat_step != 0.0, axis=1)
+        if np.any(moved):
+            field.quats[moved] /= np.linalg.norm(field.quats[moved], axis=1, keepdims=True)
+        field.log_scales -= opt["log_scale"].step(grads["log_scale"], cfg.learning_rate)
+        field.flux -= opt["flux"].step(grads["flux"], cfg.learning_rate)
+        np.clip(field.log_scales, np.log(SCALE_MIN), np.log(SCALE_MAX), out=field.log_scales)
+        field.mark_updated()
+    field.rebuild_index()
+    return losses, initial_full, dataset_loss(field, dataset)
+
+
+class TestNeighborhoodsPerRebuild:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        scene = builtin_scene("cornell-box")
+        photons = trace_photons(scene, 1500, 16, Rng(13))
+        ds = build_dataset(scene, [scene.camera.with_resolution(12, 12)], _fast_cfg(seed=14))
+        return photons, ds
+
+    def test_matches_fresh_queries_per_batch(self, setup):
+        photons, ds = setup
+        # draws repeat within a batch and across a period; 25 steps leave a
+        # short last period
+        cfg = TrainConfig(learning_rate=2e-3, steps=25, batch_size=2 * len(ds), rebuild_every=10, seed=15)
+        a = GaussianField.from_photons(photons, rng=Rng(16))
+        log = train(a, ds, cfg)
+        b = GaussianField.from_photons(photons, rng=Rng(16))
+        losses, initial_full, final_full = _train_querying_every_batch(b, ds, cfg)
+        np.testing.assert_array_equal(log.losses, losses)
+        assert log.initial_full_loss == initial_full
+        assert log.final_full_loss == final_full
+        for attr in ("means", "quats", "log_scales", "flux"):
+            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+        assert np.any(a.means != GaussianField.from_photons(photons, rng=Rng(16)).means)
+
+    @pytest.mark.parametrize("steps,rebuild_every", [(20, 100), (20, 20), (21, 20), (45, 10)])
+    def test_index_rebuilt_once_per_period(self, setup, monkeypatch, steps, rebuild_every):
+        photons, ds = setup
+        calls = []
+        rebuild = GaussianField.rebuild_index
+
+        def counting_rebuild(field):
+            calls.append(field.version)
+            rebuild(field)
+
+        monkeypatch.setattr(GaussianField, "rebuild_index", counting_rebuild)
+        field = GaussianField.from_photons(photons, rng=Rng(17))
+        train(field, ds, TrainConfig(steps=steps, batch_size=8, rebuild_every=rebuild_every, seed=18))
+        assert len(calls) == 2 + (steps - 1) // rebuild_every
+        # the first build serves step 0; later ones follow a parameter move
+        assert calls == [0] + [s for s in range(rebuild_every, steps, rebuild_every)] + [steps]
 
 
 class TestDatasetLoss:
