@@ -287,3 +287,36 @@ def rotation_jacobian(q):
     out[..., 3, 2, 1] = 2.0 * y
     out[..., 3, 2, 2] = zero
     return out
+
+
+def rotation_jacobian_tdot(q, d):
+    """``(dR/dq_m)^T d`` for every slot m, without forming the jacobian.
+
+    Shapes (..., 4), (..., 3) -> (..., 4, 3). Entry (m, j) sums the
+    products ``(dR/dq_m)[i, j] * d_i`` left to right over i = 0, 1, 2, zero
+    entries included, so it equals
+    ``einsum("...mij,...i->...mj", rotation_jacobian(q), d)`` bit for bit.
+    Like einsum, each sum starts from +0.0, which matters only for the sign
+    of a zero result.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    w2, x2, y2, z2 = (2.0 * q[..., c] for c in range(4))
+    x4, y4, z4 = (4.0 * q[..., c] for c in range(1, 4))
+    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
+    o0, o1, o2 = 0.0 * d0, 0.0 * d1, 0.0 * d2
+    out = np.empty(q.shape[:-1] + (4, 3), dtype=np.float64)
+    # column j of each dR/dq_m in rotation_jacobian, dotted with d
+    out[..., 0, 0] = 0.0 + o0 + z2 * d1 - y2 * d2
+    out[..., 0, 1] = 0.0 - z2 * d0 + o1 + x2 * d2
+    out[..., 0, 2] = 0.0 + y2 * d0 - x2 * d1 + o2
+    out[..., 1, 0] = 0.0 + o0 + y2 * d1 + z2 * d2
+    out[..., 1, 1] = 0.0 + y2 * d0 - x4 * d1 + w2 * d2
+    out[..., 1, 2] = 0.0 + z2 * d0 - w2 * d1 - x4 * d2
+    out[..., 2, 0] = 0.0 - y4 * d0 + x2 * d1 - w2 * d2
+    out[..., 2, 1] = 0.0 + x2 * d0 + o1 + z2 * d2
+    out[..., 2, 2] = 0.0 + w2 * d0 + z2 * d1 - y4 * d2
+    out[..., 3, 0] = 0.0 - z4 * d0 + w2 * d1 + x2 * d2
+    out[..., 3, 1] = 0.0 - w2 * d0 - z4 * d1 + y2 * d2
+    out[..., 3, 2] = 0.0 + x2 * d0 + y2 * d1 + o2
+    return out

@@ -18,13 +18,14 @@ locally constant.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .core import Rng, quaternion_to_matrix, rotation_jacobian
+from .core import Rng, quaternion_to_matrix, rotation_jacobian_tdot
 from .photons import PhotonMap
 from .spatial import PointIndex
 
@@ -176,18 +177,20 @@ class GaussianField:
         return L
 
     def _forward(self, xs, flat, splits):
+        """Radiance (B, 3) of rows ``xs`` over CSR neighborhoods, plus the
+        per-neighbor kernel terms and weight sums ``backward_scatter``
+        reuses: returns ``(L, terms, s_tot)``."""
         b = len(xs)
         owner = np.repeat(np.arange(b, dtype=np.intp), np.diff(splits))
-        if len(flat) == 0:
-            return np.zeros((b, 3)), np.zeros(b), np.zeros(0)
-        _, _, _, _, _, _, _, w = self._weight_terms(xs[owner], flat)
+        terms = self._weight_terms(xs[owner], flat)
+        w = terms[-1]
         s_tot = np.bincount(owner, weights=w, minlength=b)
         num = np.zeros((b, 3))
         wphi = w[:, None] * self.flux[flat]
         for ch in range(3):
             num[:, ch] = np.bincount(owner, weights=wphi[:, ch], minlength=b)
         z = np.maximum(s_tot, self.eps)
-        return num / z[:, None], s_tot, w
+        return num / z[:, None], terms, s_tot
 
     def query(self, x):
         """Radiance and captured neighborhood at one point (fresh index)."""
@@ -202,17 +205,11 @@ class GaussianField:
 
     # -- backward ----------------------------------------------------------
 
-    def _backward_terms(self, xs_rows, ids, owner, dl_rows, b):
-        """Per-neighbor parameter gradients of J = sum_b dl_b . L_b."""
-        d, rot, s, u, w_gauss, dist, psi, w = self._weight_terms(xs_rows, ids)
-        s_tot = np.bincount(owner, weights=w, minlength=b)
-        num = np.zeros((b, 3))
-        wphi = w[:, None] * self.flux[ids]
-        for ch in range(3):
-            num[:, ch] = np.bincount(owner, weights=wphi[:, ch], minlength=b)
+    def _backward_terms(self, ids, owner, dl_rows, fwd):
+        """Per-neighbor parameter gradients of J = sum_b dl_b . L_b, from
+        the ``(L, terms, s_tot)`` a ``_forward`` over the same rows gave."""
+        L, (d, rot, s, u, w_gauss, dist, psi, w), s_tot = fwd
         z = np.maximum(s_tot, self.eps)
-        L = num / z[:, None]
-
         ind = (s_tot > self.eps).astype(np.float64)
         dl_phi = np.einsum("kc,kc->k", dl_rows, self.flux[ids])
         dl_L = np.einsum("kc,kc->k", dl_rows, L[owner])
@@ -232,11 +229,10 @@ class GaussianField:
 
         g_log_scale = (g_w * w)[:, None] * (u * u)
 
-        jac = rotation_jacobian(self.quats[ids])  # (K, 4, 3, 3)
-        a_t_d = np.einsum("kmij,ki->kmj", jac, d)  # rows: (A_m^T d)_j
+        a_t_d = rotation_jacobian_tdot(self.quats[ids], d)  # rows: (A_m^T d)_j
         g_quat = -(g_w * w)[:, None] * np.einsum("kmj,kj->km", a_t_d, u / s)
 
-        return L, g_mean, g_quat, g_log_scale, g_flux
+        return {"mean": g_mean, "quat": g_quat, "log_scale": g_log_scale, "flux": g_flux}
 
     def query_gradients(self, x, dl_dout, neighborhood: Neighborhood):
         """Per-neighbor gradients of J = dl_dout . L(x).
@@ -246,65 +242,82 @@ class GaussianField:
         """
         if neighborhood.version != self._version:
             raise ValueError("stale neighborhood: field parameters changed since the forward query")
-        x = np.asarray(x, dtype=np.float64).reshape(3)
+        x = np.asarray(x, dtype=np.float64).reshape(1, 3)
         dl = np.asarray(dl_dout, dtype=np.float64).reshape(3)
         ids = neighborhood.ids
         k = len(ids)
-        owner = np.zeros(k, dtype=np.intp)
-        xs_rows = np.broadcast_to(x, (k, 3))
-        dl_rows = np.broadcast_to(dl, (k, 3))
-        _, g_mean, g_quat, g_log_scale, g_flux = self._backward_terms(xs_rows, ids, owner, dl_rows, 1)
-        return {"mean": g_mean, "quat": g_quat, "log_scale": g_log_scale, "flux": g_flux}
+        fwd = self._forward(x, ids, np.array([0, k], dtype=np.intp))
+        return self._backward_terms(ids, np.zeros(k, dtype=np.intp), np.broadcast_to(dl, (k, 3)), fwd)
 
-    def backward_scatter(self, xs, dl_dout, flat, splits):
+    def backward_scatter(self, xs, dl_dout, flat, splits, fwd=None):
         """Accumulate batch query gradients into dense parameter arrays.
 
-        Deterministic ordered reduction (sequential scatter-add in flat
-        neighbor order), so training is bit-reproducible.
+        ``fwd`` is what ``_forward(xs, flat, splits)`` returned; it is
+        recomputed when omitted. Each parameter column is an ordered
+        ``bincount`` reduction: per-neighbor gradients summed from zero in
+        flat neighbor order, so training is bit-reproducible.
         """
         xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
         dl = np.asarray(dl_dout, dtype=np.float64).reshape(-1, 3)
-        b = len(xs)
+        b, n = len(xs), len(self)
+        if fwd is None:
+            fwd = self._forward(xs, flat, splits)
         owner = np.repeat(np.arange(b, dtype=np.intp), np.diff(splits))
-        g = {
-            "mean": np.zeros_like(self.means),
-            "quat": np.zeros_like(self.quats),
-            "log_scale": np.zeros_like(self.log_scales),
-            "flux": np.zeros_like(self.flux),
-        }
-        if len(flat) == 0:
-            return g
-        _, g_mean, g_quat, g_log_scale, g_flux = self._backward_terms(xs[owner], flat, owner, dl[owner], b)
-        np.add.at(g["mean"], flat, g_mean)
-        np.add.at(g["quat"], flat, g_quat)
-        np.add.at(g["log_scale"], flat, g_log_scale)
-        np.add.at(g["flux"], flat, g_flux)
+        rows = self._backward_terms(flat, owner, dl[owner], fwd)
+        g = {}
+        for key, part in rows.items():
+            g[key] = np.empty((n, part.shape[1]))
+            for c in range(part.shape[1]):
+                g[key][:, c] = np.bincount(flat, weights=part[:, c], minlength=n)
         return g
 
     # -- serialization (GPF1: little-endian, float32 payload) ---------------
 
     def save(self, path) -> None:
-        n = len(self)
-        payload = np.empty((n, 13), dtype="<f4")
+        payload = np.empty((len(self), 13), dtype="<f4")
         payload[:, 0:3] = self.means
         payload[:, 3:7] = self.quats
         payload[:, 7:10] = self.scales
         payload[:, 10:13] = self.flux
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", n))
-            fh.write(payload.tobytes())
+        write_records(path, _MAGIC, payload)
 
     @classmethod
     def load(cls, path, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN, eps=DEFAULT_EPS) -> "GaussianField":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise ValueError(f"not a field checkpoint: bad magic {magic!r}")
-            (n,) = struct.unpack("<I", fh.read(4))
-            data = np.frombuffer(fh.read(n * 13 * 4), dtype="<f4")
-        if data.size != n * 13:
-            raise ValueError("truncated field checkpoint")
-        data = data.reshape(n, 13).astype(np.float64)
+        data = read_records(path, _MAGIC, 13, "field checkpoint")
         scales = np.clip(data[:, 7:10], SCALE_MIN, SCALE_MAX)
         return cls(data[:, 0:3], data[:, 3:7], np.log(scales), data[:, 10:13], radius, k_min, eps)
+
+
+def write_records(path, magic: bytes, payload) -> None:
+    """Record file: 4 magic bytes, a little-endian u32 row count, then the
+    rows of the ``"<f4"`` array ``payload``."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(payload)))
+        fh.write(payload.tobytes())
+
+
+def read_records(path, magic: bytes, width: int, what: str):
+    """Rows (n, width) of a :func:`write_records` file, widened to float64.
+
+    The file must be exactly as long as its row count says and every value
+    finite; anything else raises ``ValueError``. The size is checked before
+    the payload is read, so a forged count allocates nothing.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        if head[:4] != magic:
+            raise ValueError(f"not a {what}: bad magic {head[:4]!r}")
+        if len(head) < 8:
+            raise ValueError(f"truncated {what}")
+        (n,) = struct.unpack("<I", head[4:])
+        expected = 8 + 4 * width * n
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise ValueError(f"truncated {what}")
+        if size > expected:
+            raise ValueError(f"{what} has {size - expected} bytes after its {n} rows")
+        data = np.frombuffer(fh.read(), dtype="<f4")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{what} holds non-finite values")
+    return data.reshape(n, width).astype(np.float64)

@@ -18,6 +18,8 @@ convention, not the index.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -127,7 +129,7 @@ class PointIndex:
         if np.any(short):  # accelerator distance rounded low; widen once
             rows[short] = self._tree.query_ball_point(xs[short], dmax[short] * (1.0 + 1e-9) + 1e-12)
             counts[short] = [len(row) for row in rows[short]]
-        flat = np.concatenate([np.asarray(row, dtype=np.intp) for row in rows])
+        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=int(counts.sum()))
         owner = np.repeat(np.arange(m, dtype=np.intp), counts)
         diff = self._points[flat] - xs[owner]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))

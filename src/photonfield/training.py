@@ -15,13 +15,12 @@ renderer clamps final pixels instead, which keeps the optimizer unbiased).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, integrators, scene as scene_mod
-from .field import SCALE_MAX, SCALE_MIN, GaussianField
+from .field import SCALE_MAX, SCALE_MIN, GaussianField, read_records, write_records
 from .integrators import SppmConfig, SurfacePoints, trace_to_first_diffuse
 
 _TAG_DATASET = 0xD5
@@ -60,27 +59,15 @@ class SampleSet:
         return TrainingSample(self.position[i], self.wo[i], self.l_ref[i])
 
     def save(self, path) -> None:
-        n = len(self)
-        payload = np.empty((n, 9), dtype="<f4")
+        payload = np.empty((len(self), 9), dtype="<f4")
         payload[:, 0:3] = self.position
         payload[:, 3:6] = self.wo
         payload[:, 6:9] = self.l_ref
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", n))
-            fh.write(payload.tobytes())
+        write_records(path, _MAGIC, payload)
 
     @classmethod
     def load(cls, path) -> "SampleSet":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise ValueError(f"not a dataset file: bad magic {magic!r}")
-            (n,) = struct.unpack("<I", fh.read(4))
-            data = np.frombuffer(fh.read(n * 9 * 4), dtype="<f4")
-        if data.size != n * 9:
-            raise ValueError("truncated dataset file")
-        data = data.reshape(n, 9).astype(np.float64)
+        data = read_records(path, _MAGIC, 9, "dataset file")
         return cls(data[:, 0:3], data[:, 3:6], data[:, 6:9])
 
 
@@ -188,17 +175,22 @@ class _Adam:
         return lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def dataset_loss(field: GaussianField, dataset: SampleSet, chunk: int = 8192) -> float:
-    """Mean squared radiance error of the field over the whole dataset."""
-    field.ensure_index()
+def _mean_squared_error(dataset: SampleSet, predict, chunk: int = 8192) -> float:
+    """Mean squared radiance error over the dataset, summed chunk by chunk;
+    ``predict(lo, hi)`` gives the field radiance at samples ``lo:hi``."""
     total = 0.0
     n = len(dataset)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        pred = field.query_batch(dataset.position[lo:hi])
-        resid = pred - dataset.l_ref[lo:hi]
+        resid = predict(lo, hi) - dataset.l_ref[lo:hi]
         total += float(np.sum(resid * resid))
     return total / n
+
+
+def dataset_loss(field: GaussianField, dataset: SampleSet, chunk: int = 8192) -> float:
+    """Mean squared radiance error of the field over the whole dataset."""
+    field.ensure_index()
+    return _mean_squared_error(dataset, lambda lo, hi: field.query_batch(dataset.position[lo:hi]), chunk)
 
 
 def _gather_rows(flat, splits, rows):
@@ -233,22 +225,33 @@ def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLo
     }
     batch_key = core.fold_key(core.seed_key(cfg.seed), _TAG_BATCH)
     field.rebuild_index()
-    initial_full = dataset_loss(field, dataset)
+    # every sample against the first index: the initial loss, and the rows
+    # the first period's steps slice from
+    all_flat, all_splits = field._neighbors(dataset.position)
+
+    def predict_initial(lo, hi):
+        flat, splits = _gather_rows(all_flat, all_splits, np.arange(lo, hi))
+        return field._forward(dataset.position[lo:hi], flat, splits)[0]
+
+    initial_full = _mean_squared_error(dataset, predict_initial)
     for step in range(cfg.steps):
         if step % cfg.rebuild_every == 0:
-            if step > 0:
-                field.rebuild_index()
             period = range(step, min(step + cfg.rebuild_every, cfg.steps))
             draws = [core.draw_unit(core.fold_key(batch_key, t), np.arange(cfg.batch_size, dtype=np.uint64)) for t in period]
             batches = np.minimum((np.stack(draws) * n).astype(np.intp), n - 1)
             uniq, rows = np.unique(batches, return_inverse=True)
             rows = rows.reshape(batches.shape)
-            nb_flat, nb_splits = field._neighbors(dataset.position[uniq])
+            if step == 0:
+                nb_flat, nb_splits = _gather_rows(all_flat, all_splits, uniq)
+            else:
+                field.rebuild_index()
+                nb_flat, nb_splits = field._neighbors(dataset.position[uniq])
         i = step % cfg.rebuild_every
         idx = batches[i]
         xs = dataset.position[idx]
         flat, splits = _gather_rows(nb_flat, nb_splits, rows[i])
-        pred, _, _ = field._forward(xs, flat, splits)
+        fwd = field._forward(xs, flat, splits)
+        pred = fwd[0]
         resid = pred - dataset.l_ref[idx]
         per_sample = np.sum(resid * resid, axis=1)
         loss = float(per_sample.mean())
@@ -260,7 +263,7 @@ def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLo
             )
         losses[step] = loss
         dl = (2.0 / cfg.batch_size) * resid
-        grads = field.backward_scatter(xs, dl, flat, splits)
+        grads = field.backward_scatter(xs, dl, flat, splits, fwd)
         field.means -= opt["mean"].step(grads["mean"], cfg.learning_rate)
         quat_step = opt["quat"].step(grads["quat"], cfg.learning_rate)
         field.quats -= quat_step

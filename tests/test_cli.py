@@ -169,6 +169,16 @@ class TestErrors:
         assert rc == 3
 
 
+    def test_non_finite_checkpoint_is_validation_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "nan.gpf"
+        ckpt.write_bytes(b"GPF1" + (1).to_bytes(4, "little") + np.full(13, np.nan, dtype="<f4").tobytes())
+        out = tmp_path / "x.pfm"
+        rc = main(["gpf-render", "--scene", "builtin:cornell-box", "--checkpoint", str(ckpt), "--out", str(out)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutputs:
     def test_pfm_output_is_readable_and_finite(self, tmp_path):
         out = tmp_path / "img.pfm"

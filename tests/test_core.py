@@ -14,6 +14,7 @@ from photonfield.core import (
     quaternion_to_matrix,
     random_unit_quaternion,
     rotation_jacobian,
+    rotation_jacobian_tdot,
     sample_cosine_hemisphere,
     seed_key,
 )
@@ -54,6 +55,19 @@ class TestQuaternions:
             dq[m] = h
             fd = (quaternion_to_matrix(q + dq) - quaternion_to_matrix(q - dq)) / (2 * h)
             np.testing.assert_allclose(jac[:, m], fd, atol=1e-7)
+
+    def test_rotation_jacobian_tdot_matches_einsum_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        q = rng.normal(size=(400, 4)) * rng.choice([1e-3, 1.0, 7.0], size=(400, 1))  # not unit
+        q[rng.random(q.shape) < 0.2] = 0.0
+        q[rng.random(q.shape) < 0.1] = -0.0
+        q[0] = [1.0, 0.0, 0.0, 0.0]
+        d = rng.normal(size=(400, 3))
+        d[rng.random(d.shape) < 0.2] = 0.0
+        d[rng.random(d.shape) < 0.1] = -0.0
+        assert np.any(q < 0.0) and np.any(d < 0.0)
+        want = np.einsum("kmij,ki->kmj", rotation_jacobian(q), d)
+        assert rotation_jacobian_tdot(q, d).tobytes() == want.tobytes()
 
     def test_sampled_quaternions_are_unit(self):
         q = random_unit_quaternion(Rng(7), 1000)

@@ -273,6 +273,37 @@ class TestGradients:
         np.testing.assert_array_equal(g["flux"][3], 0.0)
         np.testing.assert_array_equal(g["mean"][3], 0.0)
 
+    def test_backward_scatter_is_ordered_add_at_of_per_row_gradients(self):
+        # six primitives shared by every row: each id repeats hundreds of
+        # times, so any other summation order would change low bits
+        rng = np.random.default_rng(15)
+        field = _random_field(rng, n=6, radius=0.5, span=0.02)
+        field.rebuild_index()
+        xs = rng.uniform(-0.05, 0.05, (300, 3))
+        dl = rng.normal(size=(300, 3))
+        flat, splits = field._neighbors(xs)
+        assert np.bincount(flat).min() >= 200
+        owner = np.repeat(np.arange(len(xs)), np.diff(splits))
+        rows = field._backward_terms(flat, owner, dl[owner], field._forward(xs, flat, splits))
+        got = field.backward_scatter(xs, dl, flat, splits)
+        for key, part in rows.items():
+            want = np.zeros((len(field), part.shape[1]))
+            np.add.at(want, flat, part)
+            assert got[key].tobytes() == want.tobytes(), key
+
+    def test_backward_scatter_with_forward_terms_is_bit_identical(self):
+        rng = np.random.default_rng(16)
+        field = _random_field(rng, n=60)
+        field.rebuild_index()
+        xs = rng.uniform(-0.1, 0.1, (80, 3))
+        dl = rng.normal(size=(80, 3))
+        flat, splits = field._neighbors(xs)
+        fwd = field._forward(xs, flat, splits)
+        with_terms = field.backward_scatter(xs, dl, flat, splits, fwd)
+        without = field.backward_scatter(xs, dl, flat, splits)
+        for key in ("mean", "quat", "log_scale", "flux"):
+            assert with_terms[key].tobytes() == without[key].tobytes(), key
+
     def test_stale_neighborhood_rejected(self):
         rng = np.random.default_rng(14)
         field = _random_field(rng, n=10)
@@ -317,6 +348,36 @@ class TestSerialization:
         np.testing.assert_allclose(vals[3:7], 0.5)
         np.testing.assert_allclose(vals[7:10], [0.01, 0.02, 0.03], rtol=1e-7)
         np.testing.assert_allclose(vals[10:13], [4, 5, 6])
+
+    @staticmethod
+    def _checkpoint(tmp_path):
+        field = _random_field(np.random.default_rng(17), n=5)
+        path = tmp_path / "f.gpf"
+        field.save(path)
+        return path
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="1 bytes after its 5 rows"):
+            GaussianField.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = self._checkpoint(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[8 + 4 * 20 : 8 + 4 * 21] = np.array([value], dtype="<f4").tobytes()  # row 1, a quaternion entry
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianField.load(path)
+
+    @pytest.mark.parametrize("count", [6, 2**32 - 1])
+    def test_count_beyond_payload_rejected(self, tmp_path, count):
+        path = self._checkpoint(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + count.to_bytes(4, "little") + blob[8:])
+        with pytest.raises(ValueError, match="truncated"):
+            GaussianField.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gpf"

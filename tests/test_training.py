@@ -9,6 +9,7 @@ from photonfield.field import SCALE_MAX, SCALE_MIN, GaussianField
 from photonfield.integrators import SppmConfig, _camera_rays, trace_to_first_diffuse
 from photonfield.photons import trace_photons
 from photonfield.scene import builtin_scene, scene_from_dict
+from photonfield.spatial import PointIndex
 from photonfield.training import (
     _TAG_BATCH,
     SampleSet,
@@ -107,6 +108,36 @@ class TestDatasetFile:
         assert int.from_bytes(blob[4:8], "little") == 1
         vals = np.frombuffer(blob[8:], dtype="<f4")
         np.testing.assert_allclose(vals, [1, 2, 3, 0, 0, 1, 7, 8, 9])
+
+    @staticmethod
+    def _dataset_file(tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "d.gpd"
+        SampleSet(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))).save(path)
+        return path
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._dataset_file(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 36)
+        with pytest.raises(ValueError, match="36 bytes after its 4 rows"):
+            SampleSet.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = self._dataset_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([value], dtype="<f4").tobytes()  # last reference radiance
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="non-finite"):
+            SampleSet.load(path)
+
+    @pytest.mark.parametrize("count", [5, 2**32 - 1])
+    def test_count_beyond_payload_rejected(self, tmp_path, count):
+        path = self._dataset_file(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + count.to_bytes(4, "little") + blob[8:])
+        with pytest.raises(ValueError, match="truncated"):
+            SampleSet.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gpd"
@@ -286,6 +317,23 @@ class TestNeighborhoodsPerRebuild:
         assert len(calls) == 2 + (steps - 1) // rebuild_every
         # the first build serves step 0; later ones follow a parameter move
         assert calls == [0] + [s for s in range(rebuild_every, steps, rebuild_every)] + [steps]
+
+
+    def test_one_period_queries_each_sample_once_per_full_loss(self, setup, monkeypatch):
+        # the initial loss and the first period share one query of every
+        # sample; the final loss makes the second
+        photons, ds = setup
+        queried = []
+        hybrid = PointIndex.hybrid_query_batch
+
+        def counting_hybrid(index, xs, r, k_min):
+            queried.append(len(xs))
+            return hybrid(index, xs, r, k_min)
+
+        monkeypatch.setattr(PointIndex, "hybrid_query_batch", counting_hybrid)
+        field = GaussianField.from_photons(photons, rng=Rng(19))
+        train(field, ds, TrainConfig(steps=10, batch_size=64, rebuild_every=10, seed=20))
+        assert sum(queried) == 2 * len(ds)
 
 
 class TestDatasetLoss:
