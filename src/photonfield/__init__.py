@@ -8,49 +8,40 @@ references.
 """
 
 from .core import Rng
-from .field import GaussianField, GaussianPrimitive, gaussian_weight
+from .field import GaussianField
 from .images import psnr, read_pfm, ssim, tone_map, write_pfm, write_ppm
 from .integrators import (
     SppmConfig,
-    kde_gather,
     reference_radiance_at_points,
     render_gpf,
     render_pt,
     render_sppm,
     sppm_radius,
 )
-from .photons import Photon, PhotonMap, trace_photons
+from .photons import PhotonMap, trace_photons
 from .scene import (
     Camera,
     Material,
-    Ray,
     Scene,
     SceneParseError,
     SceneValidationError,
     Shape,
-    SurfaceInteraction,
     builtin_scene,
-    eval_bsdf,
-    intersect,
     load_scene,
-    sample_bsdf,
     sample_light_emission,
     save_scene,
 )
 from .spatial import PointIndex
-from .training import SampleSet, TrainConfig, TrainingSample, build_dataset, train
+from .training import SampleSet, TrainConfig, build_dataset, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Camera",
     "GaussianField",
-    "GaussianPrimitive",
     "Material",
-    "Photon",
     "PhotonMap",
     "PointIndex",
-    "Ray",
     "Rng",
     "SampleSet",
     "Scene",
@@ -58,15 +49,9 @@ __all__ = [
     "SceneValidationError",
     "Shape",
     "SppmConfig",
-    "SurfaceInteraction",
     "TrainConfig",
-    "TrainingSample",
     "build_dataset",
     "builtin_scene",
-    "eval_bsdf",
-    "gaussian_weight",
-    "intersect",
-    "kde_gather",
     "load_scene",
     "psnr",
     "read_pfm",
@@ -74,7 +59,6 @@ __all__ = [
     "render_gpf",
     "render_pt",
     "render_sppm",
-    "sample_bsdf",
     "sample_light_emission",
     "save_scene",
     "sppm_radius",

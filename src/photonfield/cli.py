@@ -17,11 +17,11 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import images, integrators, training
+from .core import Rng
 from .field import GaussianField
 from .integrators import SppmConfig
+from .photons import trace_photons
 from .scene import (
     Camera,
     Scene,
@@ -48,23 +48,23 @@ def _camera_from_dict(obj: dict) -> Camera:
     return scene_from_dict(probe).camera
 
 
-def _load_camera_file(path) -> Camera:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise SceneParseError(f"invalid JSON in {path}: {e.msg} at line {e.lineno} column {e.colno}") from e
+
+
+def _load_camera_file(path) -> Camera:
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise SceneParseError(f"{path} must hold a single camera object")
     return _camera_from_dict(obj)
 
 
 def _load_views_file(path) -> list[Camera]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            arr = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SceneParseError(f"invalid JSON in {path}: {e.msg} at line {e.lineno} column {e.colno}") from e
+    arr = _read_json(path)
     if not isinstance(arr, list) or not arr:
         raise SceneParseError(f"{path} must hold a non-empty JSON array of cameras")
     return [_camera_from_dict(o) for o in arr]
@@ -123,6 +123,25 @@ def _apply_resolution(camera: Camera, resolution) -> Camera:
     return camera.with_resolution(int(resolution[0]), int(resolution[1]))
 
 
+def _sppm_config(args, iterations: int, photons: int) -> SppmConfig:
+    return SppmConfig(
+        iterations=iterations,
+        photons_per_iter=photons,
+        initial_radius=args.r0,
+        alpha=args.alpha,
+        max_photon_bounces=args.max_bounces,
+        seed=args.seed,
+    )
+
+
+def _seed_field(scene: Scene, args, n_photons: int, k_min: int) -> GaussianField:
+    """A field with one primitive per photon stored by ``n_photons`` traced photons."""
+    photons = trace_photons(scene, n_photons, args.max_bounces, Rng(args.seed))
+    return GaussianField.from_photons(
+        photons, initial_scale=args.scale0, rng=Rng(args.seed, 0x51), radius=args.radius, k_min=k_min
+    )
+
+
 def _metric_record(psnr_value, ssim_value, time_seconds=None, storage_bytes=None) -> dict:
     return {
         "psnr": "inf" if psnr_value == float("inf") else psnr_value,
@@ -148,14 +167,7 @@ def _cmd_render_pt(args) -> int:
 def _cmd_render_sppm(args) -> int:
     scene = _load_scene_arg(args.scene)
     camera = _apply_resolution(scene.camera, args.resolution)
-    cfg = SppmConfig(
-        iterations=args.iterations,
-        photons_per_iter=args.photons,
-        initial_radius=args.r0,
-        alpha=args.alpha,
-        max_photon_bounces=args.max_bounces,
-        seed=args.seed,
-    )
+    cfg = _sppm_config(args, args.iterations, args.photons)
     img = integrators.render_sppm(scene, camera, cfg, threads=args.threads)
     images.write_pfm(args.out, img)
     _write_manifest("render-sppm", args, scene, [args.out])
@@ -163,41 +175,23 @@ def _cmd_render_sppm(args) -> int:
 
 
 def _cmd_gpf_init(args) -> int:
-    from .photons import trace_photons
-    from .core import Rng
-
     scene = _load_scene_arg(args.scene)
-    photons = trace_photons(scene, args.photons, args.max_bounces, Rng(args.seed))
-    field = GaussianField.from_photons(
-        photons, initial_scale=args.scale0, rng=Rng(args.seed, 0x51), radius=args.radius, k_min=args.kmin
-    )
+    field = _seed_field(scene, args, args.photons, args.kmin)
     field.save(args.out_checkpoint)
     _write_manifest("gpf-init", args, scene, [args.out_checkpoint])
-    print(f"initialized {len(field)} primitives from {len(photons)} photons")
+    n = len(field)
+    print(f"initialized {n} primitives from {n} photons")
     return 0
 
 
 def _cmd_gpf_train(args) -> int:
-    from .photons import trace_photons
-    from .core import Rng
-
     scene = _load_scene_arg(args.scene)
     cameras = _load_views_file(args.views)
-    cfg = SppmConfig(
-        iterations=args.sppm_iterations,
-        photons_per_iter=args.sppm_photons,
-        initial_radius=args.r0,
-        alpha=args.alpha,
-        max_photon_bounces=args.max_bounces,
-        seed=args.seed,
-    )
+    cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
     if args.in_checkpoint is not None:
         field = GaussianField.load(args.in_checkpoint, radius=args.radius, k_min=args.kmin)
     else:
-        photons = trace_photons(scene, args.photons, args.max_bounces, Rng(args.seed))
-        field = GaussianField.from_photons(
-            photons, initial_scale=args.scale0, rng=Rng(args.seed, 0x51), radius=args.radius, k_min=args.kmin
-        )
+        field = _seed_field(scene, args, args.photons, args.kmin)
     dataset = training.build_dataset(scene, cameras, cfg, samples_per_pixel=args.spp, threads=args.threads)
     tcfg = training.TrainConfig(
         learning_rate=args.lr,
@@ -266,40 +260,21 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     import os
 
-    from .core import Rng
-    from .photons import trace_photons
-
     scene = _load_scene_arg(args.scene)
     cameras = _load_views_file(args.views)
     heldout = scene.camera if args.camera is None else _load_camera_file(args.camera)
     heldout = _apply_resolution(heldout, args.resolution)
     values = [int(v) for v in args.values.split(",")]
-    ref_cfg = SppmConfig(
-        iterations=args.ref_iterations,
-        photons_per_iter=args.sppm_photons,
-        initial_radius=args.r0,
-        alpha=args.alpha,
-        max_photon_bounces=args.max_bounces,
-        seed=args.seed,
+    reference = integrators.render_sppm(
+        scene, heldout, _sppm_config(args, args.ref_iterations, args.sppm_photons), threads=args.threads
     )
-    reference = integrators.render_sppm(scene, heldout, ref_cfg, threads=args.threads)
-    train_cfg = SppmConfig(
-        iterations=args.sppm_iterations,
-        photons_per_iter=args.sppm_photons,
-        initial_radius=args.r0,
-        alpha=args.alpha,
-        max_photon_bounces=args.max_bounces,
-        seed=args.seed,
-    )
+    train_cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
     rows = []
     dataset = None
     for value in values:
         n_photons = value if args.param == "gaussians" else args.photons
         k_min = value if args.param == "k" else args.kmin
-        photons = trace_photons(scene, n_photons, args.max_bounces, Rng(args.seed))
-        field = GaussianField.from_photons(
-            photons, initial_scale=args.scale0, rng=Rng(args.seed, 0x51), radius=args.radius, k_min=k_min
-        )
+        field = _seed_field(scene, args, n_photons, k_min)
         if dataset is None:
             dataset = training.build_dataset(scene, cameras, train_cfg, samples_per_pixel=args.spp, threads=args.threads)
         tcfg = training.TrainConfig(

@@ -10,6 +10,11 @@ key plus a draw counter, and draw ``i`` of stream ``k`` is a pure function
 of ``(k, i)``. Streams for distinct (pixel, sample, pass) tags are derived
 by key folding, which makes rendering order-independent and reproducible
 regardless of chunking or thread count.
+
+The wavefront bounce loops (camera prefix, path tracer, photon tracer)
+keep one stream per path: :func:`draw_units` takes a path's next draws
+and advances its counter, and :func:`roulette` is the Russian roulette
+they share, from bounce ``RR_START`` on.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 UNIT_TOL = 1e-9
+RAY_OFFSET = 1e-7  # spawn distance along a sampled direction, off the surface
+RR_START = 3  # Russian roulette runs from this bounce on
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -65,6 +72,36 @@ def draw_unit(key, ctr):
     with np.errstate(over="ignore"):
         bits = _finalize(key + (c + _ONE) * _GOLDEN)
     return (bits >> _SH11) * _INV_2_53
+
+
+def draw_units(keys, ctrs, rows, n: int):
+    """``n`` consecutive draws for each stream in ``rows``, then advance
+    those streams' counters by ``n``.
+
+    ``keys``/``ctrs`` hold one key and one counter per stream; ``rows`` is
+    anything that indexes them (index array, boolean mask, slice). Returns a
+    list of ``n`` arrays: draw ``i`` of stream ``r`` is
+    ``draw_unit(keys[r], ctrs[r] + i)``.
+    """
+    k = keys[rows]
+    c = ctrs[rows]
+    u = [draw_unit(k, c + np.uint64(i)) for i in range(n)]
+    ctrs[rows] += np.uint64(n)
+    return u
+
+
+def roulette(keys, ctrs, rows, beta):
+    """Russian roulette for the paths in ``rows`` with throughput ``beta``.
+
+    Survival probability is min(1, max channel of ``beta``), decided by one
+    draw per path. Returns ``(survive, inv_p)``: ``inv_p`` is the
+    throughput compensation, 0 for paths that die.
+    """
+    p = np.minimum(1.0, beta.max(axis=1))
+    (u,) = draw_units(keys, ctrs, rows, 1)
+    survive = (u < p) & (p > 0.0)
+    inv_p = np.where(survive, 1.0 / np.maximum(p, 1e-300), 0.0)
+    return survive, inv_p
 
 
 class Rng:
@@ -185,11 +222,6 @@ def sample_cosine_hemisphere(u1, u2, n):
 
 # ---------------------------------------------------------------------------
 # quaternions (w-first convention)
-
-
-def normalize_quaternion(q):
-    q = np.asarray(q, dtype=np.float64)
-    return q / np.sqrt(np.einsum("...i,...i->...", q, q))[..., None]
 
 
 def random_unit_quaternion(rng: Rng, n: int | None = None):

@@ -36,19 +36,11 @@ DEFAULT_INITIAL_SCALE = 0.01
 
 SCALE_MIN = 1e-5
 SCALE_MAX = 10.0
+# float32 storage moves a unit quaternion's norm by about 5e-8 at most
+QUAT_NORM_TOL = 1e-6
 
 _MAGIC = b"GPF1"
 _FALLOFF_SHARPNESS = 3.0
-
-
-@dataclass(frozen=True)
-class GaussianPrimitive:
-    """View of one field element (scale in linear units)."""
-
-    mean: np.ndarray
-    quat: np.ndarray  # (w, x, y, z), unit
-    scale: np.ndarray
-    flux: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,16 +56,6 @@ def _falloff(dist, radius: float):
     r_eff = max(radius, 1e-6)
     t = np.maximum(dist - radius, 0.0) / r_eff
     return np.where(dist <= radius, 1.0, np.exp(-_FALLOFF_SHARPNESS * t * t))
-
-
-def gaussian_weight(prim: GaussianPrimitive, x, radius: float) -> float:
-    """Anisotropic kernel weight of one primitive at ``x`` (with falloff)."""
-    d = np.asarray(x, dtype=np.float64) - prim.mean
-    rot = quaternion_to_matrix(prim.quat)
-    u = (rot.T @ d) / prim.scale
-    w_gauss = np.exp(-0.5 * float(u @ u))
-    dist = float(np.linalg.norm(d))
-    return float(w_gauss * _falloff(np.asarray(dist), radius))
 
 
 class GaussianField:
@@ -123,9 +105,6 @@ class GaussianField:
 
     def __len__(self) -> int:
         return len(self.means)
-
-    def __getitem__(self, i: int) -> GaussianPrimitive:
-        return GaussianPrimitive(self.means[i], self.quats[i], self.scales[i], self.flux[i])
 
     @property
     def scales(self):
@@ -284,6 +263,13 @@ class GaussianField:
     @classmethod
     def load(cls, path, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN, eps=DEFAULT_EPS) -> "GaussianField":
         data = read_records(path, _MAGIC, 13, "field checkpoint")
+        norm_err = np.abs(np.linalg.norm(data[:, 3:7], axis=1) - 1.0)
+        if np.any(norm_err > QUAT_NORM_TOL):
+            bad = int(np.argmax(norm_err > QUAT_NORM_TOL))
+            raise ValueError(
+                f"field checkpoint row {bad} has quaternion {data[bad, 3:7].tolist()}, "
+                f"which is not unit length"
+            )
         scales = np.clip(data[:, 7:10], SCALE_MIN, SCALE_MAX)
         return cls(data[:, 0:3], data[:, 3:7], np.log(scales), data[:, 10:13], radius, k_min, eps)
 

@@ -146,12 +146,16 @@ class Geometry:
         self.node_right = np.asarray(rights, dtype=np.intp)
         self.node_start = np.asarray(starts, dtype=np.intp)
         self.node_count = np.asarray(counts, dtype=np.intp)
-        self._packs: dict = {}
+        # per-kind primitive arrays of every leaf, gathered once (None for
+        # inner nodes); nothing is filled in later, so render threads share
+        # the geometry read-only
+        self._packs = [
+            self._pack(self.perm[s:s + c]) if left < 0 else None
+            for left, s, c in zip(lefts, starts, counts)
+        ]
 
-    def _pack(self, prims, cache_key=None):
-        """Gather per-kind primitive arrays once; leaves are static."""
-        if cache_key is not None and cache_key in self._packs:
-            return self._packs[cache_key]
+    def _pack(self, prims):
+        """Per-kind primitive arrays of the primitives ``prims``."""
         kinds = self.kinds[prims]
         pack = {"prims": prims, "k": len(prims)}
         sph = np.nonzero(kinds == KIND_SPHERE)[0]
@@ -166,8 +170,6 @@ class Geometry:
         if tri.size:
             pid = prims[tri]
             pack["tri"] = (tri, self.pa[pid], self._tri_e1[pid], self._tri_e2[pid])
-        if cache_key is not None:
-            self._packs[cache_key] = pack
         return pack
 
     # -- intersection ------------------------------------------------------
@@ -199,7 +201,7 @@ class Geometry:
         if len(self) == 0:
             return best_t, best_p
         ridx = np.arange(n, dtype=np.intp)
-        pack = self._pack(np.arange(len(self), dtype=np.intp), cache_key="all")
+        pack = self._pack(np.arange(len(self), dtype=np.intp))
         self._leaf_hits(pack, ridx, o, d, best_t, best_p, t_min)
         return best_t, best_p
 
@@ -218,9 +220,7 @@ class Geometry:
             return
         cnt = self.node_count[node]
         if cnt > 0 or self.node_left[node] < 0:
-            start = self.node_start[node]
-            pack = self._pack(self.perm[start:start + cnt], cache_key=int(node))
-            self._leaf_hits(pack, idx, o, d, best_t, best_p, t_min)
+            self._leaf_hits(self._packs[node], idx, o, d, best_t, best_p, t_min)
             return
         self._traverse(self.node_left[node], idx, o, d, inv_d, best_t, best_p, t_min)
         self._traverse(self.node_right[node], idx, o, d, inv_d, best_t, best_p, t_min)

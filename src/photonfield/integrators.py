@@ -1,11 +1,15 @@
 """Rendering integrators: progressive photon mapping, path tracing, and
 the photon-field camera pass.
 
-All camera integrators share one wavefront tracer that follows rays
-through delta (mirror/dielectric) bounces to the first diffuse hit,
-accumulating throughput along the way; what happens at that hit is the
-only thing that differs: photon-density gathering, a field query, or
-supervision-point capture.
+Photon mapping, field rendering and dataset capture share one wavefront
+tracer that follows rays through delta (mirror/dielectric) bounces to the
+first diffuse hit, accumulating throughput along the way; what happens at
+that hit is the only thing that differs: photon-density gathering, a field
+query, or supervision-point capture. The two renderers also share the
+frame assembly around it (``_camera_frame``). The path tracer keeps its
+own loop (MIS emission, next-event estimation); it, the delta tracer and
+the photon tracer take their draws and roulette from ``core`` and their
+hit subsets from ``Hits.subset``.
 
 Images are (height, width, 3) float64 arrays of linear radiance.
 Everything is deterministic for a fixed seed: random streams are keyed by
@@ -22,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, scene as scene_mod
-from .core import draw_unit, fold_key, seed_key, vdot
+from .core import RAY_OFFSET, RR_START, draw_units, fold_key, roulette, seed_key, vdot
+from .core import draw_unit  # noqa: F401  (re-exported; perfbench traces this binding)
 from .photons import PhotonMap, trace_photons
 from .spatial import PointIndex
 
 _TAG_PHOTON = 0xA1
 _TAG_CAMERA = 0xC3
 _MAX_DELTA_CHAIN = 32
-_RR_START = 3
-_RAY_OFFSET = 1e-7
 
 
 @dataclass
@@ -110,7 +113,6 @@ class FirstDiffuse:
     normal: np.ndarray  # (n, 3)
     wo: np.ndarray  # (n, 3)
     albedo: np.ndarray  # (n, 3)
-    shape_id: np.ndarray  # (n,)
     beta: np.ndarray  # (n, 3)
     emitted: np.ndarray  # (n, 3)
     n_delta: np.ndarray  # (n,)
@@ -130,7 +132,6 @@ def trace_to_first_diffuse(scene: scene_mod.Scene, origins, dirs, keys, ctrs) ->
         normal=np.zeros((n, 3)),
         wo=np.zeros((n, 3)),
         albedo=np.zeros((n, 3)),
-        shape_id=np.full(n, -1, dtype=np.intp),
         beta=np.ones((n, 3)),
         emitted=np.zeros((n, 3)),
         n_delta=np.zeros(n, dtype=np.intp),
@@ -147,61 +148,32 @@ def trace_to_first_diffuse(scene: scene_mod.Scene, origins, dirs, keys, ctrs) ->
         alive = alive[hv]
         if alive.size == 0:
             break
-        o = hits.position[hv]
+        hits = hits.subset(hv)
         beta = beta[hv]
-        sub_normal = hits.normal[hv]
-        sub_wo = hits.wo[hv]
-        sub_albedo = hits.albedo[hv]
-        sub_sid = hits.shape_id[hv]
-        sub_kind = hits.mat_kind[hv]
-        sub_emission = hits.emission[hv]
-        sub_ior = hits.ior[hv]
-        sub_entering = hits.entering[hv]
 
-        emitter = np.any(sub_emission > 0.0, axis=1)
+        emitter = np.any(hits.emission > 0.0, axis=1)
         if np.any(emitter):
-            rows = alive[emitter]
-            out.emitted[rows] += beta[emitter] * sub_emission[emitter]
+            out.emitted[alive[emitter]] += beta[emitter] * hits.emission[emitter]
 
-        diffuse = (sub_kind == scene_mod.DIFFUSE) & ~emitter
+        diffuse = (hits.mat_kind == scene_mod.DIFFUSE) & ~emitter
         if np.any(diffuse):
             rows = alive[diffuse]
             out.found[rows] = True
-            out.position[rows] = o[diffuse]
-            out.normal[rows] = sub_normal[diffuse]
-            out.wo[rows] = sub_wo[diffuse]
-            out.albedo[rows] = sub_albedo[diffuse]
-            out.shape_id[rows] = sub_sid[diffuse]
+            out.position[rows] = hits.position[diffuse]
+            out.normal[rows] = hits.normal[diffuse]
+            out.wo[rows] = hits.wo[diffuse]
+            out.albedo[rows] = hits.albedo[diffuse]
             out.beta[rows] = beta[diffuse]
             out.n_delta[rows] = depth
 
         cont = ~emitter & ~diffuse
         if not np.any(cont):
             break
-        sub = scene_mod.Hits(
-            valid=np.ones(int(cont.sum()), dtype=bool),
-            t=np.zeros(int(cont.sum())),
-            position=o[cont],
-            normal=sub_normal[cont],
-            wo=sub_wo[cont],
-            shape_id=sub_sid[cont],
-            mat_kind=sub_kind[cont],
-            albedo=sub_albedo[cont],
-            ior=sub_ior[cont],
-            emission=sub_emission[cont],
-            entering=sub_entering[cont],
-        )
+        hits = hits.subset(cont)
         alive = alive[cont]
-        beta = beta[cont]
-        k = keys[alive]
-        c = ctrs[alive]
-        u1 = draw_unit(k, c)
-        u2 = draw_unit(k, c + np.uint64(1))
-        u3 = draw_unit(k, c + np.uint64(2))
-        ctrs[alive] += np.uint64(3)
-        wi, weight, _, _ = scene_mod.sample_bsdf_batch(sub, u1, u2, u3)
-        beta = beta * weight
-        o = sub.position + _RAY_OFFSET * wi
+        wi, weight, _, _ = scene_mod.sample_bsdf_batch(hits, *draw_units(keys, ctrs, alive, 3))
+        beta = beta[cont] * weight
+        o = hits.position + RAY_OFFSET * wi
         d = wi
     return out
 
@@ -216,9 +188,7 @@ def _camera_rays(camera: scene_mod.Camera, seed: int, pass_idx: int):
     pixel_ids = np.arange(w * h, dtype=np.intp)
     keys = _camera_keys(seed, pass_idx, pixel_ids)
     ctrs = np.zeros(w * h, dtype=np.uint64)
-    jx = draw_unit(keys, ctrs)
-    jy = draw_unit(keys, ctrs + np.uint64(1))
-    ctrs += np.uint64(2)
+    jx, jy = draw_units(keys, ctrs, slice(None), 2)
     o, d = camera.primary_rays(pixel_ids, np.stack([jx, jy], axis=1))
     return pixel_ids, keys, ctrs, o, d
 
@@ -251,21 +221,6 @@ def kde_gather_batch(index: PointIndex, photons: PhotonMap, positions, normals, 
     return out
 
 
-def kde_gather(index: PointIndex, photons: PhotonMap, it: scene_mod.SurfaceInteraction, radius: float):
-    """Single-point photon gather (scalar wrapper over the batch kernel)."""
-    if not it.material.is_diffuse:
-        raise ValueError("photon gathering requires a diffuse surface point")
-    return kde_gather_batch(
-        index,
-        photons,
-        it.position[None, :],
-        it.normal[None, :],
-        it.wo[None, :],
-        it.material.albedo[None, :],
-        radius,
-    )[0]
-
-
 def _photon_pass(scene: scene_mod.Scene, cfg: SppmConfig, iteration: int):
     key = fold_key(fold_key(seed_key(cfg.seed), _TAG_PHOTON), iteration)
     photons = trace_photons(scene, cfg.photons_per_iter, cfg.max_photon_bounces, core.Rng.from_key(key))
@@ -277,19 +232,30 @@ def _photon_pass(scene: scene_mod.Scene, cfg: SppmConfig, iteration: int):
 # SPPM
 
 
-def _sppm_frame(scene, camera, cfg, t, radius):
-    photons, index = _photon_pass(scene, cfg, t)
-    pixel_ids, keys, ctrs, o, d = _camera_rays(camera, cfg.seed, t)
+def _camera_frame(scene, camera, seed: int, s: int, radiance_at):
+    """Flat (w*h, 3) frame of camera pass ``s``.
+
+    Emission seen through each ray's delta prefix, plus
+    ``beta * radiance_at(fd, found)`` at the first diffuse hits, where
+    ``fd`` is the :class:`FirstDiffuse` of the pass and ``found`` its mask.
+    """
+    _, keys, ctrs, o, d = _camera_rays(camera, seed, s)
     fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
-    w, h = camera.resolution
-    frame = fd.emitted.copy()
+    frame = fd.emitted
     found = fd.found
     if np.any(found):
-        gathered = kde_gather_batch(
-            index, photons, fd.position[found], fd.normal[found], fd.wo[found], fd.albedo[found], radius
-        )
-        frame[found] += fd.beta[found] * gathered
-    return frame.reshape(h, w, 3)
+        frame[found] += fd.beta[found] * radiance_at(fd, found)
+    return frame
+
+
+def _sppm_frame(scene, camera, cfg, t, radius):
+    photons, index = _photon_pass(scene, cfg, t)
+
+    def gather(fd, found):
+        return kde_gather_batch(index, photons, fd.position[found], fd.normal[found], fd.wo[found], fd.albedo[found], radius)
+
+    w, h = camera.resolution
+    return _camera_frame(scene, camera, cfg.seed, t, gather).reshape(h, w, 3)
 
 
 def render_sppm(scene: scene_mod.Scene, camera: scene_mod.Camera, cfg: SppmConfig, threads: int = 1, snapshots=None):
@@ -417,66 +383,40 @@ def _pt_trace(scene, pixel_ids, keys, ctrs, o, d, max_depth, npix):
         beta = beta[hv]
         prev_delta = prev_delta[hv]
         prev_pdf = prev_pdf[hv]
-        t = hits.t[hv]
-        pos = hits.position[hv]
-        nrm = hits.normal[hv]
-        wo = hits.wo[hv]
-        sid = hits.shape_id[hv]
-        kind = hits.mat_kind[hv]
-        alb = hits.albedo[hv]
-        ior = hits.ior[hv]
-        entering = hits.entering[hv]
-        emission = hits.emission[hv]
+        hits = hits.subset(hv)
 
         # emission picked up by the BSDF-sampling strategy, MIS-weighted
         # against the light sampler unless the previous vertex was delta
-        evis = np.any(emission > 0.0, axis=1)
+        evis = np.any(hits.emission > 0.0, axis=1)
         if np.any(evis):
             rows = np.nonzero(evis)[0]
             wmis = np.ones(len(rows))
             need = ~prev_delta[rows] & (depth > 0)
             if np.any(need):
                 rr = rows[need]
-                slot = scene.emitter_slot_of_shape(sid[rr])
-                cos_l = vdot(nrm[rr], wo[rr])
-                pdf_l = scene.emitter_select_prob(slot) / scene.emitter_area[slot] * t[rr] ** 2 / np.maximum(cos_l, 1e-12)
+                slot = scene.emitter_slot_of_shape(hits.shape_id[rr])
+                cos_l = vdot(hits.normal[rr], hits.wo[rr])
+                pdf_l = scene.emitter_select_prob(slot) / scene.emitter_area[slot] * hits.t[rr] ** 2 / np.maximum(cos_l, 1e-12)
                 wmis[need] = prev_pdf[rr] / (prev_pdf[rr] + pdf_l)
-            np.add.at(img, pix[rows], beta[rows] * emission[rows] * wmis[:, None])
+            np.add.at(img, pix[rows], beta[rows] * hits.emission[rows] * wmis[:, None])
 
-        sub = scene_mod.Hits(
-            valid=np.ones(len(path), dtype=bool),
-            t=t,
-            position=pos,
-            normal=nrm,
-            wo=wo,
-            shape_id=sid,
-            mat_kind=kind,
-            albedo=alb,
-            ior=ior,
-            emission=emission,
-            entering=entering,
-        )
-
-        k = keys[path]
-        c = ctrs[path]
-        diff = kind == scene_mod.DIFFUSE
+        # next-event estimation at diffuse vertices; its draws are taken
+        # whether or not the scene has emitters
+        diff = hits.mat_kind == scene_mod.DIFFUSE
+        u_pick, u_l1, u_l2 = draw_units(keys, ctrs, path[diff], 3)
         if np.any(diff) and scene.has_emitters:
-            # next-event estimation at diffuse vertices
             rows = np.nonzero(diff)[0]
-            u_pick = draw_unit(k[rows], c[rows])
-            u_l1 = draw_unit(k[rows], c[rows] + np.uint64(1))
-            u_l2 = draw_unit(k[rows], c[rows] + np.uint64(2))
             slot = scene.pick_emitter(u_pick)
             ly, ln, pdf_area = scene.sample_on_emitter(slot, u_l1, u_l2)
-            to_l = ly - pos[rows]
+            to_l = ly - hits.position[rows]
             dist = np.linalg.norm(to_l, axis=1)
             wl = to_l / np.maximum(dist, 1e-12)[:, None]
-            cos_x = vdot(nrm[rows], wl)
+            cos_x = vdot(hits.normal[rows], wl)
             cos_l = vdot(ln, -wl)
             cand = (cos_x > 0.0) & (cos_l > 1e-9) & (dist > 1e-6)
             if np.any(cand):
                 rr = rows[cand]
-                t_sh, _ = scene.geometry.intersect(pos[rr] + _RAY_OFFSET * wl[cand], wl[cand])
+                t_sh, _ = scene.geometry.intersect(hits.position[rr] + RAY_OFFSET * wl[cand], wl[cand])
                 visible = t_sh > dist[cand] - 1e-4
                 if np.any(visible):
                     rv = rr[visible]
@@ -486,29 +426,20 @@ def _pt_trace(scene, pixel_ids, keys, ctrs, o, d, max_depth, npix):
                     pdf_l = (
                         scene.emitter_select_prob(slot[cv]) * pdf_area[cv] * dist[cv] ** 2 / cos_l[cv]
                     )
-                    f = alb[rv] / math.pi
+                    f = hits.albedo[rv] / math.pi
                     pdf_b = cos_x[cv] / math.pi
                     wmis = pdf_l / (pdf_l + pdf_b)
                     contrib = beta[rv] * f * (cos_x[cv] / pdf_l * wmis)[:, None] * radiance
                     np.add.at(img, pix[rv], contrib)
-        ctrs[path[diff]] += np.uint64(3)
 
-        # continuation
-        u1 = draw_unit(keys[path], ctrs[path])
-        u2 = draw_unit(keys[path], ctrs[path] + np.uint64(1))
-        u3 = draw_unit(keys[path], ctrs[path] + np.uint64(2))
-        ctrs[path] += np.uint64(3)
-        wi, weight, is_delta, pdf_dir = scene_mod.sample_bsdf_batch(sub, u1, u2, u3)
+        # continuation: a path goes on while its throughput is non-zero
+        wi, weight, is_delta, pdf_dir = scene_mod.sample_bsdf_batch(hits, *draw_units(keys, ctrs, path, 3))
         beta = beta * weight
         keep = np.any(beta > 0.0, axis=1)
 
-        if depth + 1 >= _RR_START:
-            p = np.minimum(1.0, beta.max(axis=1))
-            u_rr = draw_unit(keys[path], ctrs[path])
-            ctrs[path] += np.uint64(1)
-            survive = (u_rr < p) & (p > 0.0)
+        if depth + 1 >= RR_START:
+            survive, inv_p = roulette(keys, ctrs, path, beta)
             keep &= survive
-            inv_p = np.where(survive, 1.0 / np.maximum(p, 1e-300), 0.0)
             beta = beta * inv_p[:, None]
 
         path = path[keep]
@@ -518,7 +449,7 @@ def _pt_trace(scene, pixel_ids, keys, ctrs, o, d, max_depth, npix):
         beta = beta[keep]
         prev_delta = is_delta[keep]
         prev_pdf = pdf_dir[keep]
-        o = pos[keep] + _RAY_OFFSET * wi[keep]
+        o = hits.position[keep] + RAY_OFFSET * wi[keep]
         d = wi[keep]
     return img
 
@@ -575,17 +506,14 @@ def render_gpf(
     w, h = camera.resolution
     field.ensure_index()
 
+    def query(fd, found):
+        queried = field.query_batch(fd.position[found])
+        if bsdf_modulation:
+            queried = queried * fd.albedo[found]
+        return queried
+
     def job(s):
-        pixel_ids, keys, ctrs, o, d = _camera_rays(camera, seed, s)
-        fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
-        frame = fd.emitted.copy()
-        found = fd.found
-        if np.any(found):
-            queried = field.query_batch(fd.position[found])
-            if bsdf_modulation:
-                queried = queried * fd.albedo[found]
-            frame[found] += fd.beta[found] * queried
-        return frame
+        return _camera_frame(scene, camera, seed, s, query)
 
     acc = np.zeros((w * h, 3))
     for frame in _ordered_map(job, range(spp), threads):

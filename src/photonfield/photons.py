@@ -1,10 +1,11 @@
 """Light-pass photon tracing.
 
-Photons are emitted from area lights (power-proportional, cosine lobes)
-and traced through the scene; a photon record is stored at every diffuse
-hit, and the path then continues by BSDF sampling. Delta surfaces scatter
-without storage. Russian roulette starts after the third bounce with
-survival probability min(1, max throughput channel), compensating flux on
+Photons are emitted from area lights by :func:`scene.sample_light_emission`
+(power-proportional, cosine lobes) and traced through the scene; a photon
+record is stored at every diffuse hit, and the path then continues by BSDF
+sampling. Delta surfaces scatter without storage. Russian roulette
+(:func:`core.roulette`) starts after the third bounce with survival
+probability min(1, max throughput channel), compensating flux on
 continuation so transport stays unbiased.
 
 Stored incident directions point from the surface back toward where the
@@ -13,24 +14,12 @@ photon came from (the convention the gather-side BSDF evaluation expects).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core, scene as scene_mod
 from .core import Rng
 
-_RR_START = 3
 _MAX_CHAIN = 64  # hard stop against pathological delta loops
-
-
-@dataclass(frozen=True)
-class Photon:
-    """One stored light-path sample at a diffuse surface."""
-
-    position: np.ndarray
-    flux: np.ndarray  # W per channel
-    incident: np.ndarray  # unit, toward the photon's origin
 
 
 class PhotonMap:
@@ -44,9 +33,6 @@ class PhotonMap:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def __getitem__(self, i: int) -> Photon:
-        return Photon(self.positions[i], self.flux[i], self.incident[i])
-
     @classmethod
     def empty(cls) -> "PhotonMap":
         z = np.zeros((0, 3))
@@ -58,28 +44,14 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
 
     Deterministic for a fixed generator: photon i draws from a stream
     keyed by (generator key, i), independent of batching or thread count.
+    Emission comes from :func:`scene.sample_light_emission` on those
+    streams.
     """
-    if not scene.has_emitters:
-        raise ValueError("scene has no emitters")
-    base = core.as_rng(rng).key
-    keys = core.fold_key(base, np.arange(n_photons, dtype=np.uint64))
+    keys = core.fold_key(core.as_rng(rng).key, np.arange(n_photons, dtype=np.uint64))
     ctrs = np.zeros(n_photons, dtype=np.uint64)
-
-    # emission draws: emitter pick, 2x area, 2x direction
-    u_pick = core.draw_unit(keys, ctrs)
-    u_a1 = core.draw_unit(keys, ctrs + np.uint64(1))
-    u_a2 = core.draw_unit(keys, ctrs + np.uint64(2))
-    u_d1 = core.draw_unit(keys, ctrs + np.uint64(3))
-    u_d2 = core.draw_unit(keys, ctrs + np.uint64(4))
-    ctrs += np.uint64(5)
-
-    slots = scene.pick_emitter(u_pick)
-    origins, normals, _ = scene.sample_on_emitter(slots, u_a1, u_a2)
-    dirs, _ = core.sample_cosine_hemisphere(u_d1, u_d2, normals)
-    flux = np.broadcast_to(scene.total_power / n_photons, (n_photons, 3)).copy()
+    o, d, flux = scene_mod.sample_light_emission(scene, keys, ctrs)
     throughput = np.ones((n_photons, 3))
 
-    o, d = origins, dirs
     out_pos: list[np.ndarray] = []
     out_flux: list[np.ndarray] = []
     out_wi: list[np.ndarray] = []
@@ -94,66 +66,39 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
         if not np.any(hit):
             break
         alive = alive[hit]
-        o = hits.position[hit]
-        wo = hits.wo[hit]
+        hits = hits.subset(hit)
         flux = flux[hit]
         throughput = throughput[hit]
-        sub = _subset_hits(hits, hit)
 
-        store = sub.mat_kind == scene_mod.DIFFUSE
+        store = hits.mat_kind == scene_mod.DIFFUSE
         if np.any(store):
-            out_pos.append(sub.position[store])
+            out_pos.append(hits.position[store])
             out_flux.append(flux[store])
-            out_wi.append(wo[store])
+            out_wi.append(hits.wo[store])
 
         if bounce == bounces - 1:
             break
 
-        k = keys[alive]
-        c = ctrs[alive]
-        u1 = core.draw_unit(k, c)
-        u2 = core.draw_unit(k, c + np.uint64(1))
-        u3 = core.draw_unit(k, c + np.uint64(2))
-        ctrs[alive] += np.uint64(3)
-        wi, weight, _, _ = scene_mod.sample_bsdf_batch(sub, u1, u2, u3)
+        wi, weight, _, _ = scene_mod.sample_bsdf_batch(hits, *core.draw_units(keys, ctrs, alive, 3))
         throughput = throughput * weight
         flux = flux * weight
 
+        # a path goes on while its BSDF weight is non-zero (not its throughput)
         keep = np.any(weight > 0.0, axis=1)
-        if bounce + 1 >= _RR_START:
-            p = np.minimum(1.0, throughput.max(axis=1))
-            u_rr = core.draw_unit(keys[alive], ctrs[alive])
-            ctrs[alive] += np.uint64(1)
-            survive = (u_rr < p) & (p > 0.0)
+        if bounce + 1 >= core.RR_START:
+            survive, inv_p = core.roulette(keys, ctrs, alive, throughput)
             keep &= survive
-            inv_p = np.where(survive, 1.0 / np.maximum(p, 1e-300), 0.0)
             throughput = throughput * inv_p[:, None]
             flux = flux * inv_p[:, None]
 
         alive = alive[keep]
         if alive.size == 0:
             break
-        off = sub.position[keep] + 1e-7 * wi[keep]
-        o, d = off, wi[keep]
+        o = hits.position[keep] + core.RAY_OFFSET * wi[keep]
+        d = wi[keep]
         flux = flux[keep]
         throughput = throughput[keep]
 
     if not out_pos:
         return PhotonMap.empty()
     return PhotonMap(np.concatenate(out_pos), np.concatenate(out_flux), np.concatenate(out_wi))
-
-
-def _subset_hits(hits: scene_mod.Hits, mask) -> scene_mod.Hits:
-    return scene_mod.Hits(
-        valid=hits.valid[mask],
-        t=hits.t[mask],
-        position=hits.position[mask],
-        normal=hits.normal[mask],
-        wo=hits.wo[mask],
-        shape_id=hits.shape_id[mask],
-        mat_kind=hits.mat_kind[mask],
-        albedo=hits.albedo[mask],
-        ior=hits.ior[mask],
-        emission=hits.emission[mask],
-        entering=hits.entering[mask],
-    )

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import core, geometry
-from .core import Rng, normalize, vdot
+from .core import normalize, vdot
 
 DIFFUSE = 0
 MIRROR = 1
@@ -61,10 +61,6 @@ class Material:
     @property
     def is_diffuse(self) -> bool:
         return self.kind == DIFFUSE
-
-    @property
-    def is_delta(self) -> bool:
-        return self.kind != DIFFUSE
 
 
 def fresnel_reflectance(cos_i, ior, entering) -> np.ndarray:
@@ -206,26 +202,6 @@ class Camera:
         return Camera(self.position, self.look_at, self.up, self.vfov, (width, height))
 
 
-@dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-
-
-@dataclass
-class SurfaceInteraction:
-    """A single ray-surface hit (scalar counterpart of the batch arrays)."""
-
-    position: np.ndarray
-    normal: np.ndarray  # flipped toward wo
-    wo: np.ndarray  # unit, toward the ray origin
-    t: float
-    material: Material
-    emission: np.ndarray  # radiance toward wo (zero on the back side)
-    shape_id: int
-    entering: bool  # ray arrived on the geometric-normal side
-
-
 @dataclass
 class Hits:
     """Struct-of-arrays batch of ray-surface hits."""
@@ -246,9 +222,9 @@ class Hits:
     def is_diffuse(self):
         return self.valid & (self.mat_kind == DIFFUSE)
 
-    @property
-    def is_emitter_side(self):
-        return self.valid & np.any(self.emission > 0.0, axis=1)
+    def subset(self, mask) -> "Hits":
+        """The rows ``mask`` (boolean mask or index array) of every field."""
+        return Hits(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +238,14 @@ class Scene:
         self.camera = camera
         self.materials = dict(materials)
         self.shapes = list(shapes)
-        self._mat_names = list(self.materials.keys())
-        mat_index = {name: i for i, name in enumerate(self._mat_names)}
+        mat_names = list(self.materials.keys())
+        mat_index = {name: i for i, name in enumerate(mat_names)}
         for s in self.shapes:
             if s.material not in mat_index:
                 raise SceneValidationError(f"shape references unknown material {s.material!r}")
-        self._mat_kind = np.array([self.materials[n].kind for n in self._mat_names], dtype=np.uint8)
-        self._mat_albedo = np.array([self.materials[n].albedo for n in self._mat_names])
-        self._mat_ior = np.array([self.materials[n].ior for n in self._mat_names])
+        self._mat_kind = np.array([self.materials[n].kind for n in mat_names], dtype=np.uint8)
+        self._mat_albedo = np.array([self.materials[n].albedo for n in mat_names])
+        self._mat_ior = np.array([self.materials[n].ior for n in mat_names])
         self.shape_mat = np.array([mat_index[s.material] for s in self.shapes], dtype=np.intp)
         self.shape_emission = np.array([s.emission for s in self.shapes])
         self._build_geometry()
@@ -332,14 +308,11 @@ class Scene:
 
     # -- intersection ------------------------------------------------------
 
-    def intersect_batch(self, o, d, linear: bool = False) -> Hits:
+    def intersect_batch(self, o, d) -> Hits:
         o = np.atleast_2d(np.asarray(o, dtype=np.float64))
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         n = len(o)
-        if linear:
-            t, prim = self.geometry.intersect_linear(o, d)
-        else:
-            t, prim = self.geometry.intersect(o, d)
+        t, prim = self.geometry.intersect(o, d)
         valid = prim >= 0
         pos = np.zeros((n, 3))
         nrm = np.zeros((n, 3))
@@ -366,9 +339,6 @@ class Scene:
             ior[vi] = self._mat_ior[mids]
             emission[vi] = np.where(front[:, None], self.shape_emission[sids], 0.0)
         return Hits(valid, t, pos, nrm, wo, shape_id, mat_kind, albedo, ior, emission, entering)
-
-    def material_of_shape(self, shape_id: int) -> Material:
-        return self.materials[self._mat_names[self.shape_mat[shape_id]]]
 
     # -- emitters ----------------------------------------------------------
 
@@ -452,25 +422,24 @@ class Scene:
 # emission sampling (photon pass entry point)
 
 
-def sample_light_emission(scene: Scene, rng: Rng | int, n_photons: int = 1):
-    """Emission sample(s): (origins, directions, flux) for ``n_photons``.
+def sample_light_emission(scene: Scene, keys, ctrs):
+    """Emission samples (origins, directions, flux), one per stream.
 
-    Origins are uniform on emitter area (emitter chosen proportional to
-    power), directions cosine-distributed about the emitter normal, and
-    each photon carries flux = total emitter power / n_photons, so the
-    emitted flux partitions the scene power exactly.
+    Photon ``i`` draws from stream ``keys[i]`` at counters ``ctrs[i]`` to
+    ``ctrs[i] + 4`` (emitter pick, two area draws, two direction draws),
+    and ``ctrs`` is advanced by 5. Origins are uniform on emitter area
+    (emitter chosen proportional to power), directions cosine-distributed
+    about the emitter normal, and each photon carries flux = total emitter
+    power / photon count, so the emitted flux partitions the scene power
+    exactly.
     """
     scene._require_emitters()
-    rng = core.as_rng(rng)
-    u_pick = rng.uniform(n_photons)
-    u1 = rng.uniform(n_photons)
-    u2 = rng.uniform(n_photons)
-    ud1 = rng.uniform(n_photons)
-    ud2 = rng.uniform(n_photons)
+    n = len(keys)
+    u_pick, u_a1, u_a2, u_d1, u_d2 = core.draw_units(keys, ctrs, slice(None), 5)
     slots = scene.pick_emitter(u_pick)
-    pts, nrm, _ = scene.sample_on_emitter(slots, u1, u2)
-    dirs, _ = core.sample_cosine_hemisphere(ud1, ud2, nrm)
-    flux = np.broadcast_to(scene.total_power / n_photons, (n_photons, 3)).copy()
+    pts, nrm, _ = scene.sample_on_emitter(slots, u_a1, u_a2)
+    dirs, _ = core.sample_cosine_hemisphere(u_d1, u_d2, nrm)
+    flux = np.broadcast_to(scene.total_power / n, (n, 3)).copy()
     return pts, dirs, flux
 
 
@@ -536,64 +505,6 @@ def eval_bsdf_batch(albedo, normal, mat_kind, wi, wo):
     cos_o = vdot(wo, normal)
     ok = (np.asarray(mat_kind) == DIFFUSE) & (cos_i > 0.0) & (cos_o > 0.0)
     return np.where(ok[..., None], np.asarray(albedo) / math.pi, 0.0)
-
-
-def cosine_pdf(normal, wi):
-    """Solid-angle pdf of the diffuse cosine sampler (0 below the surface)."""
-    c = vdot(wi, normal)
-    return np.where(c > 0.0, c / math.pi, 0.0)
-
-
-# -- scalar wrappers (shared code path with the batch kernels) --------------
-
-
-def intersect(scene: Scene, ray: Ray) -> SurfaceInteraction | None:
-    """Nearest surface hit for a single ray, or None on miss."""
-    hits = scene.intersect_batch(ray.origin[None, :], ray.direction[None, :])
-    if not hits.valid[0]:
-        return None
-    return SurfaceInteraction(
-        position=hits.position[0],
-        normal=hits.normal[0],
-        wo=hits.wo[0],
-        t=float(hits.t[0]),
-        material=scene.material_of_shape(int(hits.shape_id[0])),
-        emission=hits.emission[0],
-        shape_id=int(hits.shape_id[0]),
-        entering=bool(hits.entering[0]),
-    )
-
-
-def _hits_from_interaction(it: SurfaceInteraction) -> Hits:
-    m = it.material
-    return Hits(
-        valid=np.array([True]),
-        t=np.array([it.t]),
-        position=it.position[None, :],
-        normal=it.normal[None, :],
-        wo=it.wo[None, :],
-        shape_id=np.array([it.shape_id], dtype=np.intp),
-        mat_kind=np.array([m.kind], dtype=np.uint8),
-        albedo=m.albedo[None, :],
-        ior=np.array([m.ior]),
-        emission=it.emission[None, :],
-        entering=np.array([it.entering]),
-    )
-
-
-def sample_bsdf(it: SurfaceInteraction, rng: Rng | int):
-    """Sample (wi, f_over_pdf, is_delta) at a single interaction."""
-    rng = core.as_rng(rng)
-    hits = _hits_from_interaction(it)
-    u1 = np.array([rng.uniform()])
-    u2 = np.array([rng.uniform()])
-    u3 = np.array([rng.uniform()])
-    wi, weight, is_delta, _ = sample_bsdf_batch(hits, u1, u2, u3)
-    return wi[0], weight[0], bool(is_delta[0])
-
-
-def eval_bsdf(it: SurfaceInteraction, wi, wo) -> np.ndarray:
-    return eval_bsdf_batch(it.material.albedo, it.normal, it.material.kind, np.asarray(wi), np.asarray(wo))
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,6 @@ class PointIndex:
         return np.concatenate([flat, kflat[extra]])[order], _row_splits(owner, m)
 
 
-def build(points) -> PointIndex:
-    return PointIndex(points)
-
-
 def linear_ball_query(points, x, r: float):
     """Reference scan: all (id, distance) with distance <= r, (distance, id)-sorted."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)

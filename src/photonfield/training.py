@@ -28,15 +28,6 @@ _TAG_BATCH = 0xB7
 _MAGIC = b"GPD1"
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    """One supervision record: surface point, view direction, reference."""
-
-    position: np.ndarray
-    wo: np.ndarray
-    l_ref: np.ndarray
-
-
 class SampleSet:
     """Struct-of-arrays supervision dataset.
 
@@ -54,9 +45,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.position)
-
-    def __getitem__(self, i: int) -> TrainingSample:
-        return TrainingSample(self.position[i], self.wo[i], self.l_ref[i])
 
     def save(self, path) -> None:
         payload = np.empty((len(self), 9), dtype="<f4")

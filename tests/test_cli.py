@@ -178,6 +178,17 @@ class TestErrors:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_quaternion_checkpoint_is_validation_error(self, tmp_path, capsys):
+        row = np.array([0, 0, 0, 0, 0, 0, 0, 0.01, 0.01, 0.01, 1, 1, 1], dtype="<f4")
+        ckpt = tmp_path / "zero-quat.gpf"
+        ckpt.write_bytes(b"GPF1" + (1).to_bytes(4, "little") + row.tobytes())
+        out = tmp_path / "x.pfm"
+        rc = main(["gpf-render", "--scene", "builtin:cornell-box", "--checkpoint", str(ckpt), "--out", str(out)])
+        assert rc == 3
+        assert "not unit length" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.pfm.manifest.json").exists()
+
 
 class TestOutputs:
     def test_pfm_output_is_readable_and_finite(self, tmp_path):

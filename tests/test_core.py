@@ -8,6 +8,7 @@ from photonfield import core
 from photonfield.core import (
     Rng,
     draw_unit,
+    draw_units,
     fold_key,
     normalize,
     orthonormal_basis,
@@ -15,6 +16,7 @@ from photonfield.core import (
     random_unit_quaternion,
     rotation_jacobian,
     rotation_jacobian_tdot,
+    roulette,
     sample_cosine_hemisphere,
     seed_key,
 )
@@ -161,6 +163,35 @@ class TestRng:
         b = Rng(21)
         singles = np.array([a.uniform() for _ in range(64)])
         np.testing.assert_array_equal(singles, b.uniform(64))
+
+    @pytest.mark.parametrize("rows", [np.array([6, 1, 3]), np.arange(8) % 3 == 0, slice(2, 5)])
+    def test_draw_units_are_sequential_draws_and_advance_only_their_rows(self, rows):
+        keys = fold_key(seed_key(3), np.arange(8, dtype=np.uint64))
+        ctrs = np.array([0, 4, 9, 2, 0, 7, 1, 5], dtype=np.uint64)
+        before = ctrs.copy()
+        u = draw_units(keys, ctrs, rows, 3)
+        assert len(u) == 3
+        for i in range(3):
+            np.testing.assert_array_equal(u[i], draw_unit(keys[rows], before[rows] + np.uint64(i)))
+        moved = np.zeros(8, dtype=bool)
+        moved[rows] = True
+        np.testing.assert_array_equal(ctrs[moved], before[moved] + np.uint64(3))
+        np.testing.assert_array_equal(ctrs[~moved], before[~moved])
+
+    def test_roulette_survival_probability_is_capped_max_channel(self):
+        n = 20_000
+        keys = fold_key(seed_key(4), np.arange(n, dtype=np.uint64))
+        ctrs = np.zeros(n, dtype=np.uint64)
+        beta = np.tile([0.1, 0.25, 0.05], (n, 1))
+        beta[:100] = [2.0, 0.0, 0.0]  # p capped at 1: always survives, no compensation
+        beta[100:200] = 0.0  # p = 0: never survives
+        survive, inv_p = roulette(keys, ctrs, np.arange(n), beta)
+        np.testing.assert_array_equal(ctrs, 1)
+        np.testing.assert_array_equal(survive, draw_unit(keys, 0) < beta.max(axis=1))
+        assert np.all(survive[:100]) and np.all(inv_p[:100] == 1.0)
+        assert not np.any(survive[100:200])
+        np.testing.assert_array_equal(inv_p[200:], np.where(survive[200:], 4.0, 0.0))
+        assert float(survive[200:].mean()) == pytest.approx(0.25, abs=0.01)
 
 
 class TestBasis:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from photonfield.core import Rng, random_unit_quaternion
-from photonfield.field import GaussianField, GaussianPrimitive, gaussian_weight
+from photonfield.core import Rng, quaternion_to_matrix, random_unit_quaternion
+from photonfield.field import GaussianField
 from photonfield.photons import PhotonMap, trace_photons
 from photonfield.scene import builtin_scene
 
@@ -16,6 +16,29 @@ def _random_field(rng, n=40, radius=0.05, k_min=3, span=0.1):
     log_scales = np.log(rng.uniform(0.02, 0.2, (n, 3)))
     flux = rng.uniform(-1.0, 2.0, (n, 3))
     return GaussianField(means, q, log_scales, flux, radius=radius, k_min=k_min)
+
+
+def _scan_weight(field, i, x):
+    """Kernel weight of primitive ``i`` at ``x``, written out one primitive
+    at a time from the formula in the field module's docstring: the linear
+    scan the batch kernel is checked against."""
+    d = np.asarray(x, dtype=np.float64) - field.means[i]
+    rot = quaternion_to_matrix(field.quats[i])
+    u = (rot.T @ d) / field.scales[i]
+    w_gauss = np.exp(-0.5 * float(u @ u))
+    dist = float(np.linalg.norm(d))
+    r = field.radius
+    psi = 1.0 if dist <= r else np.exp(-3.0 * ((dist - r) / max(r, 1e-6)) ** 2)
+    return float(w_gauss * psi)
+
+
+def _kernel_weight(mean, quat, scale, x, radius):
+    """``_weight_terms`` weight at ``x`` of a one-primitive field."""
+    field = GaussianField(
+        np.asarray(mean)[None], np.asarray(quat)[None], np.log(np.asarray(scale, dtype=np.float64))[None],
+        np.ones((1, 3)), radius=radius,
+    )
+    return float(field._weight_terms(np.asarray(x, dtype=np.float64)[None], np.array([0]))[-1][0])
 
 
 class TestInitialization:
@@ -43,10 +66,8 @@ class TestInitialization:
 
 class TestWeight:
     def test_weight_at_mean_is_exactly_one(self):
-        prim = GaussianPrimitive(
-            np.array([0.3, -0.2, 0.1]), np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 0.01), np.ones(3)
-        )
-        assert gaussian_weight(prim, prim.mean, 0.02) == 1.0
+        mean = np.array([0.3, -0.2, 0.1])
+        assert _kernel_weight(mean, np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 0.01), mean, 0.02) == 1.0
 
     def test_isotropic_weight_ignores_rotation(self):
         rng = Rng(4)
@@ -55,29 +76,26 @@ class TestWeight:
         vals = []
         for _ in range(10):
             q = random_unit_quaternion(rng)
-            prim = GaussianPrimitive(np.zeros(3), q, np.full(3, sigma), np.ones(3))
-            vals.append(gaussian_weight(prim, x, 0.05))
+            vals.append(_kernel_weight(np.zeros(3), q, np.full(3, sigma), x, 0.05))
         d = float(np.linalg.norm(x))
         expected = np.exp(-d * d / (2 * sigma * sigma))
         np.testing.assert_allclose(vals, expected, rtol=1e-12)
 
     def test_anisotropic_axes_scale_the_exponent(self):
-        prim = GaussianPrimitive(
-            np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1, 0.01, 0.01]), np.ones(3)
-        )
+        q, scale = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1, 0.01, 0.01])
         r = 1.0  # keep the falloff factor at 1
-        along = gaussian_weight(prim, np.array([0.1, 0.0, 0.0]), r)
-        across = gaussian_weight(prim, np.array([0.0, 0.1, 0.0]), r)
+        along = _kernel_weight(np.zeros(3), q, scale, np.array([0.1, 0.0, 0.0]), r)
+        across = _kernel_weight(np.zeros(3), q, scale, np.array([0.0, 0.1, 0.0]), r)
         assert along == pytest.approx(np.exp(-0.5), rel=1e-12)
         assert across == pytest.approx(np.exp(-50.0), rel=1e-9)
 
     def test_falloff_is_one_inside_and_decays_outside(self):
-        prim = GaussianPrimitive(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 10.0), np.ones(3))
+        q, scale = np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 10.0)
         r = 0.02
         # large scale makes the Gaussian factor ~1, isolating the falloff
-        inside = gaussian_weight(prim, np.array([0.9 * r, 0.0, 0.0]), r)
-        at_r = gaussian_weight(prim, np.array([r, 0.0, 0.0]), r)
-        beyond = gaussian_weight(prim, np.array([2.0 * r, 0.0, 0.0]), r)
+        inside = _kernel_weight(np.zeros(3), q, scale, np.array([0.9 * r, 0.0, 0.0]), r)
+        at_r = _kernel_weight(np.zeros(3), q, scale, np.array([r, 0.0, 0.0]), r)
+        beyond = _kernel_weight(np.zeros(3), q, scale, np.array([2.0 * r, 0.0, 0.0]), r)
         assert inside == pytest.approx(1.0, abs=1e-5)
         assert at_r == pytest.approx(1.0, abs=1e-5)
         assert beyond == pytest.approx(np.exp(-3.0), abs=1e-4)
@@ -124,7 +142,7 @@ class TestQuery:
             x = rng.uniform(-0.1, 0.1, 3)
             L, nb = field.query(x)
             # independent evaluation of the normalized weighted sum
-            w = np.array([gaussian_weight(field[i], x, field.radius) for i in nb.ids])
+            w = np.array([_scan_weight(field, i, x) for i in nb.ids])
             expected = (w[:, None] * field.flux[nb.ids]).sum(axis=0) / max(w.sum(), field.eps)
             np.testing.assert_allclose(L, expected, atol=1e-12, rtol=1e-12)
 
@@ -253,7 +271,7 @@ class TestGradients:
         if len(nb.ids) == 0:
             pytest.skip("no neighbors drawn")
         grads = field.query_gradients(x, np.array([1.0, 0.0, 0.0]), nb)
-        w = np.array([gaussian_weight(field[i], x, field.radius) for i in nb.ids])
+        w = np.array([_scan_weight(field, i, x) for i in nb.ids])
         z = max(w.sum(), field.eps)
         np.testing.assert_allclose(grads["flux"][:, 0], w / z, rtol=1e-12)
         np.testing.assert_array_equal(grads["flux"][:, 1:], 0.0)
@@ -377,6 +395,15 @@ class TestSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + count.to_bytes(4, "little") + blob[8:])
         with pytest.raises(ValueError, match="truncated"):
+            GaussianField.load(path)
+
+    @pytest.mark.parametrize("quat", [(0.0, 0.0, 0.0, 0.0), (3.0, 0.0, 0.0, 0.0)])
+    def test_non_unit_quaternion_rejected(self, tmp_path, quat):
+        field = _random_field(np.random.default_rng(17), n=5)
+        field.quats[2] = quat
+        path = tmp_path / "f.gpf"
+        field.save(path)
+        with pytest.raises(ValueError, match="row 2 has quaternion .* not unit length"):
             GaussianField.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):

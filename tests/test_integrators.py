@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from photonfield.core import Rng
+from photonfield.core import Rng, fold_key
 from photonfield.field import GaussianField
 from photonfield.integrators import (
     SppmConfig,
     _camera_rays,
-    kde_gather,
     kde_gather_batch,
     reference_radiance_at_points,
     render_gpf,
@@ -20,7 +19,7 @@ from photonfield.integrators import (
     trace_to_first_diffuse,
 )
 from photonfield.photons import PhotonMap, trace_photons
-from photonfield.scene import Ray, builtin_scene, intersect, scene_from_dict
+from photonfield.scene import DIFFUSE, builtin_scene, sample_light_emission, scene_from_dict
 from photonfield.spatial import PointIndex
 
 
@@ -135,6 +134,22 @@ class TestPhotonTracing:
         sigma = power * math.sqrt(frac * (1.0 - frac) / n)
         assert abs(got - power * frac) < 3.0 * sigma
 
+    def test_first_bounce_stores_the_diffuse_hits_of_the_emission_sampler(self):
+        # the photon tracer emits through sample_light_emission on the
+        # streams (generator key, photon index)
+        scene = _floor_and_light()
+        n = 4000
+        rng = Rng(21)
+        photons = trace_photons(scene, n, 1, rng)
+        keys = fold_key(rng.key, np.arange(n, dtype=np.uint64))
+        o, d, flux = sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
+        hits = scene.intersect_batch(o, d)
+        on_floor = hits.valid & (hits.mat_kind == DIFFUSE)
+        assert 0 < on_floor.sum() < n
+        np.testing.assert_array_equal(photons.positions, hits.position[on_floor])
+        np.testing.assert_array_equal(photons.flux, flux[on_floor])
+        np.testing.assert_array_equal(photons.incident, hits.wo[on_floor])
+
     def test_emitted_flux_partitions_power(self):
         scene = builtin_scene("cornell-box")
         photons = trace_photons(scene, 50_000, 1, Rng(5))
@@ -187,54 +202,42 @@ class TestRadiusSchedule:
 
 
 class TestKdeGather:
-    def _floor_interaction(self):
+    def _floor_hit(self):
+        # the floor point under the light, as a batch of one hit
         scene = _floor_and_light()
-        it = intersect(scene, Ray(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])))
-        return scene, it
+        hits = scene.intersect_batch(np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]]))
+        assert hits.valid[0]
+        return hits
+
+    def _gather(self, photons, hits, radius, albedo=None):
+        albedo = hits.albedo if albedo is None else albedo
+        index = PointIndex(photons.positions)
+        return kde_gather_batch(index, photons, hits.position, hits.normal, hits.wo, albedo, radius)[0]
 
     def test_empty_neighborhood_gives_zero(self):
-        _, it = self._floor_interaction()
-        photons = PhotonMap.empty()
-        index = PointIndex(photons.positions)
-        np.testing.assert_array_equal(kde_gather(index, photons, it, 0.02), np.zeros(3))
+        hits = self._floor_hit()
+        np.testing.assert_array_equal(self._gather(PhotonMap.empty(), hits, 0.02), np.zeros(3))
 
     def test_single_photon_normalization(self):
-        scene, it = self._floor_interaction()
+        hits = self._floor_hit()
         r = 0.02
         flux = math.pi * r * r * math.pi
-        photons = PhotonMap(it.position[None, :], np.full((1, 3), flux), np.array([[0.0, 0.0, 1.0]]))
-        index = PointIndex(photons.positions)
-        # overwrite the floor albedo with 1 via a unit-albedo interaction
-        it.material = type(it.material)(kind=0, albedo=np.ones(3))
-        got = kde_gather(index, photons, it, r)
+        photons = PhotonMap(hits.position, np.full((1, 3), flux), np.array([[0.0, 0.0, 1.0]]))
+        # gather with unit albedo in place of the floor's
+        got = self._gather(photons, hits, r, albedo=np.ones((1, 3)))
         np.testing.assert_allclose(got, np.ones(3), rtol=1e-12)
 
     def test_doubling_radius_quarters_radiance(self):
-        scene, it = self._floor_interaction()
-        photons = PhotonMap(it.position[None, :], np.full((1, 3), 0.5), np.array([[0.0, 0.0, 1.0]]))
-        index = PointIndex(photons.positions)
-        a = kde_gather(index, photons, it, 0.02)
-        b = kde_gather(index, photons, it, 0.04)
+        hits = self._floor_hit()
+        photons = PhotonMap(hits.position, np.full((1, 3), 0.5), np.array([[0.0, 0.0, 1.0]]))
+        a = self._gather(photons, hits, 0.02)
+        b = self._gather(photons, hits, 0.04)
         np.testing.assert_allclose(a, 4.0 * b, rtol=1e-12)
 
     def test_photon_from_below_is_skipped(self):
-        scene, it = self._floor_interaction()
-        photons = PhotonMap(it.position[None, :], np.full((1, 3), 0.5), np.array([[0.0, 0.0, -1.0]]))
-        index = PointIndex(photons.positions)
-        np.testing.assert_array_equal(kde_gather(index, photons, it, 0.02), np.zeros(3))
-
-    def test_non_diffuse_gather_rejected(self):
-        scene = _scene(
-            [
-                {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "mirror"},
-                {"type": "quad", "corner": [-0.2, -0.2, 1], "edge_u": [0, 0.4, 0], "edge_v": [0.4, 0, 0],
-                 "material": "lamp", "emission": [5, 5, 5]},
-            ]
-        )
-        it = intersect(scene, Ray(np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, -1.0])))
-        photons = PhotonMap.empty()
-        with pytest.raises(ValueError, match="diffuse"):
-            kde_gather(PointIndex(photons.positions), photons, it, 0.02)
+        hits = self._floor_hit()
+        photons = PhotonMap(hits.position, np.full((1, 3), 0.5), np.array([[0.0, 0.0, -1.0]]))
+        np.testing.assert_array_equal(self._gather(photons, hits, 0.02), np.zeros(3))
 
 
 class TestRenderSppm:

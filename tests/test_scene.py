@@ -10,16 +10,14 @@ from photonfield import core
 from photonfield.core import Rng
 from photonfield.scene import (
     Camera,
-    Ray,
     SceneParseError,
     SceneValidationError,
     builtin_scene,
     builtin_scene_dict,
-    eval_bsdf,
+    eval_bsdf_batch,
     fresnel_reflectance,
-    intersect,
     load_scene,
-    sample_bsdf,
+    sample_bsdf_batch,
     sample_light_emission,
     save_scene,
     scene_from_dict,
@@ -41,21 +39,43 @@ def _single_shape_scene(shape, extra_materials=None, camera=None):
     return scene_from_dict({"camera": cam, "materials": mats, "shapes": [shape]})
 
 
+def _hit(scene, o, d):
+    """``intersect_batch`` on a batch of one ray."""
+    return scene.intersect_batch(np.asarray(o, dtype=np.float64)[None], np.asarray(d, dtype=np.float64)[None])
+
+
+def _sample_one(hits, rng):
+    """``sample_bsdf_batch`` on a batch of one hit, with three draws of ``rng``."""
+    wi, weight, is_delta, _ = sample_bsdf_batch(hits, *rng.uniform(3)[:, None])
+    return wi[0], weight[0], bool(is_delta[0])
+
+
+def _eval_one(hits, wi):
+    """``eval_bsdf_batch`` on a batch of one hit, toward ``wi``."""
+    return eval_bsdf_batch(hits.albedo, hits.normal, hits.mat_kind, np.asarray(wi)[None], hits.wo)[0]
+
+
+def _emission(scene, seed, n):
+    """``sample_light_emission`` on ``n`` fresh streams folded from ``Rng(seed)``."""
+    keys = core.fold_key(Rng(seed).key, np.arange(n, dtype=np.uint64))
+    return sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
+
+
 class TestIntersection:
     def test_axis_ray_hits_unit_sphere_analytically(self):
         scene = _single_shape_scene({"type": "sphere", "center": [0, 0, 5], "radius": 1.0, "material": "white"})
-        it = intersect(scene, Ray(np.zeros(3), np.array([0.0, 0.0, 1.0])))
-        assert it is not None
-        assert it.t == pytest.approx(4.0, abs=1e-12)
-        np.testing.assert_allclose(it.normal, [0.0, 0.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(it.position, [0.0, 0.0, 4.0], atol=1e-12)
+        hits = _hit(scene, np.zeros(3), [0.0, 0.0, 1.0])
+        assert hits.valid[0]
+        assert hits.t[0] == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_allclose(hits.normal[0], [0.0, 0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(hits.position[0], [0.0, 0.0, 4.0], atol=1e-12)
 
     def test_ray_parallel_to_quad_misses(self):
         scene = _single_shape_scene(
             {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "white"}
         )
-        it = intersect(scene, Ray(np.array([0.0, -2.0, 0.5]), np.array([0.0, 1.0, 0.0])))
-        assert it is None
+        hits = _hit(scene, [0.0, -2.0, 0.5], [0.0, 1.0, 0.0])
+        assert not hits.valid[0]
 
     @pytest.mark.parametrize("name", ["cornell-box", "caustic-pool"])
     def test_bvh_matches_brute_force_on_random_rays(self, name):
@@ -87,9 +107,9 @@ class TestIntersection:
 
 class TestBsdf:
     def _interaction(self, scene):
-        it = intersect(scene, Ray(np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, -1.0])))
-        assert it is not None
-        return it
+        hits = _hit(scene, [0.0, 0.0, 2.0], [0.0, 0.0, -1.0])
+        assert hits.valid[0]
+        return hits
 
     def test_mirror_obeys_law_of_reflection(self):
         scene = _single_shape_scene(
@@ -97,9 +117,10 @@ class TestBsdf:
             extra_materials={"m": {"type": "mirror", "reflectance": [0.9, 0.8, 0.7]}},
         )
         d = core.normalize(np.array([0.3, 0.1, -1.0]))
-        it = intersect(scene, Ray(np.array([-0.6, -0.2, 2.0]), d))
-        wi, weight, is_delta = sample_bsdf(it, Rng(0))
-        expected = d - 2 * (d @ it.normal) * it.normal
+        hits = _hit(scene, [-0.6, -0.2, 2.0], d)
+        wi, weight, is_delta = _sample_one(hits, Rng(0))
+        n = hits.normal[0]
+        expected = d - 2 * (d @ n) * n
         np.testing.assert_allclose(wi, expected, atol=1e-12)
         np.testing.assert_allclose(weight, [0.9, 0.8, 0.7])
         assert is_delta
@@ -128,15 +149,16 @@ class TestBsdf:
         )
         o = np.array([0.9, 0.0, 0.0])
         d = np.array([0.0, 1.0, 0.0])
-        it = intersect(scene, Ray(o, d))
-        assert not it.entering
-        cos_i = float(it.wo @ it.normal)
+        hits = _hit(scene, o, d)
+        assert not hits.entering[0]
+        n = hits.normal[0]
+        cos_i = float(hits.wo[0] @ n)
         sin2_t = 1.5**2 * (1.0 - cos_i**2)
         assert sin2_t > 1.0  # configured beyond the critical angle
-        wi, weight, is_delta = sample_bsdf(it, Rng(3))
+        wi, weight, is_delta = _sample_one(hits, Rng(3))
         assert is_delta
         np.testing.assert_allclose(weight, 1.0)
-        expected = d - 2 * (d @ it.normal) * it.normal
+        expected = d - 2 * (d @ n) * n
         np.testing.assert_allclose(wi, expected, atol=1e-12)
 
     def test_diffuse_weight_is_albedo_for_every_sample(self):
@@ -144,38 +166,38 @@ class TestBsdf:
             {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "m"},
             extra_materials={"m": {"type": "diffuse", "albedo": [0.5, 0.5, 0.5]}},
         )
-        it = self._interaction(scene)
+        hits = self._interaction(scene)
         rng = Rng(4)
         for _ in range(100):
-            wi, weight, is_delta = sample_bsdf(it, rng)
+            wi, weight, is_delta = _sample_one(hits, rng)
             np.testing.assert_array_equal(weight, [0.5, 0.5, 0.5])
             assert not is_delta
-            assert float(wi @ it.normal) > 0.0
+            assert float(wi @ hits.normal[0]) > 0.0
 
     def test_eval_diffuse_is_albedo_over_pi(self):
         scene = _single_shape_scene(
             {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "m"},
             extra_materials={"m": {"type": "diffuse", "albedo": [0.9, 0.3, 0.3]}},
         )
-        it = self._interaction(scene)
+        hits = self._interaction(scene)
         wi = core.normalize(np.array([0.2, 0.1, 1.0]))
-        np.testing.assert_allclose(eval_bsdf(it, wi, it.wo), np.array([0.9, 0.3, 0.3]) / math.pi, rtol=1e-12)
+        np.testing.assert_allclose(_eval_one(hits, wi), np.array([0.9, 0.3, 0.3]) / math.pi, rtol=1e-12)
 
     def test_eval_below_surface_is_zero(self):
         scene = _single_shape_scene(
             {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "white"}
         )
-        it = self._interaction(scene)
+        hits = self._interaction(scene)
         wi = core.normalize(np.array([0.2, 0.1, -1.0]))
-        np.testing.assert_array_equal(eval_bsdf(it, wi, it.wo), np.zeros(3))
+        np.testing.assert_array_equal(_eval_one(hits, wi), np.zeros(3))
 
     def test_eval_delta_material_is_zero(self):
         scene = _single_shape_scene(
             {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "m"},
             extra_materials={"m": {"type": "mirror", "reflectance": [1, 1, 1]}},
         )
-        it = self._interaction(scene)
-        np.testing.assert_array_equal(eval_bsdf(it, it.normal, it.wo), np.zeros(3))
+        hits = self._interaction(scene)
+        np.testing.assert_array_equal(_eval_one(hits, hits.normal[0]), np.zeros(3))
 
 
 class TestEmission:
@@ -191,7 +213,7 @@ class TestEmission:
             }
         )
         n = 1000
-        origins, dirs, flux = sample_light_emission(scene, Rng(0), n)
+        origins, dirs, flux = _emission(scene, 0, n)
         np.testing.assert_allclose(flux, np.full((n, 3), math.pi / n), rtol=1e-12)
         np.testing.assert_allclose(flux.sum(axis=0), [math.pi] * 3, rtol=1e-9)
         # origins on the quad, directions above it
@@ -213,7 +235,7 @@ class TestEmission:
             }
         )
         n = 100_000
-        origins, _, _ = sample_light_emission(scene, Rng(1), n)
+        origins, _, _ = _emission(scene, 1, n)
         frac_second = float(np.mean(origins[:, 0] >= 2.0))
         assert frac_second == pytest.approx(0.75, abs=0.01)
 
@@ -223,7 +245,7 @@ class TestEmission:
              "emission": [2.0, 2.0, 2.0]}
         )
         n = 5000
-        origins, dirs, flux = sample_light_emission(scene, Rng(6), n)
+        origins, dirs, flux = _emission(scene, 6, n)
         radii = np.linalg.norm(origins - np.array([0.2, -0.1, 0.5]), axis=1)
         np.testing.assert_allclose(radii, 0.3, atol=1e-12)
         # directions leave the surface outward
@@ -244,18 +266,31 @@ class TestEmission:
             }
         )
         n = 20_000
-        origins, _, _ = sample_light_emission(scene, Rng(7), n)
+        origins, _, _ = _emission(scene, 7, n)
         in_small = (origins[:, 0] >= 0) & (origins[:, 1] >= 0)
         # area ratio is 0.5 : 4.5, so ~10% of samples in the small triangle
         assert float(np.mean(in_small)) == pytest.approx(0.1, abs=0.01)
         assert np.all(np.abs(origins[:, 2]) < 1e-12)
+
+    def test_draws_pick_area_and_direction_at_the_next_five_counters(self):
+        scene = builtin_scene("cornell-box")
+        n = 64
+        keys = core.fold_key(Rng(9).key, np.arange(n, dtype=np.uint64))
+        ctrs = np.arange(n, dtype=np.uint64) % 4
+        start = ctrs.copy()
+        origins, dirs, _ = sample_light_emission(scene, keys, ctrs)
+        u = [core.draw_unit(keys, start + np.uint64(i)) for i in range(5)]
+        pts, nrm, _ = scene.sample_on_emitter(scene.pick_emitter(u[0]), u[1], u[2])
+        np.testing.assert_array_equal(origins, pts)
+        np.testing.assert_array_equal(dirs, core.sample_cosine_hemisphere(u[3], u[4], nrm)[0])
+        np.testing.assert_array_equal(ctrs, start + np.uint64(5))
 
     def test_no_emitters_is_an_error(self):
         scene = _single_shape_scene(
             {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "white"}
         )
         with pytest.raises(ValueError, match="no emitters"):
-            sample_light_emission(scene, Rng(0), 10)
+            _emission(scene, 0, 10)
 
     def test_emission_is_one_sided(self):
         scene = _single_shape_scene(
@@ -268,10 +303,10 @@ class TestEmission:
                 "emission": [5.0, 5.0, 5.0],
             }
         )
-        front = intersect(scene, Ray(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])))
-        back = intersect(scene, Ray(np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0])))
-        np.testing.assert_array_equal(front.emission, [5.0, 5.0, 5.0])
-        np.testing.assert_array_equal(back.emission, [0.0, 0.0, 0.0])
+        front = _hit(scene, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+        back = _hit(scene, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(front.emission[0], [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(back.emission[0], [0.0, 0.0, 0.0])
 
 
 class TestSceneFiles:
