@@ -180,7 +180,7 @@ def _cmd_gpf_init(args) -> int:
     field.save(args.out_checkpoint)
     _write_manifest("gpf-init", args, scene, [args.out_checkpoint])
     n = len(field)
-    print(f"initialized {n} primitives from {n} photons")
+    print(f"initialized {n} primitives from {n} photon records stored by {args.photons} traced photons")
     return 0
 
 

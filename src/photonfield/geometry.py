@@ -1,16 +1,32 @@
 """Ray-primitive geometry: spheres, quads, triangles, and a BVH.
 
-Primitives live in flat struct-of-array storage so intersection kernels
-vectorize over ray batches. The BVH prunes with axis-aligned bounds and
-recurses on shrinking ray-index subsets; leaf kernels evaluate the exact
-same per-primitive formulas as the brute-force path, so BVH and linear
-scan agree bit-for-bit on non-degenerate rays.
+Primitives live in flat struct-of-array storage, and the BVH in flat node
+arrays in pre-order (a parent before its children, the left subtree before
+the right). Nearest-hit queries run a compiled traversal (``_bvh.c``, loaded
+with ``ctypes``) that walks those arrays one ray at a time, left child
+first, with the per-primitive formulas and operation order of
+``Geometry._leaf_hits``. ``intersect_linear`` runs ``_leaf_hits`` over all
+primitives in ``perm`` order, so BVH and linear scan agree bit for bit,
+equal-``t`` ties included: the first primitive in ``perm`` order wins.
+
+The traversal is compiled with the system ``cc`` at the first query, into
+``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
+name keyed by the source, the flags and the compiler version; importing
+the package compiles nothing.
 
 All intersections use a strict self-intersection epsilon: hits require
 ``t > t_min`` (default 1e-4 scene units).
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
 
 import numpy as np
 
@@ -23,21 +39,101 @@ KIND_TRIANGLE = 2
 _LEAF_SIZE = 8
 _DEGENERATE = 1e-12
 
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_bvh.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_STACK_MAX = 64  # STACK_MAX in _bvh.c; a walk of a tree with leaves at depth D needs D + 1 slots
+_kernel = None
+_kernel_lock = threading.Lock()
+
+
+def _compile(cc: str, path: str) -> None:
+    """Compile ``_bvh.c`` into the shared library ``path``, renamed into place."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        res = subprocess.run([cc, *_CFLAGS, "-o", tmp, _SRC, "-lm"], capture_output=True, text=True)
+        if res.returncode != 0:
+            raise RuntimeError(f"cc failed to compile {_SRC}:\n{res.stderr}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_kernel():
+    """The compiled ``pf_intersect``, built into the cache on first use."""
+    global _kernel
+    if _kernel is not None:
+        return _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            cc = shutil.which("cc")
+            if cc is None:
+                raise RuntimeError("photonfield compiles its BVH traversal at first use: no C compiler 'cc' on PATH")
+            with open(_SRC, "rb") as f:
+                source = f.read()
+            version = subprocess.run([cc, "--version"], capture_output=True, check=True).stdout
+            key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(), version])).hexdigest()[:16]
+            cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+            path = os.path.join(cache, "photonfield", f"bvh-{key}.so")
+            if not os.path.exists(path):
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                _compile(cc, path)
+            fn = ctypes.CDLL(path).pf_intersect
+            fn.restype = ctypes.c_int
+            fn.argtypes = (
+                [ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double]
+                + [ctypes.c_void_p] * 8
+                + [ctypes.c_ssize_t]
+                + [ctypes.c_void_p] * 9
+            )
+            _kernel = fn
+    return _kernel
+
+
+def _dot3(x, y):
+    """Row-wise 3-vector dot product, summed as (x0*y0 + x2*y2) + x1*y1 like ``_bvh.c``."""
+    return (x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]) + x[..., 1] * y[..., 1]
+
+
+def _start_best(n: int, t_max):
+    """Initial per-ray (best t, best primitive): ``t_max`` (scalar or per ray) and -1."""
+    best_t = np.array(np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)))
+    return best_t, np.full(n, -1, dtype=np.intp)
+
+
+def _rays(o, d):
+    o = np.ascontiguousarray(np.atleast_2d(o), dtype=np.float64)
+    d = np.ascontiguousarray(np.atleast_2d(d), dtype=np.float64)
+    if o.ndim != 2 or o.shape[1] != 3 or d.shape != o.shape:
+        raise ValueError(f"ray origins and directions must both have shape (n, 3), got {o.shape} and {d.shape}")
+    return o, d
+
 
 class Geometry:
     """Immutable primitive soup with a BVH; shared read-only by render threads."""
 
     def __init__(self, kinds, pa, pb, pc, shape_ids):
-        self.kinds = np.asarray(kinds, dtype=np.uint8)
-        self.pa = np.asarray(pa, dtype=np.float64)
-        self.pb = np.asarray(pb, dtype=np.float64)
-        self.pc = np.asarray(pc, dtype=np.float64)
+        self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        self.pa = np.ascontiguousarray(pa, dtype=np.float64)
+        self.pb = np.ascontiguousarray(pb, dtype=np.float64)
+        self.pc = np.ascontiguousarray(pc, dtype=np.float64)
         self.shape_ids = np.asarray(shape_ids, dtype=np.intp)
         n = len(self.kinds)
         self._normals = np.zeros((n, 3), dtype=np.float64)
         self._precompute_normals()
         self._precompute_kernels()
         self._build_bvh()
+        # addresses of the arrays the compiled traversal reads, in argument
+        # order; the arrays are never replaced, so the addresses stay valid
+        self._c_geom = tuple(
+            a.ctypes.data if isinstance(a, np.ndarray) else a
+            for a in (
+                self.node_lo, self.node_hi, self.node_left, self.node_right, self.node_start,
+                self.node_count, self._stack_size, self.perm, self.kinds, self.pa, self.pb, self.pc,
+                self._normals, self._quad_gram, self._tri_e1, self._tri_e2,
+            )
+        )
 
     def _precompute_kernels(self):
         n = len(self)
@@ -94,51 +190,51 @@ class Geometry:
 
     def _build_bvh(self):
         n = len(self)
+        self._stack_size = 1
         if n == 0:
             self.perm = np.empty(0, dtype=np.intp)
             self.node_lo = np.zeros((1, 3))
             self.node_hi = np.zeros((1, 3))
-            self.node_left = np.array([-1])
-            self.node_right = np.array([-1])
-            self.node_start = np.array([0])
-            self.node_count = np.array([0])
+            self.node_left = np.array([-1], dtype=np.intp)
+            self.node_right = np.array([-1], dtype=np.intp)
+            self.node_start = np.array([0], dtype=np.intp)
+            self.node_count = np.array([0], dtype=np.intp)
             return
         lo, hi = self._prim_bounds()
         centroids = 0.5 * (lo + hi)
         order: list[int] = []
         nodes_lo, nodes_hi, lefts, rights, starts, counts = [], [], [], [], [], []
-
-        def emit(idx) -> int:
+        depth = 0
+        # (primitives, parent, is right child, level); the left child is
+        # popped first, so nodes are numbered in pre-order
+        todo = [(np.arange(n, dtype=np.intp), -1, False, 0)]
+        while todo:
+            idx, parent, is_right, level = todo.pop()
             me = len(nodes_lo)
+            if parent >= 0:
+                (rights if is_right else lefts)[parent] = me
+            depth = max(depth, level)
             nodes_lo.append(lo[idx].min(axis=0))
             nodes_hi.append(hi[idx].max(axis=0))
             lefts.append(-1)
             rights.append(-1)
+            if len(idx) <= _LEAF_SIZE:
+                starts.append(len(order))
+                counts.append(len(idx))
+                order.extend(idx.tolist())
+                continue
             starts.append(0)
             counts.append(0)
-            if len(idx) <= _LEAF_SIZE:
-                starts[me] = len(order)
-                counts[me] = len(idx)
-                order.extend(idx.tolist())
-                return me
             c = centroids[idx]
             axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
             half = len(idx) // 2
             split = np.argpartition(c[:, axis], half)
-            left = emit(idx[split[:half]])
-            right = emit(idx[split[half:]])
-            lefts[me] = left
-            rights[me] = right
-            return me
-
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10000))
-        try:
-            emit(np.arange(n, dtype=np.intp))
-        finally:
-            sys.setrecursionlimit(old_limit)
+            todo.append((idx[split[half:]], me, True, level + 1))
+            todo.append((idx[split[:half]], me, False, level + 1))
+        # a walk down to level L holds at most L + 1 nodes on its stack
+        if depth + 1 > _STACK_MAX:
+            raise ValueError(f"BVH of {n} primitives is {depth + 1} levels deep; the traversal takes at most {_STACK_MAX}")
+        self._stack_size = depth + 1
         self.perm = np.asarray(order, dtype=np.intp)
         self.node_lo = np.asarray(nodes_lo)
         self.node_hi = np.asarray(nodes_hi)
@@ -146,13 +242,6 @@ class Geometry:
         self.node_right = np.asarray(rights, dtype=np.intp)
         self.node_start = np.asarray(starts, dtype=np.intp)
         self.node_count = np.asarray(counts, dtype=np.intp)
-        # per-kind primitive arrays of every leaf, gathered once (None for
-        # inner nodes); nothing is filled in later, so render threads share
-        # the geometry read-only
-        self._packs = [
-            self._pack(self.perm[s:s + c]) if left < 0 else None
-            for left, s, c in zip(lefts, starts, counts)
-        ]
 
     def _pack(self, prims):
         """Per-kind primitive arrays of the primitives ``prims``."""
@@ -174,69 +263,48 @@ class Geometry:
 
     # -- intersection ------------------------------------------------------
 
-    def intersect(self, o, d, t_min: float = T_MIN, t_max: float = np.inf):
+    def intersect(self, o, d, t_min: float = T_MIN, t_max=np.inf):
         """Nearest hit per ray: (t, prim_index), prim_index = -1 on miss.
 
         ``o``/``d`` have shape (n, 3); directions are assumed unit length.
+        ``t_max`` is one bound for all rays or one per ray; a hit must be
+        strictly nearer. Runs the compiled traversal (built on first use).
         """
-        o = np.atleast_2d(np.asarray(o, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+        o, d = _rays(o, d)
         n = len(o)
-        best_t = np.full(n, t_max, dtype=np.float64)
-        best_p = np.full(n, -1, dtype=np.intp)
-        if len(self) == 0:
+        best_t, best_p = _start_best(n, t_max)
+        if len(self) == 0 or n == 0:
             return best_t, best_p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_d = 1.0 / d
-        self._traverse(0, np.arange(n, dtype=np.intp), o, d, inv_d, best_t, best_p, t_min)
+        status = _load_kernel()(
+            n, o.ctypes.data, d.ctypes.data, t_min, best_t.ctypes.data, best_p.ctypes.data, *self._c_geom
+        )
+        if status != 0:
+            raise RuntimeError(f"BVH traversal overran its stack of {self._stack_size} slots")
         return best_t, best_p
 
-    def intersect_linear(self, o, d, t_min: float = T_MIN, t_max: float = np.inf):
-        """Brute-force scan over all primitives (test reference path)."""
-        o = np.atleast_2d(np.asarray(o, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+    def intersect_linear(self, o, d, t_min: float = T_MIN, t_max=np.inf):
+        """Brute-force scan over all primitives in ``perm`` order (test oracle of ``intersect``)."""
+        o, d = _rays(o, d)
         n = len(o)
-        best_t = np.full(n, t_max, dtype=np.float64)
-        best_p = np.full(n, -1, dtype=np.intp)
+        best_t, best_p = _start_best(n, t_max)
         if len(self) == 0:
             return best_t, best_p
-        ridx = np.arange(n, dtype=np.intp)
-        pack = self._pack(np.arange(len(self), dtype=np.intp))
-        self._leaf_hits(pack, ridx, o, d, best_t, best_p, t_min)
+        pack = self._pack(self.perm)
+        for lo in range(0, n, 1024):  # bounds the (rays, primitives) temporaries
+            sl = slice(lo, lo + 1024)
+            self._leaf_hits(pack, o[sl], d[sl], best_t[sl], best_p[sl], t_min)
         return best_t, best_p
 
-    def _traverse(self, node, ridx, o, d, inv_d, best_t, best_p, t_min):
-        lo = self.node_lo[node]
-        hi = self.node_hi[node]
-        ro = o[ridx]
-        ri = inv_d[ridx]
-        t0 = (lo - ro) * ri
-        t1 = (hi - ro) * ri
-        tn = np.fmin(t0, t1).max(axis=1)
-        tf = np.fmax(t0, t1).min(axis=1)
-        mask = (tn <= tf) & (tf > t_min) & (tn <= best_t[ridx])
-        idx = ridx[mask]
-        if idx.size == 0:
-            return
-        cnt = self.node_count[node]
-        if cnt > 0 or self.node_left[node] < 0:
-            self._leaf_hits(self._packs[node], idx, o, d, best_t, best_p, t_min)
-            return
-        self._traverse(self.node_left[node], idx, o, d, inv_d, best_t, best_p, t_min)
-        self._traverse(self.node_right[node], idx, o, d, inv_d, best_t, best_p, t_min)
-
-    def _leaf_hits(self, pack, ridx, o, d, best_t, best_p, t_min):
-        ro = o[ridx]
-        rd = d[ridx]
-        m = len(ridx)
+    def _leaf_hits(self, pack, ro, rd, best_t, best_p, t_min):
+        """Nearest hit of every ray among the primitives of ``pack``; the formulas ``_bvh.c`` compiles."""
         prims = pack["prims"]
-        t_mat = np.full((m, pack["k"]), np.inf)
+        t_mat = np.full((len(ro), pack["k"]), np.inf)
 
         if "sph" in pack:
             cols, c, r = pack["sph"]
             oc = ro[:, None, :] - c[None, :, :]
-            b = np.einsum("mki,mi->mk", oc, rd)
-            cc = np.einsum("mki,mki->mk", oc, oc) - r[None, :] ** 2
+            b = _dot3(oc, rd[:, None, :])
+            cc = _dot3(oc, oc) - r[None, :] ** 2
             disc = b * b - cc
             ok = disc >= 0.0
             sq = np.sqrt(np.where(ok, disc, 0.0))
@@ -248,15 +316,15 @@ class Geometry:
 
         if "quad" in pack:
             cols, corner, eu, ev, nq, gram = pack["quad"]
-            denom = np.einsum("mi,ki->mk", rd, nq)
+            denom = _dot3(rd[:, None, :], nq[None, :, :])
             w0 = corner[None, :, :] - ro[:, None, :]
-            t = np.einsum("mki,ki->mk", w0, nq)
+            t = _dot3(w0, nq[None, :, :])
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = t / denom
                 p = ro[:, None, :] + t[..., None] * rd[:, None, :]
                 w = p - corner[None, :, :]
-                r1 = np.einsum("mki,ki->mk", w, eu)
-                r2 = np.einsum("mki,ki->mk", w, ev)
+                r1 = _dot3(w, eu[None, :, :])
+                r2 = _dot3(w, ev[None, :, :])
                 alpha = gram[:, 2] * r1 - gram[:, 1] * r2
                 beta = gram[:, 0] * r2 - gram[:, 1] * r1
                 ok = (
@@ -299,10 +367,9 @@ class Geometry:
 
         leaf_best = t_mat.min(axis=1)
         leaf_arg = t_mat.argmin(axis=1)
-        better = leaf_best < best_t[ridx]
-        upd = ridx[better]
-        best_t[upd] = leaf_best[better]
-        best_p[upd] = prims[leaf_arg[better]]
+        better = leaf_best < best_t
+        best_t[better] = leaf_best[better]
+        best_p[better] = prims[leaf_arg[better]]
 
     def normals_at(self, prim_idx, points):
         """Geometric (outward/winding) unit normals for prior hit results."""

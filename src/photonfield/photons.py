@@ -47,6 +47,8 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
     Emission comes from :func:`scene.sample_light_emission` on those
     streams.
     """
+    if n_photons < 1:
+        raise ValueError(f"n_photons must be >= 1, got {n_photons}")
     keys = core.fold_key(core.as_rng(rng).key, np.arange(n_photons, dtype=np.uint64))
     ctrs = np.zeros(n_photons, dtype=np.uint64)
     o, d, flux = scene_mod.sample_light_emission(scene, keys, ctrs)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from photonfield.cli import main
+from photonfield.field import GaussianField
 from photonfield.images import read_pfm
 from photonfield.scene import builtin_scene_dict
 
@@ -64,7 +65,7 @@ class TestDeterminism:
 
 
 class TestPipeline:
-    def test_init_train_render_round_trip(self, tmp_path, views_file):
+    def test_init_train_render_round_trip(self, tmp_path, views_file, capsys):
         ckpt = tmp_path / "field.gpf"
         rc = main(
             [
@@ -73,6 +74,9 @@ class TestPipeline:
             ]
         )
         assert rc == 0 and ckpt.exists()
+        n = len(GaussianField.load(ckpt))
+        assert n > 0
+        assert capsys.readouterr().out == f"initialized {n} primitives from {n} photon records stored by 2000 traced photons\n"
         trained = tmp_path / "trained.gpf"
         log = tmp_path / "log.json"
         rc = main(
@@ -167,6 +171,13 @@ class TestErrors:
     def test_unknown_builtin_is_validation_error(self, tmp_path):
         rc = main(["render-pt", "--scene", "builtin:nothing", "--spp", "1", "--out", str(tmp_path / "x.pfm")])
         assert rc == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_init_photons_is_validation_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "field.gpf"
+        rc = main(["gpf-init", "--scene", "builtin:cornell-box", "--photons", "0", "--out-checkpoint", str(ckpt)])
+        assert rc == 3 and not ckpt.exists()
+        assert "n_photons" in capsys.readouterr().err
 
 
     def test_non_finite_checkpoint_is_validation_error(self, tmp_path, capsys):

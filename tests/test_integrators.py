@@ -83,6 +83,12 @@ def _quad_irradiance_at(point, corner, eu, ev, radiance, nodes=96):
 
 
 class TestPhotonTracing:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_photon_count_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match="n_photons"):
+            trace_photons(builtin_scene("cornell-box"), n, 16, Rng(0))
+
     def test_all_mirror_scene_stores_nothing(self):
         scene = _scene(
             [

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from photonfield import core
+from photonfield import core, geometry
 from photonfield.core import Rng
 from photonfield.scene import (
     Camera,
@@ -77,18 +79,142 @@ class TestIntersection:
         hits = _hit(scene, [0.0, -2.0, 0.5], [0.0, 1.0, 0.0])
         assert not hits.valid[0]
 
-    @pytest.mark.parametrize("name", ["cornell-box", "caustic-pool"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["cornell-box", "caustic-sphere", "caustic-pool"])
     def test_bvh_matches_brute_force_on_random_rays(self, name):
         scene = builtin_scene(name)
+        g = scene.geometry
         rng = np.random.default_rng(42)
         n = 10_000
         o = rng.uniform(-2.0, 2.0, (n, 3))
         d = rng.normal(size=(n, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        t_b, p_b = scene.geometry.intersect(o, d)
-        t_l, p_l = scene.geometry.intersect_linear(o, d)
+        # one or two direction components +0.0 or -0.0 (1 / d is then +-inf)
+        zd = d[: n // 4].copy()
+        rows, first = np.arange(len(zd)), rng.integers(0, 3, len(zd))
+        zd[rows, first] = rng.choice([0.0, -0.0], len(zd))
+        zd[rows[::2], (first[::2] + 1) % 3] = -0.0
+        zd /= np.linalg.norm(zd, axis=1, keepdims=True)
+        # axis-aligned rays from points on the bounding planes of every node
+        # (0 * inf in the slab test), travelling along another axis
+        nodes = np.repeat(np.arange(len(g.node_lo)), 12)
+        ob = rng.uniform(g.node_lo[nodes], g.node_hi[nodes])
+        axis = rng.integers(0, 3, len(nodes))
+        plane = np.where(rng.random(len(nodes)) < 0.5, g.node_lo[nodes, axis], g.node_hi[nodes, axis])
+        ob[np.arange(len(nodes)), axis] = plane
+        db = np.zeros_like(ob)
+        db[np.arange(len(nodes)), axis] = rng.choice([0.0, -0.0], len(nodes))
+        db[np.arange(len(nodes)), (axis + rng.integers(1, 3, len(nodes))) % 3] = rng.choice([-1.0, 1.0], len(nodes))
+        o = np.concatenate([o, o[: len(zd)], ob])
+        d = np.concatenate([d, zd, db])
+        t_b, p_b = g.intersect(o, d)
+        t_l, p_l = g.intersect_linear(o, d)
         np.testing.assert_array_equal(p_b, p_l)
         np.testing.assert_array_equal(t_b, t_l)
+        assert np.any(p_l[-len(ob):] >= 0)
+        # per-ray t_max, below the nearest hit on some rays
+        o, d, t_l = o[::3], d[::3], t_l[::3]
+        t_max = np.where(rng.random(len(o)) < 0.3, 0.5 * t_l, rng.uniform(0.0, 4.0, len(o)))
+        t_b, p_b = g.intersect(o, d, t_max=t_max)
+        t_l, p_l = g.intersect_linear(o, d, t_max=t_max)
+        np.testing.assert_array_equal(p_b, p_l)
+        np.testing.assert_array_equal(t_b, t_l)
+        assert np.any((p_l < 0) & (t_max < np.inf))
+
+    def test_equal_t_hits_resolve_to_first_primitive_in_perm_order(self):
+        # every shape twice: each ray that hits one twin hits the other at the same t
+        data = builtin_scene_dict("cornell-box")
+        data["shapes"] = data["shapes"] + data["shapes"]
+        g = scene_from_dict(data).geometry
+        rng = np.random.default_rng(5)
+        n = 5000
+        o = rng.uniform(-0.9, 0.9, (n, 3))
+        d = rng.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        t_b, p_b = g.intersect(o, d)
+        t_l, p_l = g.intersect_linear(o, d)
+        np.testing.assert_array_equal(p_b, p_l)
+        np.testing.assert_array_equal(t_b, t_l)
+        half = len(g) // 2
+        twin = np.where(p_b < half, p_b + half, p_b - half)
+        rank = np.argsort(g.perm)
+        hit = p_b >= 0
+        assert np.all(rank[p_b[hit]] < rank[twin[hit]])
+        # the twins of some hits sit in another leaf, after the winner's
+        leaf_of = np.searchsorted(g.node_start[g.node_count > 0], rank, side="right")
+        assert np.any(leaf_of[p_b[hit]] != leaf_of[twin[hit]])
+
+    def test_bvh_nodes_are_numbered_in_pre_order(self):
+        g = builtin_scene("caustic-pool").geometry
+        inner = np.nonzero(g.node_left >= 0)[0]
+        np.testing.assert_array_equal(g.node_left[inner], inner + 1)
+
+        def size(node):
+            return 1 if g.node_left[node] < 0 else 1 + size(g.node_left[node]) + size(g.node_right[node])
+
+        for node in inner:
+            assert g.node_right[node] == g.node_left[node] + size(g.node_left[node])
+        assert size(0) == len(g.node_lo)
+        leaves = np.nonzero(g.node_left < 0)[0]
+        np.testing.assert_array_equal(np.cumsum(g.node_count[leaves])[:-1], g.node_start[leaves][1:])
+        np.testing.assert_array_equal(np.sort(g.perm), np.arange(len(g)))
+
+    def test_tree_deeper_than_the_traversal_stack_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_STACK_MAX", 2)
+        with pytest.raises(ValueError, match="levels deep"):
+            builtin_scene("cornell-box")
+
+    def test_concurrent_queries_give_identical_bytes(self):
+        g = builtin_scene("caustic-pool").geometry
+        rng = np.random.default_rng(8)
+        n = 60_000
+        o = rng.uniform(-2.0, 2.0, (n, 3))
+        d = rng.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        serial = [g.intersect(o[i::2], d[i::2]) for i in range(2)]
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(3):
+                parallel = list(pool.map(lambda i: g.intersect(o[i::2], d[i::2]), range(2)))
+                for (t_s, p_s), (t_p, p_p) in zip(serial, parallel):
+                    assert t_s.tobytes() == t_p.tobytes() and p_s.tobytes() == p_p.tobytes()
+
+
+class TestCompiledKernel:
+    """The traversal is compiled into a cache keyed by its source, once."""
+
+    def _rays(self):
+        return np.array([[0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])
+
+    def test_cache_is_keyed_by_the_source_and_reused(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        compiled = []
+        real_compile = geometry._compile
+        monkeypatch.setattr(geometry, "_compile", lambda cc, path: (compiled.append(path), real_compile(cc, path)))
+        g = builtin_scene("caustic-sphere").geometry
+        expected = g.intersect_linear(*self._rays())
+
+        def load():
+            monkeypatch.setattr(geometry, "_kernel", None)
+            np.testing.assert_array_equal(g.intersect(*self._rays())[1], expected[1])
+
+        load()
+        cache = tmp_path / "photonfield"
+        assert len(compiled) == 1 and sorted(p.name for p in cache.iterdir()) == [os.path.basename(compiled[0])]
+        load()
+        assert len(compiled) == 1
+        edited = tmp_path / "_bvh.c"
+        edited.write_text(open(geometry._SRC).read() + "/* edited */\n")
+        monkeypatch.setattr(geometry, "_SRC", str(edited))
+        load()
+        assert len(compiled) == 2 and compiled[1] != compiled[0]
+        assert sorted(p.name for p in cache.iterdir()) == sorted(os.path.basename(p) for p in compiled)
+
+    def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(geometry, "_kernel", None)
+        g = builtin_scene("caustic-sphere").geometry
+        with pytest.raises(RuntimeError, match="'cc'"):
+            g.intersect(*self._rays())
 
     def test_reintersection_from_hit_point_skips_same_surface(self):
         scene = builtin_scene("cornell-box")
