@@ -178,6 +178,20 @@ class TestIntersection:
                 for (t_s, p_s), (t_p, p_p) in zip(serial, parallel):
                     assert t_s.tobytes() == t_p.tobytes() and p_s.tobytes() == p_p.tobytes()
 
+    def test_reintersection_from_hit_point_skips_same_surface(self):
+        scene = builtin_scene("cornell-box")
+        rng = np.random.default_rng(1)
+        n = 2000
+        o = rng.uniform(-0.9, 0.9, (n, 3))
+        d = rng.normal(size=(n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        t, p = scene.geometry.intersect(o, d)
+        hit = p >= 0
+        o2 = o[hit] + t[hit, None] * d[hit] + 1e-7 * d[hit]
+        t2, p2 = scene.geometry.intersect(o2, d[hit])
+        same = (p2 == p[hit]) & (t2 < 1e-4)
+        assert not np.any(same)
+
 
 class TestCompiledKernel:
     """The traversal is compiled into a cache keyed by its source, once."""
@@ -215,20 +229,6 @@ class TestCompiledKernel:
         g = builtin_scene("caustic-sphere").geometry
         with pytest.raises(RuntimeError, match="'cc'"):
             g.intersect(*self._rays())
-
-    def test_reintersection_from_hit_point_skips_same_surface(self):
-        scene = builtin_scene("cornell-box")
-        rng = np.random.default_rng(1)
-        n = 2000
-        o = rng.uniform(-0.9, 0.9, (n, 3))
-        d = rng.normal(size=(n, 3))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        t, p = scene.geometry.intersect(o, d)
-        hit = p >= 0
-        o2 = o[hit] + t[hit, None] * d[hit] + 1e-7 * d[hit]
-        t2, p2 = scene.geometry.intersect(o2, d[hit])
-        same = (p2 == p[hit]) & (t2 < 1e-4)
-        assert not np.any(same)
 
 
 class TestBsdf:
