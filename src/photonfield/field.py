@@ -26,6 +26,7 @@ import numpy as np
 
 from . import core
 from .core import Rng, quaternion_to_matrix, rotation_jacobian_tdot
+from .images import write_atomic
 from .photons import PhotonMap
 from .spatial import PointIndex
 
@@ -276,11 +277,8 @@ class GaussianField:
 
 def write_records(path, magic: bytes, payload) -> None:
     """Record file: 4 magic bytes, a little-endian u32 row count, then the
-    rows of the ``"<f4"`` array ``payload``."""
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload.tobytes())
+    rows of the ``"<f4"`` array ``payload``; written whole or not at all."""
+    write_atomic(path, magic, struct.pack("<I", len(payload)), payload.tobytes())
 
 
 def read_records(path, magic: bytes, width: int, what: str):

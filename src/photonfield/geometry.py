@@ -9,10 +9,12 @@ first, with the per-primitive formulas and operation order of
 primitives in ``perm`` order, so BVH and linear scan agree bit for bit,
 equal-``t`` ties included: the first primitive in ``perm`` order wins.
 
-The traversal is compiled with the system ``cc`` at the first query, into
+The traversal and the spatial index's kernels (``_spatial.c``) are one
+shared library, compiled with the system ``cc`` by :func:`load_kernels` at
+the first ray query or point-index build, into
 ``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
-name keyed by the source, the flags and the compiler version; importing
-the package compiles nothing.
+name keyed by every C source, the flags and the compiler version;
+importing the package compiles nothing.
 
 All intersections use a strict self-intersection epsilon: hits require
 ``t > t_min`` (default 1e-4 scene units).
@@ -39,56 +41,66 @@ KIND_TRIANGLE = 2
 _LEAF_SIZE = 8
 _DEGENERATE = 1e-12
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_bvh.c")
+_DIR = os.path.dirname(os.path.abspath(__file__))
+_SOURCES = (os.path.join(_DIR, "_bvh.c"), os.path.join(_DIR, "_spatial.c"))
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _STACK_MAX = 64  # STACK_MAX in _bvh.c; a walk of a tree with leaves at depth D needs D + 1 slots
-_kernel = None
-_kernel_lock = threading.Lock()
+_P, _N = ctypes.c_void_p, ctypes.c_ssize_t
+_TREE = [ctypes.c_int] + [_P] * 5  # the tree every _spatial.c function takes: depth, perm, tpts, lo, hi, leaf_start
+# restype and argtypes of every function the library exports
+_PROTOTYPES = {
+    "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double] + [_P] * 8 + [_N] + [_P] * 9),
+    "pf_kd_build": (None, [_N, _P] + _TREE),
+    "pf_ball": (_N, _TREE + [_N, _P, ctypes.c_double, _N, _N, _P, _P, _P]),
+    "pf_knn": (None, _TREE + [_N, _P, _N, _P, _P]),
+    "pf_hybrid_merge": (None, [_N, _P, _P, _N, _P, _P, _N, _P, _P]),
+}
+_lib = None
+_lib_lock = threading.Lock()
 
 
 def _compile(cc: str, path: str) -> None:
-    """Compile ``_bvh.c`` into the shared library ``path``, renamed into place."""
+    """Compile the C sources into the shared library ``path``, renamed into place."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     os.close(fd)
     try:
-        res = subprocess.run([cc, *_CFLAGS, "-o", tmp, _SRC, "-lm"], capture_output=True, text=True)
+        res = subprocess.run([cc, *_CFLAGS, "-o", tmp, *_SOURCES, "-lm"], capture_output=True, text=True)
         if res.returncode != 0:
-            raise RuntimeError(f"cc failed to compile {_SRC}:\n{res.stderr}")
+            raise RuntimeError(f"cc failed to compile {', '.join(_SOURCES)}:\n{res.stderr}")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _load_kernel():
-    """The compiled ``pf_intersect``, built into the cache on first use."""
-    global _kernel
-    if _kernel is not None:
-        return _kernel
-    with _kernel_lock:
-        if _kernel is None:
+def load_kernels():
+    """The compiled kernel library (a ``ctypes.CDLL``), built into the cache on first use."""
+    global _lib
+    if _lib is not None:
+        return _lib
+    with _lib_lock:
+        if _lib is None:
             cc = shutil.which("cc")
             if cc is None:
-                raise RuntimeError("photonfield compiles its BVH traversal at first use: no C compiler 'cc' on PATH")
-            with open(_SRC, "rb") as f:
-                source = f.read()
-            version = subprocess.run([cc, "--version"], capture_output=True, check=True).stdout
-            key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(), version])).hexdigest()[:16]
+                raise RuntimeError("photonfield compiles its C kernels at first use: no C compiler 'cc' on PATH")
+            parts = []
+            for src in _SOURCES:
+                with open(src, "rb") as f:
+                    parts.append(f.read())
+            parts.append(" ".join(_CFLAGS).encode())
+            parts.append(subprocess.run([cc, "--version"], capture_output=True, check=True).stdout)
+            key = hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
             cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-            path = os.path.join(cache, "photonfield", f"bvh-{key}.so")
+            path = os.path.join(cache, "photonfield", f"kernels-{key}.so")
             if not os.path.exists(path):
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 _compile(cc, path)
-            fn = ctypes.CDLL(path).pf_intersect
-            fn.restype = ctypes.c_int
-            fn.argtypes = (
-                [ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double]
-                + [ctypes.c_void_p] * 8
-                + [ctypes.c_ssize_t]
-                + [ctypes.c_void_p] * 9
-            )
-            _kernel = fn
-    return _kernel
+            lib = ctypes.CDLL(path)
+            for name, (restype, argtypes) in _PROTOTYPES.items():
+                fn = getattr(lib, name)
+                fn.restype, fn.argtypes = restype, argtypes
+            _lib = lib
+    return _lib
 
 
 def _dot3(x, y):
@@ -275,7 +287,7 @@ class Geometry:
         best_t, best_p = _start_best(n, t_max)
         if len(self) == 0 or n == 0:
             return best_t, best_p
-        status = _load_kernel()(
+        status = load_kernels().pf_intersect(
             n, o.ctypes.data, d.ctypes.data, t_min, best_t.ctypes.data, best_p.ctypes.data, *self._c_geom
         )
         if status != 0:

@@ -11,6 +11,8 @@ an 11x11 Gaussian window (sigma 1.5) and the standard stabilizers.
 from __future__ import annotations
 
 import math
+import os
+import uuid
 
 import numpy as np
 
@@ -31,6 +33,21 @@ def _as_image(img) -> np.ndarray:
 # PFM
 
 
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all: into a temp file in
+    the same directory, renamed over ``path`` once every byte is written."""
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_pfm(path, img) -> None:
     """Write a color PFM (little-endian float32, bottom-to-top rows)."""
     img = _as_image(img)
@@ -38,11 +55,7 @@ def write_pfm(path, img) -> None:
         raise ValueError("cannot write non-finite pixels to PFM")
     h, w, _ = img.shape
     data = np.flipud(img).astype("<f4")
-    with open(path, "wb") as fh:
-        fh.write(b"PF\n")
-        fh.write(f"{w} {h}\n".encode())
-        fh.write(b"-1.0\n")
-        fh.write(data.tobytes())
+    write_atomic(path, f"PF\n{w} {h}\n-1.0\n".encode(), data.tobytes())
 
 
 def read_pfm(path) -> np.ndarray:

@@ -216,7 +216,8 @@ def kde_gather_batch(index: PointIndex, photons: PhotonMap, positions, normals, 
         albedo[owner], normals[owner], np.full(len(flat), scene_mod.DIFFUSE, dtype=np.uint8), photons.incident[flat], wos[owner]
     )
     contrib = photons.flux[flat] * fr
-    np.add.at(out, owner, contrib)
+    for ch in range(3):  # bincount sums each row from zero in flat order, as np.add.at would
+        out[:, ch] = np.bincount(owner, weights=contrib[:, ch], minlength=m)
     out /= math.pi * radius * radius
     return out
 

@@ -1,11 +1,13 @@
 """Spatial point index: radius (ball), k-nearest, and hybrid queries.
 
-A :class:`PointIndex` snapshots an immutable array of 3D points. Queries
-use a scipy cKDTree purely as a candidate generator; membership, distance,
-and ordering are always recomputed in float64 numpy, so results are exactly
-the (distance, id)-sorted sets a linear scan would produce. That keeps
-boundary semantics (inclusive ``distance <= r``) and tie-breaking (ascending
-id among equal distances) independent of the accelerator.
+A :class:`PointIndex` snapshots an immutable array of 3D points into an
+implicit kd-tree, and answers queries with the compiled kernels of
+``_spatial.c`` (loaded through :func:`geometry.load_kernels`). The kernels
+compute every distance as numpy's ``sqrt(einsum("ij,ij->i", d, d))`` with
+``d = p - x`` rounds it, prune only boxes whose distance bound provably
+exceeds the cut-off, and order every row by (distance, id). So each row is
+exactly what a linear scan gives, with inclusive boundaries (``distance
+<= r``) and ties broken by ascending id, whatever the tree's shape.
 
 The batch kernels (``*_query_batch``, CSR layout) are the one
 implementation; the scalar ``ball_query`` / ``knn_query`` /
@@ -18,10 +20,11 @@ convention, not the index.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
-from scipy.spatial import cKDTree
+
+from .geometry import load_kernels
+
+_LEAF_SIZE = 16  # at most this many points per leaf
 
 
 def _distances(points, x):
@@ -34,11 +37,8 @@ def _sort_by_distance_then_id(ids, dists):
     return ids[order], dists[order]
 
 
-def _row_splits(owner, m):
-    """CSR row offsets from the row index of each entry."""
-    splits = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(owner, minlength=m), out=splits[1:])
-    return splits
+def _empty_rows(m):
+    return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64), np.zeros(m + 1, dtype=np.intp)
 
 
 class PointIndex:
@@ -58,7 +58,22 @@ class PointIndex:
             raise ValueError("points must be finite")
         self._points = points.copy()
         self._points.setflags(write=False)
-        self._tree = cKDTree(self._points) if len(self._points) else None
+        n = len(self._points)
+        if n == 0:
+            return
+        # the shallowest complete tree whose leaves hold at most _LEAF_SIZE points
+        depth = 0
+        while _LEAF_SIZE << depth < n:
+            depth += 1
+        self._tree = (
+            np.empty(n, dtype=np.intp),  # perm: point ids in leaf order
+            np.empty((n, 3)),  # the points in leaf order
+            np.empty(((2 << depth) - 1, 3)),  # node box lower corners
+            np.empty(((2 << depth) - 1, 3)),  # node box upper corners
+            np.empty((1 << depth) + 1, dtype=np.intp),  # leaf j holds perm[leaf_start[j]:leaf_start[j + 1]]
+        )
+        self._c_tree = (depth, *(a.ctypes.data for a in self._tree))
+        load_kernels().pf_kd_build(n, self._points.ctypes.data, *self._c_tree)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -71,7 +86,7 @@ class PointIndex:
 
     def ball_query(self, x, r: float):
         """All (id, distance) with distance <= r, sorted by (distance, id)."""
-        return self._ball(np.asarray(x, dtype=np.float64).reshape(1, 3), r)[:2]
+        return self._ball(_point(x), r)[:2]
 
     def knn_query(self, x, k: int):
         """The min(k, n) nearest (id, distance), sorted by (distance, id).
@@ -79,7 +94,7 @@ class PointIndex:
         Ties at the k-th distance are resolved by ascending id, so results
         are unique for any input.
         """
-        return self._knn(np.asarray(x, dtype=np.float64).reshape(1, 3), k)[:2]
+        return self._knn(_point(x), k)[:2]
 
     def hybrid_query(self, x, r: float, k_min: int):
         """Ball query, topped up with k-nearest neighbors when sparse.
@@ -88,56 +103,46 @@ class PointIndex:
         least ``k_min`` points, otherwise the union of ball and k_min-NN
         results. Size is always >= min(k_min, n).
         """
-        return self.hybrid_query_batch(np.asarray(x, dtype=np.float64).reshape(1, 3), r, k_min)[0]
+        return self.hybrid_query_batch(_point(x), r, k_min)[0]
 
     # -- batch kernels -----------------------------------------------------
 
     def _ball(self, xs, r):
         """Ball query of rows ``xs``: (ids, distances, row_splits)."""
-        if r < 0:
+        if not r >= 0:
             raise ValueError("radius must be non-negative")
+        xs = _queries(xs)
         m = len(xs)
-        if self._tree is None or m == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64), np.zeros(m + 1, dtype=np.intp)
-        # pad the tree radius a few ulps so exact recomputation never loses
-        # a boundary point to accelerator-side rounding
-        pad = np.nextafter(np.nextafter(r, np.inf), np.inf) + 1e-300
-        pairs = cKDTree(xs).sparse_distance_matrix(self._tree, pad, output_type="ndarray")
-        owner, flat = pairs["i"].astype(np.intp), pairs["j"].astype(np.intp)
-        diff = self._points[flat] - xs[owner]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        keep = dist <= r
-        flat, owner, dist = flat[keep], owner[keep], dist[keep]
-        order = np.lexsort((flat, dist, owner))
-        return flat[order], dist[order], _row_splits(owner[order], m)
+        if len(self) == 0 or m == 0:
+            return _empty_rows(m)
+        splits = np.zeros(m + 1, dtype=np.intp)
+        cap = 8 * m + 64
+        ids, dists = np.empty(cap, dtype=np.intp), np.empty(cap)
+        row = 0
+        while True:
+            row = load_kernels().pf_ball(
+                *self._c_tree, m, xs.ctypes.data, r, row, cap, ids.ctypes.data, dists.ctypes.data, splits.ctypes.data
+            )
+            if row == m:
+                break
+            # row ``row`` did not fit: keep the finished rows, double the room
+            done, cap = splits[row], 2 * cap
+            ids = np.concatenate([ids[:done], np.empty(cap - done, dtype=np.intp)])
+            dists = np.concatenate([dists[:done], np.empty(cap - done)])
+        return ids[: splits[m]], dists[: splits[m]], splits
 
     def _knn(self, xs, k):
         """k-nearest query of rows ``xs``: (ids, distances, row_splits)."""
         if k < 0:
             raise ValueError("k must be non-negative")
+        xs = _queries(xs)
         m = len(xs)
-        k_eff = min(k, len(self._points))
+        k_eff = min(k, len(self))
         if k_eff == 0 or m == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64), np.zeros(m + 1, dtype=np.intp)
-        dists, _ = self._tree.query(xs, k=k_eff)
-        dmax = np.reshape(dists, (m, k_eff))[:, -1]
-        # fetch everything within the k-th distance and re-rank exactly;
-        # this makes the tie-break on id explicit
-        rows = self._tree.query_ball_point(xs, dmax * (1.0 + 1e-12) + 1e-300)
-        counts = np.fromiter((len(row) for row in rows), dtype=np.intp, count=m)
-        short = counts < k_eff
-        if np.any(short):  # accelerator distance rounded low; widen once
-            rows[short] = self._tree.query_ball_point(xs[short], dmax[short] * (1.0 + 1e-9) + 1e-12)
-            counts[short] = [len(row) for row in rows[short]]
-        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=int(counts.sum()))
-        owner = np.repeat(np.arange(m, dtype=np.intp), counts)
-        diff = self._points[flat] - xs[owner]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        order = np.lexsort((flat, dist, owner))
-        flat, owner, dist = flat[order], owner[order], dist[order]
-        rank = np.arange(len(flat), dtype=np.intp) - (np.cumsum(counts) - counts)[owner]
-        keep = rank < k_eff
-        return flat[keep], dist[keep], _row_splits(owner[keep], m)
+            return _empty_rows(m)
+        ids, dists = np.empty(m * k_eff, dtype=np.intp), np.empty(m * k_eff)
+        load_kernels().pf_knn(*self._c_tree, m, xs.ctypes.data, k_eff, ids.ctypes.data, dists.ctypes.data)
+        return ids, dists, np.arange(m + 1, dtype=np.intp) * k_eff
 
     def ball_query_batch(self, xs, r: float):
         """Vectorized ball query: (ids, row_splits) in CSR layout.
@@ -145,14 +150,14 @@ class PointIndex:
         ``ids[row_splits[i]:row_splits[i+1]]`` are the neighbors of point i,
         each row sorted by (distance, id).
         """
-        return self._ball(np.asarray(xs, dtype=np.float64).reshape(-1, 3), r)[::2]
+        return self._ball(xs, r)[::2]
 
     def knn_query_batch(self, xs, k: int):
         """Vectorized k-nearest query in CSR layout (ids, row_splits).
 
         Each row holds exactly min(k, n) ids sorted by (distance, id).
         """
-        return self._knn(np.asarray(xs, dtype=np.float64).reshape(-1, 3), k)[::2]
+        return self._knn(xs, k)[::2]
 
     def hybrid_query_batch(self, xs, r: float, k_min: int):
         """Vectorized hybrid query in CSR layout (ids, row_splits).
@@ -161,24 +166,32 @@ class PointIndex:
         min(k_min, n) ids, by the k_min-NN ids not already in it (in kNN
         order).
         """
-        xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
-        flat, row_splits = self.ball_query_batch(xs, r)
-        n, m = len(self._points), len(xs)
-        counts = np.diff(row_splits)
-        short = counts < min(k_min, n)
-        if not np.any(short):
-            return flat, row_splits
-        sparse = np.nonzero(short)[0]
-        kflat, ksplits = self.knn_query_batch(xs[sparse], k_min)
-        kowner = np.repeat(sparse, np.diff(ksplits))
-        owner = np.repeat(np.arange(m, dtype=np.intp), counts)
-        # a kNN id is a duplicate when its (row, id) key is in a short ball
-        in_short = short[owner]
-        extra = ~np.isin(kowner * n + kflat, owner[in_short] * n + flat[in_short])
-        # a stable sort on the row keeps ball ids first, then the extras
-        owner = np.concatenate([owner, kowner[extra]])
-        order = np.argsort(owner, kind="stable")
-        return np.concatenate([flat, kflat[extra]])[order], _row_splits(owner, m)
+        xs = _queries(xs)
+        flat, splits = self.ball_query_batch(xs, r)
+        k_eff = min(k_min, len(self))
+        short = np.flatnonzero(np.diff(splits) < k_eff)
+        if len(short) == 0:
+            return flat, splits
+        kflat, _ = self.knn_query_batch(xs[short], k_min)
+        m = len(xs)
+        out, out_splits = np.empty(len(flat) + len(kflat), dtype=np.intp), np.empty(m + 1, dtype=np.intp)
+        load_kernels().pf_hybrid_merge(
+            m, flat.ctypes.data, splits.ctypes.data, len(short), short.ctypes.data, kflat.ctypes.data, k_eff,
+            out.ctypes.data, out_splits.ctypes.data,
+        )
+        return out[: out_splits[m]], out_splits
+
+
+def _point(x):
+    return np.asarray(x, dtype=np.float64).reshape(1, 3)
+
+
+def _queries(xs):
+    """Query points as a C-contiguous float64 (m, 3) array; they must be finite."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64).reshape(-1, 3)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("query points must be finite")
+    return xs
 
 
 def linear_ball_query(points, x, r: float):

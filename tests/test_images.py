@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from photonfield import images
+from photonfield.field import GaussianField
 from photonfield.images import (
     psnr,
     read_pfm,
@@ -14,6 +16,7 @@ from photonfield.images import (
     write_pfm,
     write_ppm,
 )
+from photonfield.training import SampleSet
 
 
 def _u8_to_linear(u8):
@@ -70,6 +73,49 @@ class TestPfm:
         path.write_bytes(b"PF\n4 4\n-1.0\n" + b"\x00" * 10)
         with pytest.raises(ValueError, match="truncated"):
             read_pfm(path)
+
+
+class _FullDisk:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError(28, "No space left on device")
+        return self._fh.write(data)
+
+
+_WRITERS = {
+    "pfm": lambda path: write_pfm(path, np.full((4, 5, 3), 0.5)),
+    "gpf": lambda path: GaussianField(np.zeros((2, 3)), np.tile([1.0, 0, 0, 0], (2, 1)), np.zeros((2, 3)), np.ones((2, 3))).save(path),
+    "gpd": lambda path: SampleSet(np.zeros((3, 3)), np.ones((3, 3)), np.ones((3, 3))).save(path),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch, kind, existing):
+    path = tmp_path / f"out.{kind}"
+    if existing:
+        path.write_bytes(b"previous contents")
+    monkeypatch.setattr(images, "open", lambda name, mode: _FullDisk(open(name, mode)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        _WRITERS[kind](path)
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"previous contents"
+    monkeypatch.undo()
+    _WRITERS[kind](path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name] and path.stat().st_size > 17
 
 
 class TestToneMap:

@@ -19,7 +19,7 @@ from photonfield.integrators import (
     trace_to_first_diffuse,
 )
 from photonfield.photons import PhotonMap, trace_photons
-from photonfield.scene import DIFFUSE, builtin_scene, sample_light_emission, scene_from_dict
+from photonfield.scene import DIFFUSE, builtin_scene, eval_bsdf_batch, sample_light_emission, scene_from_dict
 from photonfield.spatial import PointIndex
 
 
@@ -244,6 +244,24 @@ class TestKdeGather:
         hits = self._floor_hit()
         photons = PhotonMap(hits.position, np.full((1, 3), 0.5), np.array([[0.0, 0.0, -1.0]]))
         np.testing.assert_array_equal(self._gather(photons, hits, 0.02), np.zeros(3))
+
+
+    def test_sums_are_bit_equal_to_unbuffered_add_at(self):
+        scene = builtin_scene("cornell-box")
+        photons = trace_photons(scene, 20_000, 16, Rng(41))
+        index = PointIndex(photons.positions)
+        hits = scene.intersect_batch(*scene.camera.with_resolution(24, 24).primary_rays(np.arange(576), np.full((576, 2), 0.5)))
+        pos, nrm, wo, albedo = hits.position[hits.valid], hits.normal[hits.valid], hits.wo[hits.valid], hits.albedo[hits.valid]
+        r = 0.05
+        got = kde_gather_batch(index, photons, pos, nrm, wo, albedo, r)
+        flat, splits = index.ball_query_batch(pos, r)
+        owner = np.repeat(np.arange(len(pos)), np.diff(splits))
+        fr = eval_bsdf_batch(albedo[owner], nrm[owner], np.full(len(flat), DIFFUSE, dtype=np.uint8), photons.incident[flat], wo[owner])
+        expected = np.zeros((len(pos), 3))
+        np.add.at(expected, owner, photons.flux[flat] * fr)
+        expected /= math.pi * r * r
+        assert np.diff(splits).max() > 20
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRenderSppm:

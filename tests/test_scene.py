@@ -10,6 +10,7 @@ import pytest
 
 from photonfield import core, geometry
 from photonfield.core import Rng
+from photonfield.spatial import PointIndex, linear_knn_query
 from photonfield.scene import (
     Camera,
     SceneParseError,
@@ -194,7 +195,7 @@ class TestIntersection:
 
 
 class TestCompiledKernel:
-    """The traversal is compiled into a cache keyed by its source, once."""
+    """The C kernels are one library, compiled into a cache keyed by every source, once."""
 
     def _rays(self):
         return np.array([[0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])
@@ -206,29 +207,40 @@ class TestCompiledKernel:
         monkeypatch.setattr(geometry, "_compile", lambda cc, path: (compiled.append(path), real_compile(cc, path)))
         g = builtin_scene("caustic-sphere").geometry
         expected = g.intersect_linear(*self._rays())
+        pts = np.random.default_rng(0).uniform(-1, 1, (50, 3))
 
-        def load():
-            monkeypatch.setattr(geometry, "_kernel", None)
+        def ray_query():
+            monkeypatch.setattr(geometry, "_lib", None)
             np.testing.assert_array_equal(g.intersect(*self._rays())[1], expected[1])
 
-        load()
+        def neighbour_query():
+            monkeypatch.setattr(geometry, "_lib", None)
+            np.testing.assert_array_equal(PointIndex(pts).knn_query(pts[0], 3)[0], linear_knn_query(pts, pts[0], 3)[0])
+
+        ray_query()
         cache = tmp_path / "photonfield"
         assert len(compiled) == 1 and sorted(p.name for p in cache.iterdir()) == [os.path.basename(compiled[0])]
-        load()
+        ray_query()
+        neighbour_query()
         assert len(compiled) == 1
-        edited = tmp_path / "_bvh.c"
-        edited.write_text(open(geometry._SRC).read() + "/* edited */\n")
-        monkeypatch.setattr(geometry, "_SRC", str(edited))
-        load()
-        assert len(compiled) == 2 and compiled[1] != compiled[0]
+        for k, name in enumerate(("_bvh.c", "_spatial.c")):
+            edited = tmp_path / name
+            edited.write_text(open(geometry._SOURCES[k]).read() + "/* edited */\n")
+            sources = list(geometry._SOURCES)
+            sources[k] = str(edited)
+            monkeypatch.setattr(geometry, "_SOURCES", tuple(sources))
+            (neighbour_query if k else ray_query)()
+            assert len(compiled) == 2 + k and compiled[-1] not in compiled[:-1]
         assert sorted(p.name for p in cache.iterdir()) == sorted(os.path.basename(p) for p in compiled)
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))
-        monkeypatch.setattr(geometry, "_kernel", None)
+        monkeypatch.setattr(geometry, "_lib", None)
         g = builtin_scene("caustic-sphere").geometry
         with pytest.raises(RuntimeError, match="'cc'"):
             g.intersect(*self._rays())
+        with pytest.raises(RuntimeError, match="'cc'"):
+            PointIndex(np.zeros((4, 3)))
 
 
 class TestBsdf:

@@ -1,6 +1,9 @@
 """Point index queries against independent linear-scan references."""
 
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -236,25 +239,6 @@ class TestBatchKernelsAgainstLinearScan:
         assert len(flat) == 0
         np.testing.assert_array_equal(splits, [0])
 
-    def test_knn_widens_once_when_tree_distance_rounds_low(self):
-        pts = _random_points(300, seed=27)
-        idx = PointIndex(pts)
-        tree = idx._tree
-
-        class LowTree:  # reports every k-th distance a few ulps short
-            def query(self, xs, k):
-                d, i = tree.query(xs, k=k)
-                return np.asarray(d) * np.where(np.arange(k) == k - 1, 1.0 - 1e-10, 1.0), i
-
-            def query_ball_point(self, xs, r):
-                return tree.query_ball_point(xs, r)
-
-        idx._tree = LowTree()
-        xs = _random_points(40, seed=28)
-        flat, splits = idx.knn_query_batch(xs, 4)
-        for i, x in enumerate(xs):
-            np.testing.assert_array_equal(flat[splits[i]:splits[i + 1]], linear_knn_query(pts, x, 4)[0])
-
 
 class TestStructuralProperties:
     def test_build_is_deterministic(self):
@@ -296,3 +280,136 @@ class TestStructuralProperties:
         t_small = timed(small)
         t_large = timed(large)
         assert t_large < 5.0 * max(t_small, 1e-4)
+
+
+def _assert_kernels_match_linear_scan(pts, xs, r, k):
+    """Ball and kNN rows (ids and distance bits) and hybrid rows equal the linear scans."""
+    idx = PointIndex(pts)
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
+    bids, bdist, bsplits = idx._ball(xs, r)
+    kids, kdist, ksplits = idx._knn(xs, k)
+    hids, hsplits = idx.hybrid_query_batch(xs, r, k)
+    for i, x in enumerate(xs):
+        for ids, dist, splits, ref in (
+            (bids, bdist, bsplits, linear_ball_query(pts, x, r)),
+            (kids, kdist, ksplits, linear_knn_query(pts, x, k)),
+        ):
+            row = slice(splits[i], splits[i + 1])
+            assert ids[row].tobytes() == ref[0].tobytes()
+            assert dist[row].tobytes() == ref[1].tobytes()
+        np.testing.assert_array_equal(hids[hsplits[i]:hsplits[i + 1]], linear_hybrid_query(pts, x, r, k))
+    return np.diff(bsplits)
+
+
+class TestKernelAgainstLinearScan:
+    """Edge cases of the compiled kd-tree, each checked against the linear scans."""
+
+    def test_points_on_node_faces_and_at_exactly_r(self):
+        # a lattice of exact binary fractions: node boxes have faces through
+        # points, and lattice neighbours lie at exactly r
+        g = 0.125 * np.arange(7)
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        idx = PointIndex(pts)
+        lo, hi = idx._tree[2], idx._tree[3]
+        outside = pts[pts[:, 2] == 0.0] - [0.0, 0.0, 0.25]  # the nearest point is exactly r = 0.25 below the root box
+        xs = np.vstack([pts[::5], lo[::3], hi[::3], outside, pts[::9] + 0.0625])
+        for r in (0.125, 0.25, float(np.sqrt(2 * 0.125 ** 2))):
+            _assert_kernels_match_linear_scan(pts, xs, r, 9)
+        ball = idx.ball_query_batch(outside, 0.25)
+        assert np.all(np.diff(ball[1]) == 1)
+
+    def test_duplicate_and_coincident_points(self):
+        rng = np.random.default_rng(30)
+        base = rng.uniform(-1, 1, (200, 3))
+        pts = np.vstack([base, base[:60], base[:20]])  # ids 200.. repeat earlier points
+        xs = np.vstack([base[:30], rng.uniform(-1, 1, (30, 3))])
+        _assert_kernels_match_linear_scan(pts, xs, 0.0, 2)
+        _assert_kernels_match_linear_scan(pts, xs, 0.2, 7)
+        same = np.tile([0.3, -0.2, 0.1], (70, 1))  # zero-extent bounds on every axis
+        xs = np.vstack([same[:1], [[0.3, -0.2, 0.2]], [[5.0, 5.0, 5.0]]])
+        sizes = _assert_kernels_match_linear_scan(same, xs, 0.0, 5)
+        np.testing.assert_array_equal(sizes, [70, 0, 0])
+        _assert_kernels_match_linear_scan(same, xs, 0.1, 80)
+
+    def test_knn_far_outside_the_point_bounds(self):
+        pts = _random_points(1500, seed=31)
+        rng = np.random.default_rng(32)
+        direction = rng.normal(size=(40, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        xs = np.vstack([direction * 3.0, direction * 1e3, direction * 1e7])
+        for k in (1, 6, 37):
+            _assert_kernels_match_linear_scan(pts, xs, 0.01, k)
+
+    def test_tight_cluster_inside_sparse_points(self):
+        rng = np.random.default_rng(33)
+        cluster = 0.25 + rng.normal(0.0, 1e-6, (3000, 3))
+        pts = np.vstack([rng.uniform(-1, 1, (400, 3)), cluster])
+        xs = np.vstack([cluster[::150], 0.25 + rng.normal(0.0, 3e-6, (20, 3)), rng.uniform(-1, 1, (20, 3))])
+        sizes = _assert_kernels_match_linear_scan(pts, xs, 2e-6, 12)
+        assert sizes.max() > 100 and sizes.min() == 0  # heap-sorted rows and pure kNN rows
+        _assert_kernels_match_linear_scan(pts, xs[::4], 0.5, 400)
+
+    def test_r_zero_r_inf_and_k_at_least_n(self):
+        pts = _random_points(300, seed=34)
+        xs = np.vstack([pts[::13], _random_points(10, seed=35, lo=-3.0, hi=3.0)])
+        sizes = _assert_kernels_match_linear_scan(pts, xs, 0.0, len(pts))
+        np.testing.assert_array_equal(sizes[:24], 1)
+        sizes = _assert_kernels_match_linear_scan(pts, xs, np.inf, len(pts) + 5)
+        assert np.all(sizes == len(pts))
+
+    def test_empty_index_and_empty_batch_for_every_kernel(self):
+        empty = PointIndex(np.zeros((0, 3)))
+        xs = _random_points(4, seed=36)
+        for flat, splits in (empty.ball_query_batch(xs, 0.5), empty.knn_query_batch(xs, 3), empty.hybrid_query_batch(xs, 0.5, 3)):
+            assert len(flat) == 0
+            np.testing.assert_array_equal(splits, np.zeros(5))
+        idx = PointIndex(_random_points(20, seed=37))
+        none = np.zeros((0, 3))
+        for flat, splits in (idx.ball_query_batch(none, 0.5), idx.knn_query_batch(none, 3), idx.hybrid_query_batch(none, 0.5, 3)):
+            assert len(flat) == 0
+            np.testing.assert_array_equal(splits, [0])
+
+    def test_two_threads_give_identical_bytes(self):
+        rng = np.random.default_rng(38)
+        pts = np.vstack([rng.uniform(-1, 1, (5000, 3)), 0.1 + rng.normal(0.0, 0.05, (5000, 3))])
+        idx = PointIndex(pts)
+        xs = np.vstack([rng.uniform(-1.1, 1.1, (20000, 3)), 0.1 + rng.normal(0.0, 0.05, (20000, 3))])
+
+        def queries(i):
+            part = xs[i::2]
+            return [a.tobytes() for a in (*idx._ball(part, 0.02), *idx._knn(part, 5), *idx.hybrid_query_batch(part, 0.01, 6))]
+
+        serial = [queries(i) for i in range(2)]
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(3):
+                assert list(pool.map(queries, range(2))) == serial
+
+    def test_distances_are_bit_equal_to_the_oracle(self):
+        # offsets and spreads whose squared components round differently
+        # when summed in another order
+        rng = np.random.default_rng(39)
+        pts = 100.0 + rng.normal(size=(2000, 3)) * rng.uniform(0.0, 2.0, (2000, 3))
+        xs = 100.0 + rng.normal(size=(60, 3))
+        _assert_kernels_match_linear_scan(pts, xs, 1.5, 25)
+        d = pts - xs[0]
+        assert np.any(np.einsum("ij,ij->i", d, d) != (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+
+    def test_non_finite_queries_rejected(self):
+        idx = PointIndex(_random_points(10))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                idx.ball_query_batch([[0.0, bad, 0.0]], 0.1)
+            with pytest.raises(ValueError, match="finite"):
+                idx.knn_query([bad, 0.0, 0.0], 2)
+
+
+def test_import_and_query_need_no_scipy():
+    code = (
+        "import sys, numpy as np, photonfield as pf; "
+        "pts = np.random.default_rng(0).uniform(-1, 1, (100, 3)); "
+        "flat, splits = pf.PointIndex(pts).hybrid_query_batch(pts[:10], 0.2, 4); "
+        "assert len(splits) == 11; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
