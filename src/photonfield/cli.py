@@ -111,9 +111,7 @@ def _write_manifest(command: str, args: argparse.Namespace, scene: Scene | None,
         "outputs": {p: _sha256_file(p) for p in outputs},
     }
     path = outputs[0] + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    images.write_atomic(path, (json.dumps(out, indent=2) + "\n").encode())
     return path
 
 
@@ -207,16 +205,12 @@ def _cmd_gpf_train(args) -> int:
         dataset.save(args.dataset_out)
         outputs.append(args.dataset_out)
     if args.log is not None:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "losses": log.losses.tolist(),
-                    "initial_full_loss": log.initial_full_loss,
-                    "final_full_loss": log.final_full_loss,
-                },
-                fh,
-            )
-            fh.write("\n")
+        losses = {
+            "losses": log.losses.tolist(),
+            "initial_full_loss": log.initial_full_loss,
+            "final_full_loss": log.final_full_loss,
+        }
+        images.write_atomic(args.log, (json.dumps(losses) + "\n").encode())
         outputs.append(args.log)
     _write_manifest("gpf-train", args, scene, outputs)
     print(
@@ -252,8 +246,7 @@ def _cmd_compare(args) -> int:
     blob = json.dumps({"ref": args.ref, "exposure": args.exposure, "results": table}, indent=2)
     print(blob)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        images.write_atomic(args.out, (blob + "\n").encode())
     return 0
 
 
@@ -300,8 +293,7 @@ def _cmd_sweep(args) -> int:
         )
     blob = json.dumps({"param": args.param, "rows": rows}, indent=2)
     print(blob)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(blob + "\n")
+    images.write_atomic(args.out, (blob + "\n").encode())
     _write_manifest("sweep", args, scene, [args.out])
     return 0
 

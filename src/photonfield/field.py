@@ -18,9 +18,9 @@ locally constant.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +44,6 @@ _MAGIC = b"GPF1"
 _FALLOFF_SHARPNESS = 3.0
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Neighbor ids captured by a forward query, pinned to the parameter
-    state they were computed against."""
-
-    ids: np.ndarray
-    version: int
-
-
 def _falloff(dist, radius: float):
     r_eff = max(radius, 1e-6)
     t = np.maximum(dist - radius, 0.0) / r_eff
@@ -64,7 +55,8 @@ class GaussianField:
 
     The index over means may lag parameter updates during optimization
     (rebuilt on a cadence); weights and radiance always use the current
-    parameters. Public single-point queries refresh the index first.
+    parameters. Callers rebuild it with ``ensure_index`` (or
+    ``rebuild_index``) before ``query_batch``.
     """
 
     def __init__(self, means, quats, log_scales, flux, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN, eps=DEFAULT_EPS):
@@ -77,6 +69,10 @@ class GaussianField:
             raise ValueError("parameter blocks must have matching lengths")
         self.radius = float(radius)
         self.k_min = int(k_min)
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and non-negative, got {radius}")
+        if self.k_min < 0:
+            raise ValueError(f"k_min must be non-negative, got {k_min}")
         self.eps = float(eps)
         self._version = 0
         self._index: PointIndex | None = None
@@ -98,6 +94,8 @@ class GaussianField:
         photon, isotropic initial scale, uniformly random orientation."""
         if len(photons) == 0:
             raise ValueError("cannot initialize from empty photon map")
+        if not 0.0 < initial_scale < math.inf:
+            raise ValueError(f"initial scale must be finite and positive, got {initial_scale}")
         rng = core.as_rng(rng)
         n = len(photons)
         quats = core.random_unit_quaternion(rng, n)
@@ -116,8 +114,8 @@ class GaussianField:
         return self._version
 
     def mark_updated(self):
-        """Record a parameter mutation: invalidates captured neighborhoods
-        and makes the index stale for public queries."""
+        """Record a parameter mutation: makes the index stale, so the next
+        ``ensure_index`` rebuilds it."""
         self._version += 1
 
     def rebuild_index(self):
@@ -172,17 +170,6 @@ class GaussianField:
         z = np.maximum(s_tot, self.eps)
         return num / z[:, None], terms, s_tot
 
-    def query(self, x):
-        """Radiance and captured neighborhood at one point (fresh index)."""
-        self.ensure_index()
-        x = np.asarray(x, dtype=np.float64).reshape(3)
-        if len(self) == 0:
-            return np.zeros(3), Neighborhood(np.empty(0, dtype=np.intp), self._version)
-        ids = self._index.hybrid_query(x, self.radius, self.k_min)
-        splits = np.array([0, len(ids)], dtype=np.intp)
-        L, _, _ = self._forward(x[None, :], ids, splits)
-        return L[0], Neighborhood(ids, self._version)
-
     # -- backward ----------------------------------------------------------
 
     def _backward_terms(self, ids, owner, dl_rows, fwd):
@@ -213,21 +200,6 @@ class GaussianField:
         g_quat = -(g_w * w)[:, None] * np.einsum("kmj,kj->km", a_t_d, u / s)
 
         return {"mean": g_mean, "quat": g_quat, "log_scale": g_log_scale, "flux": g_flux}
-
-    def query_gradients(self, x, dl_dout, neighborhood: Neighborhood):
-        """Per-neighbor gradients of J = dl_dout . L(x).
-
-        ``neighborhood`` must come from a forward query against the current
-        parameter state; a stale capture is a contract violation.
-        """
-        if neighborhood.version != self._version:
-            raise ValueError("stale neighborhood: field parameters changed since the forward query")
-        x = np.asarray(x, dtype=np.float64).reshape(1, 3)
-        dl = np.asarray(dl_dout, dtype=np.float64).reshape(3)
-        ids = neighborhood.ids
-        k = len(ids)
-        fwd = self._forward(x, ids, np.array([0, k], dtype=np.intp))
-        return self._backward_terms(ids, np.zeros(k, dtype=np.intp), np.broadcast_to(dl, (k, 3)), fwd)
 
     def backward_scatter(self, xs, dl_dout, flat, splits, fwd=None):
         """Accumulate batch query gradients into dense parameter arrays.

@@ -507,14 +507,14 @@ def render_gpf(
     w, h = camera.resolution
     field.ensure_index()
 
-    def query(fd, found):
+    def radiance_at(fd, found):
         queried = field.query_batch(fd.position[found])
         if bsdf_modulation:
             queried = queried * fd.albedo[found]
         return queried
 
     def job(s):
-        return _camera_frame(scene, camera, seed, s, query)
+        return _camera_frame(scene, camera, seed, s, radiance_at)
 
     acc = np.zeros((w * h, 3))
     for frame in _ordered_map(job, range(spp), threads):

@@ -9,9 +9,8 @@ exceeds the cut-off, and order every row by (distance, id). So each row is
 exactly what a linear scan gives, with inclusive boundaries (``distance
 <= r``) and ties broken by ascending id, whatever the tree's shape.
 
-The batch kernels (``*_query_batch``, CSR layout) are the one
-implementation; the scalar ``ball_query`` / ``knn_query`` /
-``hybrid_query`` methods are batch-of-one wrappers over them.
+The batch queries (``*_query_batch``) are the only queries: they take an
+(m, 3) array of points and answer in CSR layout, one row of ids per point.
 
 ``linear_ball_query`` / ``linear_knn_query`` / ``linear_hybrid_query`` are
 the reference scans used by the test suite; they share only the distance
@@ -38,7 +37,7 @@ def _sort_by_distance_then_id(ids, dists):
 
 
 def _empty_rows(m):
-    return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64), np.zeros(m + 1, dtype=np.intp)
+    return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp)
 
 
 class PointIndex:
@@ -82,33 +81,14 @@ class PointIndex:
     def points(self):
         return self._points
 
-    # -- scalar wrappers ---------------------------------------------------
-
-    def ball_query(self, x, r: float):
-        """All (id, distance) with distance <= r, sorted by (distance, id)."""
-        return self._ball(_point(x), r)[:2]
-
-    def knn_query(self, x, k: int):
-        """The min(k, n) nearest (id, distance), sorted by (distance, id).
-
-        Ties at the k-th distance are resolved by ascending id, so results
-        are unique for any input.
-        """
-        return self._knn(_point(x), k)[:2]
-
-    def hybrid_query(self, x, r: float, k_min: int):
-        """Ball query, topped up with k-nearest neighbors when sparse.
-
-        Returns deduplicated ids: the ball result when it already holds at
-        least ``k_min`` points, otherwise the union of ball and k_min-NN
-        results. Size is always >= min(k_min, n).
-        """
-        return self.hybrid_query_batch(_point(x), r, k_min)[0]
-
     # -- batch kernels -----------------------------------------------------
 
-    def _ball(self, xs, r):
-        """Ball query of rows ``xs``: (ids, distances, row_splits)."""
+    def ball_query_batch(self, xs, r: float):
+        """Vectorized ball query: (ids, row_splits) in CSR layout.
+
+        ``ids[row_splits[i]:row_splits[i+1]]`` are the ids within distance
+        ``r`` of point i, each row sorted by (distance, id).
+        """
         if not r >= 0:
             raise ValueError("radius must be non-negative")
         xs = _queries(xs)
@@ -117,7 +97,7 @@ class PointIndex:
             return _empty_rows(m)
         splits = np.zeros(m + 1, dtype=np.intp)
         cap = 8 * m + 64
-        ids, dists = np.empty(cap, dtype=np.intp), np.empty(cap)
+        ids, dists = np.empty(cap, dtype=np.intp), np.empty(cap)  # the kernel sorts rows by dists
         row = 0
         while True:
             row = load_kernels().pf_ball(
@@ -129,10 +109,14 @@ class PointIndex:
             done, cap = splits[row], 2 * cap
             ids = np.concatenate([ids[:done], np.empty(cap - done, dtype=np.intp)])
             dists = np.concatenate([dists[:done], np.empty(cap - done)])
-        return ids[: splits[m]], dists[: splits[m]], splits
+        return ids[: splits[m]], splits
 
-    def _knn(self, xs, k):
-        """k-nearest query of rows ``xs``: (ids, distances, row_splits)."""
+    def knn_query_batch(self, xs, k: int):
+        """Vectorized k-nearest query in CSR layout (ids, row_splits).
+
+        Each row holds exactly min(k, n) ids sorted by (distance, id), so
+        ties at the k-th distance go to the lower ids.
+        """
         if k < 0:
             raise ValueError("k must be non-negative")
         xs = _queries(xs)
@@ -140,24 +124,9 @@ class PointIndex:
         k_eff = min(k, len(self))
         if k_eff == 0 or m == 0:
             return _empty_rows(m)
-        ids, dists = np.empty(m * k_eff, dtype=np.intp), np.empty(m * k_eff)
+        ids, dists = np.empty(m * k_eff, dtype=np.intp), np.empty(m * k_eff)  # the kernel sorts rows by dists
         load_kernels().pf_knn(*self._c_tree, m, xs.ctypes.data, k_eff, ids.ctypes.data, dists.ctypes.data)
-        return ids, dists, np.arange(m + 1, dtype=np.intp) * k_eff
-
-    def ball_query_batch(self, xs, r: float):
-        """Vectorized ball query: (ids, row_splits) in CSR layout.
-
-        ``ids[row_splits[i]:row_splits[i+1]]`` are the neighbors of point i,
-        each row sorted by (distance, id).
-        """
-        return self._ball(xs, r)[::2]
-
-    def knn_query_batch(self, xs, k: int):
-        """Vectorized k-nearest query in CSR layout (ids, row_splits).
-
-        Each row holds exactly min(k, n) ids sorted by (distance, id).
-        """
-        return self._knn(xs, k)[::2]
+        return ids, np.arange(m + 1, dtype=np.intp) * k_eff
 
     def hybrid_query_batch(self, xs, r: float, k_min: int):
         """Vectorized hybrid query in CSR layout (ids, row_splits).
@@ -166,6 +135,8 @@ class PointIndex:
         min(k_min, n) ids, by the k_min-NN ids not already in it (in kNN
         order).
         """
+        if k_min < 0:
+            raise ValueError("k_min must be non-negative")
         xs = _queries(xs)
         flat, splits = self.ball_query_batch(xs, r)
         k_eff = min(k_min, len(self))
@@ -180,10 +151,6 @@ class PointIndex:
             out.ctypes.data, out_splits.ctypes.data,
         )
         return out[: out_splits[m]], out_splits
-
-
-def _point(x):
-    return np.asarray(x, dtype=np.float64).reshape(1, 3)
 
 
 def _queries(xs):

@@ -1,6 +1,8 @@
 """Command-line interface: determinism, manifests, error categories."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -200,6 +202,34 @@ class TestErrors:
         assert not out.exists()
         assert not (tmp_path / "x.pfm.manifest.json").exists()
 
+    def test_negative_kmin_is_validation_error(self, tmp_path, views_file, capsys):
+        ckpt, trained, img = tmp_path / "field.gpf", tmp_path / "trained.gpf", tmp_path / "x.pfm"
+        GaussianField(np.zeros((4, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)), np.full((4, 3), -4.0), np.ones((4, 3))).save(ckpt)
+        commands = (
+            [
+                "gpf-train", "--scene", "builtin:cornell-box", "--views", views_file, "--sppm-iterations", "1",
+                "--sppm-photons", "500", "--steps", "2", "--photons", "500", "--out-checkpoint", str(trained),
+                "--log", str(tmp_path / "log.json"), "--dataset-out", str(tmp_path / "d.gpd"),
+            ],
+            [
+                "gpf-render", "--scene", "builtin:cornell-box", "--checkpoint", str(ckpt),
+                "--out", str(img), "--resolution", "8", "8",
+            ],
+        )
+        for argv in commands:
+            assert main(argv + ["--kmin", "-2"]) == 3
+            assert "k_min must be non-negative" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["field.gpf", "views.json"]
+
+    @pytest.mark.parametrize("scale0", ["-1", "0"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_positive_scale0_is_validation_error(self, tmp_path, capsys, scale0):
+        ckpt = tmp_path / "field.gpf"
+        argv = ["gpf-init", "--scene", "builtin:cornell-box", "--photons", "500", "--scale0", scale0, "--out-checkpoint", str(ckpt)]
+        assert main(argv) == 3
+        assert "initial scale must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutputs:
     def test_pfm_output_is_readable_and_finite(self, tmp_path):
@@ -215,3 +245,31 @@ class TestOutputs:
         manifest = json.loads((tmp_path / "img.pfm.manifest.json").read_text())
         assert manifest["command"] == "render-sppm"
         assert str(out) in manifest["outputs"]
+
+    @pytest.mark.parametrize("failing", ["img.pfm.manifest.json", "table.json", "log.json", "sweep.json"])
+    def test_failed_json_write_leaves_no_partial_or_temp_file(self, tmp_path, views_file, monkeypatch, failing):
+        img, out = tmp_path / "img.pfm", str(tmp_path / failing)
+        small = ["--scene", "builtin:cornell-box", "--views", views_file, "--sppm-iterations", "1", "--sppm-photons", "500",
+                 "--steps", "2", "--batch", "16", "--photons", "500"]
+        argv = {
+            "img.pfm.manifest.json": _render_sppm_args(img),
+            "table.json": ["compare", "--ref", str(img), "--test", str(img), "--out", out],
+            "log.json": ["gpf-train", *small, "--out-checkpoint", str(tmp_path / "f.gpf"), "--log", out],
+            "sweep.json": ["sweep", "--param", "k", "--values", "3", *small, "--ref-iterations", "1",
+                           "--resolution", "12", "12", "--out", out],
+        }[failing]
+        if failing == "table.json":
+            assert main(_render_sppm_args(img)) == 0
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == failing:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        before = {p.name for p in tmp_path.iterdir()}
+        assert main(argv) == 4
+        new = {p.name for p in tmp_path.iterdir()} - before
+        assert failing not in new
+        assert not [n for n in new if n.endswith((".manifest.json", ".tmp"))]

@@ -7,6 +7,7 @@ from photonfield.core import Rng, quaternion_to_matrix, random_unit_quaternion
 from photonfield.field import GaussianField
 from photonfield.photons import PhotonMap, trace_photons
 from photonfield.scene import builtin_scene
+from photonfield.spatial import linear_hybrid_query
 
 
 def _random_field(rng, n=40, radius=0.05, k_min=3, span=0.1):
@@ -63,6 +64,20 @@ class TestInitialization:
         with pytest.raises(ValueError, match="empty photon map"):
             GaussianField.from_photons(PhotonMap.empty())
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_positive_or_non_finite_initial_scale_rejected(self, scale):
+        photons = PhotonMap(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="initial scale"):
+            GaussianField.from_photons(photons, initial_scale=scale)
+
+    @pytest.mark.parametrize(("radius", "k_min", "match"), [
+        (0.02, -1, "k_min"), (-0.01, 3, "radius"), (np.nan, 3, "radius"), (np.inf, 3, "radius"),
+    ])
+    def test_negative_k_min_and_bad_radius_rejected(self, radius, k_min, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianField(np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]], np.zeros((1, 3)), np.ones((1, 3)), radius=radius, k_min=k_min)
+
 
 class TestWeight:
     def test_weight_at_mean_is_exactly_one(self):
@@ -101,6 +116,16 @@ class TestWeight:
         assert beyond == pytest.approx(np.exp(-3.0), abs=1e-4)
 
 
+def _csr_rows(flat, splits):
+    return [flat[splits[i]:splits[i + 1]] for i in range(len(splits) - 1)]
+
+
+def _nearby_points(rng, center_span, spread, b):
+    """``b`` points within ``spread`` of one random centre, so their
+    neighborhoods share primitives as a training batch's do."""
+    return rng.uniform(-center_span, center_span, 3) + rng.uniform(-spread, spread, (b, 3))
+
+
 class TestQuery:
     def test_single_primitive_at_mean_returns_flux_exactly(self):
         flux = np.array([0.123, 4.5, 0.00789])
@@ -108,9 +133,10 @@ class TestQuery:
             np.array([[0.1, 0.2, 0.3]]), np.array([[1.0, 0.0, 0.0, 0.0]]),
             np.log(np.full((1, 3), 0.01)), flux[None, :],
         )
-        L, nb = field.query(np.array([0.1, 0.2, 0.3]))
-        np.testing.assert_array_equal(L, flux)
-        np.testing.assert_array_equal(nb.ids, [0])
+        field.ensure_index()
+        xs = np.array([[0.1, 0.2, 0.3]])
+        np.testing.assert_array_equal(field.query_batch(xs)[0], flux)
+        np.testing.assert_array_equal(field._neighbors(xs)[0], [0])
 
     def test_two_coincident_primitives_average_exactly(self):
         x = np.array([0.05, -0.02, 0.0])
@@ -120,8 +146,8 @@ class TestQuery:
             np.vstack([x, x]), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
             np.log(np.full((2, 3), 0.01)), np.vstack([fa, fb]),
         )
-        L, _ = field.query(x)
-        np.testing.assert_array_equal(L, (fa + fb) / 2.0)
+        field.ensure_index()
+        np.testing.assert_array_equal(field.query_batch(x[None])[0], (fa + fb) / 2.0)
 
     def test_two_equidistant_primitives_average(self):
         off = np.array([0.004, 0.0, 0.0])
@@ -131,36 +157,36 @@ class TestQuery:
             np.vstack([off, -off]), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
             np.log(np.full((2, 3), 0.01)), np.vstack([fa, fb]),
         )
-        L, _ = field.query(np.zeros(3))
-        np.testing.assert_allclose(L, (fa + fb) / 2.0, rtol=1e-14)
+        field.ensure_index()
+        np.testing.assert_allclose(field.query_batch(np.zeros((1, 3)))[0], (fa + fb) / 2.0, rtol=1e-14)
 
     def test_matches_linear_scan_over_same_neighbors(self):
         rng = np.random.default_rng(5)
         field = _random_field(rng, n=50)
         field.rebuild_index()
-        for _ in range(20):
-            x = rng.uniform(-0.1, 0.1, 3)
-            L, nb = field.query(x)
+        xs = rng.uniform(-0.1, 0.1, (20, 3))
+        got = field.query_batch(xs)
+        for x, ids, L in zip(xs, _csr_rows(*field._neighbors(xs)), got):
+            np.testing.assert_array_equal(ids, linear_hybrid_query(field.means, x, field.radius, field.k_min))
             # independent evaluation of the normalized weighted sum
-            w = np.array([_scan_weight(field, i, x) for i in nb.ids])
-            expected = (w[:, None] * field.flux[nb.ids]).sum(axis=0) / max(w.sum(), field.eps)
+            w = np.array([_scan_weight(field, i, x) for i in ids])
+            expected = (w[:, None] * field.flux[ids]).sum(axis=0) / max(w.sum(), field.eps)
             np.testing.assert_allclose(L, expected, atol=1e-12, rtol=1e-12)
 
     def test_empty_field_returns_zero(self):
         field = GaussianField(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)), np.zeros((0, 3)))
-        L, nb = field.query(np.zeros(3))
-        np.testing.assert_array_equal(L, np.zeros(3))
-        assert len(nb.ids) == 0
+        np.testing.assert_array_equal(field.query_batch(np.zeros((2, 3))), np.zeros((2, 3)))
 
     def test_batch_matches_single_queries(self):
+        # a row's value does not depend on the other rows of its batch
         rng = np.random.default_rng(6)
         field = _random_field(rng, n=80)
         field.rebuild_index()
         xs = rng.uniform(-0.12, 0.12, (40, 3))
         batch = field.query_batch(xs)
+        assert batch[::-1].tobytes() == field.query_batch(xs[::-1]).tobytes()
         for i, x in enumerate(xs):
-            single, _ = field.query(x)
-            np.testing.assert_array_equal(batch[i], single)
+            assert batch[i].tobytes() == field.query_batch(x[None])[0].tobytes()
 
     def test_negated_quaternions_leave_output_bits_unchanged(self):
         rng = np.random.default_rng(7)
@@ -197,40 +223,42 @@ class TestQuery:
             np.log(np.full((5, 3), 0.01)), np.arange(15, dtype=np.float64).reshape(5, 3),
         )
         field.rebuild_index()
-        x = np.zeros(3)
-        before, nb = field.query(x)
-        assert 4 not in nb.ids
+        xs = np.zeros((1, 3))
+        before = field.query_batch(xs)
+        assert 4 not in field._neighbors(xs)[0]
         field.flux[4] = 999.0
         field.means[4] = [0.9, -0.9, 0.9]
         field.mark_updated()
-        field.rebuild_index()
-        after, _ = field.query(x)
-        np.testing.assert_array_equal(before, after)
+        field.ensure_index()
+        np.testing.assert_array_equal(before, field.query_batch(xs))
 
 
 class TestGradients:
     def test_analytic_matches_central_differences_per_block(self):
+        # batches of nearby points: rows share primitives, so the check
+        # covers the cross-row sums and the ordered scatter training runs
         rng = np.random.default_rng(12)
         worst = 0.0
         trials = 0
         while trials < 25:
             field = _random_field(rng, n=30)
-            x = rng.uniform(-0.08, 0.08, 3)
-            dl = rng.normal(size=3)
-            L, nb = field.query(x)
-            if len(nb.ids) == 0:
-                continue
+            field.rebuild_index()
+            xs = _nearby_points(rng, 0.08, 0.02, 4)
+            dl = rng.normal(size=(4, 3))
+            flat, splits = field._neighbors(xs)
+            owner = np.repeat(np.arange(len(xs)), np.diff(splits))
             # keep clear of the falloff kink and the normalization switch
-            dists = np.linalg.norm(x - field.means[nb.ids], axis=1)
-            if np.any(np.abs(dists - field.radius) < 1e-4):
+            dists = np.linalg.norm(xs[owner] - field.means[flat], axis=1)
+            if np.bincount(flat).max() < 2 or np.any(np.abs(dists - field.radius) < 1e-4):
                 continue
             trials += 1
-            grads = field.query_gradients(x, dl, nb)
+            grads = field.backward_scatter(xs, dl, flat, splits)
+            touched = np.unique(flat)
+            outside = np.setdiff1d(np.arange(len(field)), touched)
 
             def objective():
-                splits = np.array([0, len(nb.ids)])
-                val, _, _ = field._forward(x[None, :], nb.ids, splits)
-                return float(dl @ val[0])
+                val, _, _ = field._forward(xs, flat, splits)
+                return float(np.sum(dl * val))
 
             for block, attr in (
                 ("mean", "means"),
@@ -238,9 +266,10 @@ class TestGradients:
                 ("log_scale", "log_scales"),
                 ("flux", "flux"),
             ):
+                assert not np.any(grads[block][outside]), block
                 arr = getattr(field, attr)
-                fd = np.zeros_like(grads[block])
-                for row, pid in enumerate(nb.ids):
+                fd = np.zeros((len(touched), arr.shape[1]))
+                for row, pid in enumerate(touched):
                     for c in range(arr.shape[1]):
                         h = 1e-6 * max(1.0, abs(arr[pid, c]))
                         orig = arr[pid, c]
@@ -250,8 +279,9 @@ class TestGradients:
                         down = objective()
                         arr[pid, c] = orig
                         fd[row, c] = (up - down) / (2.0 * h)
-                scale = max(np.abs(grads[block]).max(), np.abs(fd).max(), 1e-8)
-                worst = max(worst, float(np.abs(grads[block] - fd).max() / scale))
+                g = grads[block][touched]
+                scale = max(np.abs(g).max(), np.abs(fd).max(), 1e-8)
+                worst = max(worst, float(np.abs(g - fd).max() / scale))
         assert worst < 1e-4
 
     def test_gradient_at_mean_is_stationary_in_position(self):
@@ -259,21 +289,25 @@ class TestGradients:
             np.array([[0.1, 0.2, 0.3]]), np.array([[1.0, 0.0, 0.0, 0.0]]),
             np.log(np.full((1, 3), 0.01)), np.array([[1.0, 2.0, 3.0]]),
         )
-        L, nb = field.query(np.array([0.1, 0.2, 0.3]))
-        grads = field.query_gradients(np.array([0.1, 0.2, 0.3]), np.ones(3), nb)
+        field.ensure_index()
+        xs = np.array([[0.1, 0.2, 0.3]])
+        grads = field.backward_scatter(xs, np.ones((1, 3)), *field._neighbors(xs))
         np.testing.assert_allclose(grads["mean"], 0.0, atol=1e-15)
 
     def test_flux_gradient_is_weight_over_normalizer(self):
+        # d J / d flux_i[0] = sum over rows b of w_bi / z_b when dl_b = (1, 0, 0)
         rng = np.random.default_rng(13)
         field = _random_field(rng, n=20)
-        x = rng.uniform(-0.05, 0.05, 3)
-        L, nb = field.query(x)
-        if len(nb.ids) == 0:
-            pytest.skip("no neighbors drawn")
-        grads = field.query_gradients(x, np.array([1.0, 0.0, 0.0]), nb)
-        w = np.array([_scan_weight(field, i, x) for i in nb.ids])
-        z = max(w.sum(), field.eps)
-        np.testing.assert_allclose(grads["flux"][:, 0], w / z, rtol=1e-12)
+        field.rebuild_index()
+        xs = _nearby_points(rng, 0.05, 0.02, 5)
+        flat, splits = field._neighbors(xs)
+        grads = field.backward_scatter(xs, np.tile([1.0, 0.0, 0.0], (len(xs), 1)), flat, splits)
+        expected = np.zeros(len(field))
+        for x, ids in zip(xs, _csr_rows(flat, splits)):
+            w = np.array([_scan_weight(field, i, x) for i in ids])
+            expected[ids] += w / max(w.sum(), field.eps)
+        assert np.bincount(flat).max() >= 2
+        np.testing.assert_allclose(grads["flux"][:, 0], expected, rtol=1e-12)
         np.testing.assert_array_equal(grads["flux"][:, 1:], 0.0)
 
     def test_out_of_neighborhood_primitive_gets_zero_gradient(self):
@@ -321,16 +355,6 @@ class TestGradients:
         without = field.backward_scatter(xs, dl, flat, splits)
         for key in ("mean", "quat", "log_scale", "flux"):
             assert with_terms[key].tobytes() == without[key].tobytes(), key
-
-    def test_stale_neighborhood_rejected(self):
-        rng = np.random.default_rng(14)
-        field = _random_field(rng, n=10)
-        x = np.zeros(3)
-        L, nb = field.query(x)
-        field.flux[0] += 1.0
-        field.mark_updated()
-        with pytest.raises(ValueError, match="stale"):
-            field.query_gradients(x, np.ones(3), nb)
 
 
 class TestSerialization:

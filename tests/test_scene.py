@@ -215,7 +215,7 @@ class TestCompiledKernel:
 
         def neighbour_query():
             monkeypatch.setattr(geometry, "_lib", None)
-            np.testing.assert_array_equal(PointIndex(pts).knn_query(pts[0], 3)[0], linear_knn_query(pts, pts[0], 3)[0])
+            np.testing.assert_array_equal(PointIndex(pts).knn_query_batch(pts[:1], 3)[0], linear_knn_query(pts, pts[0], 3)[0])
 
         ray_query()
         cache = tmp_path / "photonfield"

@@ -21,54 +21,60 @@ def _random_points(n, seed=0, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, (n, 3))
 
 
+def _rows(flat, splits):
+    return [flat[splits[i]:splits[i + 1]] for i in range(len(splits) - 1)]
+
+
+def _dists(pts, ids, x):
+    return np.linalg.norm(pts[ids] - x, axis=1)
+
+
 class TestBallQuery:
     def test_constructed_distances(self):
         pts = np.array([[0.01, 0, 0], [0, 0.019, 0], [0, 0, 0.05]])
-        idx = PointIndex(pts)
-        ids, dists = idx.ball_query([0.0, 0.0, 0.0], 0.02)
+        ids, splits = PointIndex(pts).ball_query_batch(np.zeros((1, 3)), 0.02)
+        np.testing.assert_array_equal(splits, [0, 2])
         np.testing.assert_array_equal(ids, [0, 1])
-        np.testing.assert_allclose(dists, [0.01, 0.019])
+        np.testing.assert_allclose(_dists(pts, ids, 0.0), [0.01, 0.019])
 
     def test_boundary_is_inclusive(self):
         idx = PointIndex(np.array([[0.5, 0.0, 0.0]]))
-        ids, _ = idx.ball_query([0.0, 0.0, 0.0], 0.5)
+        ids, _ = idx.ball_query_batch(np.zeros((1, 3)), 0.5)
         np.testing.assert_array_equal(ids, [0])
 
     def test_radius_zero_returns_self(self):
         pts = _random_points(1000, seed=1)
-        idx = PointIndex(pts)
-        for i in range(0, 1000, 97):
-            ids, dists = idx.ball_query(pts[i], 0.0)
-            assert i in ids
-            assert np.all(dists == 0.0)
+        queries = np.arange(0, 1000, 97)
+        flat, splits = PointIndex(pts).ball_query_batch(pts[queries], 0.0)
+        for i, row in zip(queries, _rows(flat, splits)):
+            assert i in row
+            assert np.all(pts[row] == pts[i])
 
     def test_infinite_radius_returns_everything(self):
         pts = _random_points(500, seed=2)
-        idx = PointIndex(pts)
-        ids, _ = idx.ball_query([0.0, 0.0, 0.0], np.inf)
-        assert len(ids) == 500
+        flat, splits = PointIndex(pts).ball_query_batch(np.zeros((3, 3)), np.inf)
+        np.testing.assert_array_equal(splits, [0, 500, 1000, 1500])
 
     def test_matches_linear_scan(self):
         pts = _random_points(2000, seed=3)
         idx = PointIndex(pts)
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            x = rng.uniform(-1.2, 1.2, 3)
+        for _ in range(5):
+            xs = rng.uniform(-1.2, 1.2, (10, 3))
             r = rng.uniform(0.0, 0.6)
-            ids, dists = idx.ball_query(x, r)
-            ref_ids, ref_dists = linear_ball_query(pts, x, r)
-            np.testing.assert_array_equal(ids, ref_ids)
-            np.testing.assert_array_equal(dists, ref_dists)
+            flat, splits = idx.ball_query_batch(xs, r)
+            for x, row in zip(xs, _rows(flat, splits)):
+                np.testing.assert_array_equal(row, linear_ball_query(pts, x, r)[0])
 
     def test_empty_index_answers_empty(self):
         idx = PointIndex(np.zeros((0, 3)))
-        ids, _ = idx.ball_query([0.0, 0.0, 0.0], 1.0)
-        assert len(ids) == 0
-        assert len(idx.hybrid_query([0.0, 0.0, 0.0], 1.0, 3)) == 0
+        for flat, splits in (idx.ball_query_batch(np.zeros((1, 3)), 1.0), idx.hybrid_query_batch(np.zeros((1, 3)), 1.0, 3)):
+            assert len(flat) == 0
+            np.testing.assert_array_equal(splits, [0, 0])
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            PointIndex(np.zeros((1, 3))).ball_query([0, 0, 0], -0.1)
+            PointIndex(np.zeros((1, 3))).ball_query_batch(np.zeros((1, 3)), -0.1)
 
     def test_nonfinite_points_rejected(self):
         with pytest.raises(ValueError):
@@ -77,39 +83,35 @@ class TestBallQuery:
 
 class TestKnnQuery:
     def test_k_zero_is_empty(self):
-        idx = PointIndex(_random_points(10))
-        ids, _ = idx.knn_query([0, 0, 0], 0)
-        assert len(ids) == 0
+        flat, splits = PointIndex(_random_points(10)).knn_query_batch(np.zeros((2, 3)), 0)
+        assert len(flat) == 0
+        np.testing.assert_array_equal(splits, [0, 0, 0])
 
     def test_k_at_least_n_returns_all_sorted(self):
         pts = _random_points(50, seed=5)
-        idx = PointIndex(pts)
-        ids, dists = idx.knn_query([0.1, 0.2, 0.3], 100)
-        assert len(ids) == 50
-        assert np.all(np.diff(dists) >= 0)
+        x = np.array([0.1, 0.2, 0.3])
+        ids, splits = PointIndex(pts).knn_query_batch(x[None], 100)
+        np.testing.assert_array_equal(splits, [0, 50])
+        assert np.all(np.diff(_dists(pts, ids, x)) >= 0)
         np.testing.assert_array_equal(np.sort(ids), np.arange(50))
 
     def test_matches_linear_scan(self):
         pts = _random_points(3000, seed=6)
         idx = PointIndex(pts)
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            x = rng.uniform(-1, 1, 3)
-            k = int(rng.integers(1, 12))
-            ids, dists = idx.knn_query(x, k)
-            ref_ids, ref_dists = linear_knn_query(pts, x, k)
-            np.testing.assert_array_equal(ids, ref_ids)
-            np.testing.assert_array_equal(dists, ref_dists)
+        for k in range(1, 12):
+            xs = rng.uniform(-1, 1, (5, 3))
+            flat, splits = idx.knn_query_batch(xs, k)
+            for x, row in zip(xs, _rows(flat, splits)):
+                np.testing.assert_array_equal(row, linear_knn_query(pts, x, k)[0])
 
     def test_exact_ties_break_by_ascending_id(self):
         # four points at identical distance, ids decide the order
         pts = np.array([[0.25, 0, 0], [0, 0.25, 0], [-0.25, 0, 0], [0, -0.25, 0], [0, 0, 0.9]])
-        idx = PointIndex(pts)
-        ids, dists = idx.knn_query([0.0, 0.0, 0.0], 3)
+        ids, _ = PointIndex(pts).knn_query_batch(np.zeros((1, 3)), 3)
         np.testing.assert_array_equal(ids, [0, 1, 2])
-        assert np.all(dists == 0.25)
-        ref_ids, _ = linear_knn_query(pts, [0.0, 0.0, 0.0], 3)
-        np.testing.assert_array_equal(ids, ref_ids)
+        assert np.all(_dists(pts, ids, 0.0) == 0.25)
+        np.testing.assert_array_equal(ids, linear_knn_query(pts, np.zeros(3), 3)[0])
 
 
 class TestHybridQuery:
@@ -117,25 +119,23 @@ class TestHybridQuery:
         rng = np.random.default_rng(8)
         cluster = rng.uniform(-0.01, 0.01, (10, 3))
         far = rng.uniform(0.5, 1.0, (5, 3))
-        pts = np.vstack([cluster, far])
-        idx = PointIndex(pts)
-        ids = idx.hybrid_query([0.0, 0.0, 0.0], 0.02, 3)
-        ball_ids, _ = idx.ball_query([0.0, 0.0, 0.0], 0.02)
+        idx = PointIndex(np.vstack([cluster, far]))
+        ids, _ = idx.hybrid_query_batch(np.zeros((1, 3)), 0.02, 3)
+        ball_ids, _ = idx.ball_query_batch(np.zeros((1, 3)), 0.02)
         np.testing.assert_array_equal(ids, ball_ids)
         assert len(ids) >= 10
 
     def test_far_query_returns_k_min_nearest(self):
-        pts = _random_points(100, seed=9)
-        idx = PointIndex(pts)
-        x = np.array([10.0, 10.0, 10.0])
-        ids = idx.hybrid_query(x, 0.02, 3)
-        knn_ids, _ = idx.knn_query(x, 3)
+        idx = PointIndex(_random_points(100, seed=9))
+        xs = np.array([[10.0, 10.0, 10.0], [-10.0, 0.0, 10.0]])
+        ids, splits = idx.hybrid_query_batch(xs, 0.02, 3)
+        knn_ids, knn_splits = idx.knn_query_batch(xs, 3)
         np.testing.assert_array_equal(ids, knn_ids)
+        np.testing.assert_array_equal(splits, knn_splits)
 
     def test_union_deduplicates(self):
         pts = np.array([[0.005, 0, 0], [0, 0.01, 0], [0.5, 0, 0], [0, 0, 0.8]])
-        idx = PointIndex(pts)
-        ids = idx.hybrid_query([0.0, 0.0, 0.0], 0.02, 3)
+        ids, _ = PointIndex(pts).hybrid_query_batch(np.zeros((1, 3)), 0.02, 3)
         assert len(ids) == 3
         assert len(np.unique(ids)) == 3
         assert set(ids[:2]) == {0, 1}
@@ -144,46 +144,21 @@ class TestHybridQuery:
         pts = _random_points(500, seed=10)
         idx = PointIndex(pts)
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            x = rng.uniform(-1.5, 1.5, 3)
+        for _ in range(10):
+            xs = rng.uniform(-1.5, 1.5, (10, 3))
             r = rng.uniform(0.0, 0.3)
             k_min = int(rng.integers(0, 8))
-            ids = idx.hybrid_query(x, r, k_min)
-            ball_ids, _ = idx.ball_query(x, r)
-            assert set(ball_ids).issubset(set(ids))
-            assert len(ids) >= min(k_min, len(pts))
-            ref = linear_hybrid_query(pts, x, r, k_min)
-            np.testing.assert_array_equal(ids, ref)
+            hybrid = _rows(*idx.hybrid_query_batch(xs, r, k_min))
+            ball = _rows(*idx.ball_query_batch(xs, r))
+            for x, ids, ball_ids in zip(xs, hybrid, ball):
+                assert set(ball_ids).issubset(set(ids))
+                assert len(ids) >= min(k_min, len(pts))
+                np.testing.assert_array_equal(ids, linear_hybrid_query(pts, x, r, k_min))
 
-
-class TestBatchQueries:
-    def test_batch_ball_matches_single(self):
-        pts = _random_points(800, seed=12)
-        idx = PointIndex(pts)
-        xs = np.random.default_rng(13).uniform(-1, 1, (60, 3))
-        flat, splits = idx.ball_query_batch(xs, 0.25)
-        for i, x in enumerate(xs):
-            ids, _ = idx.ball_query(x, 0.25)
-            np.testing.assert_array_equal(flat[splits[i]:splits[i + 1]], ids)
-
-    def test_batch_knn_matches_single(self):
-        pts = _random_points(800, seed=14)
-        idx = PointIndex(pts)
-        xs = np.random.default_rng(15).uniform(-1, 1, (60, 3))
-        flat, splits = idx.knn_query_batch(xs, 5)
-        for i, x in enumerate(xs):
-            ids, _ = idx.knn_query(x, 5)
-            np.testing.assert_array_equal(flat[splits[i]:splits[i + 1]], ids)
-
-    def test_batch_hybrid_matches_single(self):
-        pts = _random_points(300, seed=16)
-        idx = PointIndex(pts)
-        xs = np.random.default_rng(17).uniform(-2, 2, (80, 3))
-        flat, splits = idx.hybrid_query_batch(xs, 0.1, 4)
-        for i, x in enumerate(xs):
-            ids = idx.hybrid_query(x, 0.1, 4)
-            np.testing.assert_array_equal(flat[splits[i]:splits[i + 1]], ids)
-
+    def test_negative_k_min_rejected(self):
+        idx = PointIndex(_random_points(10))
+        with pytest.raises(ValueError, match="k_min"):
+            idx.hybrid_query_batch(np.zeros((1, 3)), 0.1, -2)
 
 
 def _assert_batch_rows_match_linear_scan(pts, xs, r, k_min):
@@ -245,9 +220,10 @@ class TestStructuralProperties:
         pts = _random_points(1000, seed=18)
         a = PointIndex(pts)
         b = PointIndex(pts)
-        x = np.array([0.2, -0.1, 0.4])
-        np.testing.assert_array_equal(a.ball_query(x, 0.3)[0], b.ball_query(x, 0.3)[0])
-        np.testing.assert_array_equal(a.knn_query(x, 7)[0], b.knn_query(x, 7)[0])
+        xs = np.array([[0.2, -0.1, 0.4], [-0.5, 0.3, 0.0]])
+        for query in (lambda idx: idx.ball_query_batch(xs, 0.3), lambda idx: idx.knn_query_batch(xs, 7)):
+            for got, want in zip(query(a), query(b)):
+                assert got.tobytes() == want.tobytes()
 
     def test_permutation_invariant_distance_multisets(self):
         pts = _random_points(400, seed=19)
@@ -255,25 +231,22 @@ class TestStructuralProperties:
         a = PointIndex(pts)
         b = PointIndex(pts[perm])
         x = np.array([0.0, 0.1, -0.2])
-        _, da = a.ball_query(x, 0.4)
-        _, db = b.ball_query(x, 0.4)
-        np.testing.assert_array_equal(np.sort(da), np.sort(db))
-        _, da = a.knn_query(x, 9)
-        _, db = b.knn_query(x, 9)
-        np.testing.assert_array_equal(np.sort(da), np.sort(db))
+        for query in (lambda idx: idx.ball_query_batch(x[None], 0.4), lambda idx: idx.knn_query_batch(x[None], 9)):
+            da = _dists(pts, query(a)[0], x)
+            db = _dists(pts[perm], query(b)[0], x)
+            np.testing.assert_array_equal(np.sort(da), np.sort(db))
 
     def test_query_cost_stays_sublinear(self):
         # soft performance guard: per-query time on 10x the points must not
         # grow anywhere near 10x (accelerated lookups, not scans)
         small = PointIndex(_random_points(2000, seed=21))
         large = PointIndex(_random_points(20000, seed=22))
-        xs = np.random.default_rng(23).uniform(-1, 1, (200, 3))
+        xs = np.random.default_rng(23).uniform(-1, 1, (4000, 3))
 
         def timed(idx):
             t0 = time.perf_counter()
-            for x in xs:
-                idx.ball_query(x, 0.05)
-                idx.knn_query(x, 4)
+            idx.ball_query_batch(xs, 0.05)
+            idx.knn_query_batch(xs, 4)
             return time.perf_counter() - t0
 
         timed(small)  # warm up
@@ -283,22 +256,19 @@ class TestStructuralProperties:
 
 
 def _assert_kernels_match_linear_scan(pts, xs, r, k):
-    """Ball and kNN rows (ids and distance bits) and hybrid rows equal the linear scans."""
+    """Ball, kNN and hybrid rows equal the linear scans' ids, byte for byte."""
     idx = PointIndex(pts)
     xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
-    bids, bdist, bsplits = idx._ball(xs, r)
-    kids, kdist, ksplits = idx._knn(xs, k)
-    hids, hsplits = idx.hybrid_query_batch(xs, r, k)
-    for i, x in enumerate(xs):
-        for ids, dist, splits, ref in (
-            (bids, bdist, bsplits, linear_ball_query(pts, x, r)),
-            (kids, kdist, ksplits, linear_knn_query(pts, x, k)),
-        ):
-            row = slice(splits[i], splits[i + 1])
-            assert ids[row].tobytes() == ref[0].tobytes()
-            assert dist[row].tobytes() == ref[1].tobytes()
-        np.testing.assert_array_equal(hids[hsplits[i]:hsplits[i + 1]], linear_hybrid_query(pts, x, r, k))
-    return np.diff(bsplits)
+    ball = idx.ball_query_batch(xs, r)
+    for (flat, splits), scan in (
+        (ball, lambda x: linear_ball_query(pts, x, r)[0]),
+        (idx.knn_query_batch(xs, k), lambda x: linear_knn_query(pts, x, k)[0]),
+        (idx.hybrid_query_batch(xs, r, k), lambda x: linear_hybrid_query(pts, x, r, k)),
+    ):
+        assert len(splits) == len(xs) + 1
+        for x, row in zip(xs, _rows(flat, splits)):
+            assert row.tobytes() == scan(x).astype(np.intp).tobytes()
+    return np.diff(ball[1])
 
 
 class TestKernelAgainstLinearScan:
@@ -377,7 +347,7 @@ class TestKernelAgainstLinearScan:
 
         def queries(i):
             part = xs[i::2]
-            return [a.tobytes() for a in (*idx._ball(part, 0.02), *idx._knn(part, 5), *idx.hybrid_query_batch(part, 0.01, 6))]
+            return [a.tobytes() for a in (*idx.ball_query_batch(part, 0.02), *idx.knn_query_batch(part, 5), *idx.hybrid_query_batch(part, 0.01, 6))]
 
         serial = [queries(i) for i in range(2)]
         with ThreadPoolExecutor(2) as pool:
@@ -391,8 +361,21 @@ class TestKernelAgainstLinearScan:
         pts = 100.0 + rng.normal(size=(2000, 3)) * rng.uniform(0.0, 2.0, (2000, 3))
         xs = 100.0 + rng.normal(size=(60, 3))
         _assert_kernels_match_linear_scan(pts, xs, 1.5, 25)
+        # rows carry no distances, so their bits show at the inclusive
+        # boundary: a radius equal to a point's distance keeps the point and
+        # the float below drops it. Pick points whose distance another
+        # summation order rounds differently, which would flip one answer.
         d = pts - xs[0]
-        assert np.any(np.einsum("ij,ij->i", d, d) != (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+        sq = d * d
+        moved = np.zeros(len(pts), dtype=bool)
+        for a, b, c in ((0, 1, 2), (1, 2, 0)):
+            moved |= np.sqrt((sq[:, a] + sq[:, b]) + sq[:, c]) != dist
+        picked = np.flatnonzero(moved)[:20]
+        assert len(picked) == 20
+        for j in picked:
+            for r in (dist[j], np.nextafter(dist[j], 0.0)):
+                _assert_kernels_match_linear_scan(pts, xs[:1], r, 25)
 
     def test_non_finite_queries_rejected(self):
         idx = PointIndex(_random_points(10))
@@ -400,7 +383,7 @@ class TestKernelAgainstLinearScan:
             with pytest.raises(ValueError, match="finite"):
                 idx.ball_query_batch([[0.0, bad, 0.0]], 0.1)
             with pytest.raises(ValueError, match="finite"):
-                idx.knn_query([bad, 0.0, 0.0], 2)
+                idx.knn_query_batch([[bad, 0.0, 0.0]], 2)
 
 
 def test_import_and_query_need_no_scipy():
