@@ -1,9 +1,11 @@
 /* Nearest-hit BVH traversal for photonfield.geometry.
  *
- * Walks the flat node arrays built by Geometry._build_bvh, one ray at a
- * time with an explicit stack, left child first. Leaf primitives are
- * tested in perm order and a hit replaces the best one only if strictly
- * nearer, so of equal-t hits the first primitive in perm order wins.
+ * pf_bvh_nearest walks the flat node arrays built by Geometry._build_bvh
+ * for one ray, with an explicit stack, left child first; pf_intersect runs
+ * it over a batch of rays and _photons.c along photon paths. Leaf
+ * primitives are tested in perm order and a hit replaces the best one only
+ * if strictly nearer, so of equal-t hits the first primitive in perm order
+ * wins.
  *
  * The leaf formulas and their operation order are those of
  * Geometry._leaf_hits; every three-term dot product is summed as
@@ -13,10 +15,10 @@
 #include <math.h>
 #include <stddef.h>
 
+#include "_bvh.h"
+
 #define STACK_MAX 64 /* geometry._STACK_MAX */
 #define DEGENERATE 1e-12
-
-enum { KIND_SPHERE, KIND_QUAD, KIND_TRIANGLE };
 
 static double dot3(const double *x, const double *y)
 {
@@ -91,6 +93,49 @@ static int slab_hit(const double *o, const double *inv_d, const double *lo, cons
     return tn <= tf && tf > t_min && tn <= best_t;
 }
 
+int pf_bvh_nearest(const struct pf_bvh *g, const double *o, const double *d, double t_min, double *best_t,
+                   ptrdiff_t *best_p)
+{
+    if (g->stack_size > STACK_MAX)
+        return -1;
+    double inv_d[3] = {1.0 / d[0], 1.0 / d[1], 1.0 / d[2]};
+    double best = *best_t;
+    ptrdiff_t best_prim = *best_p;
+    ptrdiff_t stack[STACK_MAX];
+    int sp = 0;
+    stack[sp++] = 0;
+    while (sp > 0) {
+        ptrdiff_t node = stack[--sp];
+        if (!slab_hit(o, inv_d, g->node_lo + 3 * node, g->node_hi + 3 * node, t_min, best))
+            continue;
+        if (g->node_count[node] == 0 && g->node_left[node] >= 0) {
+            if (sp + 2 > g->stack_size)
+                return -1;
+            stack[sp++] = g->node_right[node];
+            stack[sp++] = g->node_left[node];
+            continue;
+        }
+        for (ptrdiff_t j = g->node_start[node]; j < g->node_start[node] + g->node_count[node]; j++) {
+            ptrdiff_t p = g->perm[j];
+            double t;
+            if (g->kinds[p] == KIND_SPHERE)
+                t = hit_sphere(o, d, g->pa + 3 * p, g->pb[3 * p], t_min);
+            else if (g->kinds[p] == KIND_QUAD)
+                t = hit_quad(o, d, g->pa + 3 * p, g->pb + 3 * p, g->pc + 3 * p, g->normals + 3 * p,
+                             g->quad_gram + 3 * p, t_min);
+            else
+                t = hit_triangle(o, d, g->pa + 3 * p, g->tri_e1 + 3 * p, g->tri_e2 + 3 * p, t_min);
+            if (t < best) {
+                best = t;
+                best_prim = p;
+            }
+        }
+    }
+    *best_t = best;
+    *best_p = best_prim;
+    return 0;
+}
+
 /* Nearest hit of each of n rays; best_t holds t_max on entry. Returns 0,
  * or -1 if stack_size exceeds STACK_MAX or the walk would need more than
  * stack_size slots (the outputs are then incomplete). */
@@ -102,45 +147,10 @@ int pf_intersect(ptrdiff_t n, const double *o, const double *d, double t_min, do
                  const double *normals, const double *quad_gram, const double *tri_e1,
                  const double *tri_e2)
 {
-    if (stack_size > STACK_MAX)
-        return -1;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        const double *ro = o + 3 * i, *rd = d + 3 * i;
-        double inv_d[3] = {1.0 / rd[0], 1.0 / rd[1], 1.0 / rd[2]};
-        double best = best_t[i];
-        ptrdiff_t best_prim = best_p[i];
-        ptrdiff_t stack[STACK_MAX];
-        int sp = 0;
-        stack[sp++] = 0;
-        while (sp > 0) {
-            ptrdiff_t node = stack[--sp];
-            if (!slab_hit(ro, inv_d, node_lo + 3 * node, node_hi + 3 * node, t_min, best))
-                continue;
-            if (node_count[node] == 0 && node_left[node] >= 0) {
-                if (sp + 2 > stack_size)
-                    return -1;
-                stack[sp++] = node_right[node];
-                stack[sp++] = node_left[node];
-                continue;
-            }
-            for (ptrdiff_t j = node_start[node]; j < node_start[node] + node_count[node]; j++) {
-                ptrdiff_t p = perm[j];
-                double t;
-                if (kinds[p] == KIND_SPHERE)
-                    t = hit_sphere(ro, rd, pa + 3 * p, pb[3 * p], t_min);
-                else if (kinds[p] == KIND_QUAD)
-                    t = hit_quad(ro, rd, pa + 3 * p, pb + 3 * p, pc + 3 * p, normals + 3 * p,
-                                 quad_gram + 3 * p, t_min);
-                else
-                    t = hit_triangle(ro, rd, pa + 3 * p, tri_e1 + 3 * p, tri_e2 + 3 * p, t_min);
-                if (t < best) {
-                    best = t;
-                    best_prim = p;
-                }
-            }
-        }
-        best_t[i] = best;
-        best_p[i] = best_prim;
-    }
+    struct pf_bvh g = {node_lo, node_hi, node_left, node_right, node_start, node_count, stack_size, perm,
+                       kinds, pa, pb, pc, normals, quad_gram, tri_e1, tri_e2};
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (pf_bvh_nearest(&g, o + 3 * i, d + 3 * i, t_min, best_t + i, best_p + i) != 0)
+            return -1;
     return 0;
 }

@@ -11,10 +11,11 @@ of ``(k, i)``. Streams for distinct (pixel, sample, pass) tags are derived
 by key folding, which makes rendering order-independent and reproducible
 regardless of chunking or thread count.
 
-The wavefront bounce loops (camera prefix, path tracer, photon tracer)
-keep one stream per path: :func:`draw_units` takes a path's next draws
-and advances its counter, and :func:`roulette` is the Russian roulette
-they share, from bounce ``RR_START`` on.
+The wavefront bounce loops (camera prefix, path tracer) keep one stream
+per path: :func:`draw_units` takes a path's next draws and advances its
+counter, and :func:`roulette` is the Russian roulette they share, from
+bounce ``RR_START`` on. The compiled photon tracer (``_photons.c``) draws
+and plays roulette the same way.
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ first, with the per-primitive formulas and operation order of
 primitives in ``perm`` order, so BVH and linear scan agree bit for bit,
 equal-``t`` ties included: the first primitive in ``perm`` order wins.
 
-The traversal and the spatial index's kernels (``_spatial.c``) are one
-shared library, compiled with the system ``cc`` by :func:`load_kernels` at
-the first ray query or point-index build, into
+The traversal, the spatial index's kernels (``_spatial.c``) and the
+photon tracer (``_photons.c``, which walks the BVH with the traversal's
+per-ray ``pf_bvh_nearest``, declared in ``_bvh.h``) are one shared
+library, compiled with the system ``cc`` by :func:`load_kernels` at the
+first ray query, point-index build or photon pass, into
 ``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
-name keyed by every C source, the flags and the compiler version;
-importing the package compiles nothing.
+name keyed by every C source and header, the flags and the compiler
+version; importing the package compiles nothing.
 
 All intersections use a strict self-intersection epsilon: hits require
 ``t > t_min`` (default 1e-4 scene units).
@@ -42,14 +44,17 @@ _LEAF_SIZE = 8
 _DEGENERATE = 1e-12
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
-_SOURCES = (os.path.join(_DIR, "_bvh.c"), os.path.join(_DIR, "_spatial.c"))
+_SOURCES = tuple(os.path.join(_DIR, f) for f in ("_bvh.c", "_spatial.c", "_photons.c"))
+_HEADERS = (os.path.join(_DIR, "_bvh.h"),)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _STACK_MAX = 64  # STACK_MAX in _bvh.c; a walk of a tree with leaves at depth D needs D + 1 slots
 _P, _N = ctypes.c_void_p, ctypes.c_ssize_t
 _TREE = [ctypes.c_int] + [_P] * 5  # the tree every _spatial.c function takes: depth, perm, tpts, lo, hi, leaf_start
+_GEOM = [_P] * 6 + [_N] + [_P] * 9  # Geometry._c_geom: the BVH nodes, stack size and primitives
 # restype and argtypes of every function the library exports
 _PROTOTYPES = {
-    "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double] + [_P] * 8 + [_N] + [_P] * 9),
+    "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double, _P, _P] + _GEOM),
+    "pf_trace_photons": (_N, [_N] + [_P] * 5 + [ctypes.c_int, ctypes.c_double] + _GEOM + [_P] * 5 + [_N] + [_P] * 5),
     "pf_kd_build": (None, [_N, _P] + _TREE),
     "pf_ball": (_N, _TREE + [_N, _P, ctypes.c_double, _N, _N, _P, _P, _P]),
     "pf_knn": (None, _TREE + [_N, _P, _N, _P, _P]),
@@ -64,7 +69,7 @@ def _compile(cc: str, path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     os.close(fd)
     try:
-        res = subprocess.run([cc, *_CFLAGS, "-o", tmp, *_SOURCES, "-lm"], capture_output=True, text=True)
+        res = subprocess.run([cc, *_CFLAGS, "-I", _DIR, "-o", tmp, *_SOURCES, "-lm"], capture_output=True, text=True)
         if res.returncode != 0:
             raise RuntimeError(f"cc failed to compile {', '.join(_SOURCES)}:\n{res.stderr}")
         os.replace(tmp, path)
@@ -84,7 +89,7 @@ def load_kernels():
             if cc is None:
                 raise RuntimeError("photonfield compiles its C kernels at first use: no C compiler 'cc' on PATH")
             parts = []
-            for src in _SOURCES:
+            for src in _SOURCES + _HEADERS:
                 with open(src, "rb") as f:
                     parts.append(f.read())
             parts.append(" ".join(_CFLAGS).encode())

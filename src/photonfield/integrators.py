@@ -7,9 +7,9 @@ first diffuse hit, accumulating throughput along the way; what happens at
 that hit is the only thing that differs: photon-density gathering, a field
 query, or supervision-point capture. The two renderers also share the
 frame assembly around it (``_camera_frame``). The path tracer keeps its
-own loop (MIS emission, next-event estimation); it, the delta tracer and
-the photon tracer take their draws and roulette from ``core`` and their
-hit subsets from ``Hits.subset``.
+own loop (MIS emission, next-event estimation); it and the delta tracer
+take their draws and roulette from ``core`` and their hit subsets from
+``Hits.subset``. The photon tracer (``photons.py``) is compiled.
 
 Images are (height, width, 3) float64 arrays of linear radiance.
 Everything is deterministic for a fixed seed: random streams are keyed by
@@ -55,6 +55,8 @@ class SppmConfig:
             raise ValueError("initial_radius must be positive")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
+        if self.max_photon_bounces < 1:
+            raise ValueError(f"max_photon_bounces must be >= 1, got {self.max_photon_bounces}")
 
 
 def sppm_radius(t: int, r0: float, alpha: float) -> float:
@@ -467,6 +469,8 @@ def render_pt(
     heuristic MIS at diffuse vertices; Russian roulette after depth 3."""
     if spp < 1:
         raise ValueError("spp must be >= 1")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     seed = int(core.as_rng(rng).key) if not isinstance(rng, (int, np.integer)) else int(rng)
     w, h = camera.resolution
     chunk = max(1, min(spp, max(1, (1 << 17) // (w * h))))

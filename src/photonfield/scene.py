@@ -244,12 +244,17 @@ class Scene:
             if s.material not in mat_index:
                 raise SceneValidationError(f"shape references unknown material {s.material!r}")
         self._mat_kind = np.array([self.materials[n].kind for n in mat_names], dtype=np.uint8)
-        self._mat_albedo = np.array([self.materials[n].albedo for n in mat_names])
-        self._mat_ior = np.array([self.materials[n].ior for n in mat_names])
+        self._mat_albedo = np.array([self.materials[n].albedo for n in mat_names], dtype=np.float64)
+        self._mat_ior = np.array([self.materials[n].ior for n in mat_names], dtype=np.float64)
         self.shape_mat = np.array([mat_index[s.material] for s in self.shapes], dtype=np.intp)
         self.shape_emission = np.array([s.emission for s in self.shapes])
         self._build_geometry()
         self._build_emitters()
+        # addresses of the material tables the photon kernel reads, in its
+        # argument order (primitive -> shape -> material), like Geometry._c_geom
+        self._c_shading = tuple(
+            a.ctypes.data for a in (self.geometry.shape_ids, self.shape_mat, self._mat_kind, self._mat_albedo, self._mat_ior)
+        )
 
     def _build_geometry(self):
         kinds, pa, pb, pc, sid = [], [], [], [], []

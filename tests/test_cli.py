@@ -182,6 +182,22 @@ class TestErrors:
         assert "n_photons" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["render-sppm", "--scene", "builtin:cornell-box", "--iterations", "1", "--photons", "100", "--max-bounces", "0"],
+             "max_photon_bounces"),
+            (["render-pt", "--scene", "builtin:cornell-box", "--spp", "1", "--max-depth", "0"], "max_depth"),
+        ],
+        ids=["sppm-max-bounces", "pt-max-depth"],
+    )
+    def test_bounce_cap_below_one_is_validation_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.pfm"
+        rc = main(argv + ["--resolution", "4", "4", "--out", str(out)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_checkpoint_is_validation_error(self, tmp_path, capsys):
         ckpt = tmp_path / "nan.gpf"
         ckpt.write_bytes(b"GPF1" + (1).to_bytes(4, "little") + np.full(13, np.nan, dtype="<f4").tobytes())

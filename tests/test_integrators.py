@@ -1,10 +1,12 @@
 """Photon tracing, photon-mapped rendering, and the path tracer."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from photonfield import core
 from photonfield.core import Rng, fold_key
 from photonfield.field import GaussianField
 from photonfield.integrators import (
@@ -18,8 +20,15 @@ from photonfield.integrators import (
     sppm_radius,
     trace_to_first_diffuse,
 )
-from photonfield.photons import PhotonMap, trace_photons
-from photonfield.scene import DIFFUSE, builtin_scene, eval_bsdf_batch, sample_light_emission, scene_from_dict
+from photonfield.photons import _MAX_CHAIN, PhotonMap, trace_photons
+from photonfield.scene import (
+    DIFFUSE,
+    builtin_scene,
+    eval_bsdf_batch,
+    sample_bsdf_batch,
+    sample_light_emission,
+    scene_from_dict,
+)
 from photonfield.spatial import PointIndex
 
 
@@ -82,12 +91,124 @@ def _quad_irradiance_at(point, corner, eu, ev, radiance, nodes=96):
     return float(np.sum(integrand * ww) * area)
 
 
+def _wavefront_photons(scene, n_photons, max_bounces, rng):
+    """The numpy wavefront photon tracer, the oracle of the compiled one.
+
+    All live photons advance one bounce per step through
+    ``Scene.intersect_batch``, ``sample_bsdf_batch``, ``core.draw_units``
+    and ``core.roulette``, so the records come out bounce by bounce, in
+    photon order within a bounce.
+    """
+    keys = fold_key(rng.key, np.arange(n_photons, dtype=np.uint64))
+    ctrs = np.zeros(n_photons, dtype=np.uint64)
+    o, d, flux = sample_light_emission(scene, keys, ctrs)
+    throughput = np.ones((n_photons, 3))
+    out_pos, out_flux, out_wi = [], [], []
+    alive = np.arange(n_photons, dtype=np.intp)
+    bounces = min(int(max_bounces), _MAX_CHAIN)
+    for bounce in range(bounces):
+        if alive.size == 0:
+            break
+        hits = scene.intersect_batch(o, d)
+        hit = hits.valid
+        if not np.any(hit):
+            break
+        alive = alive[hit]
+        hits = hits.subset(hit)
+        flux = flux[hit]
+        throughput = throughput[hit]
+
+        store = hits.mat_kind == DIFFUSE
+        if np.any(store):
+            out_pos.append(hits.position[store])
+            out_flux.append(flux[store])
+            out_wi.append(hits.wo[store])
+
+        if bounce == bounces - 1:
+            break
+
+        wi, weight, _, _ = sample_bsdf_batch(hits, *core.draw_units(keys, ctrs, alive, 3))
+        throughput = throughput * weight
+        flux = flux * weight
+
+        keep = np.any(weight > 0.0, axis=1)
+        if bounce + 1 >= core.RR_START:
+            survive, inv_p = core.roulette(keys, ctrs, alive, throughput)
+            keep &= survive
+            throughput = throughput * inv_p[:, None]
+            flux = flux * inv_p[:, None]
+
+        alive = alive[keep]
+        if alive.size == 0:
+            break
+        o = hits.position[keep] + core.RAY_OFFSET * wi[keep]
+        d = wi[keep]
+        flux = flux[keep]
+        throughput = throughput[keep]
+
+    if not out_pos:
+        return PhotonMap.empty()
+    return PhotonMap(np.concatenate(out_pos), np.concatenate(out_flux), np.concatenate(out_wi))
+
+
+def _assert_same_bytes(got, want):
+    for name in ("positions", "flux", "incident"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestPhotonTracing:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [0, -3])
     def test_photon_count_below_one_is_rejected(self, n):
         with pytest.raises(ValueError, match="n_photons"):
             trace_photons(builtin_scene("cornell-box"), n, 16, Rng(0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_bounces", [0, -2])
+    def test_bounce_cap_below_one_is_rejected(self, max_bounces):
+        with pytest.raises(ValueError, match="max_bounces"):
+            trace_photons(builtin_scene("cornell-box"), 100, max_bounces, Rng(0))
+
+    @pytest.mark.parametrize("max_bounces", [1, 3, 16, 100])
+    @pytest.mark.parametrize("name", ["cornell-box", "caustic-sphere", "caustic-pool"])
+    def test_compiled_paths_equal_the_numpy_wavefront_bytes(self, name, max_bounces):
+        # 100 is above _MAX_CHAIN, so both tracers stop at the cap
+        scene = builtin_scene(name)
+        _assert_same_bytes(trace_photons(scene, 4000, max_bounces, Rng(61)), _wavefront_photons(scene, 4000, max_bounces, Rng(61)))
+
+    def test_a_path_goes_on_while_its_bsdf_weight_is_non_zero(self):
+        # red floor under a green ceiling: after one bounce off each, the
+        # throughput is zero in every channel but the green weight is not,
+        # so the photon reaches the floor again and stores zero flux there
+        scene = _scene(
+            [
+                {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "red"},
+                {"type": "quad", "corner": [-1, -1, 1], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "green"},
+                {"type": "quad", "corner": [-0.2, -0.2, 0.9], "edge_u": [0, 0.4, 0], "edge_v": [0.4, 0, 0],
+                 "material": "lamp", "emission": [5, 5, 5]},
+            ],
+            materials={"red": {"type": "diffuse", "albedo": [0.9, 0, 0]}, "green": {"type": "diffuse", "albedo": [0, 0.9, 0]}},
+        )
+        got = trace_photons(scene, 2000, 8, Rng(64))
+        assert np.any(np.all(got.flux == 0.0, axis=1))
+        _assert_same_bytes(got, _wavefront_photons(scene, 2000, 8, Rng(64)))
+
+    def test_record_buffers_grow_past_one_record_per_photon(self):
+        # the buffers start with n + 64 slots and a photon starts only while
+        # 64 are free; a photon stores at most 64 records, so more than
+        # n + 64 in all means the buffers grew before the last photon
+        scene = builtin_scene("cornell-box")
+        got = trace_photons(scene, 200, 100, Rng(63))
+        assert len(got) > 200 + 64
+        _assert_same_bytes(got, _wavefront_photons(scene, 200, 100, Rng(63)))
+
+    def test_two_threads_trace_identical_bytes(self):
+        scene = builtin_scene("caustic-pool")
+        want = trace_photons(scene, 6000, 16, Rng(62))
+        with ThreadPoolExecutor(2) as pool:
+            for got in pool.map(lambda _: trace_photons(scene, 6000, 16, Rng(62)), range(4)):
+                _assert_same_bytes(got, want)
 
     def test_all_mirror_scene_stores_nothing(self):
         scene = _scene(
@@ -291,6 +412,11 @@ class TestRenderSppm:
         np.testing.assert_array_equal(snaps[3], img3)
         np.testing.assert_array_equal(snaps[8], img8)
 
+    @pytest.mark.parametrize("bounces", [0, -1])
+    def test_photon_bounce_cap_below_one_is_rejected(self, bounces):
+        with pytest.raises(ValueError, match="max_photon_bounces"):
+            SppmConfig(iterations=1, photons_per_iter=100, max_photon_bounces=bounces)
+
     def test_no_emitters_raises(self):
         scene = _scene(
             [{"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "white"}]
@@ -417,6 +543,12 @@ class TestPathTracer:
         scene = builtin_scene("cornell-box")
         with pytest.raises(ValueError):
             render_pt(scene, scene.camera, spp=0)
+
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_depth_cap_below_one_is_rejected(self, max_depth):
+        scene = builtin_scene("cornell-box")
+        with pytest.raises(ValueError, match="max_depth"):
+            render_pt(scene, scene.camera, spp=1, max_depth=max_depth)
 
 
 class TestRenderGpf:

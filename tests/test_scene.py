@@ -10,6 +10,7 @@ import pytest
 
 from photonfield import core, geometry
 from photonfield.core import Rng
+from photonfield.photons import trace_photons
 from photonfield.spatial import PointIndex, linear_knn_query
 from photonfield.scene import (
     Camera,
@@ -195,17 +196,19 @@ class TestIntersection:
 
 
 class TestCompiledKernel:
-    """The C kernels are one library, compiled into a cache keyed by every source, once."""
+    """The C kernels are one library, compiled into a cache keyed by every source and header, once."""
 
     def _rays(self):
         return np.array([[0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])
 
     def test_cache_is_keyed_by_the_source_and_reused(self, tmp_path, monkeypatch):
+        scene = builtin_scene("caustic-sphere")
+        photons = trace_photons(scene, 200, 8, Rng(2))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         compiled = []
         real_compile = geometry._compile
         monkeypatch.setattr(geometry, "_compile", lambda cc, path: (compiled.append(path), real_compile(cc, path)))
-        g = builtin_scene("caustic-sphere").geometry
+        g = scene.geometry
         expected = g.intersect_linear(*self._rays())
         pts = np.random.default_rng(0).uniform(-1, 1, (50, 3))
 
@@ -217,20 +220,33 @@ class TestCompiledKernel:
             monkeypatch.setattr(geometry, "_lib", None)
             np.testing.assert_array_equal(PointIndex(pts).knn_query_batch(pts[:1], 3)[0], linear_knn_query(pts, pts[0], 3)[0])
 
+        def photon_pass():
+            monkeypatch.setattr(geometry, "_lib", None)
+            assert trace_photons(scene, 200, 8, Rng(2)).positions.tobytes() == photons.positions.tobytes()
+
         ray_query()
         cache = tmp_path / "photonfield"
         assert len(compiled) == 1 and sorted(p.name for p in cache.iterdir()) == [os.path.basename(compiled[0])]
         ray_query()
         neighbour_query()
+        photon_pass()
         assert len(compiled) == 1
-        for k, name in enumerate(("_bvh.c", "_spatial.c")):
+        queries = {"_bvh.c": ray_query, "_spatial.c": neighbour_query, "_photons.c": photon_pass}
+        assert [os.path.basename(p) for p in geometry._SOURCES] == list(queries)
+        for k, (name, query) in enumerate(queries.items()):
+            # the edited copy lives outside the package and still finds _bvh.h
             edited = tmp_path / name
             edited.write_text(open(geometry._SOURCES[k]).read() + "/* edited */\n")
             sources = list(geometry._SOURCES)
             sources[k] = str(edited)
             monkeypatch.setattr(geometry, "_SOURCES", tuple(sources))
-            (neighbour_query if k else ray_query)()
+            query()
             assert len(compiled) == 2 + k and compiled[-1] not in compiled[:-1]
+        header = tmp_path / "_bvh.h"
+        header.write_text(open(geometry._HEADERS[0]).read() + "/* edited */\n")
+        monkeypatch.setattr(geometry, "_HEADERS", (str(header),))
+        photon_pass()
+        assert len(compiled) == 5 and compiled[-1] not in compiled[:-1]
         assert sorted(p.name for p in cache.iterdir()) == sorted(os.path.basename(p) for p in compiled)
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
@@ -241,6 +257,8 @@ class TestCompiledKernel:
             g.intersect(*self._rays())
         with pytest.raises(RuntimeError, match="'cc'"):
             PointIndex(np.zeros((4, 3)))
+        with pytest.raises(RuntimeError, match="'cc'"):
+            trace_photons(builtin_scene("caustic-sphere"), 10, 4, Rng(0))
 
 
 class TestBsdf:
