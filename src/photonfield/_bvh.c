@@ -140,17 +140,10 @@ int pf_bvh_nearest(const struct pf_bvh *g, const double *o, const double *d, dou
  * or -1 if stack_size exceeds STACK_MAX or the walk would need more than
  * stack_size slots (the outputs are then incomplete). */
 int pf_intersect(ptrdiff_t n, const double *o, const double *d, double t_min, double *best_t,
-                 ptrdiff_t *best_p, const double *node_lo, const double *node_hi,
-                 const ptrdiff_t *node_left, const ptrdiff_t *node_right, const ptrdiff_t *node_start,
-                 const ptrdiff_t *node_count, ptrdiff_t stack_size, const ptrdiff_t *perm,
-                 const unsigned char *kinds, const double *pa, const double *pb, const double *pc,
-                 const double *normals, const double *quad_gram, const double *tri_e1,
-                 const double *tri_e2)
+                 ptrdiff_t *best_p, const struct pf_bvh *g)
 {
-    struct pf_bvh g = {node_lo, node_hi, node_left, node_right, node_start, node_count, stack_size, perm,
-                       kinds, pa, pb, pc, normals, quad_gram, tri_e1, tri_e2};
     for (ptrdiff_t i = 0; i < n; i++)
-        if (pf_bvh_nearest(&g, o + 3 * i, d + 3 * i, t_min, best_t + i, best_p + i) != 0)
+        if (pf_bvh_nearest(g, o + 3 * i, d + 3 * i, t_min, best_t + i, best_p + i) != 0)
             return -1;
     return 0;
 }

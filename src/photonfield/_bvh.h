@@ -6,8 +6,8 @@
 
 enum { KIND_SPHERE, KIND_QUAD, KIND_TRIANGLE };
 
-/* The flat arrays of a Geometry: BVH nodes, then primitives, as passed to
- * pf_intersect. */
+/* The flat arrays of a Geometry: BVH nodes, then primitives; mirrored
+ * member for member by geometry.BvhTable. */
 struct pf_bvh {
     const double *node_lo, *node_hi;
     const ptrdiff_t *node_left, *node_right, *node_start, *node_count;

@@ -27,8 +27,8 @@
 
 enum { DIFFUSE, MIRROR, DIELECTRIC }; /* scene.DIFFUSE, MIRROR, DIELECTRIC */
 
-/* Material lookup of a primitive: prim -> shape -> material. */
-struct shading {
+/* prim -> shape -> material lookup; geometry.ShadingTable mirrors it member for member. */
+struct pf_shading {
     const ptrdiff_t *shape_ids, *shape_mat;
     const unsigned char *mat_kind;
     const double *mat_albedo, *mat_ior;
@@ -142,7 +142,7 @@ static double min_nan(double a, double b)
 
 /* Trace one photon from the ray (o, d) with flux f; append its records at
  * *m. Returns 0, or -1 if a BVH walk overran its stack. */
-static int trace_one(const struct pf_bvh *g, const struct shading *sh, const double *o0, const double *d0,
+static int trace_one(const struct pf_bvh *g, const struct pf_shading *sh, const double *o0, const double *d0,
                      const double *f0, uint64_t key, uint64_t ctr, int bounces, double t_min, double *out_pos,
                      double *out_flux, double *out_wi, unsigned char *out_bounce, ptrdiff_t *m)
 {
@@ -228,23 +228,14 @@ static int trace_one(const struct pf_bvh *g, const struct shading *sh, const dou
  * number of photons traced (n unless the records ran out of room), or -1
  * if a BVH walk overran its stack. */
 ptrdiff_t pf_trace_photons(ptrdiff_t n, const double *o, const double *d, const double *flux, const uint64_t *keys,
-                           const uint64_t *ctrs, int bounces, double t_min, const double *node_lo,
-                           const double *node_hi, const ptrdiff_t *node_left, const ptrdiff_t *node_right,
-                           const ptrdiff_t *node_start, const ptrdiff_t *node_count, ptrdiff_t stack_size,
-                           const ptrdiff_t *perm, const unsigned char *kinds, const double *pa, const double *pb,
-                           const double *pc, const double *normals, const double *quad_gram, const double *tri_e1,
-                           const double *tri_e2, const ptrdiff_t *shape_ids, const ptrdiff_t *shape_mat,
-                           const unsigned char *mat_kind, const double *mat_albedo, const double *mat_ior,
-                           ptrdiff_t cap, double *out_pos, double *out_flux, double *out_wi,
-                           unsigned char *out_bounce, ptrdiff_t *m)
+                           const uint64_t *ctrs, int bounces, double t_min, const struct pf_bvh *g,
+                           const struct pf_shading *sh, ptrdiff_t cap, double *out_pos, double *out_flux,
+                           double *out_wi, unsigned char *out_bounce, ptrdiff_t *m)
 {
-    struct pf_bvh g = {node_lo, node_hi, node_left, node_right, node_start, node_count, stack_size, perm,
-                       kinds, pa, pb, pc, normals, quad_gram, tri_e1, tri_e2};
-    struct shading sh = {shape_ids, shape_mat, mat_kind, mat_albedo, mat_ior};
     for (ptrdiff_t i = 0; i < n; i++) {
         if (cap - *m < bounces)
             return i;
-        if (trace_one(&g, &sh, o + 3 * i, d + 3 * i, flux + 3 * i, keys[i], ctrs[i], bounces, t_min, out_pos,
+        if (trace_one(g, sh, o + 3 * i, d + 3 * i, flux + 3 * i, keys[i], ctrs[i], bounces, t_min, out_pos,
                       out_flux, out_wi, out_bounce, m) != 0)
             return -1;
     }

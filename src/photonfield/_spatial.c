@@ -24,6 +24,13 @@
 #define STACK_MAX 64 /* a depth-D tree needs D + 1 slots; D < 63 for any n */
 #define INSERTION_MAX 16 /* rows up to this long are insertion-sorted, longer ones heap-sorted */
 
+/* A tree of the given depth, whose arrays pf_kd_build fills; geometry.KdTreeTable mirrors it. */
+struct pf_kdtree {
+    int depth;
+    ptrdiff_t *perm, *leaf_start; /* n and 2^depth + 1 entries */
+    double *tpts, *lo, *hi;       /* n, 2^(depth+1) - 1 and 2^(depth+1) - 1 rows */
+};
+
 static double dist3(const double *p, const double *x)
 {
     double d0 = p[0] - x[0], d1 = p[1] - x[1], d2 = p[2] - x[2];
@@ -138,22 +145,21 @@ static void select_rank(double *tpts, ptrdiff_t *perm, int axis, ptrdiff_t s, pt
     }
 }
 
-static void build(double *tpts, ptrdiff_t *perm, int depth, double *lo, double *hi, ptrdiff_t *leaf_start,
-                  ptrdiff_t node, int level, ptrdiff_t s, ptrdiff_t e)
+static void build(const struct pf_kdtree *t, ptrdiff_t node, int level, ptrdiff_t s, ptrdiff_t e)
 {
-    double *l = lo + 3 * node, *h = hi + 3 * node;
+    double *l = t->lo + 3 * node, *h = t->hi + 3 * node;
     for (int k = 0; k < 3; k++) {
         l[k] = INFINITY;
         h[k] = -INFINITY;
     }
     for (ptrdiff_t j = s; j < e; j++)
         for (int k = 0; k < 3; k++) {
-            double v = tpts[3 * j + k];
+            double v = t->tpts[3 * j + k];
             l[k] = v < l[k] ? v : l[k];
             h[k] = v > h[k] ? v : h[k];
         }
-    if (level == depth) {
-        leaf_start[node - (((ptrdiff_t)1 << depth) - 1)] = s;
+    if (level == t->depth) {
+        t->leaf_start[node - (((ptrdiff_t)1 << t->depth) - 1)] = s;
         return;
     }
     int axis = 0;
@@ -161,34 +167,31 @@ static void build(double *tpts, ptrdiff_t *perm, int depth, double *lo, double *
         if (h[k] - l[k] > h[axis] - l[axis])
             axis = k;
     ptrdiff_t mid = s + (e - s) / 2;
-    select_rank(tpts, perm, axis, s, e, mid);
-    build(tpts, perm, depth, lo, hi, leaf_start, 2 * node + 1, level + 1, s, mid);
-    build(tpts, perm, depth, lo, hi, leaf_start, 2 * node + 2, level + 1, mid, e);
+    select_rank(t->tpts, t->perm, axis, s, e, mid);
+    build(t, 2 * node + 1, level + 1, s, mid);
+    build(t, 2 * node + 2, level + 1, mid, e);
 }
 
-/* Build the tree of n > 0 points. perm, tpts (n rows), lo and hi
- * (2^(depth+1) - 1 rows) and leaf_start (2^depth + 1 entries) are outputs. */
-void pf_kd_build(ptrdiff_t n, const double *pts, int depth, ptrdiff_t *perm, double *tpts, double *lo, double *hi,
-                 ptrdiff_t *leaf_start)
+/* Build the tree of n > 0 points: fill every array of t from its depth. */
+void pf_kd_build(ptrdiff_t n, const double *pts, const struct pf_kdtree *t)
 {
     for (ptrdiff_t j = 0; j < n; j++) {
-        perm[j] = j;
+        t->perm[j] = j;
         for (int k = 0; k < 3; k++)
-            tpts[3 * j + k] = pts[3 * j + k];
+            t->tpts[3 * j + k] = pts[3 * j + k];
     }
-    build(tpts, perm, depth, lo, hi, leaf_start, 0, 0, 0, n);
-    leaf_start[(ptrdiff_t)1 << depth] = n;
+    build(t, 0, 0, 0, n);
+    t->leaf_start[(ptrdiff_t)1 << t->depth] = n;
 }
 
 /* Ball query of rows row .. m of xs: every id with distance <= r, each row
  * sorted by (distance, id), written from ids/ds[splits[row]] on and ending
  * at splits[i + 1]. Stops before a row that would take more than cap
  * entries in all and returns its index; returns m when done. */
-ptrdiff_t pf_ball(int depth, const ptrdiff_t *perm, const double *tpts, const double *lo, const double *hi,
-                  const ptrdiff_t *leaf_start, ptrdiff_t m, const double *xs, double r, ptrdiff_t row, ptrdiff_t cap,
+ptrdiff_t pf_ball(const struct pf_kdtree *t, ptrdiff_t m, const double *xs, double r, ptrdiff_t row, ptrdiff_t cap,
                   ptrdiff_t *ids, double *ds, ptrdiff_t *splits)
 {
-    ptrdiff_t first_leaf = ((ptrdiff_t)1 << depth) - 1;
+    ptrdiff_t first_leaf = ((ptrdiff_t)1 << t->depth) - 1;
     for (; row < m; row++) {
         const double *x = xs + 3 * row;
         ptrdiff_t start = splits[row], cnt = start;
@@ -197,19 +200,19 @@ ptrdiff_t pf_ball(int depth, const ptrdiff_t *perm, const double *tpts, const do
         stack[sp++] = 0;
         while (sp > 0) {
             ptrdiff_t node = stack[--sp];
-            if (box_dist(x, lo + 3 * node, hi + 3 * node) > r)
+            if (box_dist(x, t->lo + 3 * node, t->hi + 3 * node) > r)
                 continue;
             if (node < first_leaf) {
                 stack[sp++] = 2 * node + 2;
                 stack[sp++] = 2 * node + 1;
                 continue;
             }
-            for (ptrdiff_t j = leaf_start[node - first_leaf]; j < leaf_start[node - first_leaf + 1]; j++) {
-                double d = dist3(tpts + 3 * j, x);
+            for (ptrdiff_t j = t->leaf_start[node - first_leaf]; j < t->leaf_start[node - first_leaf + 1]; j++) {
+                double d = dist3(t->tpts + 3 * j, x);
                 if (d <= r) {
                     if (cnt == cap)
                         return row;
-                    ids[cnt] = perm[j];
+                    ids[cnt] = t->perm[j];
                     ds[cnt++] = d;
                 }
             }
@@ -222,10 +225,9 @@ ptrdiff_t pf_ball(int depth, const ptrdiff_t *perm, const double *tpts, const do
 
 /* The k nearest ids of each of m rows of xs, 0 < k <= n, sorted by
  * (distance, id) into ids/ds[i * k .. (i + 1) * k). */
-void pf_knn(int depth, const ptrdiff_t *perm, const double *tpts, const double *lo, const double *hi,
-            const ptrdiff_t *leaf_start, ptrdiff_t m, const double *xs, ptrdiff_t k, ptrdiff_t *ids, double *ds)
+void pf_knn(const struct pf_kdtree *t, ptrdiff_t m, const double *xs, ptrdiff_t k, ptrdiff_t *ids, double *ds)
 {
-    ptrdiff_t first_leaf = ((ptrdiff_t)1 << depth) - 1;
+    ptrdiff_t first_leaf = ((ptrdiff_t)1 << t->depth) - 1;
     for (ptrdiff_t row = 0; row < m; row++) {
         const double *x = xs + 3 * row;
         ptrdiff_t *hid = ids + row * k, size = 0; /* a max-heap of the best so far */
@@ -233,7 +235,7 @@ void pf_knn(int depth, const ptrdiff_t *perm, const double *tpts, const double *
         struct { ptrdiff_t node; double bound; } stack[STACK_MAX];
         int sp = 0;
         stack[sp].node = 0;
-        stack[sp++].bound = box_dist(x, lo, hi);
+        stack[sp++].bound = box_dist(x, t->lo, t->hi);
         while (sp > 0) {
             ptrdiff_t node = stack[--sp].node;
             /* a box at exactly the k-th distance may still hold a lower id */
@@ -241,12 +243,12 @@ void pf_knn(int depth, const ptrdiff_t *perm, const double *tpts, const double *
                 continue;
             if (node < first_leaf) {
                 ptrdiff_t a = 2 * node + 1, b = 2 * node + 2;
-                double da = box_dist(x, lo + 3 * a, hi + 3 * a), db = box_dist(x, lo + 3 * b, hi + 3 * b);
+                double da = box_dist(x, t->lo + 3 * a, t->hi + 3 * a), db = box_dist(x, t->lo + 3 * b, t->hi + 3 * b);
                 if (da > db) { /* a is the nearer child, popped first */
-                    ptrdiff_t t = a;
-                    double dt = da;
+                    ptrdiff_t c = a;
+                    double dc = da;
                     a = b, da = db;
-                    b = t, db = dt;
+                    b = c, db = dc;
                 }
                 stack[sp].node = b;
                 stack[sp++].bound = db;
@@ -254,14 +256,14 @@ void pf_knn(int depth, const ptrdiff_t *perm, const double *tpts, const double *
                 stack[sp++].bound = da;
                 continue;
             }
-            for (ptrdiff_t j = leaf_start[node - first_leaf]; j < leaf_start[node - first_leaf + 1]; j++) {
-                double d = dist3(tpts + 3 * j, x);
+            for (ptrdiff_t j = t->leaf_start[node - first_leaf]; j < t->leaf_start[node - first_leaf + 1]; j++) {
+                double d = dist3(t->tpts + 3 * j, x);
                 if (size < k) {
-                    hid[size] = perm[j];
+                    hid[size] = t->perm[j];
                     hd[size] = d;
                     sift_up(hid, hd, size++);
-                } else if (pair_less(d, perm[j], hd[0], hid[0])) {
-                    hid[0] = perm[j];
+                } else if (pair_less(d, t->perm[j], hd[0], hid[0])) {
+                    hid[0] = t->perm[j];
                     hd[0] = d;
                     sift_down(hid, hd, 0, k);
                 }

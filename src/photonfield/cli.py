@@ -28,8 +28,8 @@ from .scene import (
     SceneParseError,
     SceneValidationError,
     builtin_scene,
+    camera_from_dict,
     load_scene,
-    scene_from_dict,
 )
 
 
@@ -37,15 +37,6 @@ def _load_scene_arg(source: str) -> Scene:
     if source.startswith("builtin:"):
         return builtin_scene(source[len("builtin:"):])
     return load_scene(source)
-
-
-def _camera_from_dict(obj: dict) -> Camera:
-    probe = {
-        "camera": obj,
-        "materials": {"m": {"type": "diffuse", "albedo": [0.5, 0.5, 0.5]}},
-        "shapes": [{"type": "sphere", "center": [0, 0, 0], "radius": 1.0, "material": "m"}],
-    }
-    return scene_from_dict(probe).camera
 
 
 def _read_json(path):
@@ -60,14 +51,14 @@ def _load_camera_file(path) -> Camera:
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise SceneParseError(f"{path} must hold a single camera object")
-    return _camera_from_dict(obj)
+    return camera_from_dict(obj)
 
 
 def _load_views_file(path) -> list[Camera]:
     arr = _read_json(path)
     if not isinstance(arr, list) or not arr:
         raise SceneParseError(f"{path} must hold a non-empty JSON array of cameras")
-    return [_camera_from_dict(o) for o in arr]
+    return [camera_from_dict(o) for o in arr]
 
 
 def _sha256_file(path) -> str:
@@ -140,11 +131,10 @@ def _seed_field(scene: Scene, args, n_photons: int, k_min: int) -> GaussianField
     )
 
 
-def _metric_record(psnr_value, ssim_value, time_seconds=None, storage_bytes=None) -> dict:
+def _metric_record(psnr_value, ssim_value, storage_bytes=None) -> dict:
     return {
         "psnr": "inf" if psnr_value == float("inf") else psnr_value,
         "ssim": ssim_value,
-        "time_seconds": time_seconds,
         "storage_bytes": storage_bytes,
     }
 
@@ -238,11 +228,7 @@ def _cmd_compare(args) -> int:
     table = {}
     for test_path in args.test:
         test = images.read_pfm(test_path)
-        table[test_path] = _metric_record(
-            images.psnr(ref, test, args.exposure),
-            images.ssim(ref, test, args.exposure),
-            storage_bytes=None,
-        )
+        table[test_path] = _metric_record(images.psnr(ref, test, args.exposure), images.ssim(ref, test, args.exposure))
     blob = json.dumps({"ref": args.ref, "exposure": args.exposure, "results": table}, indent=2)
     print(blob)
     if args.out is not None:
@@ -278,7 +264,7 @@ def _cmd_sweep(args) -> int:
         field.save(ckpt)
         t0 = time.perf_counter()
         img = integrators.render_gpf(scene, heldout, field, spp=args.spp, seed=args.seed, threads=args.threads)
-        elapsed = time.perf_counter() - t0
+        print(f"{args.param}={value}: render_gpf took {time.perf_counter() - t0:.3f} s", file=sys.stderr)
         rows.append(
             {
                 "param": args.param,
@@ -286,7 +272,6 @@ def _cmd_sweep(args) -> int:
                 **_metric_record(
                     images.psnr(reference, img, args.exposure),
                     images.ssim(reference, img, args.exposure),
-                    time_seconds=elapsed,
                     storage_bytes=os.path.getsize(ckpt),
                 ),
             }

@@ -16,7 +16,10 @@ library, compiled with the system ``cc`` by :func:`load_kernels` at the
 first ray query, point-index build or photon pass, into
 ``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
 name keyed by every C source and header, the flags and the compiler
-version; importing the package compiles nothing.
+version; importing the package compiles nothing. This module alone knows
+the library's binary interface: its prototypes, and a ``ctypes.Structure``
+mirror of each C struct the kernels take by typed pointer
+(:class:`BvhTable`, :class:`ShadingTable`, :class:`KdTreeTable`).
 
 All intersections use a strict self-intersection epsilon: hits require
 ``t > t_min`` (default 1e-4 scene units).
@@ -49,15 +52,44 @@ _HEADERS = (os.path.join(_DIR, "_bvh.h"),)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _STACK_MAX = 64  # STACK_MAX in _bvh.c; a walk of a tree with leaves at depth D needs D + 1 slots
 _P, _N = ctypes.c_void_p, ctypes.c_ssize_t
-_TREE = [ctypes.c_int] + [_P] * 5  # the tree every _spatial.c function takes: depth, perm, tpts, lo, hi, leaf_start
-_GEOM = [_P] * 6 + [_N] + [_P] * 9  # Geometry._c_geom: the BVH nodes, stack size and primitives
-# restype and argtypes of every function the library exports
+
+
+class _Table(ctypes.Structure):
+    """A C struct filled by member name; it keeps the numpy arrays it points into in ``arrays``."""
+
+    def __init__(self, **members):
+        super().__init__(**{k: v.ctypes.data if isinstance(v, np.ndarray) else v for k, v in members.items()})
+        self.arrays = members
+
+
+class BvhTable(_Table):
+    """``struct pf_bvh`` (``_bvh.h``): a Geometry's BVH nodes, walk stack size and primitives."""
+
+    _fields_ = [(f, _P) for f in ("node_lo", "node_hi", "node_left", "node_right", "node_start", "node_count")]
+    _fields_ += [("stack_size", _N)]
+    _fields_ += [(f, _P) for f in ("perm", "kinds", "pa", "pb", "pc", "normals", "quad_gram", "tri_e1", "tri_e2")]
+
+
+class ShadingTable(_Table):
+    """``struct pf_shading`` (``_photons.c``): a Scene's primitive -> shape -> material lookup."""
+
+    _fields_ = [(f, _P) for f in ("shape_ids", "shape_mat", "mat_kind", "mat_albedo", "mat_ior")]
+
+
+class KdTreeTable(_Table):
+    """``struct pf_kdtree`` (``_spatial.c``): a PointIndex's implicit kd-tree."""
+
+    _fields_ = [("depth", ctypes.c_int)] + [(f, _P) for f in ("perm", "leaf_start", "tpts", "lo", "hi")]
+
+
+_BVH, _SHADING, _KDTREE = (ctypes.POINTER(t) for t in (BvhTable, ShadingTable, KdTreeTable))
+# restype and argtypes of every function the library exports; a table goes by pointer
 _PROTOTYPES = {
-    "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double, _P, _P] + _GEOM),
-    "pf_trace_photons": (_N, [_N] + [_P] * 5 + [ctypes.c_int, ctypes.c_double] + _GEOM + [_P] * 5 + [_N] + [_P] * 5),
-    "pf_kd_build": (None, [_N, _P] + _TREE),
-    "pf_ball": (_N, _TREE + [_N, _P, ctypes.c_double, _N, _N, _P, _P, _P]),
-    "pf_knn": (None, _TREE + [_N, _P, _N, _P, _P]),
+    "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double, _P, _P, _BVH]),
+    "pf_trace_photons": (_N, [_N] + [_P] * 5 + [ctypes.c_int, ctypes.c_double, _BVH, _SHADING, _N] + [_P] * 5),
+    "pf_kd_build": (None, [_N, _P, _KDTREE]),
+    "pf_ball": (_N, [_KDTREE, _N, _P, ctypes.c_double, _N, _N, _P, _P, _P]),
+    "pf_knn": (None, [_KDTREE, _N, _P, _N, _P, _P]),
     "pf_hybrid_merge": (None, [_N, _P, _P, _N, _P, _P, _N, _P, _P]),
 }
 _lib = None
@@ -141,19 +173,14 @@ class Geometry:
         self._precompute_normals()
         self._precompute_kernels()
         self._build_bvh()
-        # addresses of the arrays the compiled traversal reads, in argument
-        # order; the arrays are never replaced, so the addresses stay valid
-        self._c_geom = tuple(
-            a.ctypes.data if isinstance(a, np.ndarray) else a
-            for a in (
-                self.node_lo, self.node_hi, self.node_left, self.node_right, self.node_start,
-                self.node_count, self._stack_size, self.perm, self.kinds, self.pa, self.pb, self.pc,
-                self._normals, self._quad_gram, self._tri_e1, self._tri_e2,
-            )
+        self._table = BvhTable(
+            node_lo=self.node_lo, node_hi=self.node_hi, node_left=self.node_left, node_right=self.node_right,
+            node_start=self.node_start, node_count=self.node_count, stack_size=self._stack_size, perm=self.perm,
+            kinds=self.kinds, pa=self.pa, pb=self.pb, pc=self.pc, normals=self._normals,
+            quad_gram=self._quad_gram, tri_e1=self._tri_e1, tri_e2=self._tri_e2,
         )
 
     def _precompute_kernels(self):
-        n = len(self)
         # triangle edges for the intersection kernel
         self._tri_e1 = self.pb - self.pa
         self._tri_e2 = self.pc - self.pa
@@ -293,7 +320,7 @@ class Geometry:
         if len(self) == 0 or n == 0:
             return best_t, best_p
         status = load_kernels().pf_intersect(
-            n, o.ctypes.data, d.ctypes.data, t_min, best_t.ctypes.data, best_p.ctypes.data, *self._c_geom
+            n, o.ctypes.data, d.ctypes.data, t_min, best_t.ctypes.data, best_p.ctypes.data, self._table
         )
         if status != 0:
             raise RuntimeError(f"BVH traversal overran its stack of {self._stack_size} slots")

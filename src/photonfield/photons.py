@@ -84,8 +84,8 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
     while True:
         traced = trace(
             n_photons - done, o[done:].ctypes.data, d[done:].ctypes.data, flux[done:].ctypes.data,
-            keys[done:].ctypes.data, ctrs[done:].ctypes.data, bounces, geometry.T_MIN, *scene.geometry._c_geom,
-            *scene._c_shading, cap, pos.ctypes.data, fl.ctypes.data, wi.ctypes.data, bounce.ctypes.data,
+            keys[done:].ctypes.data, ctrs[done:].ctypes.data, bounces, geometry.T_MIN, scene.geometry._table,
+            scene._shading, cap, pos.ctypes.data, fl.ctypes.data, wi.ctypes.data, bounce.ctypes.data,
             stored.ctypes.data,
         )
         if traced < 0:

@@ -250,10 +250,9 @@ class Scene:
         self.shape_emission = np.array([s.emission for s in self.shapes])
         self._build_geometry()
         self._build_emitters()
-        # addresses of the material tables the photon kernel reads, in its
-        # argument order (primitive -> shape -> material), like Geometry._c_geom
-        self._c_shading = tuple(
-            a.ctypes.data for a in (self.geometry.shape_ids, self.shape_mat, self._mat_kind, self._mat_albedo, self._mat_ior)
+        self._shading = geometry.ShadingTable(
+            shape_ids=self.geometry.shape_ids, shape_mat=self.shape_mat, mat_kind=self._mat_kind,
+            mat_albedo=self._mat_albedo, mat_ior=self._mat_ior,
         )
 
     def _build_geometry(self):
@@ -611,26 +610,28 @@ def _shape_from_dict(i: int, obj: dict) -> Shape:
     raise SceneParseError(f"{where}.type must be one of sphere/quad/mesh")
 
 
-def scene_from_dict(data: dict) -> Scene:
-    if not isinstance(data, dict):
-        raise SceneParseError("scene root must be an object")
-    _check_keys(data, {"camera", "materials", "shapes"}, {"camera", "materials", "shapes"}, "scene")
-    cam = data["camera"]
+def camera_from_dict(cam) -> Camera:
     if not isinstance(cam, dict):
         raise SceneParseError("camera must be an object")
-    _check_keys(
-        cam, {"position", "look_at", "up", "vfov", "resolution"}, {"position", "look_at", "up", "vfov", "resolution"}, "camera"
-    )
+    keys = {"position", "look_at", "up", "vfov", "resolution"}
+    _check_keys(cam, keys, keys, "camera")
     res = cam["resolution"]
     if not isinstance(res, (list, tuple)) or len(res) != 2 or not all(isinstance(v, int) for v in res):
         raise SceneParseError("camera.resolution must be [width, height] integers")
-    camera = Camera(
+    return Camera(
         _vec3(cam["position"], "camera.position"),
         _vec3(cam["look_at"], "camera.look_at"),
         _vec3(cam["up"], "camera.up"),
         float(cam["vfov"]),
         (int(res[0]), int(res[1])),
     )
+
+
+def scene_from_dict(data: dict) -> Scene:
+    if not isinstance(data, dict):
+        raise SceneParseError("scene root must be an object")
+    _check_keys(data, {"camera", "materials", "shapes"}, {"camera", "materials", "shapes"}, "scene")
+    camera = camera_from_dict(data["camera"])
     mats = data["materials"]
     if not isinstance(mats, dict) or not mats:
         raise SceneParseError("materials must be a non-empty object")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import load_kernels
+from .geometry import KdTreeTable, load_kernels
 
 _LEAF_SIZE = 16  # at most this many points per leaf
 
@@ -64,15 +64,15 @@ class PointIndex:
         depth = 0
         while _LEAF_SIZE << depth < n:
             depth += 1
-        self._tree = (
-            np.empty(n, dtype=np.intp),  # perm: point ids in leaf order
-            np.empty((n, 3)),  # the points in leaf order
-            np.empty(((2 << depth) - 1, 3)),  # node box lower corners
-            np.empty(((2 << depth) - 1, 3)),  # node box upper corners
-            np.empty((1 << depth) + 1, dtype=np.intp),  # leaf j holds perm[leaf_start[j]:leaf_start[j + 1]]
+        self._tree = KdTreeTable(
+            depth=depth,
+            perm=np.empty(n, dtype=np.intp),  # point ids in leaf order
+            tpts=np.empty((n, 3)),  # the points in leaf order
+            lo=np.empty(((2 << depth) - 1, 3)),  # node box lower corners
+            hi=np.empty(((2 << depth) - 1, 3)),  # node box upper corners
+            leaf_start=np.empty((1 << depth) + 1, dtype=np.intp),  # leaf j holds perm[leaf_start[j]:leaf_start[j + 1]]
         )
-        self._c_tree = (depth, *(a.ctypes.data for a in self._tree))
-        load_kernels().pf_kd_build(n, self._points.ctypes.data, *self._c_tree)
+        load_kernels().pf_kd_build(n, self._points.ctypes.data, self._tree)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -101,7 +101,7 @@ class PointIndex:
         row = 0
         while True:
             row = load_kernels().pf_ball(
-                *self._c_tree, m, xs.ctypes.data, r, row, cap, ids.ctypes.data, dists.ctypes.data, splits.ctypes.data
+                self._tree, m, xs.ctypes.data, r, row, cap, ids.ctypes.data, dists.ctypes.data, splits.ctypes.data
             )
             if row == m:
                 break
@@ -125,7 +125,7 @@ class PointIndex:
         if k_eff == 0 or m == 0:
             return _empty_rows(m)
         ids, dists = np.empty(m * k_eff, dtype=np.intp), np.empty(m * k_eff)  # the kernel sorts rows by dists
-        load_kernels().pf_knn(*self._c_tree, m, xs.ctypes.data, k_eff, ids.ctypes.data, dists.ctypes.data)
+        load_kernels().pf_knn(self._tree, m, xs.ctypes.data, k_eff, ids.ctypes.data, dists.ctypes.data)
         return ids, np.arange(m + 1, dtype=np.intp) * k_eff
 
     def hybrid_query_batch(self, xs, r: float, k_min: int):

@@ -9,8 +9,9 @@ import pytest
 
 from photonfield.cli import main
 from photonfield.field import GaussianField
-from photonfield.images import read_pfm
-from photonfield.scene import builtin_scene_dict
+from photonfield.images import read_pfm, write_pfm
+from photonfield.integrators import render_gpf
+from photonfield.scene import builtin_scene, builtin_scene_dict
 
 
 @pytest.fixture()
@@ -52,6 +53,22 @@ class TestDeterminism:
         first = (tmp_path / "x.pfm").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "x.pfm").read_bytes() == first
+
+    def test_sweep_reruns_byte_for_byte(self, tmp_path, views_file, capsys):
+        outs = [tmp_path / "a" / "sweep.json", tmp_path / "b" / "sweep.json"]
+        for out in outs:
+            out.parent.mkdir()
+            argv = [
+                "sweep", "--param", "k", "--values", "1,3", "--scene", "builtin:cornell-box", "--views", views_file,
+                "--ref-iterations", "1", "--sppm-iterations", "1", "--sppm-photons", "1000", "--steps", "4",
+                "--batch", "16", "--photons", "800", "--resolution", "12", "12", "--out", str(out), "--seed", "6",
+            ]
+            assert main(argv) == 0
+            # the render times go to stderr, outside the digested outputs
+            assert [line.split(":")[0] for line in capsys.readouterr().err.splitlines()] == ["k=1", "k=3"]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        digests = [json.loads(open(f"{out}.manifest.json").read())["outputs"][str(out)] for out in outs]
+        assert digests[0] == digests[1]
 
     def test_manifest_rerun_reproduces_bytes(self, tmp_path):
         out = tmp_path / "m.pfm"
@@ -104,6 +121,19 @@ class TestPipeline:
             assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_gpf_render_bsdf_modulation_flag(self, tmp_path):
+        ckpt, out, want = tmp_path / "field.gpf", tmp_path / "r.pfm", tmp_path / "want.pfm"
+        assert main(["gpf-init", "--scene", "builtin:cornell-box", "--photons", "1500",
+                     "--out-checkpoint", str(ckpt)]) == 0
+        argv = ["gpf-render", "--scene", "builtin:cornell-box", "--checkpoint", str(ckpt), "--out", str(out),
+                "--seed", "4", "--resolution", "10", "10", "--bsdf-modulation"]
+        assert main(argv) == 0
+        scene = builtin_scene("cornell-box")
+        field = GaussianField.load(ckpt)
+        write_pfm(want, render_gpf(scene, scene.camera.with_resolution(10, 10), field, seed=4, bsdf_modulation=True))
+        assert out.read_bytes() == want.read_bytes()
+        assert "--bsdf-modulation" in json.loads((tmp_path / "r.pfm.manifest.json").read_text())["argv"]
+
     def test_compare_self_is_perfect(self, tmp_path, capsys):
         out = tmp_path / "img.pfm"
         assert main(_render_sppm_args(out)) == 0
@@ -121,7 +151,7 @@ class TestPipeline:
         assert main(_render_sppm_args(b, seed=2)) == 0
         assert main(["compare", "--ref", str(a), "--test", str(b), "--exposure", "1.0"]) == 0
         rec = json.loads(capsys.readouterr().out)["results"][str(b)]
-        assert set(rec) == {"psnr", "ssim", "time_seconds", "storage_bytes"}
+        assert set(rec) == {"psnr", "ssim", "storage_bytes"}
         assert isinstance(rec["psnr"], float)
 
     def test_sweep_emits_one_row_per_value(self, tmp_path, views_file, capsys):
@@ -138,8 +168,7 @@ class TestPipeline:
         rows = json.loads(out.read_text())["rows"]
         assert [r["value"] for r in rows] == [1, 3, 5, 10]
         for row in rows:
-            assert set(row) == {"param", "value", "psnr", "ssim", "time_seconds", "storage_bytes"}
-            assert row["time_seconds"] > 0
+            assert set(row) == {"param", "value", "psnr", "ssim", "storage_bytes"}
             assert row["storage_bytes"] > 0
 
 
@@ -173,6 +202,20 @@ class TestErrors:
     def test_unknown_builtin_is_validation_error(self, tmp_path):
         rc = main(["render-pt", "--scene", "builtin:nothing", "--spp", "1", "--out", str(tmp_path / "x.pfm")])
         assert rc == 3
+
+    @pytest.mark.parametrize("flag", ["--camera", "--views"])
+    def test_unknown_camera_key_is_parse_error(self, tmp_path, capsys, flag):
+        cam = {"position": [0.0, -3.9, 0.0], "look_at": [0.0, 0.0, 0.0], "up": [0.0, 0.0, 1.0],
+               "vfov": 28.0, "resolution": [12, 12], "fov": 30.0}
+        path = tmp_path / "cam.json"
+        path.write_text(json.dumps(cam if flag == "--camera" else [cam]))
+        argv = {
+            "--camera": ["gpf-render", "--checkpoint", str(tmp_path / "f.gpf"), "--out", str(tmp_path / "x.pfm")],
+            "--views": ["gpf-train", "--out-checkpoint", str(tmp_path / "f.gpf")],
+        }[flag]
+        assert main(argv + ["--scene", "builtin:cornell-box", flag, str(path)]) == 2
+        assert capsys.readouterr().err == "error: parse: unknown key 'fov' in camera\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.filterwarnings("error")
     def test_zero_init_photons_is_validation_error(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from photonfield.integrators import (
 from photonfield.photons import _MAX_CHAIN, PhotonMap, trace_photons
 from photonfield.scene import (
     DIFFUSE,
+    Camera,
     builtin_scene,
     eval_bsdf_batch,
     sample_bsdf_batch,
@@ -597,6 +598,22 @@ class TestRenderGpf:
         a = render_gpf(scene, cam, field, spp=2, seed=3, threads=1)
         b = render_gpf(scene, cam, field, spp=2, seed=3, threads=2)
         np.testing.assert_array_equal(a, b)
+
+    def test_bsdf_modulation_darkens_only_diffuse_hits(self):
+        scene = builtin_scene("cornell-box")
+        c = scene.camera  # widened so that the open front of the box shows pixels that miss it
+        cam = Camera(c.position, c.look_at, c.up, 60.0, (16, 16))
+        field = GaussianField.from_photons(trace_photons(scene, 2000, 16, Rng(1)), rng=Rng(2))
+        assert np.all(field.flux >= 0.0)
+        plain = render_gpf(scene, cam, field, spp=1, seed=5).reshape(-1, 3)
+        modulated = render_gpf(scene, cam, field, spp=1, seed=5, bsdf_modulation=True).reshape(-1, 3)
+        _, keys, ctrs, o, d = _camera_rays(cam, 5, 0)
+        found = trace_to_first_diffuse(scene, o, d, keys, ctrs).found
+        assert 0 < found.sum() < len(found)
+        np.testing.assert_array_equal(modulated[~found], plain[~found])
+        # every diffuse albedo in the box is below one and the field is non-negative
+        assert np.all(modulated[found] <= plain[found])
+        assert np.any(modulated[found] < plain[found])
 
     def test_negative_flux_clamped_at_pixel(self):
         scene = builtin_scene("cornell-box")

@@ -1,8 +1,11 @@
 """Scenes: intersection, BSDFs, emitters, and JSON round trips."""
 
+import ctypes
 import json
 import math
 import os
+import shutil
+import subprocess
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -248,6 +251,49 @@ class TestCompiledKernel:
         photon_pass()
         assert len(compiled) == 5 and compiled[-1] not in compiled[:-1]
         assert sorted(p.name for p in cache.iterdir()) == sorted(os.path.basename(p) for p in compiled)
+
+    def test_tables_are_type_checked(self):
+        # each kernel takes a table by typed pointer, so a wrong one is refused before any memory is read
+        lib = geometry.load_kernels()
+        scene = builtin_scene("caustic-sphere")
+        rays = self._rays()
+        o, d = (a.ctypes.data for a in rays)
+        best_t, best_p = np.full(1, np.inf), np.full(1, -1, dtype=np.intp)
+        tree = PointIndex(np.zeros((4, 3)))._tree
+        with pytest.raises(ctypes.ArgumentError, match="argument 7"):
+            lib.pf_intersect(1, o, d, geometry.T_MIN, best_t.ctypes.data, best_p.ctypes.data, tree)
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            lib.pf_knn(scene.geometry._table, 1, o, 1, best_p.ctypes.data, best_t.ctypes.data)
+        keys = np.zeros(1, dtype=np.uint64)
+        out = np.empty((4, 3))
+        with pytest.raises(ctypes.ArgumentError, match="argument 9"):
+            lib.pf_trace_photons(
+                1, o, d, d, keys.ctypes.data, keys.ctypes.data, 4, geometry.T_MIN,
+                scene._shading, scene.geometry._table, 4, out.ctypes.data, out.ctypes.data, out.ctypes.data,
+                keys.ctypes.data, best_p.ctypes.data,
+            )
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
+    def test_tables_mirror_the_c_structs(self, tmp_path):
+        # kernels that only pass a member back to themselves would not notice two same-typed members swapped
+        tables = {"_bvh.h": ("pf_bvh", geometry.BvhTable), "_photons.c": ("pf_shading", geometry.ShadingTable),
+                  "_spatial.c": ("pf_kdtree", geometry.KdTreeTable)}
+        for src, (struct, table) in tables.items():
+            checks = [f"_Static_assert(sizeof(struct {struct}) == {ctypes.sizeof(table)}, \"size\");"]
+            for name, _ in table._fields_:
+                offset = getattr(table, name).offset
+                checks.append(f"_Static_assert(offsetof(struct {struct}, {name}) == {offset}, \"{name}\");")
+            path = tmp_path / f"{struct}.c"
+            path.write_text(f'#include <stddef.h>\n#include "{src}"\n' + "\n".join(checks) + "\n")
+            res = subprocess.run(["cc", "-fsyntax-only", "-I", geometry._DIR, str(path)], capture_output=True, text=True)
+            assert res.returncode == 0, f"{table.__name__} does not mirror struct {struct}:\n{res.stderr}"
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
+    def test_sources_compile_without_warnings(self, tmp_path):
+        flags = [f for f in geometry._CFLAGS if f != "-shared"] + ["-Wall", "-Wextra", "-Werror", "-I", geometry._DIR]
+        for src in geometry._SOURCES:
+            res = subprocess.run(["cc", *flags, "-c", src, "-o", str(tmp_path / "k.o")], capture_output=True, text=True)
+            assert (res.returncode, res.stderr) == (0, ""), f"{src}:\n{res.stderr}"
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))

@@ -280,7 +280,7 @@ class TestKernelAgainstLinearScan:
         g = 0.125 * np.arange(7)
         pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
         idx = PointIndex(pts)
-        lo, hi = idx._tree[2], idx._tree[3]
+        lo, hi = idx._tree.arrays["lo"], idx._tree.arrays["hi"]
         outside = pts[pts[:, 2] == 0.0] - [0.0, 0.0, 0.25]  # the nearest point is exactly r = 0.25 below the root box
         xs = np.vstack([pts[::5], lo[::3], hi[::3], outside, pts[::9] + 0.0625])
         for r in (0.125, 0.25, float(np.sqrt(2 * 0.125 ** 2))):
