@@ -245,111 +245,3 @@ def random_unit_quaternion(rng: Rng, n: int | None = None):
     if n is None:
         return q[0]
     return q
-
-
-def quaternion_to_matrix(q):
-    """Rotation matrix for unit quaternion(s) ``q = (w, x, y, z)``.
-
-    The polynomial form is used without renormalizing, so the map stays
-    smooth in the ambient 4-vector (needed for analytic parameter
-    gradients); callers keep ``q`` unit-length. Shape (..., 4) -> (..., 3, 3).
-    """
-    q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
-    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[..., 0, 1] = 2.0 * (x * y - w * z)
-    out[..., 0, 2] = 2.0 * (x * z + w * y)
-    out[..., 1, 0] = 2.0 * (x * y + w * z)
-    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[..., 1, 2] = 2.0 * (y * z - w * x)
-    out[..., 2, 0] = 2.0 * (x * z - w * y)
-    out[..., 2, 1] = 2.0 * (y * z + w * x)
-    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
-
-
-def rotation_jacobian(q):
-    """Partials of the rotation matrix w.r.t. the ambient quaternion.
-
-    Shape (..., 4) -> (..., 4, 3, 3); slot ``k`` is dR/dq_k for the same
-    polynomial form as :func:`quaternion_to_matrix`.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    zero = np.zeros_like(w)
-    out = np.empty(q.shape[:-1] + (4, 3, 3), dtype=np.float64)
-    # dR/dw
-    out[..., 0, 0, 0] = zero
-    out[..., 0, 0, 1] = -2.0 * z
-    out[..., 0, 0, 2] = 2.0 * y
-    out[..., 0, 1, 0] = 2.0 * z
-    out[..., 0, 1, 1] = zero
-    out[..., 0, 1, 2] = -2.0 * x
-    out[..., 0, 2, 0] = -2.0 * y
-    out[..., 0, 2, 1] = 2.0 * x
-    out[..., 0, 2, 2] = zero
-    # dR/dx
-    out[..., 1, 0, 0] = zero
-    out[..., 1, 0, 1] = 2.0 * y
-    out[..., 1, 0, 2] = 2.0 * z
-    out[..., 1, 1, 0] = 2.0 * y
-    out[..., 1, 1, 1] = -4.0 * x
-    out[..., 1, 1, 2] = -2.0 * w
-    out[..., 1, 2, 0] = 2.0 * z
-    out[..., 1, 2, 1] = 2.0 * w
-    out[..., 1, 2, 2] = -4.0 * x
-    # dR/dy
-    out[..., 2, 0, 0] = -4.0 * y
-    out[..., 2, 0, 1] = 2.0 * x
-    out[..., 2, 0, 2] = 2.0 * w
-    out[..., 2, 1, 0] = 2.0 * x
-    out[..., 2, 1, 1] = zero
-    out[..., 2, 1, 2] = 2.0 * z
-    out[..., 2, 2, 0] = -2.0 * w
-    out[..., 2, 2, 1] = 2.0 * z
-    out[..., 2, 2, 2] = -4.0 * y
-    # dR/dz
-    out[..., 3, 0, 0] = -4.0 * z
-    out[..., 3, 0, 1] = -2.0 * w
-    out[..., 3, 0, 2] = 2.0 * x
-    out[..., 3, 1, 0] = 2.0 * w
-    out[..., 3, 1, 1] = -4.0 * z
-    out[..., 3, 1, 2] = 2.0 * y
-    out[..., 3, 2, 0] = 2.0 * x
-    out[..., 3, 2, 1] = 2.0 * y
-    out[..., 3, 2, 2] = zero
-    return out
-
-
-def rotation_jacobian_tdot(q, d):
-    """``(dR/dq_m)^T d`` for every slot m, without forming the jacobian.
-
-    Shapes (..., 4), (..., 3) -> (..., 4, 3). Entry (m, j) sums the
-    products ``(dR/dq_m)[i, j] * d_i`` left to right over i = 0, 1, 2, zero
-    entries included, so it equals
-    ``einsum("...mij,...i->...mj", rotation_jacobian(q), d)`` bit for bit.
-    Like einsum, each sum starts from +0.0, which matters only for the sign
-    of a zero result.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    w2, x2, y2, z2 = (2.0 * q[..., c] for c in range(4))
-    x4, y4, z4 = (4.0 * q[..., c] for c in range(1, 4))
-    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
-    o0, o1, o2 = 0.0 * d0, 0.0 * d1, 0.0 * d2
-    out = np.empty(q.shape[:-1] + (4, 3), dtype=np.float64)
-    # column j of each dR/dq_m in rotation_jacobian, dotted with d
-    out[..., 0, 0] = 0.0 + o0 + z2 * d1 - y2 * d2
-    out[..., 0, 1] = 0.0 - z2 * d0 + o1 + x2 * d2
-    out[..., 0, 2] = 0.0 + y2 * d0 - x2 * d1 + o2
-    out[..., 1, 0] = 0.0 + o0 + y2 * d1 + z2 * d2
-    out[..., 1, 1] = 0.0 + y2 * d0 - x4 * d1 + w2 * d2
-    out[..., 1, 2] = 0.0 + z2 * d0 - w2 * d1 - x4 * d2
-    out[..., 2, 0] = 0.0 - y4 * d0 + x2 * d1 - w2 * d2
-    out[..., 2, 1] = 0.0 + x2 * d0 + o1 + z2 * d2
-    out[..., 2, 2] = 0.0 + w2 * d0 + z2 * d1 - y4 * d2
-    out[..., 3, 0] = 0.0 - z4 * d0 + w2 * d1 + x2 * d2
-    out[..., 3, 1] = 0.0 - w2 * d0 - z4 * d1 + y2 * d2
-    out[..., 3, 2] = 0.0 + x2 * d0 + y2 * d1 + o2
-    return out

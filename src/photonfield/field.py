@@ -25,7 +25,8 @@ import struct
 import numpy as np
 
 from . import core
-from .core import Rng, quaternion_to_matrix, rotation_jacobian_tdot
+from .core import Rng
+from .geometry import BatchTable, FieldTable, load_kernels
 from .images import write_atomic
 from .photons import PhotonMap
 from .spatial import PointIndex
@@ -41,13 +42,6 @@ SCALE_MAX = 10.0
 QUAT_NORM_TOL = 1e-6
 
 _MAGIC = b"GPF1"
-_FALLOFF_SHARPNESS = 3.0
-
-
-def _falloff(dist, radius: float):
-    r_eff = max(radius, 1e-6)
-    t = np.maximum(dist - radius, 0.0) / r_eff
-    return np.where(dist <= radius, 1.0, np.exp(-_FALLOFF_SHARPNESS * t * t))
 
 
 class GaussianField:
@@ -131,17 +125,32 @@ class GaussianField:
     def _neighbors(self, xs):
         return self._index.hybrid_query_batch(xs, self.radius, self.k_min)
 
-    def _weight_terms(self, xs_rows, ids):
-        """Per-neighbor kernel terms shared by forward and backward."""
-        d = xs_rows - self.means[ids]
-        rot = quaternion_to_matrix(self.quats[ids])
-        y = np.einsum("kij,ki->kj", rot, d)
-        s = np.exp(self.log_scales[ids])
-        u = y / s
-        w_gauss = np.exp(-0.5 * np.einsum("kj,kj->k", u, u))
-        dist = np.sqrt(np.einsum("ki,ki->k", d, d))
-        psi = _falloff(dist, self.radius)
-        return d, rot, s, u, w_gauss, dist, psi, w_gauss * psi
+    def _table(self, scales) -> FieldTable:
+        """The current parameters as a ``struct pf_field``, with ``scales`` = ``exp(log_scales)``."""
+        n = len(self.means)
+        blocks = {"means": (self.means, 3), "quats": (self.quats, 4), "scales": (scales, 3), "flux": (self.flux, 3)}
+        arrays = {}
+        for name, (arr, width) in blocks.items():
+            arrays[name] = np.ascontiguousarray(arr, dtype=np.float64)
+            if arrays[name].shape != (n, width):
+                raise ValueError(f"field {name} has shape {arrays[name].shape}, expected ({n}, {width})")
+        return FieldTable(radius=self.radius, eps=self.eps, **arrays)
+
+    def _rows(self, xs, flat, splits):
+        """``xs`` (B, 3) and CSR neighbourhoods ``(flat, splits)`` as the C
+        passes read them; ``ValueError`` unless every index is in range."""
+        xs = np.ascontiguousarray(xs, dtype=np.float64).reshape(-1, 3)
+        flat = np.ascontiguousarray(flat, dtype=np.intp)
+        splits = np.ascontiguousarray(splits, dtype=np.intp)
+        if flat.ndim != 1 or splits.ndim != 1 or len(splits) == 0:
+            raise ValueError("neighbourhoods must be a 1-d flat id array and a non-empty 1-d splits array")
+        if splits[0] != 0 or splits[-1] != len(flat) or np.any(splits[1:] < splits[:-1]):
+            raise ValueError(f"splits must rise from 0 to len(flat) = {len(flat)}")
+        if len(xs) != len(splits) - 1:
+            raise ValueError(f"{len(xs)} query points for {len(splits) - 1} neighbourhoods")
+        if len(flat) and (flat.min() < 0 or flat.max() >= len(self)):
+            raise ValueError(f"neighbour ids must lie in [0, {len(self)})")
+        return xs, flat, splits
 
     def query_batch(self, xs):
         """Field radiance at points (B, 3) -> (B, 3) (index used as-is)."""
@@ -155,72 +164,41 @@ class GaussianField:
         return L
 
     def _forward(self, xs, flat, splits):
-        """Radiance (B, 3) of rows ``xs`` over CSR neighborhoods, plus the
-        per-neighbor kernel terms and weight sums ``backward_scatter``
-        reuses: returns ``(L, terms, s_tot)``."""
-        b = len(xs)
-        owner = np.repeat(np.arange(b, dtype=np.intp), np.diff(splits))
-        terms = self._weight_terms(xs[owner], flat)
-        w = terms[-1]
-        s_tot = np.bincount(owner, weights=w, minlength=b)
-        num = np.zeros((b, 3))
-        wphi = w[:, None] * self.flux[flat]
-        for ch in range(3):
-            num[:, ch] = np.bincount(owner, weights=wphi[:, ch], minlength=b)
-        z = np.maximum(s_tot, self.eps)
-        return num / z[:, None], terms, s_tot
+        """Radiance (B, 3) of rows ``xs`` over CSR neighbourhoods, plus what
+        ``backward_scatter`` reuses: returns ``(L, (table, batch), s_tot)``.
+        Runs ``_field.c``'s two C passes around numpy's exp."""
+        xs, flat, splits = self._rows(xs, flat, splits)
+        b, k = len(xs), len(flat)
+        batch = BatchTable(rows=b, xs=xs, splits=splits, flat=flat, expo=np.empty(2 * k), s_tot=np.empty(b), L=np.empty((b, 3)))
+        table = self._table(np.exp(self.log_scales))
+        lib = load_kernels()
+        lib.pf_field_terms(table, batch)
+        np.exp(batch.arrays["expo"], out=batch.arrays["expo"])
+        lib.pf_field_sum(table, batch)
+        return batch.arrays["L"], (table, batch), batch.arrays["s_tot"]
 
     # -- backward ----------------------------------------------------------
 
-    def _backward_terms(self, ids, owner, dl_rows, fwd):
-        """Per-neighbor parameter gradients of J = sum_b dl_b . L_b, from
-        the ``(L, terms, s_tot)`` a ``_forward`` over the same rows gave."""
-        L, (d, rot, s, u, w_gauss, dist, psi, w), s_tot = fwd
-        z = np.maximum(s_tot, self.eps)
-        ind = (s_tot > self.eps).astype(np.float64)
-        dl_phi = np.einsum("kc,kc->k", dl_rows, self.flux[ids])
-        dl_L = np.einsum("kc,kc->k", dl_rows, L[owner])
-        g_w = (dl_phi - ind[owner] * dl_L) / z[owner]
-
-        g_flux = (w / z[owner])[:, None] * dl_rows
-
-        # d(w_gauss)/d(mean) = w_gauss * R (u / s); psi adds the radial term
-        r_eff = max(self.radius, 1e-6)
-        t_excess = np.maximum(dist - self.radius, 0.0) / r_eff
-        outside = dist > self.radius
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d_hat = np.where(dist[:, None] > 0.0, d / np.where(dist[:, None] > 0.0, dist[:, None], 1.0), 0.0)
-        radial = np.where(outside, 2.0 * _FALLOFF_SHARPNESS * t_excess / r_eff, 0.0)
-        r_u_over_s = np.einsum("kij,kj->ki", rot, u / s)
-        g_mean = (g_w * w)[:, None] * (r_u_over_s + radial[:, None] * d_hat)
-
-        g_log_scale = (g_w * w)[:, None] * (u * u)
-
-        a_t_d = rotation_jacobian_tdot(self.quats[ids], d)  # rows: (A_m^T d)_j
-        g_quat = -(g_w * w)[:, None] * np.einsum("kmj,kj->km", a_t_d, u / s)
-
-        return {"mean": g_mean, "quat": g_quat, "log_scale": g_log_scale, "flux": g_flux}
-
     def backward_scatter(self, xs, dl_dout, flat, splits, fwd=None):
-        """Accumulate batch query gradients into dense parameter arrays.
+        """Gradients of ``J = sum_b dl_dout_b . L_b`` in dense parameter arrays.
 
-        ``fwd`` is what ``_forward(xs, flat, splits)`` returned; it is
-        recomputed when omitted. Each parameter column is an ordered
-        ``bincount`` reduction: per-neighbor gradients summed from zero in
-        flat neighbor order, so training is bit-reproducible.
+        ``fwd`` is what ``_forward(xs, flat, splits)`` returned, and the
+        gradients are those of that forward's parameters; it is recomputed
+        when omitted. Each primitive's gradient is the sum of its neighbour
+        rows' terms from +0.0 in flat order, so training is bit-reproducible.
         """
-        xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
-        dl = np.asarray(dl_dout, dtype=np.float64).reshape(-1, 3)
-        b, n = len(xs), len(self)
+        xs, flat, splits = self._rows(xs, flat, splits)
+        dl = np.ascontiguousarray(dl_dout, dtype=np.float64).reshape(-1, 3)
+        if len(dl) != len(xs):
+            raise ValueError(f"{len(dl)} output gradients for {len(xs)} query points")
         if fwd is None:
             fwd = self._forward(xs, flat, splits)
-        owner = np.repeat(np.arange(b, dtype=np.intp), np.diff(splits))
-        rows = self._backward_terms(flat, owner, dl[owner], fwd)
-        g = {}
-        for key, part in rows.items():
-            g[key] = np.empty((n, part.shape[1]))
-            for c in range(part.shape[1]):
-                g[key][:, c] = np.bincount(flat, weights=part[:, c], minlength=n)
+        table, batch = fwd[1]
+        if not (np.array_equal(batch.arrays["flat"], flat) and np.array_equal(batch.arrays["splits"], splits)):
+            raise ValueError("fwd was computed over other neighbourhoods")
+        n = len(self)
+        g = {"mean": np.zeros((n, 3)), "quat": np.zeros((n, 4)), "log_scale": np.zeros((n, 3)), "flux": np.zeros((n, 3))}
+        load_kernels().pf_field_backward(table, batch, dl.ctypes.data, *(g[key].ctypes.data for key in g))
         return g
 
     # -- serialization (GPF1: little-endian, float32 payload) ---------------

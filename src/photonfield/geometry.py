@@ -9,17 +9,19 @@ first, with the per-primitive formulas and operation order of
 primitives in ``perm`` order, so BVH and linear scan agree bit for bit,
 equal-``t`` ties included: the first primitive in ``perm`` order wins.
 
-The traversal, the spatial index's kernels (``_spatial.c``) and the
+The traversal, the spatial index's kernels (``_spatial.c``), the
 photon tracer (``_photons.c``, which walks the BVH with the traversal's
-per-ray ``pf_bvh_nearest``, declared in ``_bvh.h``) are one shared
-library, compiled with the system ``cc`` by :func:`load_kernels` at the
-first ray query, point-index build or photon pass, into
+per-ray ``pf_bvh_nearest``, declared in ``_bvh.h``) and the field's
+forward and backward passes (``_field.c``) are one shared library,
+compiled with the system ``cc`` by :func:`load_kernels` at the first ray
+query, point-index build, photon pass or field pass, into
 ``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
 name keyed by every C source and header, the flags and the compiler
 version; importing the package compiles nothing. This module alone knows
 the library's binary interface: its prototypes, and a ``ctypes.Structure``
 mirror of each C struct the kernels take by typed pointer
-(:class:`BvhTable`, :class:`ShadingTable`, :class:`KdTreeTable`).
+(:class:`BvhTable`, :class:`ShadingTable`, :class:`KdTreeTable`,
+:class:`FieldTable`, :class:`BatchTable`).
 
 All intersections use a strict self-intersection epsilon: hits require
 ``t > t_min`` (default 1e-4 scene units).
@@ -34,6 +36,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
 
 import numpy as np
 
@@ -47,9 +50,10 @@ _LEAF_SIZE = 8
 _DEGENERATE = 1e-12
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
-_SOURCES = tuple(os.path.join(_DIR, f) for f in ("_bvh.c", "_spatial.c", "_photons.c"))
+_SOURCES = tuple(os.path.join(_DIR, f) for f in ("_bvh.c", "_spatial.c", "_photons.c", "_field.c"))
 _HEADERS = (os.path.join(_DIR, "_bvh.h"),)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CACHE_MAX_AGE_S = 7 * 24 * 3600  # a cached library not loaded for this long is deleted after the next build
 _STACK_MAX = 64  # STACK_MAX in _bvh.c; a walk of a tree with leaves at depth D needs D + 1 slots
 _P, _N = ctypes.c_void_p, ctypes.c_ssize_t
 
@@ -82,7 +86,21 @@ class KdTreeTable(_Table):
     _fields_ = [("depth", ctypes.c_int)] + [(f, _P) for f in ("perm", "leaf_start", "tpts", "lo", "hi")]
 
 
-_BVH, _SHADING, _KDTREE = (ctypes.POINTER(t) for t in (BvhTable, ShadingTable, KdTreeTable))
+class FieldTable(_Table):
+    """``struct pf_field`` (``_field.c``): a GaussianField's parameters, with its scales exponentiated."""
+
+    _fields_ = [(f, _P) for f in ("means", "quats", "scales", "flux")] + [("radius", ctypes.c_double), ("eps", ctypes.c_double)]
+
+
+class BatchTable(_Table):
+    """``struct pf_batch`` (``_field.c``): query rows over CSR neighbourhoods, and what the field passes write for them."""
+
+    _fields_ = [("rows", _N)] + [(f, _P) for f in ("xs", "splits", "flat", "expo", "s_tot", "L")]
+
+
+_BVH, _SHADING, _KDTREE, _FIELD, _BATCH = (
+    ctypes.POINTER(t) for t in (BvhTable, ShadingTable, KdTreeTable, FieldTable, BatchTable)
+)
 # restype and argtypes of every function the library exports; a table goes by pointer
 _PROTOTYPES = {
     "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double, _P, _P, _BVH]),
@@ -91,6 +109,9 @@ _PROTOTYPES = {
     "pf_ball": (_N, [_KDTREE, _N, _P, ctypes.c_double, _N, _N, _P, _P, _P]),
     "pf_knn": (None, [_KDTREE, _N, _P, _N, _P, _P]),
     "pf_hybrid_merge": (None, [_N, _P, _P, _N, _P, _P, _N, _P, _P]),
+    "pf_field_terms": (None, [_FIELD, _BATCH]),
+    "pf_field_sum": (None, [_FIELD, _BATCH]),
+    "pf_field_backward": (None, [_FIELD, _BATCH, _P, _P, _P, _P, _P]),
 }
 _lib = None
 _lib_lock = threading.Lock()
@@ -110,8 +131,30 @@ def _compile(cc: str, path: str) -> None:
             os.unlink(tmp)
 
 
+def _prune_cache(cache_dir: str, keep: str) -> None:
+    """Delete the kernel libraries (``kernels-*.so``, and the older
+    ``bvh-*.so``) in ``cache_dir`` last loaded more than ``_CACHE_MAX_AGE_S``
+    ago, except ``keep``. Each load touches its library, so another process
+    or install that uses its own keeps it; one that has it mapped keeps it
+    mapped even when it is unlinked."""
+    cutoff = time.time() - _CACHE_MAX_AGE_S
+    for name in os.listdir(cache_dir):
+        if name == os.path.basename(keep) or not (name.endswith(".so") and name.startswith(("kernels-", "bvh-"))):
+            continue
+        path = os.path.join(cache_dir, name)
+        try:
+            if os.stat(path).st_mtime < cutoff:
+                os.unlink(path)
+        except FileNotFoundError:
+            pass  # another process pruned it first
+
+
 def load_kernels():
-    """The compiled kernel library (a ``ctypes.CDLL``), built into the cache on first use."""
+    """The compiled kernel library (a ``ctypes.CDLL``), built into the cache on first use.
+
+    A build also deletes the libraries no process has loaded for
+    ``_CACHE_MAX_AGE_S`` (:func:`_prune_cache`); a load from a warm cache
+    only touches its library."""
     global _lib
     if _lib is not None:
         return _lib
@@ -129,9 +172,15 @@ def load_kernels():
             key = hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
             cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
             path = os.path.join(cache, "photonfield", f"kernels-{key}.so")
-            if not os.path.exists(path):
+            if os.path.exists(path):
+                try:
+                    os.utime(path)
+                except OSError:
+                    pass  # touching is best effort: a read-only cache still loads
+            else:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 _compile(cc, path)
+                _prune_cache(os.path.dirname(path), path)
             lib = ctypes.CDLL(path)
             for name, (restype, argtypes) in _PROTOTYPES.items():
                 fn = getattr(lib, name)

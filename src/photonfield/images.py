@@ -111,15 +111,6 @@ def srgb_encode(linear):
     )
 
 
-def srgb_decode(encoded):
-    encoded = np.asarray(encoded, dtype=np.float64)
-    return np.where(
-        encoded <= 0.04045,
-        encoded / 12.92,
-        np.power((encoded + 0.055) / 1.055, 2.4),
-    )
-
-
 def tone_map(img, exposure: float = 1.0) -> np.ndarray:
     """Deterministic display transform: scale, clamp, sRGB, 8-bit."""
     img = _as_image(img)

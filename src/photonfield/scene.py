@@ -885,9 +885,3 @@ def builtin_scene(name: str) -> Scene:
     if name not in _BUILTINS:
         raise SceneValidationError(f"unknown builtin scene {name!r}; expected one of {sorted(_BUILTINS)}")
     return scene_from_dict(_BUILTINS[name]())
-
-
-def builtin_scene_dict(name: str) -> dict:
-    if name not in _BUILTINS:
-        raise SceneValidationError(f"unknown builtin scene {name!r}; expected one of {sorted(_BUILTINS)}")
-    return _BUILTINS[name]()

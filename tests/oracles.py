@@ -1,0 +1,165 @@
+"""Numpy oracles of the field's compiled passes (``_field.c``).
+
+These are the forward and backward passes as numpy ran them before they
+were compiled: per-neighbour-row temporaries, einsums and ordered
+``bincount`` reductions. The compiled passes must equal them bit for bit.
+"""
+
+import numpy as np
+
+FALLOFF_SHARPNESS = 3.0
+
+
+def quaternion_to_matrix(q):
+    """Rotation matrix for unit quaternion(s) ``q = (w, x, y, z)``.
+
+    The polynomial form is used without renormalizing, so the map stays
+    smooth in the ambient 4-vector (needed for analytic parameter
+    gradients). Shape (..., 4) -> (..., 3, 3).
+    """
+    q = np.asarray(q, dtype=np.float64)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
+    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[..., 0, 1] = 2.0 * (x * y - w * z)
+    out[..., 0, 2] = 2.0 * (x * z + w * y)
+    out[..., 1, 0] = 2.0 * (x * y + w * z)
+    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[..., 1, 2] = 2.0 * (y * z - w * x)
+    out[..., 2, 0] = 2.0 * (x * z - w * y)
+    out[..., 2, 1] = 2.0 * (y * z + w * x)
+    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return out
+
+
+def rotation_jacobian(q):
+    """Partials of the rotation matrix w.r.t. the ambient quaternion.
+
+    Shape (..., 4) -> (..., 4, 3, 3); slot ``k`` is dR/dq_k for the same
+    polynomial form as :func:`quaternion_to_matrix`.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    zero = np.zeros_like(w)
+    rows = [
+        # dR/dw
+        [[zero, -2.0 * z, 2.0 * y], [2.0 * z, zero, -2.0 * x], [-2.0 * y, 2.0 * x, zero]],
+        # dR/dx
+        [[zero, 2.0 * y, 2.0 * z], [2.0 * y, -4.0 * x, -2.0 * w], [2.0 * z, 2.0 * w, -4.0 * x]],
+        # dR/dy
+        [[-4.0 * y, 2.0 * x, 2.0 * w], [2.0 * x, zero, 2.0 * z], [-2.0 * w, 2.0 * z, -4.0 * y]],
+        # dR/dz
+        [[-4.0 * z, -2.0 * w, 2.0 * x], [2.0 * w, -4.0 * z, 2.0 * y], [2.0 * x, 2.0 * y, zero]],
+    ]
+    return np.moveaxis(np.array(rows, dtype=np.float64), (0, 1, 2), (-3, -2, -1))
+
+
+def rotation_jacobian_tdot(q, d):
+    """``(dR/dq_m)^T d`` for every slot m, without forming the jacobian.
+
+    Shapes (..., 4), (..., 3) -> (..., 4, 3). Entry (m, j) sums the
+    products ``(dR/dq_m)[i, j] * d_i`` left to right over i = 0, 1, 2, zero
+    entries included, so it equals
+    ``einsum("...mij,...i->...mj", rotation_jacobian(q), d)`` bit for bit.
+    Like einsum, each sum starts from +0.0, which matters only for the sign
+    of a zero result.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    w2, x2, y2, z2 = (2.0 * q[..., c] for c in range(4))
+    x4, y4, z4 = (4.0 * q[..., c] for c in range(1, 4))
+    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
+    o0, o1, o2 = 0.0 * d0, 0.0 * d1, 0.0 * d2
+    out = np.empty(q.shape[:-1] + (4, 3), dtype=np.float64)
+    # column j of each dR/dq_m in rotation_jacobian, dotted with d
+    out[..., 0, 0] = 0.0 + o0 + z2 * d1 - y2 * d2
+    out[..., 0, 1] = 0.0 - z2 * d0 + o1 + x2 * d2
+    out[..., 0, 2] = 0.0 + y2 * d0 - x2 * d1 + o2
+    out[..., 1, 0] = 0.0 + o0 + y2 * d1 + z2 * d2
+    out[..., 1, 1] = 0.0 + y2 * d0 - x4 * d1 + w2 * d2
+    out[..., 1, 2] = 0.0 + z2 * d0 - w2 * d1 - x4 * d2
+    out[..., 2, 0] = 0.0 - y4 * d0 + x2 * d1 - w2 * d2
+    out[..., 2, 1] = 0.0 + x2 * d0 + o1 + z2 * d2
+    out[..., 2, 2] = 0.0 + w2 * d0 + z2 * d1 - y4 * d2
+    out[..., 3, 0] = 0.0 - z4 * d0 + w2 * d1 + x2 * d2
+    out[..., 3, 1] = 0.0 - w2 * d0 - z4 * d1 + y2 * d2
+    out[..., 3, 2] = 0.0 + x2 * d0 + y2 * d1 + o2
+    return out
+
+
+def falloff(dist, radius: float):
+    r_eff = max(radius, 1e-6)
+    t = np.maximum(dist - radius, 0.0) / r_eff
+    return np.where(dist <= radius, 1.0, np.exp(-FALLOFF_SHARPNESS * t * t))
+
+
+def weight_terms(field, xs_rows, ids):
+    """Per-neighbour kernel terms shared by forward and backward."""
+    d = xs_rows - field.means[ids]
+    rot = quaternion_to_matrix(field.quats[ids])
+    y = np.einsum("kij,ki->kj", rot, d)
+    s = np.exp(field.log_scales[ids])
+    u = y / s
+    w_gauss = np.exp(-0.5 * np.einsum("kj,kj->k", u, u))
+    dist = np.sqrt(np.einsum("ki,ki->k", d, d))
+    psi = falloff(dist, field.radius)
+    return d, rot, s, u, w_gauss, dist, psi, w_gauss * psi
+
+
+def forward(field, xs, flat, splits):
+    """Radiance (B, 3) of rows ``xs`` over CSR neighbourhoods, plus the
+    per-neighbour terms and weight sums: ``(L, terms, s_tot)``."""
+    b = len(xs)
+    owner = np.repeat(np.arange(b, dtype=np.intp), np.diff(splits))
+    terms = weight_terms(field, xs[owner], flat)
+    w = terms[-1]
+    s_tot = np.bincount(owner, weights=w, minlength=b)
+    num = np.zeros((b, 3))
+    wphi = w[:, None] * field.flux[flat]
+    for ch in range(3):
+        num[:, ch] = np.bincount(owner, weights=wphi[:, ch], minlength=b)
+    z = np.maximum(s_tot, field.eps)
+    return num / z[:, None], terms, s_tot
+
+
+def backward_terms(field, ids, owner, dl_rows, fwd):
+    """Per-neighbour parameter gradients of J = sum_b dl_b . L_b, from the
+    ``(L, terms, s_tot)`` a :func:`forward` over the same rows gave."""
+    L, (d, rot, s, u, w_gauss, dist, psi, w), s_tot = fwd
+    z = np.maximum(s_tot, field.eps)
+    ind = (s_tot > field.eps).astype(np.float64)
+    dl_phi = np.einsum("kc,kc->k", dl_rows, field.flux[ids])
+    dl_L = np.einsum("kc,kc->k", dl_rows, L[owner])
+    g_w = (dl_phi - ind[owner] * dl_L) / z[owner]
+
+    g_flux = (w / z[owner])[:, None] * dl_rows
+
+    # d(w_gauss)/d(mean) = w_gauss * R (u / s); psi adds the radial term
+    r_eff = max(field.radius, 1e-6)
+    t_excess = np.maximum(dist - field.radius, 0.0) / r_eff
+    outside = dist > field.radius
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d_hat = np.where(dist[:, None] > 0.0, d / np.where(dist[:, None] > 0.0, dist[:, None], 1.0), 0.0)
+    radial = np.where(outside, 2.0 * FALLOFF_SHARPNESS * t_excess / r_eff, 0.0)
+    r_u_over_s = np.einsum("kij,kj->ki", rot, u / s)
+    g_mean = (g_w * w)[:, None] * (r_u_over_s + radial[:, None] * d_hat)
+
+    g_log_scale = (g_w * w)[:, None] * (u * u)
+
+    a_t_d = rotation_jacobian_tdot(field.quats[ids], d)  # rows: (A_m^T d)_j
+    g_quat = -(g_w * w)[:, None] * np.einsum("kmj,kj->km", a_t_d, u / s)
+
+    return {"mean": g_mean, "quat": g_quat, "log_scale": g_log_scale, "flux": g_flux}
+
+
+def backward_scatter(field, xs, dl, flat, splits):
+    """Dense parameter gradients: each column an ordered ``bincount`` of
+    the per-neighbour terms, summed from zero in flat order."""
+    owner = np.repeat(np.arange(len(xs), dtype=np.intp), np.diff(splits))
+    rows = backward_terms(field, flat, owner, dl[owner], forward(field, xs, flat, splits))
+    g = {}
+    for key, part in rows.items():
+        g[key] = np.empty((len(field), part.shape[1]))
+        for c in range(part.shape[1]):
+            g[key][:, c] = np.bincount(flat, weights=part[:, c], minlength=len(field))
+    return g

@@ -11,7 +11,7 @@ from photonfield.cli import main
 from photonfield.field import GaussianField
 from photonfield.images import read_pfm, write_pfm
 from photonfield.integrators import render_gpf
-from photonfield.scene import builtin_scene, builtin_scene_dict
+from photonfield.scene import builtin_scene
 
 
 @pytest.fixture()
@@ -190,8 +190,8 @@ class TestErrors:
         assert rc == 2
         assert "parse" in capsys.readouterr().err
 
-    def test_invalid_scene_content_is_validation_error(self, tmp_path, capsys):
-        data = builtin_scene_dict("cornell-box")
+    def test_invalid_scene_content_is_validation_error(self, tmp_path, capsys, cornell_box_dict):
+        data = cornell_box_dict
         data["shapes"][0]["material"] = "ghost"
         bad = tmp_path / "invalid.json"
         bad.write_text(json.dumps(data))

@@ -12,10 +12,7 @@ from photonfield.core import (
     fold_key,
     normalize,
     orthonormal_basis,
-    quaternion_to_matrix,
     random_unit_quaternion,
-    rotation_jacobian,
-    rotation_jacobian_tdot,
     roulette,
     sample_cosine_hemisphere,
     seed_key,
@@ -23,54 +20,6 @@ from photonfield.core import (
 
 
 class TestQuaternions:
-    def test_identity_quaternion_gives_identity_matrix(self):
-        r = quaternion_to_matrix(np.array([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(r, np.eye(3))
-
-    def test_negated_quaternion_gives_bitwise_same_matrix(self):
-        rng = Rng(3)
-        q = random_unit_quaternion(rng, 50)
-        np.testing.assert_array_equal(quaternion_to_matrix(q), quaternion_to_matrix(-q))
-
-    def test_random_quaternions_give_orthonormal_rotations(self):
-        rng = Rng(4)
-        q = random_unit_quaternion(rng, 200)
-        r = quaternion_to_matrix(q)
-        rtr = np.einsum("kji,kjl->kil", r, r)
-        np.testing.assert_allclose(rtr, np.broadcast_to(np.eye(3), rtr.shape), atol=1e-9)
-        np.testing.assert_allclose(np.linalg.det(r), 1.0, atol=1e-9)
-
-    def test_rotation_preserves_vector_norm(self):
-        rng = Rng(5)
-        q = random_unit_quaternion(rng, 100)
-        v = np.stack([rng.uniform(100) * 4 - 2, rng.uniform(100) * 4 - 2, rng.uniform(100) * 4 - 2], axis=1)
-        rv = np.einsum("kij,kj->ki", quaternion_to_matrix(q), v)
-        np.testing.assert_allclose(np.linalg.norm(rv, axis=1), np.linalg.norm(v, axis=1), rtol=1e-9)
-
-    def test_rotation_jacobian_matches_finite_differences(self):
-        rng = Rng(6)
-        q = random_unit_quaternion(rng, 20)
-        jac = rotation_jacobian(q)
-        h = 1e-7
-        for m in range(4):
-            dq = np.zeros(4)
-            dq[m] = h
-            fd = (quaternion_to_matrix(q + dq) - quaternion_to_matrix(q - dq)) / (2 * h)
-            np.testing.assert_allclose(jac[:, m], fd, atol=1e-7)
-
-    def test_rotation_jacobian_tdot_matches_einsum_bit_for_bit(self):
-        rng = np.random.default_rng(8)
-        q = rng.normal(size=(400, 4)) * rng.choice([1e-3, 1.0, 7.0], size=(400, 1))  # not unit
-        q[rng.random(q.shape) < 0.2] = 0.0
-        q[rng.random(q.shape) < 0.1] = -0.0
-        q[0] = [1.0, 0.0, 0.0, 0.0]
-        d = rng.normal(size=(400, 3))
-        d[rng.random(d.shape) < 0.2] = 0.0
-        d[rng.random(d.shape) < 0.1] = -0.0
-        assert np.any(q < 0.0) and np.any(d < 0.0)
-        want = np.einsum("kmij,ki->kmj", rotation_jacobian(q), d)
-        assert rotation_jacobian_tdot(q, d).tobytes() == want.tobytes()
-
     def test_sampled_quaternions_are_unit(self):
         q = random_unit_quaternion(Rng(7), 1000)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)

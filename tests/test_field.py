@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from photonfield.core import Rng, quaternion_to_matrix, random_unit_quaternion
+import oracles
+from oracles import quaternion_to_matrix, rotation_jacobian, rotation_jacobian_tdot
+from photonfield.core import Rng, random_unit_quaternion
 from photonfield.field import GaussianField
 from photonfield.photons import PhotonMap, trace_photons
 from photonfield.scene import builtin_scene
@@ -34,12 +36,13 @@ def _scan_weight(field, i, x):
 
 
 def _kernel_weight(mean, quat, scale, x, radius):
-    """``_weight_terms`` weight at ``x`` of a one-primitive field."""
+    """Weight at ``x`` of a one-primitive field: the weight sum of a
+    forward over one row whose only neighbour is that primitive."""
     field = GaussianField(
         np.asarray(mean)[None], np.asarray(quat)[None], np.log(np.asarray(scale, dtype=np.float64))[None],
         np.ones((1, 3)), radius=radius,
     )
-    return float(field._weight_terms(np.asarray(x, dtype=np.float64)[None], np.array([0]))[-1][0])
+    return float(field._forward(np.asarray(x, dtype=np.float64)[None], np.array([0]), np.array([0, 1]))[2][0])
 
 
 class TestInitialization:
@@ -336,7 +339,7 @@ class TestGradients:
         flat, splits = field._neighbors(xs)
         assert np.bincount(flat).min() >= 200
         owner = np.repeat(np.arange(len(xs)), np.diff(splits))
-        rows = field._backward_terms(flat, owner, dl[owner], field._forward(xs, flat, splits))
+        rows = oracles.backward_terms(field, flat, owner, dl[owner], oracles.forward(field, xs, flat, splits))
         got = field.backward_scatter(xs, dl, flat, splits)
         for key, part in rows.items():
             want = np.zeros((len(field), part.shape[1]))
@@ -355,6 +358,207 @@ class TestGradients:
         without = field.backward_scatter(xs, dl, flat, splits)
         for key in ("mean", "quat", "log_scale", "flux"):
             assert with_terms[key].tobytes() == without[key].tobytes(), key
+
+
+def _assert_passes_match_oracle(field, xs, flat, splits, dl):
+    """The compiled forward and backward equal the numpy oracles byte for
+    byte: radiance, weight sums and all four gradient blocks."""
+    L, _, s_tot = field._forward(xs, flat, splits)
+    want_L, _, want_s_tot = oracles.forward(field, xs, flat, splits)
+    assert L.tobytes() == want_L.tobytes()
+    assert s_tot.tobytes() == want_s_tot.tobytes()
+    got = field.backward_scatter(xs, dl, flat, splits)
+    want = oracles.backward_scatter(field, xs, dl, flat, splits)
+    for key in ("mean", "quat", "log_scale", "flux"):
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _random_csr(rng, n_rows, n_prims, max_len):
+    """Random neighbourhoods: ids repeat across and within rows, and some
+    rows are empty."""
+    counts = rng.integers(0, max_len + 1, n_rows)
+    counts[rng.random(n_rows) < 0.2] = 0
+    splits = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(counts, out=splits[1:])
+    return rng.integers(0, n_prims, splits[-1]), splits
+
+
+class TestCompiledPasses:
+    def test_index_neighbourhoods_match_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            field = _random_field(rng, n=120)
+            field.rebuild_index()
+            xs = rng.uniform(-0.12, 0.12, (200, 3))
+            _assert_passes_match_oracle(field, xs, *field._neighbors(xs), rng.normal(size=(200, 3)))
+
+    def test_arbitrary_neighbourhoods_with_empty_rows_match_oracle(self):
+        rng = np.random.default_rng(22)
+        field = _random_field(rng, n=30, radius=0.03)
+        xs = rng.uniform(-0.1, 0.1, (300, 3))
+        flat, splits = _random_csr(rng, 300, 30, 12)
+        assert np.any(np.diff(splits) == 0)
+        _assert_passes_match_oracle(field, xs, flat, splits, rng.normal(size=(300, 3)))
+        _assert_passes_match_oracle(field, xs[:0], flat[:0], splits[:1], np.zeros((0, 3)))
+
+    def test_primitives_shared_by_hundreds_of_rows_match_oracle(self):
+        # the summation order over a primitive's rows shows in its low bits
+        rng = np.random.default_rng(23)
+        field = _random_field(rng, n=4, radius=0.5, span=0.02)
+        xs = rng.uniform(-0.05, 0.05, (500, 3))
+        flat, splits = _random_csr(rng, 500, 4, 6)
+        assert np.bincount(flat).min() >= 300
+        _assert_passes_match_oracle(field, xs, flat, splits, rng.normal(size=(500, 3)))
+
+    def test_weight_sums_at_or_below_eps_match_oracle(self):
+        # a lone neighbour 5.5-6.5 sigma away weighs 1e-7 to 3e-10, so z is eps
+        rng = np.random.default_rng(24)
+        field = _random_field(rng, n=10, radius=0.1)
+        field.log_scales[:] = np.log(0.01)
+        dirs = rng.normal(size=(10, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        xs = field.means + dirs * np.linspace(0.055, 0.065, 10)[:, None]
+        xs[0] = field.means[0] + 0.01  # one row well above eps
+        flat, splits = np.concatenate([np.arange(10), [3, 7]]), np.concatenate([np.arange(11), [12]])
+        xs = np.vstack([xs, xs[3]])
+        _, _, s_tot = oracles.forward(field, xs, flat, splits)
+        assert s_tot[0] > field.eps and np.all((s_tot[1:] > 0.0) & (s_tot[1:] <= field.eps))
+        _assert_passes_match_oracle(field, xs, flat, splits, rng.normal(size=(11, 3)))
+
+    def test_distance_equal_to_radius_and_zero_match_oracle(self):
+        # dist == radius is inside (psi = 1, no radial term); dist == 0 takes d_hat = 0
+        rng = np.random.default_rng(25)
+        field = _random_field(rng, n=6, radius=0.5)
+        xs = np.vstack([field.means[0], field.means[1] + [0.5, 0.0, 0.0], field.means[2] + [0.0, 0.0, -0.5]])
+        flat = np.array([0, 3, 1, 4, 2, 5])
+        splits = np.array([0, 2, 4, 6])
+        _, (_, _, _, _, _, dist, _, _), _ = oracles.forward(field, xs, flat, splits)
+        assert dist[0] == 0.0 and dist[2] == field.radius and dist[4] == field.radius
+        _assert_passes_match_oracle(field, xs, flat, splits, rng.normal(size=(3, 3)))
+
+    def test_negative_zero_results_match_oracle(self):
+        # two coincident primitives: num = -5e-324 over z = 2 rounds to -0.0
+        field = GaussianField(
+            np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), np.log(np.full((2, 3), 0.01)),
+            np.array([[-5e-324, 0.0, 1.0], [0.0, -0.0, 1.0]]),
+        )
+        xs = np.zeros((2, 3))
+        flat, splits = np.array([0, 1, 0, 1]), np.array([0, 2, 4])
+        L = field._forward(xs, flat, splits)[0]
+        assert L[0, 0] == 0.0 and np.signbit(L[0, 0])
+        # zero and negative-zero output gradients make -0.0 per-row terms; each sum starts at +0.0
+        dl = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.0]])
+        owner = np.repeat(np.arange(2), np.diff(splits))
+        rows = oracles.backward_terms(field, flat, owner, dl[owner], oracles.forward(field, xs, flat, splits))
+        assert any(np.any((part == 0.0) & np.signbit(part)) for part in rows.values())
+        _assert_passes_match_oracle(field, xs, flat, splits, dl)
+
+
+class TestRowValidation:
+    """Bad neighbourhoods raise ValueError before any compiled pass reads them."""
+
+    @staticmethod
+    def _field_and_rows():
+        field = _random_field(np.random.default_rng(27), n=10)
+        xs = np.zeros((3, 3))
+        return field, xs, np.array([0, 1, 2, 3, 4]), np.array([0, 2, 4, 5]), np.ones((3, 3))
+
+    @pytest.mark.parametrize(("case", "match"), [
+        ("id below 0", "neighbour ids"), ("id at n", "neighbour ids"),
+        ("splits start at 1", "splits"), ("splits fall", "splits"), ("splits end short", "splits"),
+        ("splits end long", "splits"), ("xs rows", "query points"), ("empty splits", "splits"),
+    ])
+    def test_bad_rows_rejected_by_forward_and_backward(self, case, match):
+        field, xs, flat, splits, dl = self._field_and_rows()
+        if case == "id below 0":
+            flat[2] = -1
+        elif case == "id at n":
+            flat[4] = len(field)
+        elif case == "splits start at 1":
+            splits[0] = 1
+        elif case == "splits fall":
+            splits[1] = 5
+        elif case == "splits end short":
+            splits[-1] = 4
+        elif case == "splits end long":
+            splits[-1] = 6
+        elif case == "xs rows":
+            xs = np.zeros((4, 3))
+        elif case == "empty splits":
+            splits = splits[:0]
+        with pytest.raises(ValueError, match=match):
+            field._forward(xs, flat, splits)
+        with pytest.raises(ValueError, match=match):
+            field.backward_scatter(xs, dl, flat, splits)
+
+    def test_output_gradient_rows_must_match_query_rows(self):
+        field, xs, flat, splits, dl = self._field_and_rows()
+        with pytest.raises(ValueError, match="output gradients"):
+            field.backward_scatter(xs, dl[:2], flat, splits)
+
+    def test_forward_terms_of_other_rows_rejected(self):
+        field, xs, flat, splits, dl = self._field_and_rows()
+        fwd = field._forward(xs, flat, splits)
+        with pytest.raises(ValueError, match="other neighbourhoods"):
+            field.backward_scatter(xs, dl, flat[::-1], splits, fwd)
+
+    def test_rebound_parameter_of_wrong_length_rejected(self):
+        field, xs, flat, splits, dl = self._field_and_rows()
+        field.flux = field.flux[:5]
+        with pytest.raises(ValueError, match="flux"):
+            field._forward(xs, flat[:0], np.zeros(4, dtype=np.intp))
+
+
+class TestRotationOracle:
+    """The numpy rotation helpers the oracles use."""
+
+    def test_identity_quaternion_gives_identity_matrix(self):
+        r = quaternion_to_matrix(np.array([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(r, np.eye(3))
+
+    def test_negated_quaternion_gives_bitwise_same_matrix(self):
+        rng = Rng(3)
+        q = random_unit_quaternion(rng, 50)
+        np.testing.assert_array_equal(quaternion_to_matrix(q), quaternion_to_matrix(-q))
+
+    def test_random_quaternions_give_orthonormal_rotations(self):
+        rng = Rng(4)
+        q = random_unit_quaternion(rng, 200)
+        r = quaternion_to_matrix(q)
+        rtr = np.einsum("kji,kjl->kil", r, r)
+        np.testing.assert_allclose(rtr, np.broadcast_to(np.eye(3), rtr.shape), atol=1e-9)
+        np.testing.assert_allclose(np.linalg.det(r), 1.0, atol=1e-9)
+
+    def test_rotation_preserves_vector_norm(self):
+        rng = Rng(5)
+        q = random_unit_quaternion(rng, 100)
+        v = np.stack([rng.uniform(100) * 4 - 2, rng.uniform(100) * 4 - 2, rng.uniform(100) * 4 - 2], axis=1)
+        rv = np.einsum("kij,kj->ki", quaternion_to_matrix(q), v)
+        np.testing.assert_allclose(np.linalg.norm(rv, axis=1), np.linalg.norm(v, axis=1), rtol=1e-9)
+
+    def test_rotation_jacobian_matches_finite_differences(self):
+        rng = Rng(6)
+        q = random_unit_quaternion(rng, 20)
+        jac = rotation_jacobian(q)
+        h = 1e-7
+        for m in range(4):
+            dq = np.zeros(4)
+            dq[m] = h
+            fd = (quaternion_to_matrix(q + dq) - quaternion_to_matrix(q - dq)) / (2 * h)
+            np.testing.assert_allclose(jac[:, m], fd, atol=1e-7)
+
+    def test_rotation_jacobian_tdot_matches_einsum_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        q = rng.normal(size=(400, 4)) * rng.choice([1e-3, 1.0, 7.0], size=(400, 1))  # not unit
+        q[rng.random(q.shape) < 0.2] = 0.0
+        q[rng.random(q.shape) < 0.1] = -0.0
+        q[0] = [1.0, 0.0, 0.0, 0.0]
+        d = rng.normal(size=(400, 3))
+        d[rng.random(d.shape) < 0.2] = 0.0
+        d[rng.random(d.shape) < 0.1] = -0.0
+        assert np.any(q < 0.0) and np.any(d < 0.0)
+        want = np.einsum("kmij,ki->kmj", rotation_jacobian(q), d)
+        assert rotation_jacobian_tdot(q, d).tobytes() == want.tobytes()
 
 
 class TestSerialization:

@@ -10,7 +10,6 @@ from photonfield.field import GaussianField
 from photonfield.images import (
     psnr,
     read_pfm,
-    srgb_decode,
     ssim,
     tone_map,
     write_pfm,
@@ -19,9 +18,14 @@ from photonfield.images import (
 from photonfield.training import SampleSet
 
 
+def _srgb_decode(encoded):
+    """Inverse of the sRGB transfer function ``images.srgb_encode``."""
+    return np.where(encoded <= 0.04045, encoded / 12.92, np.power((encoded + 0.055) / 1.055, 2.4))
+
+
 def _u8_to_linear(u8):
     """Linear image whose tone-mapped result is exactly the given 8-bit data."""
-    return srgb_decode(np.asarray(u8, dtype=np.float64) / 255.0)
+    return _srgb_decode(np.asarray(u8, dtype=np.float64) / 255.0)
 
 
 class TestPfm:

@@ -1,18 +1,22 @@
 """Scenes: intersection, BSDFs, emitters, and JSON round trips."""
 
+import copy
 import ctypes
 import json
 import math
 import os
 import shutil
 import subprocess
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import oracles
 from photonfield import core, geometry
 from photonfield.core import Rng
+from photonfield.field import GaussianField
 from photonfield.photons import trace_photons
 from photonfield.spatial import PointIndex, linear_knn_query
 from photonfield.scene import (
@@ -20,7 +24,6 @@ from photonfield.scene import (
     SceneParseError,
     SceneValidationError,
     builtin_scene,
-    builtin_scene_dict,
     eval_bsdf_batch,
     fresnel_reflectance,
     load_scene,
@@ -126,9 +129,9 @@ class TestIntersection:
         np.testing.assert_array_equal(t_b, t_l)
         assert np.any((p_l < 0) & (t_max < np.inf))
 
-    def test_equal_t_hits_resolve_to_first_primitive_in_perm_order(self):
+    def test_equal_t_hits_resolve_to_first_primitive_in_perm_order(self, cornell_box_dict):
         # every shape twice: each ray that hits one twin hits the other at the same t
-        data = builtin_scene_dict("cornell-box")
+        data = cornell_box_dict
         data["shapes"] = data["shapes"] + data["shapes"]
         g = scene_from_dict(data).geometry
         rng = np.random.default_rng(5)
@@ -227,14 +230,22 @@ class TestCompiledKernel:
             monkeypatch.setattr(geometry, "_lib", None)
             assert trace_photons(scene, 200, 8, Rng(2)).positions.tobytes() == photons.positions.tobytes()
 
+        field = GaussianField(pts, np.tile([1.0, 0.0, 0.0, 0.0], (50, 1)), np.full((50, 3), -2.0), np.ones((50, 3)))
+        rows = (pts[:2], np.array([0, 1, 2]), np.array([0, 2, 3]))
+
+        def field_pass():
+            monkeypatch.setattr(geometry, "_lib", None)
+            assert field._forward(*rows)[0].tobytes() == oracles.forward(field, *rows)[0].tobytes()
+
         ray_query()
         cache = tmp_path / "photonfield"
         assert len(compiled) == 1 and sorted(p.name for p in cache.iterdir()) == [os.path.basename(compiled[0])]
         ray_query()
         neighbour_query()
         photon_pass()
+        field_pass()
         assert len(compiled) == 1
-        queries = {"_bvh.c": ray_query, "_spatial.c": neighbour_query, "_photons.c": photon_pass}
+        queries = {"_bvh.c": ray_query, "_spatial.c": neighbour_query, "_photons.c": photon_pass, "_field.c": field_pass}
         assert [os.path.basename(p) for p in geometry._SOURCES] == list(queries)
         for k, (name, query) in enumerate(queries.items()):
             # the edited copy lives outside the package and still finds _bvh.h
@@ -249,8 +260,35 @@ class TestCompiledKernel:
         header.write_text(open(geometry._HEADERS[0]).read() + "/* edited */\n")
         monkeypatch.setattr(geometry, "_HEADERS", (str(header),))
         photon_pass()
-        assert len(compiled) == 5 and compiled[-1] not in compiled[:-1]
+        assert len(compiled) == 6 and compiled[-1] not in compiled[:-1]
         assert sorted(p.name for p in cache.iterdir()) == sorted(os.path.basename(p) for p in compiled)
+
+    def test_prune_deletes_only_stale_libraries(self, tmp_path):
+        names = ["kernels-old.so", "bvh-old.so", "kernels-keep.so", "kernels-fresh.so", "notes-old.so", "kernels-old.tmp"]
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+            if "fresh" not in name:
+                os.utime(tmp_path / name, (0, 0))
+        geometry._prune_cache(str(tmp_path), str(tmp_path / "kernels-keep.so"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names[2:])
+
+    def test_build_prunes_stale_libraries_and_a_warm_load_only_touches(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "photonfield"
+        cache.mkdir()
+        day = 24 * 3600
+        for name, age in (("kernels-stale.so", 8 * day), ("bvh-stale.so", 30 * day), ("kernels-other.so", 6 * day)):
+            (cache / name).write_bytes(b"")
+            os.utime(cache / name, (time.time() - age,) * 2)
+        monkeypatch.setattr(geometry, "_lib", None)
+        built = geometry.load_kernels()._name
+        # another install's library loaded six days ago survives; the stale ones and nothing else go
+        assert sorted(p.name for p in cache.iterdir()) == sorted(["kernels-other.so", os.path.basename(built)])
+        os.utime(built, (0, 0))
+        monkeypatch.setattr(geometry, "_lib", None)
+        monkeypatch.setattr(geometry, "_prune_cache", lambda *a: pytest.fail("pruned on a warm cache"))
+        assert geometry.load_kernels()._name == built
+        assert time.time() - os.stat(built).st_mtime < day
 
     def test_tables_are_type_checked(self):
         # each kernel takes a table by typed pointer, so a wrong one is refused before any memory is read
@@ -272,13 +310,20 @@ class TestCompiledKernel:
                 scene._shading, scene.geometry._table, 4, out.ctypes.data, out.ctypes.data, out.ctypes.data,
                 keys.ctypes.data, best_p.ctypes.data,
             )
+        field = GaussianField(np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]], np.zeros((1, 3)), np.ones((1, 3)))
+        table, batch = field._forward(np.zeros((1, 3)), np.array([0]), np.array([0, 1]))[1]
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            lib.pf_field_terms(batch, batch)
+        with pytest.raises(ctypes.ArgumentError, match="argument 2"):
+            lib.pf_field_backward(table, table, *(out.ctypes.data,) * 5)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
     def test_tables_mirror_the_c_structs(self, tmp_path):
         # kernels that only pass a member back to themselves would not notice two same-typed members swapped
-        tables = {"_bvh.h": ("pf_bvh", geometry.BvhTable), "_photons.c": ("pf_shading", geometry.ShadingTable),
-                  "_spatial.c": ("pf_kdtree", geometry.KdTreeTable)}
-        for src, (struct, table) in tables.items():
+        tables = [("_bvh.h", "pf_bvh", geometry.BvhTable), ("_photons.c", "pf_shading", geometry.ShadingTable),
+                  ("_spatial.c", "pf_kdtree", geometry.KdTreeTable), ("_field.c", "pf_field", geometry.FieldTable),
+                  ("_field.c", "pf_batch", geometry.BatchTable)]
+        for src, struct, table in tables:
             checks = [f"_Static_assert(sizeof(struct {struct}) == {ctypes.sizeof(table)}, \"size\");"]
             for name, _ in table._fields_:
                 offset = getattr(table, name).offset
@@ -291,6 +336,7 @@ class TestCompiledKernel:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
     def test_sources_compile_without_warnings(self, tmp_path):
         flags = [f for f in geometry._CFLAGS if f != "-shared"] + ["-Wall", "-Wextra", "-Werror", "-I", geometry._DIR]
+        assert {os.path.basename(src) for src in geometry._SOURCES} == {"_bvh.c", "_spatial.c", "_photons.c", "_field.c"}
         for src in geometry._SOURCES:
             res = subprocess.run(["cc", *flags, "-c", src, "-o", str(tmp_path / "k.o")], capture_output=True, text=True)
             assert (res.returncode, res.stderr) == (0, ""), f"{src}:\n{res.stderr}"
@@ -535,18 +581,18 @@ class TestSceneFiles:
         with pytest.raises(SceneParseError, match="line"):
             load_scene(path)
 
-    def test_unknown_key_is_a_hard_error(self):
-        data = builtin_scene_dict("cornell-box")
+    def test_unknown_key_is_a_hard_error(self, cornell_box_dict):
+        data = copy.deepcopy(cornell_box_dict)
         data["shapes"][0]["glossiness"] = 0.5
         with pytest.raises(SceneParseError, match="glossiness"):
             scene_from_dict(data)
-        data = builtin_scene_dict("cornell-box")
+        data = cornell_box_dict
         data["skybox"] = True
         with pytest.raises(SceneParseError, match="skybox"):
             scene_from_dict(data)
 
-    def test_unknown_material_reference_rejected(self):
-        data = builtin_scene_dict("cornell-box")
+    def test_unknown_material_reference_rejected(self, cornell_box_dict):
+        data = cornell_box_dict
         data["shapes"][0]["material"] = "not-there"
         with pytest.raises(SceneValidationError, match="not-there"):
             scene_from_dict(data)
