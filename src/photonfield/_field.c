@@ -1,4 +1,5 @@
-/* Forward and backward passes of photonfield.field.GaussianField.
+/* Forward and backward passes of photonfield.field.GaussianField, and
+ * the Adam step of photonfield.training.train.
  *
  * A batch is B query rows over CSR neighbourhoods: row b owns the
  * primitives flat[splits[b] .. splits[b+1]), one neighbour row each. A
@@ -15,23 +16,29 @@
  * pf_field_backward then adds every parameter gradient of J = sum dl . L
  * into its primitive's row. Every sum starts from +0.0 and adds in flat
  * order, as numpy's bincount does, so each result equals the numpy
- * passes' (tests/oracles.py) bit for bit. R is the polynomial form of
- * the quaternion's rotation matrix, without renormalizing. An einsum over
- * three terms sums as 0.0 + ((p0 + p2) + p1) when the reduced axis is
- * contiguous, and as ((0.0 + p0) + p1) + p2 when it is the matrix row
- * (R^T d). Build with -ffp-contract=off: a fused multiply-add would move
- * bits.
+ * passes' (tests/oracles.py) bit for bit. pf_adam_step takes one Adam
+ * step on the parameters in place, in the numpy optimizer's operation
+ * order. R is the polynomial form of the quaternion's rotation matrix,
+ * without renormalizing. An einsum over three terms sums as
+ * 0.0 + ((p0 + p2) + p1) when the reduced axis is contiguous, and as
+ * ((0.0 + p0) + p1) + p2 when it is the matrix row (R^T d). Build with
+ * -ffp-contract=off: a fused multiply-add would move bits.
  *
  * Python checks every index before calling; no state is static, so
  * threads may run passes at once.
  */
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 #define FALLOFF_SHARPNESS 3.0 /* psi = exp(-3 t^2) beyond the radius (field.py) */
 
 /* The field's parameters, n rows each; geometry.FieldTable mirrors it. */
 struct pf_field {
+    ptrdiff_t n;
     const double *means, *quats, *scales, *flux; /* 3, 4, 3 and 3 columns; scales = exp(log_scales) */
     double radius, eps;
 };
@@ -155,15 +162,19 @@ static void jacobian_tdot(const double *q, const double *d, double a[12])
     a[11] = 0.0 + x2 * d[0] + y2 * d[1] + o2;
 }
 
-/* Add each neighbour row's gradient of J = sum_b dl_b . L_b into its
- * primitive's row of g_mean, g_quat, g_log_scale and g_flux (n x 3, 4, 3
- * and 3, zero on entry), from a pf_field_sum'd batch. It recomputes
+/* Zero g_mean, g_quat, g_log_scale and g_flux (n x 3, 4, 3 and 3), then
+ * add each neighbour row's gradient of J = sum_b dl_b . L_b into its
+ * primitive's row of them, from a pf_field_sum'd batch. It recomputes
  * each row's d, R and u rather than storing them: a fresh array per pass
  * costs more in page faults than the arithmetic. */
 void pf_field_backward(const struct pf_field *f, const struct pf_batch *bt, const double *dl, double *g_mean,
                        double *g_quat, double *g_log_scale, double *g_flux)
 {
     ptrdiff_t k_all = bt->splits[bt->rows];
+    memset(g_mean, 0, 3 * f->n * sizeof(double));
+    memset(g_quat, 0, 4 * f->n * sizeof(double));
+    memset(g_log_scale, 0, 3 * f->n * sizeof(double));
+    memset(g_flux, 0, 3 * f->n * sizeof(double));
     for (ptrdiff_t b = 0; b < bt->rows; b++) {
         const double *dlb = dl + 3 * b;
         double s_tot = bt->s_tot[b];
@@ -191,4 +202,88 @@ void pf_field_backward(const struct pf_field *f, const struct pf_batch *bt, cons
                 g_quat[4 * i + m] += -gw_w * dot3(a + 3 * m, v);
         }
     }
+}
+
+/* One Adam step's state over a field's parameter blocks;
+ * geometry.AdamTable mirrors it. */
+struct pf_adam {
+    ptrdiff_t n;
+    double *means, *quats, *log_scales, *flux;            /* n x 3, 4, 3 and 3; updated in place */
+    const double *g_mean, *g_quat, *g_log_scale, *g_flux; /* their gradients */
+    double *m, *v;                                        /* 13n each: the four blocks' moments, in that order */
+    double lr, beta1, beta2, eps;
+    double log_scale_min, log_scale_max; /* np.log of SCALE_MIN and SCALE_MAX (libm's log differs) */
+};
+
+/* Adam on count elements: the moments of gradient g, and p -= s with
+ * s = (lr * (m / c1)) / (sqrt(v / c2) + eps), each as numpy evaluates it.
+ * Returns whether any s is not 0 (a NaN counts). SSE2 takes two elements
+ * at a time; its packed division and square root are correctly rounded,
+ * as the scalar ones are. It skips a pair whose m, v and g are all +0.0:
+ * with lr, eps, c1 and c2 positive, as TrainConfig ensures, their step is
+ * an exact no-op (m and v stay +0.0 and s is +0.0), so a primitive no
+ * batch has reached yet costs no division. */
+static int adam(const struct pf_adam *a, double c1, double c2, ptrdiff_t count, double *p, const double *g, double *m,
+                double *v)
+{
+    double b1 = a->beta1, b2 = a->beta2, ob1 = 1.0 - b1, ob2 = 1.0 - b2, lr = a->lr, eps = a->eps;
+    int moved = 0;
+    ptrdiff_t i = 0;
+#ifdef __SSE2__
+    __m128d any = _mm_setzero_pd();
+    for (; i + 2 <= count; i += 2) {
+        __m128d gi = _mm_loadu_pd(g + i);
+        __m128i bits = _mm_castpd_si128(_mm_or_pd(_mm_or_pd(gi, _mm_loadu_pd(m + i)), _mm_loadu_pd(v + i)));
+        if (_mm_movemask_epi8(_mm_cmpeq_epi32(bits, _mm_setzero_si128())) == 0xFFFF)
+            continue;
+        __m128d mi = _mm_add_pd(_mm_mul_pd(_mm_set1_pd(b1), _mm_loadu_pd(m + i)), _mm_mul_pd(_mm_set1_pd(ob1), gi));
+        __m128d vi = _mm_add_pd(_mm_mul_pd(_mm_set1_pd(b2), _mm_loadu_pd(v + i)),
+                                _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(ob2), gi), gi));
+        __m128d num = _mm_mul_pd(_mm_set1_pd(lr), _mm_div_pd(mi, _mm_set1_pd(c1)));
+        __m128d s = _mm_div_pd(num, _mm_add_pd(_mm_sqrt_pd(_mm_div_pd(vi, _mm_set1_pd(c2))), _mm_set1_pd(eps)));
+        _mm_storeu_pd(m + i, mi);
+        _mm_storeu_pd(v + i, vi);
+        _mm_storeu_pd(p + i, _mm_sub_pd(_mm_loadu_pd(p + i), s));
+        any = _mm_or_pd(any, _mm_cmpneq_pd(s, _mm_setzero_pd()));
+    }
+    moved = _mm_movemask_pd(any) != 0;
+#endif
+    for (; i < count; i++) {
+        double mi = b1 * m[i] + ob1 * g[i];
+        double vi = b2 * v[i] + (ob2 * g[i]) * g[i];
+        double s = (lr * (mi / c1)) / (sqrt(vi / c2) + eps);
+        m[i] = mi;
+        v[i] = vi;
+        p[i] -= s;
+        moved |= s != 0.0;
+    }
+    return moved;
+}
+
+/* One Adam step on every parameter, with c1 = 1 - beta1^t and
+ * c2 = 1 - beta2^t. A quaternion row is renormalized only if its step
+ * moved it, so untouched rows keep their bits; the norm sums its squares
+ * left to right, as np.linalg.norm does. Log-scales are then clamped to
+ * [log_scale_min, log_scale_max], a NaN passing through as in np.clip. */
+void pf_adam_step(const struct pf_adam *a, double c1, double c2)
+{
+    ptrdiff_t n = a->n;
+    adam(a, c1, c2, 3 * n, a->means, a->g_mean, a->m, a->v);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double *q = a->quats + 4 * i;
+        if (adam(a, c1, c2, 4, q, a->g_quat + 4 * i, a->m + 3 * n + 4 * i, a->v + 3 * n + 4 * i)) {
+            double norm = sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3]);
+            for (int c = 0; c < 4; c++)
+                q[c] /= norm;
+        }
+    }
+    double *ls = a->log_scales;
+    adam(a, c1, c2, 3 * n, ls, a->g_log_scale, a->m + 7 * n, a->v + 7 * n);
+    for (ptrdiff_t i = 0; i < 3 * n; i++) {
+        if (ls[i] < a->log_scale_min)
+            ls[i] = a->log_scale_min;
+        else if (ls[i] > a->log_scale_max)
+            ls[i] = a->log_scale_max;
+    }
+    adam(a, c1, c2, 3 * n, a->flux, a->g_flux, a->m + 10 * n, a->v + 10 * n);
 }

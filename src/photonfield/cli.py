@@ -172,7 +172,14 @@ def _cmd_gpf_init(args) -> int:
     return 0
 
 
+def _train_config(args) -> training.TrainConfig:
+    return training.TrainConfig(
+        learning_rate=args.lr, steps=args.steps, batch_size=args.batch, rebuild_every=args.rebuild_every, seed=args.seed
+    )
+
+
 def _cmd_gpf_train(args) -> int:
+    tcfg = _train_config(args)
     scene = _load_scene_arg(args.scene)
     cameras = _load_views_file(args.views)
     cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
@@ -181,13 +188,6 @@ def _cmd_gpf_train(args) -> int:
     else:
         field = _seed_field(scene, args, args.photons, args.kmin)
     dataset = training.build_dataset(scene, cameras, cfg, samples_per_pixel=args.spp, threads=args.threads)
-    tcfg = training.TrainConfig(
-        learning_rate=args.lr,
-        steps=args.steps,
-        batch_size=args.batch,
-        rebuild_every=args.rebuild_every,
-        seed=args.seed,
-    )
     log = training.train(field, dataset, tcfg)
     field.save(args.out_checkpoint)
     outputs = [args.out_checkpoint]
@@ -239,6 +239,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     import os
 
+    tcfg = _train_config(args)
     scene = _load_scene_arg(args.scene)
     cameras = _load_views_file(args.views)
     heldout = scene.camera if args.camera is None else _load_camera_file(args.camera)
@@ -256,9 +257,6 @@ def _cmd_sweep(args) -> int:
         field = _seed_field(scene, args, n_photons, k_min)
         if dataset is None:
             dataset = training.build_dataset(scene, cameras, train_cfg, samples_per_pixel=args.spp, threads=args.threads)
-        tcfg = training.TrainConfig(
-            learning_rate=args.lr, steps=args.steps, batch_size=args.batch, rebuild_every=args.rebuild_every, seed=args.seed
-        )
         training.train(field, dataset, tcfg)
         ckpt = f"{args.out}.{args.param}-{value}.gpf"
         field.save(ckpt)

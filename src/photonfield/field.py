@@ -43,6 +43,22 @@ QUAT_NORM_TOL = 1e-6
 
 _MAGIC = b"GPF1"
 
+# the gradient blocks of ``backward_scatter``, in the order the C pass takes them, and their widths
+GRADIENT_WIDTHS = {"mean": 3, "quat": 4, "log_scale": 3, "flux": 3}
+
+
+def gradient_buffers(n: int) -> dict:
+    """Uninitialized gradient arrays of ``n`` primitives, as ``backward_scatter`` returns and overwrites them."""
+    return {key: np.empty((n, width)) for key, width in GRADIENT_WIDTHS.items()}
+
+
+def writable(arr, shape, what: str):
+    """``arr`` if a C kernel may write it in place: a writeable C-contiguous float64 array of ``shape``."""
+    ok = isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.shape == shape
+    if not (ok and arr.flags.c_contiguous and arr.flags.writeable):
+        raise ValueError(f"{what} must be a writeable C-contiguous float64 array of shape {shape}")
+    return arr
+
 
 class GaussianField:
     """Mutable set of Gaussian primitives plus a rebuildable spatial index.
@@ -54,10 +70,11 @@ class GaussianField:
     """
 
     def __init__(self, means, quats, log_scales, flux, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN, eps=DEFAULT_EPS):
-        self.means = np.asarray(means, dtype=np.float64).reshape(-1, 3)
-        self.quats = np.asarray(quats, dtype=np.float64).reshape(-1, 4)
-        self.log_scales = np.asarray(log_scales, dtype=np.float64).reshape(-1, 3)
-        self.flux = np.asarray(flux, dtype=np.float64).reshape(-1, 3)
+        # contiguous, so that training can update them in place in C
+        self.means = np.ascontiguousarray(means, dtype=np.float64).reshape(-1, 3)
+        self.quats = np.ascontiguousarray(quats, dtype=np.float64).reshape(-1, 4)
+        self.log_scales = np.ascontiguousarray(log_scales, dtype=np.float64).reshape(-1, 3)
+        self.flux = np.ascontiguousarray(flux, dtype=np.float64).reshape(-1, 3)
         n = len(self.means)
         if not (len(self.quats) == len(self.log_scales) == len(self.flux) == n):
             raise ValueError("parameter blocks must have matching lengths")
@@ -134,7 +151,7 @@ class GaussianField:
             arrays[name] = np.ascontiguousarray(arr, dtype=np.float64)
             if arrays[name].shape != (n, width):
                 raise ValueError(f"field {name} has shape {arrays[name].shape}, expected ({n}, {width})")
-        return FieldTable(radius=self.radius, eps=self.eps, **arrays)
+        return FieldTable(n=n, radius=self.radius, eps=self.eps, **arrays)
 
     def _rows(self, xs, flat, splits):
         """``xs`` (B, 3) and CSR neighbourhoods ``(flat, splits)`` as the C
@@ -179,13 +196,16 @@ class GaussianField:
 
     # -- backward ----------------------------------------------------------
 
-    def backward_scatter(self, xs, dl_dout, flat, splits, fwd=None):
+    def backward_scatter(self, xs, dl_dout, flat, splits, fwd=None, out=None):
         """Gradients of ``J = sum_b dl_dout_b . L_b`` in dense parameter arrays.
 
         ``fwd`` is what ``_forward(xs, flat, splits)`` returned, and the
         gradients are those of that forward's parameters; it is recomputed
         when omitted. Each primitive's gradient is the sum of its neighbour
         rows' terms from +0.0 in flat order, so training is bit-reproducible.
+        ``out`` is a dict of buffers to overwrite with the gradients, keyed
+        as the returned dict (see :func:`gradient_buffers`); fresh arrays
+        when omitted.
         """
         xs, flat, splits = self._rows(xs, flat, splits)
         dl = np.ascontiguousarray(dl_dout, dtype=np.float64).reshape(-1, 3)
@@ -196,10 +216,11 @@ class GaussianField:
         table, batch = fwd[1]
         if not (np.array_equal(batch.arrays["flat"], flat) and np.array_equal(batch.arrays["splits"], splits)):
             raise ValueError("fwd was computed over other neighbourhoods")
-        n = len(self)
-        g = {"mean": np.zeros((n, 3)), "quat": np.zeros((n, 4)), "log_scale": np.zeros((n, 3)), "flux": np.zeros((n, 3))}
-        load_kernels().pf_field_backward(table, batch, dl.ctypes.data, *(g[key].ctypes.data for key in g))
-        return g
+        out = gradient_buffers(len(self)) if out is None else out
+        for key, width in GRADIENT_WIDTHS.items():
+            writable(out.get(key) if isinstance(out, dict) else None, (len(self), width), f"gradient buffer out[{key!r}]")
+        load_kernels().pf_field_backward(table, batch, dl.ctypes.data, *(out[key].ctypes.data for key in GRADIENT_WIDTHS))
+        return out
 
     # -- serialization (GPF1: little-endian, float32 payload) ---------------
 

@@ -12,16 +12,16 @@ equal-``t`` ties included: the first primitive in ``perm`` order wins.
 The traversal, the spatial index's kernels (``_spatial.c``), the
 photon tracer (``_photons.c``, which walks the BVH with the traversal's
 per-ray ``pf_bvh_nearest``, declared in ``_bvh.h``) and the field's
-forward and backward passes (``_field.c``) are one shared library,
-compiled with the system ``cc`` by :func:`load_kernels` at the first ray
-query, point-index build, photon pass or field pass, into
+forward and backward passes and Adam step (``_field.c``) are one shared
+library, compiled with the system ``cc`` by :func:`load_kernels` at the
+first ray query, point-index build, photon pass or field pass, into
 ``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
 name keyed by every C source and header, the flags and the compiler
 version; importing the package compiles nothing. This module alone knows
 the library's binary interface: its prototypes, and a ``ctypes.Structure``
 mirror of each C struct the kernels take by typed pointer
 (:class:`BvhTable`, :class:`ShadingTable`, :class:`KdTreeTable`,
-:class:`FieldTable`, :class:`BatchTable`).
+:class:`FieldTable`, :class:`BatchTable`, :class:`AdamTable`).
 
 All intersections use a strict self-intersection epsilon: hits require
 ``t > t_min`` (default 1e-4 scene units).
@@ -89,7 +89,8 @@ class KdTreeTable(_Table):
 class FieldTable(_Table):
     """``struct pf_field`` (``_field.c``): a GaussianField's parameters, with its scales exponentiated."""
 
-    _fields_ = [(f, _P) for f in ("means", "quats", "scales", "flux")] + [("radius", ctypes.c_double), ("eps", ctypes.c_double)]
+    _fields_ = [("n", _N)] + [(f, _P) for f in ("means", "quats", "scales", "flux")]
+    _fields_ += [("radius", ctypes.c_double), ("eps", ctypes.c_double)]
 
 
 class BatchTable(_Table):
@@ -98,8 +99,16 @@ class BatchTable(_Table):
     _fields_ = [("rows", _N)] + [(f, _P) for f in ("xs", "splits", "flat", "expo", "s_tot", "L")]
 
 
-_BVH, _SHADING, _KDTREE, _FIELD, _BATCH = (
-    ctypes.POINTER(t) for t in (BvhTable, ShadingTable, KdTreeTable, FieldTable, BatchTable)
+class AdamTable(_Table):
+    """``struct pf_adam`` (``_field.c``): a field's parameters, their gradients and Adam's moments and constants."""
+
+    _fields_ = [("n", _N)] + [(f, _P) for f in ("means", "quats", "log_scales", "flux")]
+    _fields_ += [(f, _P) for f in ("g_mean", "g_quat", "g_log_scale", "g_flux", "m", "v")]
+    _fields_ += [(f, ctypes.c_double) for f in ("lr", "beta1", "beta2", "eps", "log_scale_min", "log_scale_max")]
+
+
+_BVH, _SHADING, _KDTREE, _FIELD, _BATCH, _ADAM = (
+    ctypes.POINTER(t) for t in (BvhTable, ShadingTable, KdTreeTable, FieldTable, BatchTable, AdamTable)
 )
 # restype and argtypes of every function the library exports; a table goes by pointer
 _PROTOTYPES = {
@@ -112,6 +121,7 @@ _PROTOTYPES = {
     "pf_field_terms": (None, [_FIELD, _BATCH]),
     "pf_field_sum": (None, [_FIELD, _BATCH]),
     "pf_field_backward": (None, [_FIELD, _BATCH, _P, _P, _P, _P, _P]),
+    "pf_adam_step": (None, [_ADAM, ctypes.c_double, ctypes.c_double]),
 }
 _lib = None
 _lib_lock = threading.Lock()

@@ -11,16 +11,23 @@ Training minimizes the mean squared radiance error over minibatches with
 Adam. Quaternions take the ambient step and are renormalized; log-scales
 are clamped; flux is unconstrained (it may transiently go negative; the
 renderer clamps final pixels instead, which keeps the optimizer unbiased).
+Each step's gradients land in buffers allocated once per run, and the Adam
+step runs in C (``_field.c``'s ``pf_adam_step``), one call per step that
+updates the parameters in place. It evaluates every operation in the order
+the numpy optimizer it replaced did (``tests/oracles.py``), so training
+stays bit-reproducible and gives that optimizer's bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, integrators, scene as scene_mod
-from .field import SCALE_MAX, SCALE_MIN, GaussianField, read_records, write_records
+from .field import GRADIENT_WIDTHS, SCALE_MAX, SCALE_MIN, GaussianField, gradient_buffers, read_records, writable, write_records
+from .geometry import AdamTable, load_kernels
 from .integrators import SppmConfig, SurfacePoints, trace_to_first_diffuse
 
 _TAG_DATASET = 0xD5
@@ -121,8 +128,10 @@ def build_dataset(
 # optimization
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked on construction and frozen, so the compiled Adam step may rely on them."""
+
     learning_rate: float = 5e-4
     steps: int = 10_000
     batch_size: int = 1024
@@ -133,9 +142,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "steps", "batch_size", "rebuild_every", "beta1", "beta2", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        bounds = dict.fromkeys(("steps", "batch_size", "rebuild_every", "learning_rate", "adam_eps"), math.inf)
+        for name, hi in {**bounds, "beta1": 1.0, "beta2": 1.0}.items():
+            if not 0 < getattr(self, name) < hi:
+                raise ValueError(f"{name} must lie in (0, {hi}), got {getattr(self, name)}")
 
 
 @dataclass
@@ -146,21 +156,28 @@ class TrainLog:
 
 
 class _Adam:
-    def __init__(self, shape, beta1, beta2, eps):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
+    """Adam on a field's four parameter blocks: one ``pf_adam_step``
+    (``_field.c``) per step updates the field's arrays in place from the
+    gradients in ``grads``, which the caller refills before each step, and
+    keeps the moments in arrays allocated here once."""
 
-    def step(self, grad, lr):
+    def __init__(self, field: GaussianField, grads: dict, cfg: TrainConfig):
+        n = len(field)
+        self.m, self.v = (np.zeros(n * sum(GRADIENT_WIDTHS.values())) for _ in range(2))
+        self.beta1, self.beta2, self.t = cfg.beta1, cfg.beta2, 0
+        arrays = {}
+        for name, key in (("means", "mean"), ("quats", "quat"), ("log_scales", "log_scale"), ("flux", "flux")):
+            shape = (n, GRADIENT_WIDTHS[key])
+            arrays[name] = writable(getattr(field, name), shape, f"field {name}")
+            arrays[f"g_{key}"] = writable(grads.get(key), shape, f"gradient {key!r}")
+        self.table = AdamTable(
+            n=n, m=self.m, v=self.v, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
+            log_scale_min=np.log(SCALE_MIN), log_scale_max=np.log(SCALE_MAX), **arrays,
+        )
+
+    def step(self):
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        load_kernels().pf_adam_step(self.table, 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t)
 
 
 def _mean_squared_error(dataset: SampleSet, predict, chunk: int = 8192) -> float:
@@ -205,12 +222,8 @@ def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLo
         raise ValueError("dataset is empty")
     n = len(dataset)
     losses = np.zeros(cfg.steps)
-    opt = {
-        "mean": _Adam(field.means.shape, cfg.beta1, cfg.beta2, cfg.adam_eps),
-        "quat": _Adam(field.quats.shape, cfg.beta1, cfg.beta2, cfg.adam_eps),
-        "log_scale": _Adam(field.log_scales.shape, cfg.beta1, cfg.beta2, cfg.adam_eps),
-        "flux": _Adam(field.flux.shape, cfg.beta1, cfg.beta2, cfg.adam_eps),
-    }
+    grads = gradient_buffers(len(field))
+    opt = _Adam(field, grads, cfg)
     batch_key = core.fold_key(core.seed_key(cfg.seed), _TAG_BATCH)
     field.rebuild_index()
     # every sample against the first index: the initial loss, and the rows
@@ -251,18 +264,8 @@ def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLo
             )
         losses[step] = loss
         dl = (2.0 / cfg.batch_size) * resid
-        grads = field.backward_scatter(xs, dl, flat, splits, fwd)
-        field.means -= opt["mean"].step(grads["mean"], cfg.learning_rate)
-        quat_step = opt["quat"].step(grads["quat"], cfg.learning_rate)
-        field.quats -= quat_step
-        # renormalize only rows the step moved: untouched primitives stay
-        # bit-identical (a blanket renorm would seed spurious Adam drift)
-        moved = np.any(quat_step != 0.0, axis=1)
-        if np.any(moved):
-            field.quats[moved] /= np.linalg.norm(field.quats[moved], axis=1, keepdims=True)
-        field.log_scales -= opt["log_scale"].step(grads["log_scale"], cfg.learning_rate)
-        field.flux -= opt["flux"].step(grads["flux"], cfg.learning_rate)
-        np.clip(field.log_scales, np.log(SCALE_MIN), np.log(SCALE_MAX), out=field.log_scales)
+        field.backward_scatter(xs, dl, flat, splits, fwd, out=grads)
+        opt.step()
         field.mark_updated()
     field.rebuild_index()
     return TrainLog(losses=losses, final_full_loss=dataset_loss(field, dataset), initial_full_loss=initial_full)

@@ -1,11 +1,14 @@
-"""Numpy oracles of the field's compiled passes (``_field.c``).
+"""Numpy oracles of the field's compiled passes and Adam step (``_field.c``).
 
-These are the forward and backward passes as numpy ran them before they
-were compiled: per-neighbour-row temporaries, einsums and ordered
-``bincount`` reductions. The compiled passes must equal them bit for bit.
+These are the forward and backward passes and the optimizer step as numpy
+ran them before they were compiled: per-neighbour-row temporaries, einsums,
+ordered ``bincount`` reductions and one Adam per parameter block. The
+compiled code must equal them bit for bit.
 """
 
 import numpy as np
+
+from photonfield.field import SCALE_MAX, SCALE_MIN
 
 FALLOFF_SHARPNESS = 3.0
 
@@ -163,3 +166,44 @@ def backward_scatter(field, xs, dl, flat, splits):
         for c in range(part.shape[1]):
             g[key][:, c] = np.bincount(flat, weights=part[:, c], minlength=len(field))
     return g
+
+
+class Adam:
+    """Adam on one parameter block."""
+
+    def __init__(self, shape, beta1, beta2, eps):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+
+    def step(self, grad, lr):
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        return lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def adam_optimizers(field, cfg):
+    """One :class:`Adam` per gradient block of ``field``, keyed as the gradients."""
+    blocks = (("mean", "means"), ("quat", "quats"), ("log_scale", "log_scales"), ("flux", "flux"))
+    return {key: Adam(getattr(field, attr).shape, cfg.beta1, cfg.beta2, cfg.adam_eps) for key, attr in blocks}
+
+
+def adam_update(field, opt, grads, lr):
+    """One Adam step on the field's parameters in place, from ``grads``."""
+    field.means -= opt["mean"].step(grads["mean"], lr)
+    quat_step = opt["quat"].step(grads["quat"], lr)
+    field.quats -= quat_step
+    # renormalize only rows the step moved: untouched primitives stay
+    # bit-identical (a blanket renorm would seed spurious Adam drift)
+    moved = np.any(quat_step != 0.0, axis=1)
+    if np.any(moved):
+        field.quats[moved] /= np.linalg.norm(field.quats[moved], axis=1, keepdims=True)
+    field.log_scales -= opt["log_scale"].step(grads["log_scale"], lr)
+    field.flux -= opt["flux"].step(grads["flux"], lr)
+    np.clip(field.log_scales, np.log(SCALE_MIN), np.log(SCALE_MAX), out=field.log_scales)

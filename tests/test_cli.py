@@ -280,6 +280,28 @@ class TestErrors:
             assert "k_min must be non-negative" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["field.gpf", "views.json"]
 
+    @pytest.mark.parametrize("command", ["gpf-train", "sweep"])
+    @pytest.mark.parametrize(("flag", "value"), [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--steps", "0")])
+    def test_bad_train_config_is_validation_error_before_any_work(
+        self, tmp_path, views_file, capsys, monkeypatch, command, flag, value
+    ):
+        # the config is checked before any photon is traced or pixel rendered
+        import photonfield.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the train config was checked")
+
+        for module, name in ((cli, "trace_photons"), (cli.training, "build_dataset"), (cli.integrators, "render_sppm")):
+            monkeypatch.setattr(module, name, refuse)
+        common = ["--scene", "builtin:cornell-box", "--views", views_file, flag, value]
+        argv = {
+            "gpf-train": ["gpf-train", *common, "--out-checkpoint", str(tmp_path / "f.gpf"), "--log", str(tmp_path / "log.json")],
+            "sweep": ["sweep", "--param", "k", "--values", "3", *common, "--out", str(tmp_path / "sweep.json")],
+        }[command]
+        assert main(argv) == 3
+        assert "error: validate:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
     @pytest.mark.parametrize("scale0", ["-1", "0"])
     @pytest.mark.filterwarnings("error")
     def test_non_positive_scale0_is_validation_error(self, tmp_path, capsys, scale0):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from oracles import quaternion_to_matrix, rotation_jacobian, rotation_jacobian_tdot
 from photonfield.core import Rng, random_unit_quaternion
-from photonfield.field import GaussianField
+from photonfield.field import GRADIENT_WIDTHS, GaussianField, gradient_buffers
 from photonfield.photons import PhotonMap, trace_photons
 from photonfield.scene import builtin_scene
 from photonfield.spatial import linear_hybrid_query
@@ -507,6 +507,59 @@ class TestRowValidation:
         field.flux = field.flux[:5]
         with pytest.raises(ValueError, match="flux"):
             field._forward(xs, flat[:0], np.zeros(4, dtype=np.intp))
+
+
+class TestGradientBuffers:
+    """``backward_scatter(out=...)`` overwrites the caller's buffers, or refuses them before C runs."""
+
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(28)
+        field = _random_field(rng, n=30, radius=0.03)
+        xs = rng.uniform(-0.1, 0.1, (80, 3))
+        flat, splits = _random_csr(rng, 80, 30, 8)
+        return field, xs, flat, splits, rng.normal(size=(80, 3))
+
+    def test_junk_filled_buffers_give_the_bytes_of_fresh_ones(self):
+        field, xs, flat, splits, dl = self._setup()
+        fresh = field.backward_scatter(xs, dl, flat, splits)
+        out = {key: np.full((len(field), w), junk) for (key, w), junk in zip(GRADIENT_WIDTHS.items(), (np.nan, -0.0, 1e300, -7.0))}
+        for _ in range(2):  # a second pass over its own results still starts from zero
+            got = field.backward_scatter(xs, dl, flat, splits, field._forward(xs, flat, splits), out=out)
+            assert got is out
+            for key in GRADIENT_WIDTHS:
+                assert got[key].tobytes() == fresh[key].tobytes(), key
+        want = oracles.backward_scatter(field, xs, dl, flat, splits)
+        assert all(out[key].tobytes() == want[key].tobytes() for key in GRADIENT_WIDTHS)
+
+    @pytest.mark.parametrize("case", ["shape", "dtype", "fortran order", "strided", "read-only", "missing key", "not a dict"])
+    def test_unwritable_buffers_rejected_before_the_kernel_runs(self, case):
+        field, xs, flat, splits, dl = self._setup()
+        out = {key: np.full((len(field), w), 7.0) for key, w in GRADIENT_WIDTHS.items()}
+        if case == "shape":
+            out["quat"] = np.full((len(field) - 1, 4), 7.0)
+        elif case == "dtype":
+            out["mean"] = np.full((len(field), 3), 7.0, dtype=np.float32)
+        elif case == "fortran order":
+            out["flux"] = np.asfortranarray(out["flux"])
+        elif case == "strided":
+            out["log_scale"] = np.full((len(field), 6), 7.0)[:, ::2]
+        elif case == "read-only":
+            out["mean"].flags.writeable = False
+        elif case == "missing key":
+            del out["flux"]
+        else:
+            out = list(out.values())
+        with pytest.raises(ValueError, match="gradient buffer"):
+            field.backward_scatter(xs, dl, flat, splits, out=out)
+        for buf in out.values() if isinstance(out, dict) else out:
+            assert np.all(buf == 7.0)
+
+    def test_forward_of_other_rows_still_rejected_with_buffers(self):
+        field, xs, flat, splits, dl = self._setup()
+        fwd = field._forward(xs, flat, splits)
+        with pytest.raises(ValueError, match="other neighbourhoods"):
+            field.backward_scatter(xs, dl, flat[::-1], splits, fwd, out=gradient_buffers(len(field)))
 
 
 class TestRotationOracle:

@@ -316,13 +316,15 @@ class TestCompiledKernel:
             lib.pf_field_terms(batch, batch)
         with pytest.raises(ctypes.ArgumentError, match="argument 2"):
             lib.pf_field_backward(table, table, *(out.ctypes.data,) * 5)
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            lib.pf_adam_step(table, 1.0, 1.0)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
     def test_tables_mirror_the_c_structs(self, tmp_path):
         # kernels that only pass a member back to themselves would not notice two same-typed members swapped
         tables = [("_bvh.h", "pf_bvh", geometry.BvhTable), ("_photons.c", "pf_shading", geometry.ShadingTable),
                   ("_spatial.c", "pf_kdtree", geometry.KdTreeTable), ("_field.c", "pf_field", geometry.FieldTable),
-                  ("_field.c", "pf_batch", geometry.BatchTable)]
+                  ("_field.c", "pf_batch", geometry.BatchTable), ("_field.c", "pf_adam", geometry.AdamTable)]
         for src, struct, table in tables:
             checks = [f"_Static_assert(sizeof(struct {struct}) == {ctypes.sizeof(table)}, \"size\");"]
             for name, _ in table._fields_:
@@ -337,9 +339,11 @@ class TestCompiledKernel:
     def test_sources_compile_without_warnings(self, tmp_path):
         flags = [f for f in geometry._CFLAGS if f != "-shared"] + ["-Wall", "-Wextra", "-Werror", "-I", geometry._DIR]
         assert {os.path.basename(src) for src in geometry._SOURCES} == {"_bvh.c", "_spatial.c", "_photons.c", "_field.c"}
-        for src in geometry._SOURCES:
-            res = subprocess.run(["cc", *flags, "-c", src, "-o", str(tmp_path / "k.o")], capture_output=True, text=True)
-            assert (res.returncode, res.stderr) == (0, ""), f"{src}:\n{res.stderr}"
+        # -U__SSE2__ builds the portable loops that stand in for SSE2 code elsewhere
+        builds = [(src, []) for src in geometry._SOURCES] + [(os.path.join(geometry._DIR, "_field.c"), ["-U__SSE2__"])]
+        for src, extra in builds:
+            res = subprocess.run(["cc", *flags, *extra, "-c", src, "-o", str(tmp_path / "k.o")], capture_output=True, text=True)
+            assert (res.returncode, res.stderr) == (0, ""), f"{src} {extra}:\n{res.stderr}"
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))

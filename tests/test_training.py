@@ -1,11 +1,17 @@
 """Dataset construction and field optimization."""
 
+import ctypes
+import dataclasses
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
-from photonfield import core
+import oracles
+from photonfield import core, geometry
 from photonfield.core import Rng
-from photonfield.field import SCALE_MAX, SCALE_MIN, GaussianField
+from photonfield.field import GRADIENT_WIDTHS, SCALE_MAX, SCALE_MIN, GaussianField, gradient_buffers
 from photonfield.integrators import SppmConfig, _camera_rays, trace_to_first_diffuse
 from photonfield.photons import trace_photons
 from photonfield.scene import builtin_scene, scene_from_dict
@@ -240,14 +246,184 @@ class TestTrain:
         assert abs(loss - log.final_full_loss) < 1e-9
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(("name", "value"), [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+        ("adam_eps", float("nan")), ("adam_eps", float("inf")), ("adam_eps", -1e-8),
+        ("beta1", 0.0), ("beta1", 1.0), ("beta1", float("nan")), ("beta2", 1.5), ("beta2", 1.0), ("beta2", -0.1),
+        ("steps", 0), ("batch_size", -1), ("rebuild_every", 0), ("steps", float("nan")),
+    ])
+    def test_values_that_cannot_train_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_defaults_and_extremes_inside_the_ranges_accepted(self):
+        TrainConfig()
+        TrainConfig(learning_rate=1e300, adam_eps=5e-324, beta1=5e-324, beta2=1.0 - 2**-53)
+
+    def test_checked_values_cannot_be_changed_afterwards(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.learning_rate = float("nan")
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _adam_pair(field, cfg):
+    """The compiled step on ``field`` and the numpy oracle on a copy; returns
+    ``(compiled, its gradient buffers, oracle field, oracle optimizers)``."""
+    twin = GaussianField(field.means.copy(), field.quats.copy(), field.log_scales.copy(), field.flux.copy())
+    grads = gradient_buffers(len(field))
+    return _Adam(field, grads, cfg), grads, twin, oracles.adam_optimizers(twin, cfg)
+
+
+def _assert_adam_matches_oracle(field, cfg, grad_steps):
+    """Run one compiled and one numpy Adam step per gradient dict of
+    ``grad_steps`` and compare parameters and moments byte for byte."""
+    opt, grads, twin, oracle = _adam_pair(field, cfg)
+    for step in grad_steps:
+        for key in grads:
+            grads[key][:] = step[key]
+        opt.step()
+        oracles.adam_update(twin, oracle, step, cfg.learning_rate)
+        for attr in ("means", "quats", "log_scales", "flux"):
+            assert _same_bits(getattr(field, attr), getattr(twin, attr)), attr
+        assert _same_bits(opt.m, np.concatenate([oracle[key].m.ravel() for key in grads]))
+        assert _same_bits(opt.v, np.concatenate([oracle[key].v.ravel() for key in grads]))
+
+
+def _random_adam_field(rng, n):
+    """Parameters whose quaternions are off unit length, so a renorm shows."""
+    return GaussianField(
+        rng.normal(size=(n, 3)), rng.normal(size=(n, 4)) * 1.3, rng.uniform(-6.0, -2.0, (n, 3)), rng.normal(size=(n, 3))
+    )
+
+
+def _random_grads(rng, n, touched):
+    return {key: rng.normal(size=(n, w)) * 10.0 ** rng.integers(-6, 3, (n, 1)) * touched[:, None]
+            for key, w in GRADIENT_WIDTHS.items()}
+
+
+class TestCompiledAdamStep:
+    """``pf_adam_step`` against the numpy Adam and update it replaced (``tests/oracles.py``)."""
+
+    def test_random_steps_leave_untouched_rows_bit_identical(self):
+        rng = np.random.default_rng(40)
+        n = 61  # odd, so each block also ends in an element outside the SSE2 pairs
+        field = _random_adam_field(rng, n)
+        before = {attr: getattr(field, attr).copy() for attr in ("means", "quats", "log_scales", "flux")}
+        never = np.zeros(n, dtype=bool)
+        never[rng.choice(n, 15, replace=False)] = True
+        steps = [_random_grads(rng, n, ~never & (rng.random(n) < 0.7)) for _ in range(6)]
+        _assert_adam_matches_oracle(field, TrainConfig(learning_rate=2e-2), steps)
+        for attr, was in before.items():
+            assert _same_bits(getattr(field, attr)[never], was[never]), attr
+            assert np.all(getattr(field, attr)[~never] != was[~never]), attr
+        # moved quaternions are renormalized, untouched ones are not
+        norms = np.linalg.norm(field.quats, axis=1)
+        assert np.all(np.abs(norms[~never] - 1.0) < 1e-15) and np.all(np.abs(norms[never] - 1.0) > 1e-3)
+
+    def test_negative_zeros_and_steps_that_underflow_to_zero(self):
+        # with beta1 = 0.3 a first moment of -5e-324 decays to -0.0, and a
+        # -0.0 moment gives a -0.0 step, which turns a -0.0 parameter into +0.0
+        tiny = 5e-324
+        n = 8
+        field = GaussianField(
+            np.full((n, 3), -0.0), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)) * 1.1, np.full((n, 3), -3.0),
+            np.where(np.arange(3 * n).reshape(n, 3) % 2, 0.0, -0.0),
+        )
+        vals = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.0])
+        rng = np.random.default_rng(41)
+        steps = [{key: vals[rng.integers(0, len(vals), (n, w))] for key, w in GRADIENT_WIDTHS.items()} for _ in range(8)]
+        # row 0 of every block: -tiny, then -0.0, then +0.0 gradients
+        for step, g in zip(steps, (-tiny, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0)):
+            for key in step:
+                step[key][0] = g
+        cfg = TrainConfig(learning_rate=1e-3, beta1=0.3)
+        _assert_adam_matches_oracle(field, cfg, steps)
+        opt, grads, twin, oracle = _adam_pair(field, cfg)
+        # the row-0 schedule really makes -0.0 moments and a zero step of a nonzero gradient
+        for key in grads:
+            grads[key][:] = 0.0
+            grads[key][0] = -tiny
+        opt.step()
+        assert np.all(field.quats[0] == twin.quats[0])  # s == 0: not renormalized
+        row0 = np.concatenate([start + np.arange(w) for start, w in ((0, 3), (3 * n, 4), (7 * n, 3), (10 * n, 3))])
+        assert np.all(opt.m[row0] < 0.0)
+        for key in grads:
+            grads[key][0] = -0.0
+        opt.step()
+        assert np.all((opt.m[row0] == 0.0) & np.signbit(opt.m[row0]))
+
+    def test_log_scales_clamped_at_both_bounds(self):
+        rng = np.random.default_rng(42)
+        n = 20
+        field = _random_adam_field(rng, n)
+        lo, hi = np.log(SCALE_MIN), np.log(SCALE_MAX)
+        field.log_scales[: n // 2] = lo + rng.uniform(0.0, 0.5, (n // 2, 3))
+        field.log_scales[n // 2:] = hi - rng.uniform(0.0, 0.5, (n - n // 2, 3))
+        push = np.where(np.arange(n)[:, None] < n // 2, 1.0, -1.0) * np.ones((1, 3))
+        steps = []
+        for _ in range(4):
+            g = _random_grads(rng, n, np.ones(n, dtype=bool))
+            g["log_scale"] = push * rng.uniform(0.5, 2.0, (n, 3))
+            steps.append(g)
+        _assert_adam_matches_oracle(field, TrainConfig(learning_rate=0.3), steps)
+        assert np.all(field.log_scales[: n // 2] == lo) and np.all(field.log_scales[n // 2:] == hi)
+
+    def test_nan_gradient_propagates_as_in_numpy(self):
+        rng = np.random.default_rng(43)
+        n = 12
+        field = _random_adam_field(rng, n)
+        steps = [_random_grads(rng, n, np.ones(n, dtype=bool)) for _ in range(3)]
+        steps[1]["quat"][2, 1] = np.nan
+        steps[1]["mean"][5, 0] = np.nan
+        steps[2]["log_scale"][7, 2] = np.nan
+        steps[2]["flux"][9, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            _assert_adam_matches_oracle(field, TrainConfig(learning_rate=1e-2), steps)
+        assert np.all(np.isnan(field.quats[2])) and np.isnan(field.means[5, 0]) and np.isnan(field.log_scales[7, 2])
+        assert np.sum(np.isnan(field.quats)) == 4 and np.sum(np.isnan(field.flux)) == 1
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
+    def test_portable_build_matches_oracle(self, tmp_path, monkeypatch):
+        # the scalar loop that stands in for SSE2 elsewhere, built here with -U__SSE2__
+        path = tmp_path / "portable.so"
+        cmd = ["cc", *geometry._CFLAGS, "-U__SSE2__", "-I", geometry._DIR, "-o", str(path), *geometry._SOURCES, "-lm"]
+        res = subprocess.run(cmd, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        lib = ctypes.CDLL(str(path))
+        for name, (restype, argtypes) in geometry._PROTOTYPES.items():
+            getattr(lib, name).restype, getattr(lib, name).argtypes = restype, argtypes
+        monkeypatch.setattr(geometry, "_lib", lib)
+        rng = np.random.default_rng(45)
+        field = _random_adam_field(rng, 31)
+        steps = [_random_grads(rng, 31, rng.random(31) < 0.6) for _ in range(5)]
+        _assert_adam_matches_oracle(field, TrainConfig(learning_rate=2e-2), steps)
+
+    @pytest.mark.parametrize("case", ["strided field", "float32 gradient", "short gradient", "missing gradient"])
+    def test_arrays_the_kernel_cannot_write_rejected(self, case):
+        field = _random_adam_field(np.random.default_rng(44), 5)
+        grads = gradient_buffers(5)
+        if case == "strided field":
+            field.means = np.zeros((5, 6))[:, :3]
+        elif case == "float32 gradient":
+            grads["flux"] = grads["flux"].astype(np.float32)
+        elif case == "short gradient":
+            grads["quat"] = grads["quat"][:4]
+        else:
+            del grads["log_scale"]
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            _Adam(field, grads, TrainConfig())
+
+
 def _train_querying_every_batch(field, dataset, cfg):
     """Reference loop: the same draws and Adam updates as ``train``, but
     every minibatch queries its neighborhoods afresh."""
     n = len(dataset)
-    opt = {
-        name: _Adam(getattr(field, attr).shape, cfg.beta1, cfg.beta2, cfg.adam_eps)
-        for name, attr in (("mean", "means"), ("quat", "quats"), ("log_scale", "log_scales"), ("flux", "flux"))
-    }
+    opt = oracles.adam_optimizers(field, cfg)
     batch_key = core.fold_key(core.seed_key(cfg.seed), _TAG_BATCH)
     field.rebuild_index()
     initial_full = dataset_loss(field, dataset)
@@ -263,15 +439,7 @@ def _train_querying_every_batch(field, dataset, cfg):
         resid = pred - dataset.l_ref[idx]
         losses[step] = float(np.sum(resid * resid, axis=1).mean())
         grads = field.backward_scatter(xs, (2.0 / cfg.batch_size) * resid, flat, splits)
-        field.means -= opt["mean"].step(grads["mean"], cfg.learning_rate)
-        quat_step = opt["quat"].step(grads["quat"], cfg.learning_rate)
-        field.quats -= quat_step
-        moved = np.any(quat_step != 0.0, axis=1)
-        if np.any(moved):
-            field.quats[moved] /= np.linalg.norm(field.quats[moved], axis=1, keepdims=True)
-        field.log_scales -= opt["log_scale"].step(grads["log_scale"], cfg.learning_rate)
-        field.flux -= opt["flux"].step(grads["flux"], cfg.learning_rate)
-        np.clip(field.log_scales, np.log(SCALE_MIN), np.log(SCALE_MAX), out=field.log_scales)
+        oracles.adam_update(field, opt, grads, cfg.learning_rate)
         field.mark_updated()
     field.rebuild_index()
     return losses, initial_full, dataset_loss(field, dataset)
