@@ -16,7 +16,12 @@
  * -ffp-contract=off: a fused multiply-add rounds differently.
  *
  * Results are ordered by (distance, id), which makes every row unique
- * whatever the tree's shape.
+ * whatever the tree's shape. Since pf_ball and pf_knn round distances
+ * with the same dist3, a ball row of b < k ids is exactly the first b
+ * ids of the same point's k-nearest row: every id outside the ball lies
+ * at a distance > r. So the hybrid query (ball, topped up to k from the
+ * k nearest) needs no kernel of its own: spatial.py takes the kNN row
+ * for each short ball row.
  */
 #include <math.h>
 #include <stddef.h>
@@ -270,32 +275,5 @@ void pf_knn(const struct pf_kdtree *t, ptrdiff_t m, const double *xs, ptrdiff_t 
             }
         }
         unheap(hid, hd, k);
-    }
-}
-
-/* Hybrid rows: each ball row, and after the ball row of short_rows[s]
- * (ascending) the ids of kNN row s (k per row) that it does not hold, in
- * kNN order. A short ball row holds fewer than k ids. */
-void pf_hybrid_merge(ptrdiff_t m, const ptrdiff_t *ball, const ptrdiff_t *ball_splits, ptrdiff_t n_short,
-                     const ptrdiff_t *short_rows, const ptrdiff_t *knn, ptrdiff_t k, ptrdiff_t *out,
-                     ptrdiff_t *out_splits)
-{
-    ptrdiff_t cnt = 0, s = 0;
-    out_splits[0] = 0;
-    for (ptrdiff_t i = 0; i < m; i++) {
-        ptrdiff_t b0 = ball_splits[i], b1 = ball_splits[i + 1];
-        for (ptrdiff_t j = b0; j < b1; j++)
-            out[cnt++] = ball[j];
-        if (s < n_short && short_rows[s] == i) {
-            for (ptrdiff_t q = s * k; q < (s + 1) * k; q++) {
-                ptrdiff_t j = b0;
-                while (j < b1 && ball[j] != knn[q])
-                    j++;
-                if (j == b1)
-                    out[cnt++] = knn[q];
-            }
-            s++;
-        }
-        out_splits[i + 1] = cnt;
     }
 }

@@ -117,7 +117,6 @@ _PROTOTYPES = {
     "pf_kd_build": (None, [_N, _P, _KDTREE]),
     "pf_ball": (_N, [_KDTREE, _N, _P, ctypes.c_double, _N, _N, _P, _P, _P]),
     "pf_knn": (None, [_KDTREE, _N, _P, _N, _P, _P]),
-    "pf_hybrid_merge": (None, [_N, _P, _P, _N, _P, _P, _N, _P, _P]),
     "pf_field_terms": (None, [_FIELD, _BATCH]),
     "pf_field_sum": (None, [_FIELD, _BATCH]),
     "pf_field_backward": (None, [_FIELD, _BATCH, _P, _P, _P, _P, _P]),

@@ -121,9 +121,7 @@ def tone_map(img, exposure: float = 1.0) -> np.ndarray:
 def write_ppm(path, img, exposure: float = 1.0) -> None:
     u8 = tone_map(img, exposure)
     h, w, _ = u8.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(u8.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode(), u8.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import core, geometry
 from .core import normalize, vdot
+from .images import write_atomic
 
 DIFFUSE = 0
 MIRROR = 1
@@ -703,9 +704,7 @@ def load_scene(path) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(scene.to_dict(), indent=2) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ exactly what a linear scan gives, with inclusive boundaries (``distance
 
 The batch queries (``*_query_batch``) are the only queries: they take an
 (m, 3) array of points and answer in CSR layout, one row of ids per point.
+:func:`gather_rows` picks rows out of such a result. A hybrid row is the
+ball row, topped up from the kNN row when the ball holds fewer than
+``k_eff = min(k_min, n)`` ids. Every row is (distance, id)-sorted with the
+same rounding, so such a short ball row is a prefix of its kNN row, and its
+hybrid row is the kNN row: the hybrid query splices the ball and kNN
+results with that row gather.
 
 ``linear_ball_query`` / ``linear_knn_query`` / ``linear_hybrid_query`` are
 the reference scans used by the test suite; they share only the distance
@@ -131,9 +137,13 @@ class PointIndex:
     def hybrid_query_batch(self, xs, r: float, k_min: int):
         """Vectorized hybrid query in CSR layout (ids, row_splits).
 
-        Each row is its ball result, followed, when that holds fewer than
-        min(k_min, n) ids, by the k_min-NN ids not already in it (in kNN
-        order).
+        Each row is its ball result, topped up, when that holds fewer than
+        ``k_eff = min(k_min, n)`` ids, with the k_min-NN ids not already in
+        it (in kNN order). A short ball row of ``b < k_eff`` ids is exactly
+        the first ``b`` ids of the same point's kNN row: every other id lies
+        at a distance ``> r``, and both kernels round distances alike. So a
+        short row's hybrid row is its kNN row, and every other row is its
+        ball row.
         """
         if k_min < 0:
             raise ValueError("k_min must be non-negative")
@@ -143,14 +153,22 @@ class PointIndex:
         short = np.flatnonzero(np.diff(splits) < k_eff)
         if len(short) == 0:
             return flat, splits
-        kflat, _ = self.knn_query_batch(xs[short], k_min)
+        kflat, ksplits = self.knn_query_batch(xs[short], k_min)
+        # the ball rows, then the kNN rows; a short row takes its kNN row
         m = len(xs)
-        out, out_splits = np.empty(len(flat) + len(kflat), dtype=np.intp), np.empty(m + 1, dtype=np.intp)
-        load_kernels().pf_hybrid_merge(
-            m, flat.ctypes.data, splits.ctypes.data, len(short), short.ctypes.data, kflat.ctypes.data, k_eff,
-            out.ctypes.data, out_splits.ctypes.data,
-        )
-        return out[: out_splits[m]], out_splits
+        rows = np.arange(m, dtype=np.intp)
+        rows[short] = m + np.arange(len(short), dtype=np.intp)
+        return gather_rows(np.concatenate([flat, kflat]), np.concatenate([splits, len(flat) + ksplits[1:]]), rows)
+
+
+def gather_rows(flat, splits, rows):
+    """CSR sub-batch holding rows ``rows`` of ``(flat, splits)``, in order."""
+    starts = splits[rows]
+    counts = splits[rows + 1] - starts
+    out_splits = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out_splits[1:])
+    pos = np.repeat(starts - out_splits[:-1], counts) + np.arange(out_splits[-1], dtype=np.intp)
+    return flat[pos], out_splits
 
 
 def _queries(xs):

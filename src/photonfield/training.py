@@ -29,6 +29,7 @@ from . import core, integrators, scene as scene_mod
 from .field import GRADIENT_WIDTHS, SCALE_MAX, SCALE_MIN, GaussianField, gradient_buffers, read_records, writable, write_records
 from .geometry import AdamTable, load_kernels
 from .integrators import SppmConfig, SurfacePoints, trace_to_first_diffuse
+from .spatial import gather_rows
 
 _TAG_DATASET = 0xD5
 _TAG_BATCH = 0xB7
@@ -198,16 +199,6 @@ def dataset_loss(field: GaussianField, dataset: SampleSet, chunk: int = 8192) ->
     return _mean_squared_error(dataset, lambda lo, hi: field.query_batch(dataset.position[lo:hi]), chunk)
 
 
-def _gather_rows(flat, splits, rows):
-    """CSR sub-batch holding rows ``rows`` of ``(flat, splits)``, in order."""
-    starts = splits[rows]
-    counts = splits[rows + 1] - starts
-    out_splits = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum(counts, out=out_splits[1:])
-    pos = np.repeat(starts - out_splits[:-1], counts) + np.arange(out_splits[-1], dtype=np.intp)
-    return flat[pos], out_splits
-
-
 def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLog:
     """Minibatch Adam on the mean squared radiance error.
 
@@ -231,7 +222,7 @@ def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLo
     all_flat, all_splits = field._neighbors(dataset.position)
 
     def predict_initial(lo, hi):
-        flat, splits = _gather_rows(all_flat, all_splits, np.arange(lo, hi))
+        flat, splits = gather_rows(all_flat, all_splits, np.arange(lo, hi))
         return field._forward(dataset.position[lo:hi], flat, splits)[0]
 
     initial_full = _mean_squared_error(dataset, predict_initial)
@@ -243,14 +234,14 @@ def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLo
             uniq, rows = np.unique(batches, return_inverse=True)
             rows = rows.reshape(batches.shape)
             if step == 0:
-                nb_flat, nb_splits = _gather_rows(all_flat, all_splits, uniq)
+                nb_flat, nb_splits = gather_rows(all_flat, all_splits, uniq)
             else:
                 field.rebuild_index()
                 nb_flat, nb_splits = field._neighbors(dataset.position[uniq])
         i = step % cfg.rebuild_every
         idx = batches[i]
         xs = dataset.position[idx]
-        flat, splits = _gather_rows(nb_flat, nb_splits, rows[i])
+        flat, splits = gather_rows(nb_flat, nb_splits, rows[i])
         fwd = field._forward(xs, flat, splits)
         pred = fwd[0]
         resid = pred - dataset.l_ref[idx]

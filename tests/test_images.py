@@ -1,6 +1,8 @@
 """PFM/PPM files, tone mapping, PSNR, SSIM."""
 
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -154,6 +156,20 @@ class TestToneMap:
         blob = path.read_bytes()
         assert blob.startswith(b"P6\n3 2\n255\n")
         assert len(blob) == len(b"P6\n3 2\n255\n") + 18
+
+    def test_ppm_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "img.ppm"
+        write_ppm(path, np.zeros((2, 3, 3)))
+        old = path.read_bytes()
+
+        def replace(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            write_ppm(path, np.ones((4, 4, 3)))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["img.ppm"]
 
 
 class TestPsnr:

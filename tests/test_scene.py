@@ -2,6 +2,7 @@
 
 import copy
 import ctypes
+import errno
 import json
 import math
 import os
@@ -289,6 +290,15 @@ class TestCompiledKernel:
         monkeypatch.setattr(geometry, "_prune_cache", lambda *a: pytest.fail("pruned on a warm cache"))
         assert geometry.load_kernels()._name == built
         assert time.time() - os.stat(built).st_mtime < day
+
+    def test_exported_kernels_are_the_prototypes(self):
+        # a kernel no prototype declares is dead code, and a prototype of no kernel a dead entry
+        nm = shutil.which("nm")
+        if nm is None:
+            pytest.skip("no nm on PATH")
+        out = subprocess.run([nm, "-D", "--defined-only", geometry.load_kernels()._name], capture_output=True, text=True, check=True).stdout
+        exported = {f[2] for f in (line.split() for line in out.splitlines()) if len(f) == 3 and f[1] == "T" and f[2].startswith("pf_")}
+        assert exported == set(geometry._PROTOTYPES)
 
     def test_tables_are_type_checked(self):
         # each kernel takes a table by typed pointer, so a wrong one is refused before any memory is read
@@ -628,6 +638,20 @@ class TestSceneFiles:
         path2 = tmp_path / "scene2.json"
         save_scene(loaded, path2)
         assert path.read_text() == path2.read_text()
+
+    def test_save_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scene.json"
+        save_scene(builtin_scene("caustic-sphere"), path)
+        old = path.read_bytes()
+
+        def replace(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            save_scene(builtin_scene("cornell-box"), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
 
 
 class TestCamera:

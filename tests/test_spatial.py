@@ -161,6 +161,51 @@ class TestHybridQuery:
             idx.hybrid_query_batch(np.zeros((1, 3)), 0.1, -2)
 
 
+class TestHybridRowsAreBallOrKnnRows:
+    """A ball row of b < min(k_min, n) ids is the first b ids of its kNN row,
+    so each hybrid row is byte-equal to its kNN row when the ball row is
+    short and to its ball row otherwise; the linear scan checks both."""
+
+    def _check(self, pts, xs, r, k):
+        idx = PointIndex(pts)
+        hybrid = _rows(*idx.hybrid_query_batch(xs, r, k))
+        ball = _rows(*idx.ball_query_batch(xs, r))
+        knn = _rows(*idx.knn_query_batch(xs, k))
+        k_eff = min(k, len(pts))
+        assert len(hybrid) == len(xs)
+        for x, h, b, nn in zip(xs, hybrid, ball, knn):
+            assert h.tobytes() == (nn if len(b) < k_eff else b).tobytes()
+            assert h.tobytes() == linear_hybrid_query(pts, x, r, k).astype(np.intp).tobytes()
+        return sum(len(b) < k_eff for b in ball)
+
+    def test_tie_heavy_grid(self):
+        g = 0.125 * np.arange(5)
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        xs = np.vstack([pts[::3], pts[::7] + 0.0625, pts[::5] + [0.0625, 0.0, 0.0], [[1.0, 1.0, 1.0]]])
+        for r in (0.0, 0.0625, 0.125, 0.25):
+            for k in (1, 4, 7, 11):
+                short = self._check(pts, xs, r, k)
+                assert 0 < short or r == 0.25
+        assert 0 < self._check(pts, xs, 0.125, 8) < len(xs)  # short and full rows in one batch
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(41)
+        base = rng.uniform(-1, 1, (120, 3))
+        pts = np.vstack([base, base[:50], base[:50], base[:10]])  # up to four copies of one point
+        xs = np.vstack([base[:40], rng.uniform(-1, 1, (40, 3))])
+        for r, k in ((0.0, 2), (0.0, 5), (0.15, 6), (0.3, 9)):
+            assert self._check(pts, xs, r, k) > 0
+
+    def test_k_beyond_n_k_zero_and_empty_index(self):
+        pts = _random_points(7, seed=42)
+        xs = np.vstack([pts[:3], _random_points(12, seed=43, lo=-2.0, hi=2.0)])
+        assert self._check(pts, xs, 0.3, 12) > 0
+        assert self._check(pts, xs, 0.0, 7) == len(xs)  # k = n
+        assert self._check(pts, xs, 0.0, 1) == len(xs) - 3  # each of pts[:3] finds only itself
+        assert self._check(pts, xs, 0.3, 0) == 0
+        assert self._check(np.zeros((0, 3)), xs, 0.3, 5) == 0
+
+
 def _assert_batch_rows_match_linear_scan(pts, xs, r, k_min):
     """Every row of both batch kernels equals the linear-scan reference."""
     idx = PointIndex(pts)

@@ -11,9 +11,10 @@ each side builds its kernel library once, so no timed run pays for the
 compile. For every workload, pair i runs both sides on seed i, one after
 the other, and the side that runs first alternates. The tool prints, per
 workload and end-to-end metric, each side's median and quartiles and the
-change's wins out of the pairs (ties count for neither side), and writes
-``BENCH_<tag>.json`` with the raw runs, that summary, both revisions and
-the machine.
+change's wins out of the pairs (ties count for neither side) and a
+verdict against the metric's bound in ``BENCHMARK.json`` (see
+:func:`verdict`), and writes ``BENCH_<tag>.json`` with the raw runs, that
+summary, both revisions and the machine.
 """
 
 from __future__ import annotations
@@ -51,15 +52,35 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(runs, better):
+def verdict(base, change, direction, bound):
+    """The verdict on one metric's runs, "no worse", "worse" or
+    "unresolved", for a bound relative to the base's median.
+
+    The change is worse when its median is worse than the base's by more
+    than ``bound`` of the base's median. The runs cannot tell that apart
+    ("unresolved") when either side's quartile spread exceeds ``bound`` of
+    its median, unless every change run beats every base run.
+    """
+    sign = 1.0 if direction == "higher" else -1.0
+    if min(sign * c for c in change) > max(sign * b for b in base):
+        return "no worse"
+    bq, cq = quartiles(base), quartiles(change)
+    if any(q3 - q1 > bound * abs(med) for q1, med, q3 in (bq, cq)):
+        return "unresolved"
+    return "worse" if sign * (bq[1] - cq[1]) > bound * abs(bq[1]) else "no worse"
+
+
+def summarize(runs, metrics):
     """Per workload and metric: each side's quartiles, the change's wins,
-    losses and ties over the pairs, the ratio of medians, and whether the
-    change is clearly better: it wins at least nine tenths of the pairs and
-    its median beats the base's by more than the base's quartile spread.
+    losses and ties over the pairs, the ratio of medians, whether the
+    change is clearly better (it wins at least nine tenths of the pairs and
+    its median beats the base's by more than the base's quartile spread),
+    and its :func:`verdict`.
 
     ``runs`` are dicts with ``workload``, ``seed``, ``side`` ("base" or
     "change") and ``metrics`` ({name: value}, or None for a run that
-    failed); ``better`` maps each metric to "lower" or "higher".
+    failed); ``metrics`` maps each metric to ("lower" or "higher" is
+    better, its relative bound).
     """
     out = {}
     for wl in sorted({r["workload"] for r in runs}):
@@ -69,7 +90,7 @@ def summarize(runs, better):
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
         pairs = [(p["base"], p["change"]) for _, p in sorted(by_seed.items()) if p.get("base") and p.get("change")]
         out[wl] = {"pairs": len(pairs), "failed_runs": sum(1 for r in runs if r["workload"] == wl and not r["metrics"])}
-        for name, direction in better.items():
+        for name, (direction, bound) in metrics.items():
             both = [(b[name], c[name]) for b, c in pairs if name in b and name in c]
             if not both:
                 continue
@@ -87,6 +108,8 @@ def summarize(runs, better):
                 "losses": losses,
                 "ties": len(both) - wins - losses,
                 "clear_gain": wins >= 0.9 * len(both) and sign * (cq[1] - bq[1]) > bq[2] - bq[0],
+                "bound": bound,
+                "verdict": verdict(base, change, direction, bound),
             }
     return out
 
@@ -105,6 +128,7 @@ def format_summary(summary) -> str:
                 f"change {c['median']:.4g} [{c['q1']:.4g}-{c['q3']:.4g}]  {ratio}  "
                 f"wins {m['wins']}/{m['wins'] + m['losses'] + m['ties']} ({m['better']} is better)"
                 + ("  clear gain" if m["clear_gain"] else "")
+                + f"  {m['verdict']} (bound {m['bound']})"
             )
     return "\n".join(lines)
 
@@ -161,7 +185,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     args.scratch.mkdir(parents=True, exist_ok=True)
     sides = {}
     for side in ("base", "change"):
@@ -181,7 +205,7 @@ def main(argv=None) -> int:
                 status = "ok" if r["metrics"] else f"FAILED {r.get('error', '')[:200]}"
                 print(f"{wl} seed {seed} {side}: {status}", file=sys.stderr, flush=True)
 
-    summary = summarize(runs, better)
+    summary = summarize(runs, metrics)
     print(format_summary(summary))
     record = {
         "tag": args.tag,
