@@ -245,11 +245,14 @@ def _cmd_sweep(args) -> int:
     heldout = scene.camera if args.camera is None else _load_camera_file(args.camera)
     heldout = _apply_resolution(heldout, args.resolution)
     values = [int(v) for v in args.values.split(",")]
+    lowest = 1 if args.param == "gaussians" else 0  # at least one photon; k_min >= 0
+    if min(values) < lowest:
+        raise ValueError(f"--values for {args.param} must be >= {lowest}, got {min(values)}")
     reference = integrators.render_sppm(
         scene, heldout, _sppm_config(args, args.ref_iterations, args.sppm_photons), threads=args.threads
     )
     train_cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
-    rows = []
+    rows, ckpts = [], []
     dataset = None
     for value in values:
         n_photons = value if args.param == "gaussians" else args.photons
@@ -260,6 +263,7 @@ def _cmd_sweep(args) -> int:
         training.train(field, dataset, tcfg)
         ckpt = f"{args.out}.{args.param}-{value}.gpf"
         field.save(ckpt)
+        ckpts.append(ckpt)
         t0 = time.perf_counter()
         img = integrators.render_gpf(scene, heldout, field, spp=args.spp, seed=args.seed, threads=args.threads)
         print(f"{args.param}={value}: render_gpf took {time.perf_counter() - t0:.3f} s", file=sys.stderr)
@@ -277,7 +281,7 @@ def _cmd_sweep(args) -> int:
     blob = json.dumps({"param": args.param, "rows": rows}, indent=2)
     print(blob)
     images.write_atomic(args.out, (blob + "\n").encode())
-    _write_manifest("sweep", args, scene, [args.out])
+    _write_manifest("sweep", args, scene, [args.out, *ckpts])
     return 0
 
 

@@ -108,9 +108,8 @@ def roulette(keys, ctrs, rows, beta):
 class Rng:
     """Deterministic counter-based random stream.
 
-    Equal (seed, tags) construction yields bitwise-equal draw sequences.
-    ``derive`` produces an independent child stream; instances are cheap
-    and never shared between concurrent tasks.
+    Equal (seed, tags) construction yields bitwise-equal draw sequences;
+    instances are cheap and never shared between concurrent tasks.
     """
 
     __slots__ = ("_key", "_ctr")
@@ -132,27 +131,11 @@ class Rng:
     def key(self):
         return self._key
 
-    def derive(self, *tags: int) -> "Rng":
-        key = self._key
-        for t in tags:
-            key = fold_key(key, t)
-        return Rng.from_key(key)
-
-    def uniform(self, n: int | None = None):
-        """Next draw(s) in [0, 1): a float when ``n`` is None, else shape (n,)."""
-        if n is None:
-            u = draw_unit(self._key, self._ctr)
-            self._ctr += 1
-            return float(u)
+    def uniform(self, n: int):
+        """Next ``n`` draws in [0, 1), shape (n,)."""
         ctrs = self._ctr + np.arange(n, dtype=np.uint64)
         self._ctr += n
         return draw_unit(self._key, ctrs)
-
-
-def as_rng(rng_or_seed) -> Rng:
-    if isinstance(rng_or_seed, Rng):
-        return rng_or_seed
-    return Rng(int(rng_or_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +184,8 @@ def sample_cosine_hemisphere(u1, u2, n):
     """Cosine-weighted direction about unit normal ``n``.
 
     ``u1``/``u2`` are uniform in [0, 1); returns (direction, pdf) where
-    pdf = cos(theta) / pi for the returned direction. Vectorized: scalar
-    inputs give a (3,) direction and float pdf, array inputs broadcast.
+    pdf = cos(theta) / pi for the returned direction. The inputs broadcast
+    against each other.
     """
     u1 = np.clip(np.asarray(u1, dtype=np.float64), 0.0, 1.0 - 1e-16)
     u2 = np.asarray(u2, dtype=np.float64)
@@ -215,25 +198,21 @@ def sample_cosine_hemisphere(u1, u2, n):
         + (r * np.sin(phi))[..., None] * b
         + z[..., None] * np.asarray(n, dtype=np.float64)
     )
-    pdf = z / np.pi
-    if d.ndim == 1:
-        return d, float(pdf)
-    return d, pdf
+    return d, z / np.pi
 
 
 # ---------------------------------------------------------------------------
 # quaternions (w-first convention)
 
 
-def random_unit_quaternion(rng: Rng, n: int | None = None):
-    """Uniform sample(s) on the unit-quaternion sphere (Shoemake map)."""
-    m = 1 if n is None else n
-    u1 = rng.uniform(m)
-    u2 = rng.uniform(m)
-    u3 = rng.uniform(m)
+def random_unit_quaternion(rng: Rng, n: int):
+    """``n`` uniform samples (n, 4) on the unit-quaternion sphere (Shoemake map)."""
+    u1 = rng.uniform(n)
+    u2 = rng.uniform(n)
+    u3 = rng.uniform(n)
     a = np.sqrt(1.0 - u1)
     b = np.sqrt(u1)
-    q = np.stack(
+    return np.stack(
         [
             b * np.cos(2.0 * np.pi * u3),
             a * np.sin(2.0 * np.pi * u2),
@@ -242,6 +221,3 @@ def random_unit_quaternion(rng: Rng, n: int | None = None):
         ],
         axis=-1,
     )
-    if n is None:
-        return q[0]
-    return q

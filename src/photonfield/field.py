@@ -69,7 +69,9 @@ class GaussianField:
     ``rebuild_index``) before ``query_batch``.
     """
 
-    def __init__(self, means, quats, log_scales, flux, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN, eps=DEFAULT_EPS):
+    eps = DEFAULT_EPS  # the floor of the weight sum in L(x)
+
+    def __init__(self, means, quats, log_scales, flux, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN):
         # contiguous, so that training can update them in place in C
         self.means = np.ascontiguousarray(means, dtype=np.float64).reshape(-1, 3)
         self.quats = np.ascontiguousarray(quats, dtype=np.float64).reshape(-1, 4)
@@ -84,7 +86,6 @@ class GaussianField:
             raise ValueError(f"radius must be finite and non-negative, got {radius}")
         if self.k_min < 0:
             raise ValueError(f"k_min must be non-negative, got {k_min}")
-        self.eps = float(eps)
         self._version = 0
         self._index: PointIndex | None = None
         self._index_version = -1
@@ -96,10 +97,10 @@ class GaussianField:
         cls,
         photons: PhotonMap,
         initial_scale: float = DEFAULT_INITIAL_SCALE,
-        rng: Rng | int = 0,
+        *,
+        rng: Rng,
         radius: float = DEFAULT_RADIUS,
         k_min: int = DEFAULT_K_MIN,
-        eps: float = DEFAULT_EPS,
     ) -> "GaussianField":
         """Seed one primitive per photon: mean and flux copied from the
         photon, isotropic initial scale, uniformly random orientation."""
@@ -107,11 +108,10 @@ class GaussianField:
             raise ValueError("cannot initialize from empty photon map")
         if not 0.0 < initial_scale < math.inf:
             raise ValueError(f"initial scale must be finite and positive, got {initial_scale}")
-        rng = core.as_rng(rng)
         n = len(photons)
         quats = core.random_unit_quaternion(rng, n)
         log_scales = np.full((n, 3), np.log(initial_scale))
-        return cls(photons.positions.copy(), quats, log_scales, photons.flux.copy(), radius, k_min, eps)
+        return cls(photons.positions.copy(), quats, log_scales, photons.flux.copy(), radius, k_min)
 
     def __len__(self) -> int:
         return len(self.means)
@@ -233,7 +233,7 @@ class GaussianField:
         write_records(path, _MAGIC, payload)
 
     @classmethod
-    def load(cls, path, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN, eps=DEFAULT_EPS) -> "GaussianField":
+    def load(cls, path, radius=DEFAULT_RADIUS, k_min=DEFAULT_K_MIN) -> "GaussianField":
         data = read_records(path, _MAGIC, 13, "field checkpoint")
         norm_err = np.abs(np.linalg.norm(data[:, 3:7], axis=1) - 1.0)
         if np.any(norm_err > QUAT_NORM_TOL):
@@ -243,7 +243,7 @@ class GaussianField:
                 f"which is not unit length"
             )
         scales = np.clip(data[:, 7:10], SCALE_MIN, SCALE_MAX)
-        return cls(data[:, 0:3], data[:, 3:7], np.log(scales), data[:, 10:13], radius, k_min, eps)
+        return cls(data[:, 0:3], data[:, 3:7], np.log(scales), data[:, 10:13], radius, k_min)
 
 
 def write_records(path, magic: bytes, payload) -> None:

@@ -23,8 +23,8 @@ mirror of each C struct the kernels take by typed pointer
 (:class:`BvhTable`, :class:`ShadingTable`, :class:`KdTreeTable`,
 :class:`FieldTable`, :class:`BatchTable`, :class:`AdamTable`).
 
-All intersections use a strict self-intersection epsilon: hits require
-``t > t_min`` (default 1e-4 scene units).
+All intersections use one strict self-intersection epsilon: hits require
+``t > T_MIN`` (1e-4 scene units), and every ray searches up to infinity.
 """
 
 from __future__ import annotations
@@ -203,12 +203,6 @@ def _dot3(x, y):
     return (x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]) + x[..., 1] * y[..., 1]
 
 
-def _start_best(n: int, t_max):
-    """Initial per-ray (best t, best primitive): ``t_max`` (scalar or per ray) and -1."""
-    best_t = np.array(np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)))
-    return best_t, np.full(n, -1, dtype=np.intp)
-
-
 def _rays(o, d):
     o = np.ascontiguousarray(np.atleast_2d(o), dtype=np.float64)
     d = np.ascontiguousarray(np.atleast_2d(d), dtype=np.float64)
@@ -365,39 +359,39 @@ class Geometry:
 
     # -- intersection ------------------------------------------------------
 
-    def intersect(self, o, d, t_min: float = T_MIN, t_max=np.inf):
-        """Nearest hit per ray: (t, prim_index), prim_index = -1 on miss.
+    def intersect(self, o, d):
+        """Nearest hit per ray beyond ``T_MIN``: (t, prim_index), t = inf and
+        prim_index = -1 on a miss.
 
         ``o``/``d`` have shape (n, 3); directions are assumed unit length.
-        ``t_max`` is one bound for all rays or one per ray; a hit must be
-        strictly nearer. Runs the compiled traversal (built on first use).
+        Runs the compiled traversal (built on first use).
         """
         o, d = _rays(o, d)
         n = len(o)
-        best_t, best_p = _start_best(n, t_max)
+        best_t, best_p = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
         if len(self) == 0 or n == 0:
             return best_t, best_p
         status = load_kernels().pf_intersect(
-            n, o.ctypes.data, d.ctypes.data, t_min, best_t.ctypes.data, best_p.ctypes.data, self._table
+            n, o.ctypes.data, d.ctypes.data, T_MIN, best_t.ctypes.data, best_p.ctypes.data, self._table
         )
         if status != 0:
             raise RuntimeError(f"BVH traversal overran its stack of {self._stack_size} slots")
         return best_t, best_p
 
-    def intersect_linear(self, o, d, t_min: float = T_MIN, t_max=np.inf):
+    def intersect_linear(self, o, d):
         """Brute-force scan over all primitives in ``perm`` order (test oracle of ``intersect``)."""
         o, d = _rays(o, d)
         n = len(o)
-        best_t, best_p = _start_best(n, t_max)
+        best_t, best_p = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
         if len(self) == 0:
             return best_t, best_p
         pack = self._pack(self.perm)
         for lo in range(0, n, 1024):  # bounds the (rays, primitives) temporaries
             sl = slice(lo, lo + 1024)
-            self._leaf_hits(pack, o[sl], d[sl], best_t[sl], best_p[sl], t_min)
+            self._leaf_hits(pack, o[sl], d[sl], best_t[sl], best_p[sl])
         return best_t, best_p
 
-    def _leaf_hits(self, pack, ro, rd, best_t, best_p, t_min):
+    def _leaf_hits(self, pack, ro, rd, best_t, best_p):
         """Nearest hit of every ray among the primitives of ``pack``; the formulas ``_bvh.c`` compiles."""
         prims = pack["prims"]
         t_mat = np.full((len(ro), pack["k"]), np.inf)
@@ -412,8 +406,8 @@ class Geometry:
             sq = np.sqrt(np.where(ok, disc, 0.0))
             t_near = -b - sq
             t_far = -b + sq
-            t = np.where(t_near > t_min, t_near, t_far)
-            t = np.where(ok & (t > t_min), t, np.inf)
+            t = np.where(t_near > T_MIN, t_near, t_far)
+            t = np.where(ok & (t > T_MIN), t, np.inf)
             t_mat[:, cols] = t
 
         if "quad" in pack:
@@ -431,7 +425,7 @@ class Geometry:
                 beta = gram[:, 0] * r2 - gram[:, 1] * r1
                 ok = (
                     (np.abs(denom) > _DEGENERATE)
-                    & (t > t_min)
+                    & (t > T_MIN)
                     & (alpha >= 0.0)
                     & (alpha <= 1.0)
                     & (beta >= 0.0)
@@ -462,7 +456,7 @@ class Geometry:
                     & (u >= 0.0)
                     & (v >= 0.0)
                     & (u + v <= 1.0)
-                    & (t > t_min)
+                    & (t > T_MIN)
                     & np.isfinite(t)
                 )
             t_mat[:, cols] = np.where(ok, t, np.inf)

@@ -51,8 +51,8 @@ class SppmConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.photons_per_iter < 1:
             raise ValueError("iterations and photons_per_iter must be >= 1")
-        if self.initial_radius <= 0.0:
-            raise ValueError("initial_radius must be positive")
+        if not 0.0 < self.initial_radius < math.inf:
+            raise ValueError(f"initial_radius must be finite and positive, got {self.initial_radius}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         if self.max_photon_bounces < 1:
@@ -214,9 +214,7 @@ def kde_gather_batch(index: PointIndex, photons: PhotonMap, positions, normals, 
     if len(flat) == 0:
         return out
     owner = np.repeat(np.arange(m, dtype=np.intp), np.diff(splits))
-    fr = scene_mod.eval_bsdf_batch(
-        albedo[owner], normals[owner], np.full(len(flat), scene_mod.DIFFUSE, dtype=np.uint8), photons.incident[flat], wos[owner]
-    )
+    fr = scene_mod.eval_bsdf_batch(albedo[owner], normals[owner], photons.incident[flat], wos[owner])
     contrib = photons.flux[flat] * fr
     for ch in range(3):  # bincount sums each row from zero in flat order, as np.add.at would
         out[:, ch] = np.bincount(owner, weights=contrib[:, ch], minlength=m)
@@ -304,38 +302,15 @@ class SurfacePoints:
         return len(self.position)
 
 
-def resolve_surface_points(scene: scene_mod.Scene, points) -> SurfacePoints:
-    """Recover surface frames for bare (position, outgoing dir) pairs.
-
-    Re-casts the final path segment from just off the surface; raises if
-    any point does not land on a diffuse surface (contract violation).
-    """
-    pts = [(np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)) for x, w in points]
-    xs = np.array([p for p, _ in pts]).reshape(-1, 3)
-    wos = np.array([w for _, w in pts]).reshape(-1, 3)
-    o = xs + 1e-3 * wos
-    hits = scene.intersect_batch(o, -wos)
-    ok = hits.valid & (hits.mat_kind == scene_mod.DIFFUSE)
-    if not np.all(ok):
-        bad = int(np.nonzero(~ok)[0][0])
-        raise ValueError(f"point {bad} is not on a diffuse surface")
-    if np.any(np.linalg.norm(hits.position - xs, axis=1) > 1e-3):
-        bad = int(np.argmax(np.linalg.norm(hits.position - xs, axis=1)))
-        raise ValueError(f"point {bad} does not lie on scene geometry")
-    return SurfacePoints(hits.position, wos, hits.normal, hits.albedo)
-
-
-def reference_radiance_at_points(scene: scene_mod.Scene, points, cfg: SppmConfig, threads: int = 1):
+def reference_radiance_at_points(scene: scene_mod.Scene, points: SurfacePoints, cfg: SppmConfig, threads: int = 1):
     """Photon-mapped outgoing radiance averaged over cfg.iterations passes.
 
-    ``points`` is a :class:`SurfacePoints` batch or an iterable of
-    (position, outgoing-direction) pairs at diffuse surfaces. Shares the
-    photon-pass seeding of :func:`render_sppm`, so a gather here matches
-    the corresponding camera-pass gather for equal seeds.
+    ``points`` holds diffuse surface points with their frames, as
+    :func:`trace_to_first_diffuse` records them. Shares the photon-pass
+    seeding of :func:`render_sppm`, so a gather here matches the
+    corresponding camera-pass gather for equal seeds.
     """
     scene._require_emitters()
-    if not isinstance(points, SurfacePoints):
-        points = resolve_surface_points(scene, points)
     m = len(points)
     acc = np.zeros((m, 3))
     radii = [sppm_radius(t, cfg.initial_radius, cfg.alpha) for t in range(cfg.iterations)]
@@ -462,16 +437,17 @@ def render_pt(
     camera: scene_mod.Camera,
     spp: int,
     max_depth: int = 16,
-    rng: core.Rng | int = 0,
+    rng: int = 0,
     threads: int = 1,
 ):
     """Unidirectional path tracing with next-event estimation and balance-
-    heuristic MIS at diffuse vertices; Russian roulette after depth 3."""
+    heuristic MIS at diffuse vertices; Russian roulette after depth 3.
+    ``rng`` is the integer seed of the camera streams."""
     if spp < 1:
         raise ValueError("spp must be >= 1")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    seed = int(core.as_rng(rng).key) if not isinstance(rng, (int, np.integer)) else int(rng)
+    seed = int(rng)
     w, h = camera.resolution
     chunk = max(1, min(spp, max(1, (1 << 17) // (w * h))))
     ranges = [(s, min(s + chunk, spp)) for s in range(0, spp, chunk)]

@@ -41,11 +41,6 @@ class PhotonMap:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @classmethod
-    def empty(cls) -> "PhotonMap":
-        z = np.zeros((0, 3))
-        return cls(z, z, z)
-
 
 def _grow(a, n: int, cap: int):
     """``a`` with room for ``cap`` rows, its first ``n`` rows kept."""
@@ -54,7 +49,7 @@ def _grow(a, n: int, cap: int):
     return out
 
 
-def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng: Rng | int) -> PhotonMap:
+def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng: Rng) -> PhotonMap:
     """Trace ``n_photons`` light paths of at most ``max_bounces`` hits
     (capped at ``_MAX_CHAIN``) and return the stored photon map.
 
@@ -67,7 +62,7 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
         raise ValueError(f"n_photons must be >= 1, got {n_photons}")
     if max_bounces < 1:
         raise ValueError(f"max_bounces must be >= 1, got {max_bounces}")
-    keys = core.fold_key(core.as_rng(rng).key, np.arange(n_photons, dtype=np.uint64))
+    keys = core.fold_key(rng.key, np.arange(n_photons, dtype=np.uint64))
     ctrs = np.zeros(n_photons, dtype=np.uint64)
     o, d, flux = (np.ascontiguousarray(a, dtype=np.float64) for a in scene_mod.sample_light_emission(scene, keys, ctrs))
     bounces = min(int(max_bounces), _MAX_CHAIN)

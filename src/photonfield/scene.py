@@ -413,13 +413,10 @@ class Scene:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return scene_to_dict(self)
-
     def content_hash(self) -> str:
         import hashlib
 
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(scene_to_dict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -503,12 +500,12 @@ def sample_bsdf_batch(hits: Hits, u1, u2, u3):
     return wi, weight, is_delta, pdf_dir
 
 
-def eval_bsdf_batch(albedo, normal, mat_kind, wi, wo):
-    """BSDF value: albedo/pi for diffuse rows with wi and wo above the
-    surface, zero otherwise (delta lobes evaluate to zero)."""
+def eval_bsdf_batch(albedo, normal, wi, wo):
+    """Diffuse BSDF value: albedo/pi for rows with wi and wo above the
+    surface, zero otherwise."""
     cos_i = vdot(wi, normal)
     cos_o = vdot(wo, normal)
-    ok = (np.asarray(mat_kind) == DIFFUSE) & (cos_i > 0.0) & (cos_o > 0.0)
+    ok = (cos_i > 0.0) & (cos_o > 0.0)
     return np.where(ok[..., None], np.asarray(albedo) / math.pi, 0.0)
 
 
@@ -525,12 +522,25 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise SceneParseError(f"missing key {sorted(missing)[0]!r} in {where}")
 
 
+def _finite(value, where: str) -> np.ndarray:
+    """A JSON number, or list of numbers, as float64; ``SceneValidationError``
+    unless every one is finite. Python's json reads NaN and Infinity, 1e999
+    as inf, and integers of any size."""
+    try:
+        v = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        v = np.array(np.inf)
+    if not all(map(math.isfinite, v.flat)):
+        raise SceneValidationError(f"{where} must be finite")
+    return v
+
+
 def _vec3(value, where: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
         raise SceneParseError(f"{where} must be a list of 3 numbers")
-    return np.asarray(value, dtype=np.float64)
+    return _finite(value, where)
 
 
 def _material_from_dict(name: str, obj: dict) -> Material:
@@ -555,7 +565,7 @@ def _material_from_dict(name: str, obj: dict) -> Material:
     if kind == "dielectric":
         _check_keys(obj, {"type", "ior"}, {"type", "ior"}, where)
         ior = obj["ior"]
-        if not isinstance(ior, (int, float)) or ior <= 0.0:
+        if not isinstance(ior, (int, float)) or _finite(ior, f"{where}.ior") <= 0.0:
             raise SceneValidationError(f"{where}.ior must be a positive number")
         return Material.dielectric(float(ior))
     raise SceneParseError(f"{where}.type must be one of diffuse/mirror/dielectric")
@@ -581,7 +591,7 @@ def _shape_from_dict(i: int, obj: dict) -> Shape:
     if kind == "sphere":
         _check_keys(obj, {"type", "center", "radius", "material", "emission"}, {"type", "center", "radius"}, where)
         radius = obj["radius"]
-        if not isinstance(radius, (int, float)) or radius <= 0.0:
+        if not isinstance(radius, (int, float)) or _finite(radius, f"{where}.radius") <= 0.0:
             raise SceneValidationError(f"{where}.radius must be positive")
         return Shape(Sphere(_vec3(obj["center"], f"{where}.center"), float(radius)), material, emission)
     if kind == "quad":
@@ -623,7 +633,7 @@ def camera_from_dict(cam) -> Camera:
         _vec3(cam["position"], "camera.position"),
         _vec3(cam["look_at"], "camera.look_at"),
         _vec3(cam["up"], "camera.up"),
-        float(cam["vfov"]),
+        float(_finite(cam["vfov"], "camera.vfov")),
         (int(res[0]), int(res[1])),
     )
 
@@ -704,7 +714,7 @@ def load_scene(path) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    write_atomic(path, (json.dumps(scene.to_dict(), indent=2) + "\n").encode("utf-8"))
+    write_atomic(path, (json.dumps(scene_to_dict(scene), indent=2) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The paired-run tool's summary logic (tools/ab.py), on synthetic runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,27 @@ def test_summary_holds_and_prints_each_verdict():
     assert s["v"]["t"]["verdict"] == "unresolved"
     text = ab.format_summary(s)
     assert "  worse (bound 0.25)" in text and "  unresolved (bound 0.25)" in text
+
+
+def test_benchmark_identical_compares_perfbench_and_benchmark_json(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, capture_output=True, text=True, check=True).stdout.strip()
+
+    def commit(path, text):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+        git("add", "-A")
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", path)
+        return git("rev-parse", "HEAD")
+
+    git("init", "-q")
+    base = commit("perfbench/run.py", "a\n")
+    src = commit("src/code.py", "b\n")
+    bench = commit("perfbench/run.py", "c\n")
+    spec = commit("BENCHMARK.json", "{}\n")
+    assert ab.benchmark_identical(base, src, repo=tmp_path)
+    assert ab.benchmark_identical(src, src, repo=tmp_path)
+    assert not ab.benchmark_identical(src, bench, repo=tmp_path)
+    assert not ab.benchmark_identical(bench, spec, repo=tmp_path)
+    with pytest.raises(RuntimeError, match="git diff failed"):
+        ab.benchmark_identical(base, "no-such-rev", repo=tmp_path)

@@ -11,7 +11,7 @@ from photonfield.cli import main
 from photonfield.field import GaussianField
 from photonfield.images import read_pfm, write_pfm
 from photonfield.integrators import render_gpf
-from photonfield.scene import builtin_scene
+from photonfield.scene import builtin_scene, scene_to_dict
 
 
 @pytest.fixture()
@@ -170,6 +170,9 @@ class TestPipeline:
         for row in rows:
             assert set(row) == {"param", "value", "psnr", "ssim", "storage_bytes"}
             assert row["storage_bytes"] > 0
+        # the manifest digests the per-value checkpoints too
+        outputs = json.loads(open(f"{out}.manifest.json").read())["outputs"]
+        assert list(outputs) == [str(out)] + [f"{out}.k-{v}.gpf" for v in (1, 3, 5, 10)]
 
 
 class TestErrors:
@@ -300,6 +303,36 @@ class TestErrors:
         }[command]
         assert main(argv) == 3
         assert "error: validate:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    def test_non_finite_sphere_radius_is_validation_error(self, tmp_path, capsys):
+        data = scene_to_dict(builtin_scene("caustic-sphere"))
+        (sphere,) = [s for s in data["shapes"] if s["type"] == "sphere"]
+        sphere["radius"] = float("nan")
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data))  # writes the literal NaN, which json reads back
+        out = tmp_path / "x.pfm"
+        assert main(["render-pt", "--scene", str(scene), "--spp", "1", "--resolution", "8", "8", "--out", str(out)]) == 3
+        assert "radius must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scene]
+
+    @pytest.mark.parametrize("r0", ["inf", "nan"])
+    def test_non_finite_r0_is_validation_error(self, tmp_path, capsys, r0):
+        out = tmp_path / "x.pfm"
+        argv = ["render-sppm", "--scene", "builtin:cornell-box", "--iterations", "1", "--photons", "200",
+                "--resolution", "8", "8", "--r0", r0, "--out", str(out)]
+        assert main(argv) == 3
+        assert "initial_radius must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(("param", "values"), [("gaussians", "500,0"), ("k", "3,-1")])
+    def test_bad_sweep_value_is_validation_error_before_any_work(self, tmp_path, views_file, capsys, param, values):
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--param", param, "--values", values, "--scene", "builtin:cornell-box", "--views", views_file,
+                "--ref-iterations", "1", "--sppm-iterations", "1", "--sppm-photons", "500", "--steps", "2",
+                "--batch", "16", "--photons", "500", "--resolution", "8", "8", "--out", str(out)]
+        assert main(argv) == 3
+        assert f"--values for {param} must be >=" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
 
     @pytest.mark.parametrize("scale0", ["-1", "0"])

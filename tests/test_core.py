@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from photonfield import core
 from photonfield.core import (
     Rng,
     draw_unit,
@@ -27,10 +26,10 @@ class TestQuaternions:
 
 class TestCosineHemisphere:
     def test_zero_inputs_give_pole_direction(self):
-        n = np.array([0.0, 0.0, 1.0])
-        d, pdf = sample_cosine_hemisphere(0.0, 0.0, n)
+        n = np.array([[0.0, 0.0, 1.0]])
+        d, pdf = sample_cosine_hemisphere(np.zeros(1), np.zeros(1), n)
         np.testing.assert_allclose(d, n, atol=1e-12)
-        assert pdf == pytest.approx(1.0 / np.pi, rel=1e-12)
+        assert pdf[0] == pytest.approx(1.0 / np.pi, rel=1e-12)
 
     def test_directions_stay_in_normal_hemisphere(self):
         rng = Rng(8)
@@ -87,14 +86,6 @@ class TestRng:
     def test_seed_changes_stream(self):
         assert not np.array_equal(Rng(1).uniform(100), Rng(2).uniform(100))
 
-    def test_derived_streams_are_distinct(self):
-        base = Rng(7)
-        a = base.derive(0).uniform(1000)
-        b = base.derive(1).uniform(1000)
-        assert not np.array_equal(a, b)
-        # derivation is stable
-        np.testing.assert_array_equal(a, Rng(7).derive(0).uniform(1000))
-
     def test_draws_lie_in_unit_interval(self):
         u = Rng(8).uniform(100_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -106,12 +97,6 @@ class TestRng:
             draw_unit(key, np.arange(100, dtype=np.uint64)),
             draw_unit(key, np.arange(100, dtype=np.uint64)),
         )
-
-    def test_scalar_and_vector_draws_agree(self):
-        a = Rng(21)
-        b = Rng(21)
-        singles = np.array([a.uniform() for _ in range(64)])
-        np.testing.assert_array_equal(singles, b.uniform(64))
 
     @pytest.mark.parametrize("rows", [np.array([6, 1, 3]), np.arange(8) % 3 == 0, slice(2, 5)])
     def test_draw_units_are_sequential_draws_and_advance_only_their_rows(self, rows):

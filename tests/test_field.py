@@ -65,14 +65,14 @@ class TestInitialization:
 
     def test_empty_photon_map_rejected(self):
         with pytest.raises(ValueError, match="empty photon map"):
-            GaussianField.from_photons(PhotonMap.empty())
+            GaussianField.from_photons(PhotonMap(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))), rng=Rng(0))
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
     @pytest.mark.filterwarnings("error")
     def test_non_positive_or_non_finite_initial_scale_rejected(self, scale):
         photons = PhotonMap(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="initial scale"):
-            GaussianField.from_photons(photons, initial_scale=scale)
+            GaussianField.from_photons(photons, initial_scale=scale, rng=Rng(0))
 
     @pytest.mark.parametrize(("radius", "k_min", "match"), [
         (0.02, -1, "k_min"), (-0.01, 3, "radius"), (np.nan, 3, "radius"), (np.inf, 3, "radius"),
@@ -93,7 +93,7 @@ class TestWeight:
         x = np.array([0.01, 0.02, -0.005])
         vals = []
         for _ in range(10):
-            q = random_unit_quaternion(rng)
+            q = random_unit_quaternion(rng, 1)[0]
             vals.append(_kernel_weight(np.zeros(3), q, np.full(3, sigma), x, 0.05))
         d = float(np.linalg.norm(x))
         expected = np.exp(-d * d / (2 * sigma * sigma))

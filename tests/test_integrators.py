@@ -11,6 +11,7 @@ from photonfield.core import Rng, fold_key
 from photonfield.field import GaussianField
 from photonfield.integrators import (
     SppmConfig,
+    SurfacePoints,
     _camera_rays,
     kde_gather_batch,
     reference_radiance_at_points,
@@ -148,7 +149,7 @@ def _wavefront_photons(scene, n_photons, max_bounces, rng):
         throughput = throughput[keep]
 
     if not out_pos:
-        return PhotonMap.empty()
+        return PhotonMap(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
     return PhotonMap(np.concatenate(out_pos), np.concatenate(out_flux), np.concatenate(out_wi))
 
 
@@ -344,7 +345,8 @@ class TestKdeGather:
 
     def test_empty_neighborhood_gives_zero(self):
         hits = self._floor_hit()
-        np.testing.assert_array_equal(self._gather(PhotonMap.empty(), hits, 0.02), np.zeros(3))
+        none = PhotonMap(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+        np.testing.assert_array_equal(self._gather(none, hits, 0.02), np.zeros(3))
 
     def test_single_photon_normalization(self):
         hits = self._floor_hit()
@@ -378,7 +380,7 @@ class TestKdeGather:
         got = kde_gather_batch(index, photons, pos, nrm, wo, albedo, r)
         flat, splits = index.ball_query_batch(pos, r)
         owner = np.repeat(np.arange(len(pos)), np.diff(splits))
-        fr = eval_bsdf_batch(albedo[owner], nrm[owner], np.full(len(flat), DIFFUSE, dtype=np.uint8), photons.incident[flat], wo[owner])
+        fr = eval_bsdf_batch(albedo[owner], nrm[owner], photons.incident[flat], wo[owner])
         expected = np.zeros((len(pos), 3))
         np.add.at(expected, owner, photons.flux[flat] * fr)
         expected /= math.pi * r * r
@@ -413,6 +415,11 @@ class TestRenderSppm:
         np.testing.assert_array_equal(snaps[3], img3)
         np.testing.assert_array_equal(snaps[8], img8)
 
+    @pytest.mark.parametrize("r0", [0.0, -0.02, math.nan, math.inf])
+    def test_initial_radius_must_be_finite_and_positive(self, r0):
+        with pytest.raises(ValueError, match="initial_radius must be finite and positive"):
+            SppmConfig(iterations=1, photons_per_iter=100, initial_radius=r0)
+
     @pytest.mark.parametrize("bounces", [0, -1])
     def test_photon_bounce_cap_below_one_is_rejected(self, bounces):
         with pytest.raises(ValueError, match="max_photon_bounces"):
@@ -438,9 +445,10 @@ class TestReferenceRadiance:
         fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
         sel = np.nonzero(fd.found & (fd.n_delta == 0))[0]
         assert len(sel) > 0
-        pts = [(fd.position[i], fd.wo[i]) for i in sel[:10]]
+        sel = sel[:10]
+        pts = SurfacePoints(fd.position[sel], fd.wo[sel], fd.normal[sel], fd.albedo[sel])
         lref = reference_radiance_at_points(scene, pts, cfg)
-        for row, i in enumerate(sel[:10]):
+        for row, i in enumerate(sel):
             y, x = divmod(int(pixel_ids[i]), 8)
             np.testing.assert_allclose(lref[row], img[y, x], atol=1e-9)
 
@@ -457,20 +465,16 @@ class TestReferenceRadiance:
             ]
         )
         cfg = SppmConfig(iterations=4, photons_per_iter=20_000, seed=4)
-        pts = [(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))]
+        up = np.array([[0.0, 0.0, 1.0]])
+        pts = SurfacePoints(np.zeros((1, 3)), up, up, np.full((1, 3), 0.7))
         lref = reference_radiance_at_points(scene, pts, cfg)
         assert float(lref.max()) < 1e-3
-
-    def test_non_diffuse_point_rejected(self):
-        scene = builtin_scene("caustic-sphere")
-        pts = [(np.array([0.0, 0.0, 0.2]), np.array([0.0, 0.0, 1.0]))]  # on the glass sphere
-        with pytest.raises(ValueError, match="diffuse"):
-            reference_radiance_at_points(scene, pts, SppmConfig(iterations=1, photons_per_iter=100))
 
     def test_single_iteration_config_equals_one_pass_mean(self):
         scene = builtin_scene("cornell-box")
         cfg = SppmConfig(iterations=1, photons_per_iter=3000, seed=5)
-        pts = [(np.array([0.0, 0.0, -1.0 + 1e-9]), np.array([0.0, 0.0, 1.0]))]
+        up = np.array([[0.0, 0.0, 1.0]])
+        pts = SurfacePoints(np.array([[0.0, 0.0, -1.0]]), up, up, np.full((1, 3), 0.73))
         a = reference_radiance_at_points(scene, pts, cfg)
         b = reference_radiance_at_points(scene, pts, cfg)
         np.testing.assert_array_equal(a, b)

@@ -14,7 +14,10 @@ workload and end-to-end metric, each side's median and quartiles and the
 change's wins out of the pairs (ties count for neither side) and a
 verdict against the metric's bound in ``BENCHMARK.json`` (see
 :func:`verdict`), and writes ``BENCH_<tag>.json`` with the raw runs, that
-summary, both revisions and the machine.
+summary, both revisions and the machine. It warns when the two revisions
+hold different benchmarks (``perfbench/`` or ``BENCHMARK.json``), since a
+gain measured across two benchmarks does not count; the record keeps that
+as ``benchmark_identical``.
 """
 
 from __future__ import annotations
@@ -146,6 +149,15 @@ def export(rev: str, scratch: Path) -> tuple[str, Path]:
     return oid, dest
 
 
+def benchmark_identical(base: str, change: str, repo: Path = ROOT) -> bool:
+    """Whether ``base`` and ``change`` hold the same ``perfbench/`` and ``BENCHMARK.json``."""
+    cmd = ["git", "diff", "--quiet", base, change, "--", "perfbench", "BENCHMARK.json"]
+    res = subprocess.run(cmd, cwd=repo, capture_output=True, text=True)
+    if res.returncode not in (0, 1):
+        raise RuntimeError(f"git diff failed: {res.stderr.strip()}")
+    return res.returncode == 0
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` run: its metric values, or None and the error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -186,6 +198,10 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+    identical = benchmark_identical(args.base, args.change)
+    if not identical:
+        print("warning: perfbench/ or BENCHMARK.json differs between the revisions; "
+              "their runs measure two different benchmarks", file=sys.stderr)
     args.scratch.mkdir(parents=True, exist_ok=True)
     sides = {}
     for side in ("base", "change"):
@@ -212,6 +228,7 @@ def main(argv=None) -> int:
         "command": ["python3", "tools/ab.py", *(argv if argv is not None else sys.argv[1:])],
         "base": {k: sides["base"][k] for k in ("rev", "oid")},
         "change": {k: sides["change"][k] for k in ("rev", "oid")},
+        "benchmark_identical": identical,
         "seconds": args.seconds,
         "seeds": seeds,
         "machine": machine(),
