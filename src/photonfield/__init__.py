@@ -28,7 +28,6 @@ from .scene import (
     Shape,
     builtin_scene,
     load_scene,
-    sample_light_emission,
     save_scene,
 )
 from .spatial import PointIndex
@@ -59,7 +58,6 @@ __all__ = [
     "render_gpf",
     "render_pt",
     "render_sppm",
-    "sample_light_emission",
     "save_scene",
     "sppm_radius",
     "ssim",

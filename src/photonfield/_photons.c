@@ -1,16 +1,23 @@
-/* Photon path tracing for photonfield.photons.trace_photons.
+/* Photon emission, photon paths and the photon density sum.
  *
- * Each photon's whole path runs in one pass: nearest hit (pf_bvh_nearest),
+ * The emitter sampler picks a slot by power (Scene.pick_emitter), a
+ * uniform-area point and unit normal on it (Scene.sample_on_emitter: a
+ * sphere, a quad, or a mesh triangle picked by its area CDF) and a cosine
+ * lobe about that normal. pf_trace_photons emits each photon through it and
+ * runs the photon's whole path in one pass: nearest hit (pf_bvh_nearest),
  * the hit shading of Scene.intersect_batch, a record at every diffuse hit,
  * the BSDF draw of scene.sample_bsdf_batch, and from bounce RR_START - 1 on
  * the Russian roulette of core.roulette. Photon i draws from stream keys[i]
- * from counter ctrs[i] on, with core.draw_unit's SplitMix64: 3 draws per
- * bounce that samples a continuation, then 1 roulette draw.
+ * with core.draw_unit's SplitMix64: 5 emission draws from counter 0 (slot,
+ * two area draws, two direction draws), then 3 draws per bounce that
+ * samples a continuation, then 1 roulette draw. pf_kde_sum is the sum of
+ * integrators.kde_gather_batch over CSR neighbour rows.
  *
  * Every formula keeps the operation order of its numpy original: vdot
- * (einsum) sums as (x0*y0 + x2*y2) + x1*y1 and linalg.norm as
- * (x0*x0 + x1*x1) + x2*x2, and libm's sqrt, cos and sin give numpy's bits.
- * Build with -ffp-contract=off: a fused multiply-add would move bits.
+ * (einsum) sums as (x0*y0 + x2*y2) + x1*y1, linalg.norm as
+ * (x0*x0 + x1*x1) + x2*x2, np.cross term by term, and libm's sqrt, cos and
+ * sin give numpy's bits. Build with -ffp-contract=off: a fused
+ * multiply-add would move bits.
  *
  * Records are written in photon order, each with its bounce index; the
  * caller sorts them stably by bounce. No state is static, so threads may
@@ -32,6 +39,21 @@ struct pf_shading {
     const ptrdiff_t *shape_ids, *shape_mat;
     const unsigned char *mat_kind;
     const double *mat_albedo, *mat_ior;
+};
+
+/* A Scene's emitters; geometry.EmitterTable mirrors it member for member.
+ * Slot s is the shape whose primitives are start[s] .. start[s] + count[s] - 1
+ * of the geometry arrays: one sphere (center pa, radius pb[0]), one quad
+ * (corner pa, edges pb and pc) or the triangles (pa, pb, pc) of a mesh. */
+struct pf_emitters {
+    ptrdiff_t n;                      /* slots */
+    const double *cdf;                /* (n,) power CDF over the slots: Scene.emitter_cdf */
+    const double *power;              /* (3,) Scene.total_power */
+    const ptrdiff_t *start, *count;   /* (n,) each slot's primitives */
+    const unsigned char *kinds;       /* per primitive: KIND_* */
+    const double *pa, *pb, *pc;       /* per primitive: the geometry's (P, 3) arrays */
+    const double *normal;             /* (n, 3) a quad slot's unit normal: Quad.normal */
+    const double *area_cdf;           /* per primitive: a mesh triangle's area CDF within its mesh */
 };
 
 /* core.draw_unit: draw *ctr of stream key, then advance the counter. */
@@ -140,6 +162,71 @@ static double min_nan(double a, double b)
     return a <= b || isnan(a) ? a : b;
 }
 
+/* np.searchsorted(cdf[:n], u, side="right"): the first i with u < cdf[i] in
+ * numpy's order, where NaN sorts last. */
+static ptrdiff_t search_right(const double *cdf, ptrdiff_t n, double u)
+{
+    ptrdiff_t lo = 0, hi = n;
+    while (lo < hi) {
+        ptrdiff_t mid = lo + ((hi - lo) >> 1);
+        if (u < cdf[mid] || (isnan(cdf[mid]) && !isnan(u)))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/* Scene.pick_emitter: the power-proportional slot for the draw u, clipped to the last slot. */
+static ptrdiff_t pick_emitter(const struct pf_emitters *e, double u)
+{
+    ptrdiff_t s = search_right(e->cdf, e->n, u);
+    return s < e->n ? s : e->n - 1;
+}
+
+/* Scene.sample_on_emitter: a uniform-area point and its unit normal on slot s. */
+static void sample_on_emitter(const struct pf_emitters *e, ptrdiff_t s, double u1, double u2, double *pt, double *nrm)
+{
+    ptrdiff_t p = e->start[s];
+    if (e->kinds[p] == KIND_QUAD) {
+        for (int k = 0; k < 3; k++) {
+            pt[k] = (e->pa[3 * p + k] + u1 * e->pb[3 * p + k]) + u2 * e->pc[3 * p + k];
+            nrm[k] = e->normal[3 * s + k];
+        }
+        return;
+    }
+    if (e->kinds[p] == KIND_SPHERE) {
+        double z = 1.0 - 2.0 * u1;
+        double r = sqrt(clip(1.0 - z * z, 0.0, 1.0)), phi = (2.0 * M_PI) * u2;
+        double local[3] = {r * cos(phi), r * sin(phi), z};
+        for (int k = 0; k < 3; k++) {
+            pt[k] = e->pa[3 * p + k] + e->pb[3 * p] * local[k];
+            nrm[k] = local[k];
+        }
+        return;
+    }
+    /* a mesh: the triangle by area, then u1 re-stretched within its CDF bin
+     * and a uniform barycentric point */
+    ptrdiff_t n = e->count[s];
+    const double *cdf = e->area_cdf + p;
+    ptrdiff_t t = search_right(cdf, n, u1);
+    t = t < n ? t : n - 1;
+    double lo = t > 0 ? cdf[t - 1] : 0.0;
+    double f1 = clip((u1 - lo) / max_nan(cdf[t] - lo, 1e-300), 0.0, 1.0 - 1e-12);
+    double su = sqrt(f1), b0 = 1.0 - su, b1 = u2 * su, b2 = (1.0 - b0) - b1;
+    const double *a = e->pa + 3 * (p + t), *b = e->pb + 3 * (p + t), *c = e->pc + 3 * (p + t);
+    double e1[3], e2[3];
+    for (int k = 0; k < 3; k++) {
+        pt[k] = (b0 * a[k] + b1 * b[k]) + b2 * c[k];
+        e1[k] = b[k] - a[k];
+        e2[k] = c[k] - a[k];
+    }
+    double nn[3] = {e1[1] * e2[2] - e1[2] * e2[1], e1[2] * e2[0] - e1[0] * e2[2], e1[0] * e2[1] - e1[1] * e2[0]};
+    double len = vnorm(nn);
+    for (int k = 0; k < 3; k++)
+        nrm[k] = nn[k] / len;
+}
+
 /* Trace one photon from the ray (o, d) with flux f; append its records at
  * *m. Returns 0, or -1 if a BVH walk overran its stack. */
 static int trace_one(const struct pf_bvh *g, const struct pf_shading *sh, const double *o0, const double *d0,
@@ -220,24 +307,75 @@ static int trace_one(const struct pf_bvh *g, const struct pf_shading *sh, const 
     return 0;
 }
 
-/* Trace photons 0..n-1, photon i from the ray (o[i], d[i]) with flux
- * flux[i], for at most `bounces` hits, storing a record (position, flux,
- * incident direction, bounce) at every diffuse hit. *m counts the records
- * of the output arrays, which hold cap. A photon stores at most `bounces`
- * records, so it starts only while that many slots are free. Returns the
- * number of photons traced (n unless the records ran out of room), or -1
- * if a BVH walk overran its stack. */
-ptrdiff_t pf_trace_photons(ptrdiff_t n, const double *o, const double *d, const double *flux, const uint64_t *keys,
-                           const uint64_t *ctrs, int bounces, double t_min, const struct pf_bvh *g,
-                           const struct pf_shading *sh, ptrdiff_t cap, double *out_pos, double *out_flux,
-                           double *out_wi, unsigned char *out_bounce, ptrdiff_t *m)
+/* Trace photons done..n-1 of n, photon i emitted on stream keys[i] with
+ * flux total power / n, for at most `bounces` hits, storing a record
+ * (position, flux, incident direction, bounce) at every diffuse hit. *m
+ * counts the records of the output arrays, which hold cap. A photon stores
+ * at most `bounces` records, so it starts only while that many slots are
+ * free. Returns the index of the first photon not traced (n unless the
+ * records ran out of room), or -1 if a BVH walk overran its stack. */
+ptrdiff_t pf_trace_photons(ptrdiff_t n, ptrdiff_t done, const uint64_t *keys, int bounces, double t_min,
+                           const struct pf_bvh *g, const struct pf_shading *sh, const struct pf_emitters *e,
+                           ptrdiff_t cap, double *out_pos, double *out_flux, double *out_wi, unsigned char *out_bounce,
+                           ptrdiff_t *m)
 {
-    for (ptrdiff_t i = 0; i < n; i++) {
+    double flux[3];
+    for (int k = 0; k < 3; k++)
+        flux[k] = e->power[k] / (double)n;
+    for (ptrdiff_t i = done; i < n; i++) {
         if (cap - *m < bounces)
             return i;
-        if (trace_one(g, sh, o + 3 * i, d + 3 * i, flux + 3 * i, keys[i], ctrs[i], bounces, t_min, out_pos,
-                      out_flux, out_wi, out_bounce, m) != 0)
+        /* emission: slot, point and normal, direction */
+        uint64_t ctr = 0;
+        ptrdiff_t s = pick_emitter(e, draw_unit(keys[i], &ctr));
+        double u1 = draw_unit(keys[i], &ctr), u2 = draw_unit(keys[i], &ctr);
+        double o[3], nrm[3], d[3];
+        sample_on_emitter(e, s, u1, u2, o, nrm);
+        u1 = draw_unit(keys[i], &ctr);
+        u2 = draw_unit(keys[i], &ctr);
+        cosine_lobe(u1, u2, nrm, d);
+        if (trace_one(g, sh, o, d, flux, keys[i], ctr, bounces, t_min, out_pos, out_flux, out_wi, out_bounce, m) != 0)
             return -1;
     }
     return n;
+}
+
+/* Scene.pick_emitter for the n draws u. */
+void pf_pick_emitter(const struct pf_emitters *e, ptrdiff_t n, const double *u, ptrdiff_t *slot)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        slot[i] = pick_emitter(e, u[i]);
+}
+
+/* Scene.sample_on_emitter for n rows: row i on slot[i] from the draws u1[i], u2[i]. */
+void pf_sample_on_emitter(const struct pf_emitters *e, ptrdiff_t n, const ptrdiff_t *slot, const double *u1,
+                          const double *u2, double *pts, double *nrm)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        sample_on_emitter(e, slot[i], u1[i], u2[i], pts + 3 * i, nrm + 3 * i);
+}
+
+/* The sum of integrators.kde_gather_batch over m query rows: row r sums,
+ * over its neighbours flat[splits[r]] .. flat[splits[r + 1] - 1], the
+ * photon flux times the diffuse BSDF: albedo[r] / pi where the photon's
+ * incident direction and wos[r] both lie above normals[r], and 0 elsewhere.
+ * Each channel sums from +0.0 in flat order, as np.bincount does. */
+void pf_kde_sum(ptrdiff_t m, const ptrdiff_t *splits, const ptrdiff_t *flat, const double *incident,
+                const double *flux, const double *normals, const double *wos, const double *albedo, double *out)
+{
+    for (ptrdiff_t r = 0; r < m; r++) {
+        const double *nrm = normals + 3 * r;
+        int front = vdot(wos + 3 * r, nrm) > 0.0;
+        double fr[3], sum[3] = {0.0, 0.0, 0.0};
+        for (int k = 0; k < 3; k++)
+            fr[k] = albedo[3 * r + k] / M_PI;
+        for (ptrdiff_t j = splits[r]; j < splits[r + 1]; j++) {
+            const double *f = flux + 3 * flat[j];
+            int lit = front && vdot(incident + 3 * flat[j], nrm) > 0.0;
+            for (int k = 0; k < 3; k++)
+                sum[k] += f[k] * (lit ? fr[k] : 0.0);
+        }
+        for (int k = 0; k < 3; k++)
+            out[3 * r + k] = sum[k];
+    }
 }

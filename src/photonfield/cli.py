@@ -19,7 +19,7 @@ import time
 
 from . import images, integrators, training
 from .core import Rng
-from .field import GaussianField
+from .field import GaussianField, check_seed_params
 from .integrators import SppmConfig
 from .photons import trace_photons
 from .scene import (
@@ -248,15 +248,19 @@ def _cmd_sweep(args) -> int:
     lowest = 1 if args.param == "gaussians" else 0  # at least one photon; k_min >= 0
     if min(values) < lowest:
         raise ValueError(f"--values for {args.param} must be >= {lowest}, got {min(values)}")
+    # the (photon count, k_min) of each value's field, checked before the reference render
+    seeds = [(value, args.kmin) if args.param == "gaussians" else (args.photons, value) for value in values]
+    for n_photons, k_min in seeds:
+        if n_photons < 1:
+            raise ValueError(f"--photons must be >= 1, got {n_photons}")
+        check_seed_params(args.scale0, args.radius, k_min)
     reference = integrators.render_sppm(
         scene, heldout, _sppm_config(args, args.ref_iterations, args.sppm_photons), threads=args.threads
     )
     train_cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
     rows, ckpts = [], []
     dataset = None
-    for value in values:
-        n_photons = value if args.param == "gaussians" else args.photons
-        k_min = value if args.param == "k" else args.kmin
+    for value, (n_photons, k_min) in zip(values, seeds):
         field = _seed_field(scene, args, n_photons, k_min)
         if dataset is None:
             dataset = training.build_dataset(scene, cameras, train_cfg, samples_per_pixel=args.spp, threads=args.threads)

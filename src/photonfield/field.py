@@ -60,6 +60,20 @@ def writable(arr, shape, what: str):
     return arr
 
 
+def check_seed_params(initial_scale, radius, k_min) -> None:
+    """Raise the ``ValueError`` that :meth:`GaussianField.from_photons` raises for these parameters, if any."""
+    if not 0.0 < initial_scale < math.inf:
+        raise ValueError(f"initial scale must be finite and positive, got {initial_scale}")
+    _check_index_params(radius, k_min)
+
+
+def _check_index_params(radius, k_min) -> None:
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and non-negative, got {radius}")
+    if k_min < 0:
+        raise ValueError(f"k_min must be non-negative, got {k_min}")
+
+
 class GaussianField:
     """Mutable set of Gaussian primitives plus a rebuildable spatial index.
 
@@ -82,10 +96,7 @@ class GaussianField:
             raise ValueError("parameter blocks must have matching lengths")
         self.radius = float(radius)
         self.k_min = int(k_min)
-        if not 0.0 <= self.radius < math.inf:
-            raise ValueError(f"radius must be finite and non-negative, got {radius}")
-        if self.k_min < 0:
-            raise ValueError(f"k_min must be non-negative, got {k_min}")
+        _check_index_params(self.radius, self.k_min)
         self._version = 0
         self._index: PointIndex | None = None
         self._index_version = -1
@@ -106,8 +117,7 @@ class GaussianField:
         photon, isotropic initial scale, uniformly random orientation."""
         if len(photons) == 0:
             raise ValueError("cannot initialize from empty photon map")
-        if not 0.0 < initial_scale < math.inf:
-            raise ValueError(f"initial scale must be finite and positive, got {initial_scale}")
+        check_seed_params(initial_scale, radius, k_min)
         n = len(photons)
         quats = core.random_unit_quaternion(rng, n)
         log_scales = np.full((n, 3), np.log(initial_scale))

@@ -9,19 +9,20 @@ first, with the per-primitive formulas and operation order of
 primitives in ``perm`` order, so BVH and linear scan agree bit for bit,
 equal-``t`` ties included: the first primitive in ``perm`` order wins.
 
-The traversal, the spatial index's kernels (``_spatial.c``), the
-photon tracer (``_photons.c``, which walks the BVH with the traversal's
-per-ray ``pf_bvh_nearest``, declared in ``_bvh.h``) and the field's
-forward and backward passes and Adam step (``_field.c``) are one shared
-library, compiled with the system ``cc`` by :func:`load_kernels` at the
-first ray query, point-index build, photon pass or field pass, into
-``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
-name keyed by every C source and header, the flags and the compiler
-version; importing the package compiles nothing. This module alone knows
-the library's binary interface: its prototypes, and a ``ctypes.Structure``
-mirror of each C struct the kernels take by typed pointer
-(:class:`BvhTable`, :class:`ShadingTable`, :class:`KdTreeTable`,
-:class:`FieldTable`, :class:`BatchTable`, :class:`AdamTable`).
+The traversal, the spatial index's kernels (``_spatial.c``), the emitter
+sampler, photon tracer and photon density sum (``_photons.c``; the tracer
+walks the BVH with the traversal's per-ray ``pf_bvh_nearest``, declared in
+``_bvh.h``) and the field's forward and backward passes and Adam step
+(``_field.c``) are one shared library, compiled with the system ``cc`` by
+:func:`load_kernels` at the first ray query, point-index build, photon
+pass or field pass, into ``$XDG_CACHE_HOME/photonfield`` (default
+``~/.cache/photonfield``) under a name keyed by every C source and header,
+the flags and the compiler version; importing the package compiles
+nothing. This module alone knows the library's binary interface: its
+prototypes, and a ``ctypes.Structure`` mirror of each C struct the kernels
+take by typed pointer (:class:`BvhTable`, :class:`ShadingTable`,
+:class:`EmitterTable`, :class:`KdTreeTable`, :class:`FieldTable`,
+:class:`BatchTable`, :class:`AdamTable`).
 
 All intersections use one strict self-intersection epsilon: hits require
 ``t > T_MIN`` (1e-4 scene units), and every ray searches up to infinity.
@@ -80,6 +81,13 @@ class ShadingTable(_Table):
     _fields_ = [(f, _P) for f in ("shape_ids", "shape_mat", "mat_kind", "mat_albedo", "mat_ior")]
 
 
+class EmitterTable(_Table):
+    """``struct pf_emitters`` (``_photons.c``): a Scene's emitter slots, their primitives and sampling CDFs."""
+
+    _fields_ = [("n", _N)] + [(f, _P) for f in ("cdf", "power", "start", "count", "kinds", "pa", "pb", "pc")]
+    _fields_ += [(f, _P) for f in ("normal", "area_cdf")]
+
+
 class KdTreeTable(_Table):
     """``struct pf_kdtree`` (``_spatial.c``): a PointIndex's implicit kd-tree."""
 
@@ -107,13 +115,16 @@ class AdamTable(_Table):
     _fields_ += [(f, ctypes.c_double) for f in ("lr", "beta1", "beta2", "eps", "log_scale_min", "log_scale_max")]
 
 
-_BVH, _SHADING, _KDTREE, _FIELD, _BATCH, _ADAM = (
-    ctypes.POINTER(t) for t in (BvhTable, ShadingTable, KdTreeTable, FieldTable, BatchTable, AdamTable)
+_BVH, _SHADING, _EMITTERS, _KDTREE, _FIELD, _BATCH, _ADAM = (
+    ctypes.POINTER(t) for t in (BvhTable, ShadingTable, EmitterTable, KdTreeTable, FieldTable, BatchTable, AdamTable)
 )
 # restype and argtypes of every function the library exports; a table goes by pointer
 _PROTOTYPES = {
     "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double, _P, _P, _BVH]),
-    "pf_trace_photons": (_N, [_N] + [_P] * 5 + [ctypes.c_int, ctypes.c_double, _BVH, _SHADING, _N] + [_P] * 5),
+    "pf_trace_photons": (_N, [_N, _N, _P, ctypes.c_int, ctypes.c_double, _BVH, _SHADING, _EMITTERS, _N] + [_P] * 5),
+    "pf_pick_emitter": (None, [_EMITTERS, _N, _P, _P]),
+    "pf_sample_on_emitter": (None, [_EMITTERS, _N] + [_P] * 5),
+    "pf_kde_sum": (None, [_N] + [_P] * 8),
     "pf_kd_build": (None, [_N, _P, _KDTREE]),
     "pf_ball": (_N, [_KDTREE, _N, _P, ctypes.c_double, _N, _N, _P, _P, _P]),
     "pf_knn": (None, [_KDTREE, _N, _P, _N, _P, _P]),

@@ -9,7 +9,8 @@ query, or supervision-point capture. The two renderers also share the
 frame assembly around it (``_camera_frame``). The path tracer keeps its
 own loop (MIS emission, next-event estimation); it and the delta tracer
 take their draws and roulette from ``core`` and their hit subsets from
-``Hits.subset``. The photon tracer (``photons.py``) is compiled.
+``Hits.subset``. The photon tracer (``photons.py``) and the photon gather's
+sum are compiled.
 
 Images are (height, width, 3) float64 arrays of linear radiance.
 Everything is deterministic for a fixed seed: random streams are keyed by
@@ -28,6 +29,7 @@ import numpy as np
 from . import core, scene as scene_mod
 from .core import RAY_OFFSET, RR_START, draw_units, fold_key, roulette, seed_key, vdot
 from .core import draw_unit  # noqa: F401  (re-exported; perfbench traces this binding)
+from .geometry import load_kernels
 from .photons import PhotonMap, trace_photons
 from .spatial import PointIndex
 
@@ -204,20 +206,26 @@ def kde_gather_batch(index: PointIndex, photons: PhotonMap, positions, normals, 
 
     L = 1/(pi r^2) * sum over photons within r of flux * f_r, evaluating
     the diffuse BSDF against each photon's incident direction (photons
-    arriving under the surface contribute zero).
+    arriving under the surface contribute zero). ``index`` is the
+    :class:`PointIndex` of ``photons.positions``. The compiled sum
+    (``_photons.c``) adds each point's neighbours from zero in the order of
+    its ball-query row.
     """
     m = len(positions)
     out = np.zeros((m, 3))
     if len(photons) == 0 or m == 0:
         return out
-    flat, splits = index.ball_query_batch(positions, radius)
-    if len(flat) == 0:
-        return out
-    owner = np.repeat(np.arange(m, dtype=np.intp), np.diff(splits))
-    fr = scene_mod.eval_bsdf_batch(albedo[owner], normals[owner], photons.incident[flat], wos[owner])
-    contrib = photons.flux[flat] * fr
-    for ch in range(3):  # bincount sums each row from zero in flat order, as np.add.at would
-        out[:, ch] = np.bincount(owner, weights=contrib[:, ch], minlength=m)
+    if len(index) != len(photons):
+        raise ValueError(f"index holds {len(index)} points for {len(photons)} photons")
+    rows = [np.ascontiguousarray(a, dtype=np.float64) for a in (positions, normals, wos, albedo)]
+    if any(a.shape != (m, 3) for a in rows):
+        raise ValueError(f"positions, normals, wos and albedo must have shape ({m}, 3)")
+    flat, splits = index.ball_query_batch(rows[0], radius)
+    incident, flux = (np.ascontiguousarray(a, dtype=np.float64) for a in (photons.incident, photons.flux))
+    load_kernels().pf_kde_sum(
+        m, splits.ctypes.data, flat.ctypes.data, incident.ctypes.data, flux.ctypes.data,
+        *(a.ctypes.data for a in rows[1:]), out.ctypes.data,
+    )
     out /= math.pi * radius * radius
     return out
 

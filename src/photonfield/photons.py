@@ -1,20 +1,21 @@
 """Light-pass photon tracing.
 
-Photons are emitted from area lights by :func:`scene.sample_light_emission`
-(power-proportional, cosine lobes) and traced through the scene; a photon
-record is stored at every diffuse hit, and the path then continues by BSDF
-sampling. Delta surfaces scatter without storage. Russian roulette
-(as in :func:`core.roulette`) starts after the third bounce with survival
+Photons are emitted from area lights (power-proportional, uniform on area,
+cosine lobes) and traced through the scene; a photon record is stored at
+every diffuse hit, and the path then continues by BSDF sampling. Delta
+surfaces scatter without storage. Russian roulette (as in
+:func:`core.roulette`) starts after the third bounce with survival
 probability min(1, max throughput channel), compensating flux on
 continuation so transport stays unbiased.
 
-Emission runs in numpy; the paths run in a compiled kernel (``_photons.c``,
-loaded by :func:`geometry.load_kernels`) that traces each photon's whole
-path in one pass, with the hit shading of ``Scene.intersect_batch``, the
-BSDF draws of ``scene.sample_bsdf_batch`` and the draws of
-``core.draw_units``, formula for formula. Records come out in bounce-major
-order, ascending photon index within a bounce, the order of a wavefront
-over all photons at once.
+Emission and paths run in a compiled kernel (``_photons.c``, loaded by
+:func:`geometry.load_kernels`) that emits each photon through the emitter
+sampler of ``Scene.pick_emitter`` and ``Scene.sample_on_emitter`` and
+traces its whole path in one pass, with the hit shading of
+``Scene.intersect_batch``, the BSDF draws of ``scene.sample_bsdf_batch``
+and the draws of ``core.draw_units``, formula for formula. Records come
+out in bounce-major order, ascending photon index within a bounce, the
+order of a wavefront over all photons at once.
 
 Stored incident directions point from the surface back toward where the
 photon came from (the convention the gather-side BSDF evaluation expects).
@@ -55,16 +56,17 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
 
     Deterministic for a fixed generator: photon i draws from a stream
     keyed by (generator key, i), independent of batching or thread count.
-    Emission comes from :func:`scene.sample_light_emission` on those
-    streams.
+    Its first five draws emit it: an emitter slot by power, two draws for a
+    point on that emitter and two for a cosine-lobe direction about its
+    normal. Each photon carries flux = total emitter power / ``n_photons``,
+    so the emitted flux partitions the scene power exactly.
     """
     if n_photons < 1:
         raise ValueError(f"n_photons must be >= 1, got {n_photons}")
     if max_bounces < 1:
         raise ValueError(f"max_bounces must be >= 1, got {max_bounces}")
+    scene._require_emitters()
     keys = core.fold_key(rng.key, np.arange(n_photons, dtype=np.uint64))
-    ctrs = np.zeros(n_photons, dtype=np.uint64)
-    o, d, flux = (np.ascontiguousarray(a, dtype=np.float64) for a in scene_mod.sample_light_emission(scene, keys, ctrs))
     bounces = min(int(max_bounces), _MAX_CHAIN)
 
     # records in photon order, with room for about one per photon at first:
@@ -77,15 +79,13 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
     done = 0
     trace = geometry.load_kernels().pf_trace_photons
     while True:
-        traced = trace(
-            n_photons - done, o[done:].ctypes.data, d[done:].ctypes.data, flux[done:].ctypes.data,
-            keys[done:].ctypes.data, ctrs[done:].ctypes.data, bounces, geometry.T_MIN, scene.geometry._table,
-            scene._shading, cap, pos.ctypes.data, fl.ctypes.data, wi.ctypes.data, bounce.ctypes.data,
+        done = trace(
+            n_photons, done, keys.ctypes.data, bounces, geometry.T_MIN, scene.geometry._table, scene._shading,
+            scene._emitters, cap, pos.ctypes.data, fl.ctypes.data, wi.ctypes.data, bounce.ctypes.data,
             stored.ctypes.data,
         )
-        if traced < 0:
+        if done < 0:
             raise RuntimeError(f"BVH traversal overran its stack of {scene.geometry._stack_size} slots")
-        done += traced
         if done == n_photons:
             break
         cap *= 2

@@ -287,25 +287,42 @@ class Scene:
     def _build_emitters(self):
         ids = [i for i, s in enumerate(self.shapes) if s.is_emitter]
         self.emitter_ids = np.asarray(ids, dtype=np.intp)
+        self._emitter_slot_lut = np.full(len(self.shapes), -1, dtype=np.intp)
+        self._emitter_slot_lut[self.emitter_ids] = np.arange(len(ids))
         if not ids:
             self.emitter_power = np.zeros((0, 3))
             self.emitter_radiance = np.zeros((0, 3))
             self.emitter_area = np.zeros(0)
             self.emitter_cdf = np.zeros(0)
             self.total_power = np.zeros(3)
-            self._emitter_slot_lut = np.full(len(self.shapes), -1, dtype=np.intp)
-            return
-        areas = np.array([self.shapes[i].kind.area for i in ids])
-        radiance = np.array([self.shapes[i].emission for i in ids])
-        self.emitter_area = areas
-        self.emitter_radiance = radiance
-        self.emitter_power = math.pi * areas[:, None] * radiance
-        self.total_power = self.emitter_power.sum(axis=0)
-        scalar = self.emitter_power.mean(axis=1)
-        cdf = np.cumsum(scalar)
-        self.emitter_cdf = cdf / cdf[-1]
-        self._emitter_slot_lut = np.full(len(self.shapes), -1, dtype=np.intp)
-        self._emitter_slot_lut[self.emitter_ids] = np.arange(len(self.emitter_ids))
+        else:
+            areas = np.array([self.shapes[i].kind.area for i in ids])
+            radiance = np.array([self.shapes[i].emission for i in ids])
+            self.emitter_area = areas
+            self.emitter_radiance = radiance
+            self.emitter_power = math.pi * areas[:, None] * radiance
+            self.total_power = self.emitter_power.sum(axis=0)
+            scalar = self.emitter_power.mean(axis=1)
+            cdf = np.cumsum(scalar)
+            self.emitter_cdf = cdf / cdf[-1]
+        # the sampler's table: a slot's primitives (a shape's are consecutive),
+        # a quad's normal and a mesh's triangle-area CDF
+        g = self.geometry
+        start = np.searchsorted(g.shape_ids, self.emitter_ids)
+        count = np.searchsorted(g.shape_ids, self.emitter_ids, side="right") - start
+        normal = np.zeros((len(ids), 3))
+        area_cdf = np.zeros(len(g))
+        for s, i in enumerate(ids):
+            k = self.shapes[i].kind
+            if isinstance(k, Quad):
+                normal[s] = k.normal
+            elif isinstance(k, TriangleMesh):
+                areas = k.triangle_areas
+                area_cdf[start[s] : start[s] + count[s]] = np.cumsum(areas) / areas.sum()
+        self._emitters = geometry.EmitterTable(
+            n=len(ids), cdf=self.emitter_cdf, power=self.total_power, start=start, count=count, kinds=g.kinds,
+            pa=g.pa, pb=g.pb, pc=g.pc, normal=normal, area_cdf=area_cdf,
+        )
 
     @property
     def has_emitters(self) -> bool:
@@ -352,60 +369,40 @@ class Scene:
             raise ValueError("scene has no emitters")
 
     def pick_emitter(self, u):
-        """Power-proportional emitter slot(s) for uniform draw(s) ``u``."""
-        return np.searchsorted(self.emitter_cdf, np.asarray(u), side="right").clip(0, len(self.emitter_ids) - 1)
+        """Power-proportional emitter slots for the uniform draws ``u`` (a 1-d array)."""
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        slot = np.empty(len(u), dtype=np.intp)
+        geometry.load_kernels().pf_pick_emitter(self._emitters, len(u), u.ctypes.data, slot.ctypes.data)
+        return slot
 
     def emitter_select_prob(self, slot):
         scalar = self.emitter_power.mean(axis=1)
         return scalar[slot] / scalar.sum()
 
     def sample_on_emitter(self, slot, u1, u2):
-        """Uniform-area point(s) and normal(s) on the emitter in ``slot``.
+        """Uniform-area points and unit normals on the emitters in ``slot``,
+        from the draws ``u1`` and ``u2`` (equal-length 1-d arrays).
 
-        Returns (points, normals, pdf_area) where pdf_area = 1/area of that
-        emitter. Vectorized over equal-length slot/u1/u2 arrays.
+        Returns (points, normals, pdf_area) where pdf_area = 1/area of each
+        row's emitter. A quad maps (u1, u2) onto its edges, a sphere to (z,
+        azimuth), and a mesh picks a triangle by area with u1, then takes a
+        uniform barycentric point with u1 re-stretched within that
+        triangle's CDF bin. This is the compiled sampler the photon tracer
+        emits through (``_photons.c``).
         """
-        slot = np.asarray(slot, dtype=np.intp)
-        u1 = np.asarray(u1, dtype=np.float64)
-        u2 = np.asarray(u2, dtype=np.float64)
+        slot = np.ascontiguousarray(slot, dtype=np.intp)
+        u1 = np.ascontiguousarray(u1, dtype=np.float64)
+        u2 = np.ascontiguousarray(u2, dtype=np.float64)
         n = len(slot)
-        pts = np.zeros((n, 3))
-        nrm = np.zeros((n, 3))
-        for s in np.unique(slot):
-            rows = np.nonzero(slot == s)[0]
-            shape = self.shapes[self.emitter_ids[s]]
-            k = shape.kind
-            if isinstance(k, Quad):
-                pts[rows] = k.corner + u1[rows, None] * k.edge_u + u2[rows, None] * k.edge_v
-                nrm[rows] = k.normal
-            elif isinstance(k, Sphere):
-                z = 1.0 - 2.0 * u1[rows]
-                r = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
-                phi = 2.0 * math.pi * u2[rows]
-                local = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-                pts[rows] = k.center + k.radius * local
-                nrm[rows] = local
-            else:  # TriangleMesh: pick triangle by area, then uniform barycentric
-                areas = k.triangle_areas
-                cdf = np.cumsum(areas) / areas.sum()
-                tri = np.searchsorted(cdf, u1[rows], side="right").clip(0, len(areas) - 1)
-                # re-stretch u1 within its triangle bin for the barycentric draw
-                lo = np.concatenate([[0.0], cdf])[tri]
-                hi = cdf[tri]
-                f1 = np.clip((u1[rows] - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0 - 1e-12)
-                su = np.sqrt(f1)
-                b0 = 1.0 - su
-                b1 = u2[rows] * su
-                a = k.vertices[k.indices[tri, 0]]
-                b = k.vertices[k.indices[tri, 1]]
-                c = k.vertices[k.indices[tri, 2]]
-                pts[rows] = b0[:, None] * a + b1[:, None] * b + (1.0 - b0 - b1)[:, None] * c
-                e1 = b - a
-                e2 = c - a
-                nn = np.cross(e1, e2)
-                nrm[rows] = nn / np.linalg.norm(nn, axis=1, keepdims=True)
-        pdf_area = 1.0 / self.emitter_area[slot]
-        return pts, nrm, pdf_area
+        if not slot.shape == u1.shape == u2.shape == (n,):
+            raise ValueError(f"slot, u1 and u2 must be 1-d arrays of one length, got {slot.shape}, {u1.shape}, {u2.shape}")
+        if n and not (slot.min() >= 0 and slot.max() < len(self.emitter_ids)):
+            raise ValueError(f"emitter slots must lie in [0, {len(self.emitter_ids)})")
+        pts, nrm = np.empty((n, 3)), np.empty((n, 3))
+        geometry.load_kernels().pf_sample_on_emitter(
+            self._emitters, n, slot.ctypes.data, u1.ctypes.data, u2.ctypes.data, pts.ctypes.data, nrm.ctypes.data
+        )
+        return pts, nrm, 1.0 / self.emitter_area[slot]
 
     def emitter_slot_of_shape(self, shape_id):
         """Emitter slot for shape ids (vectorized); -1 for non-emitters."""
@@ -421,32 +418,7 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# emission sampling (photon pass entry point)
-
-
-def sample_light_emission(scene: Scene, keys, ctrs):
-    """Emission samples (origins, directions, flux), one per stream.
-
-    Photon ``i`` draws from stream ``keys[i]`` at counters ``ctrs[i]`` to
-    ``ctrs[i] + 4`` (emitter pick, two area draws, two direction draws),
-    and ``ctrs`` is advanced by 5. Origins are uniform on emitter area
-    (emitter chosen proportional to power), directions cosine-distributed
-    about the emitter normal, and each photon carries flux = total emitter
-    power / photon count, so the emitted flux partitions the scene power
-    exactly.
-    """
-    scene._require_emitters()
-    n = len(keys)
-    u_pick, u_a1, u_a2, u_d1, u_d2 = core.draw_units(keys, ctrs, slice(None), 5)
-    slots = scene.pick_emitter(u_pick)
-    pts, nrm, _ = scene.sample_on_emitter(slots, u_a1, u_a2)
-    dirs, _ = core.sample_cosine_hemisphere(u_d1, u_d2, nrm)
-    flux = np.broadcast_to(scene.total_power / n, (n, 3)).copy()
-    return pts, dirs, flux
-
-
-# ---------------------------------------------------------------------------
-# BSDF sampling and evaluation
+# BSDF sampling
 
 
 def sample_bsdf_batch(hits: Hits, u1, u2, u3):
@@ -498,15 +470,6 @@ def sample_bsdf_batch(hits: Hits, u1, u2, u3):
         weight[die] = 1.0
         is_delta[die] = True
     return wi, weight, is_delta, pdf_dir
-
-
-def eval_bsdf_batch(albedo, normal, wi, wo):
-    """Diffuse BSDF value: albedo/pi for rows with wi and wo above the
-    surface, zero otherwise."""
-    cos_i = vdot(wi, normal)
-    cos_o = vdot(wo, normal)
-    ok = (cos_i > 0.0) & (cos_o > 0.0)
-    return np.where(ok[..., None], np.asarray(albedo) / math.pi, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +575,13 @@ def _shape_from_dict(i: int, obj: dict) -> Shape:
         v = np.array([_vec3(p, f"{where}.vertices[{j}]") for j, p in enumerate(verts)])
         if not isinstance(idx, list) or not idx:
             raise SceneParseError(f"{where}.indices must be a non-empty list")
-        f = np.asarray(idx, dtype=np.intp)
-        if f.ndim != 2 or f.shape[1] != 3:
-            raise SceneParseError(f"{where}.indices must be triples of vertex indices")
-        if f.min() < 0 or f.max() >= len(v):
+        # JSON integers only (type bool is not int): numpy would truncate 2.5, and read true and "2" as numbers
+        if not all(type(t) is list and len(t) == 3 for t in idx) or {type(j) for t in idx for j in t} != {int}:
+            raise SceneParseError(f"{where}.indices must be triples of integer vertex indices")
+        flat = [j for t in idx for j in t]
+        if min(flat) < 0 or max(flat) >= len(v):
             raise SceneValidationError(f"{where}.indices reference out-of-range vertices")
-        return Shape(TriangleMesh(v, f), material, emission)
+        return Shape(TriangleMesh(v, np.array(idx, dtype=np.intp)), material, emission)
     raise SceneParseError(f"{where}.type must be one of sphere/quad/mesh")
 
 

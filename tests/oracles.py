@@ -1,14 +1,21 @@
-"""Numpy oracles of the field's compiled passes and Adam step (``_field.c``).
+"""Numpy oracles of the compiled kernels: the field's passes and Adam step
+(``_field.c``), and the emitter sampler and photon density sum
+(``_photons.c``).
 
-These are the forward and backward passes and the optimizer step as numpy
-ran them before they were compiled: per-neighbour-row temporaries, einsums,
-ordered ``bincount`` reductions and one Adam per parameter block. The
-compiled code must equal them bit for bit.
+These are the numpy code the kernels replaced: per-neighbour-row
+temporaries, einsums, ordered ``bincount`` reductions, one Adam per
+parameter block, and the per-slot emitter loop. The compiled code must
+equal them bit for bit.
 """
+
+import math
 
 import numpy as np
 
+from photonfield import core
+from photonfield.core import vdot
 from photonfield.field import SCALE_MAX, SCALE_MIN
+from photonfield.scene import Quad, Sphere
 
 FALLOFF_SHARPNESS = 3.0
 
@@ -207,3 +214,101 @@ def adam_update(field, opt, grads, lr):
     field.log_scales -= opt["log_scale"].step(grads["log_scale"], lr)
     field.flux -= opt["flux"].step(grads["flux"], lr)
     np.clip(field.log_scales, np.log(SCALE_MIN), np.log(SCALE_MAX), out=field.log_scales)
+
+
+# ---------------------------------------------------------------------------
+# emission and density estimation (_photons.c)
+
+
+def pick_emitter(scene, u):
+    """Power-proportional emitter slots for uniform draws ``u``."""
+    return np.searchsorted(scene.emitter_cdf, np.asarray(u), side="right").clip(0, len(scene.emitter_ids) - 1)
+
+
+def sample_on_emitter(scene, slot, u1, u2):
+    """Uniform-area points, normals and area pdfs on the emitters in ``slot``, one emitter at a time."""
+    slot = np.asarray(slot, dtype=np.intp)
+    u1 = np.asarray(u1, dtype=np.float64)
+    u2 = np.asarray(u2, dtype=np.float64)
+    n = len(slot)
+    pts = np.zeros((n, 3))
+    nrm = np.zeros((n, 3))
+    for s in np.unique(slot):
+        rows = np.nonzero(slot == s)[0]
+        shape = scene.shapes[scene.emitter_ids[s]]
+        k = shape.kind
+        if isinstance(k, Quad):
+            pts[rows] = k.corner + u1[rows, None] * k.edge_u + u2[rows, None] * k.edge_v
+            nrm[rows] = k.normal
+        elif isinstance(k, Sphere):
+            z = 1.0 - 2.0 * u1[rows]
+            r = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
+            phi = 2.0 * math.pi * u2[rows]
+            local = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+            pts[rows] = k.center + k.radius * local
+            nrm[rows] = local
+        else:  # TriangleMesh: pick triangle by area, then uniform barycentric
+            areas = k.triangle_areas
+            cdf = np.cumsum(areas) / areas.sum()
+            tri = np.searchsorted(cdf, u1[rows], side="right").clip(0, len(areas) - 1)
+            # re-stretch u1 within its triangle bin for the barycentric draw
+            lo = np.concatenate([[0.0], cdf])[tri]
+            hi = cdf[tri]
+            f1 = np.clip((u1[rows] - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0 - 1e-12)
+            su = np.sqrt(f1)
+            b0 = 1.0 - su
+            b1 = u2[rows] * su
+            a = k.vertices[k.indices[tri, 0]]
+            b = k.vertices[k.indices[tri, 1]]
+            c = k.vertices[k.indices[tri, 2]]
+            pts[rows] = b0[:, None] * a + b1[:, None] * b + (1.0 - b0 - b1)[:, None] * c
+            e1 = b - a
+            e2 = c - a
+            nn = np.cross(e1, e2)
+            nrm[rows] = nn / np.linalg.norm(nn, axis=1, keepdims=True)
+    pdf_area = 1.0 / scene.emitter_area[slot]
+    return pts, nrm, pdf_area
+
+
+def sample_light_emission(scene, keys, ctrs):
+    """Emission samples (origins, directions, flux), one per stream.
+
+    Stream ``i`` draws at counters ``ctrs[i]`` to ``ctrs[i] + 4`` (emitter
+    pick, two area draws, two direction draws), and ``ctrs`` is advanced by
+    5. Each photon carries flux = total emitter power / photon count.
+    """
+    scene._require_emitters()
+    n = len(keys)
+    u_pick, u_a1, u_a2, u_d1, u_d2 = core.draw_units(keys, ctrs, slice(None), 5)
+    pts, nrm, _ = sample_on_emitter(scene, pick_emitter(scene, u_pick), u_a1, u_a2)
+    dirs, _ = core.sample_cosine_hemisphere(u_d1, u_d2, nrm)
+    flux = np.broadcast_to(scene.total_power / n, (n, 3)).copy()
+    return pts, dirs, flux
+
+
+def eval_bsdf_batch(albedo, normal, wi, wo):
+    """Diffuse BSDF value: albedo/pi for rows with wi and wo above the
+    surface, zero otherwise."""
+    cos_i = vdot(wi, normal)
+    cos_o = vdot(wo, normal)
+    ok = (cos_i > 0.0) & (cos_o > 0.0)
+    return np.where(ok[..., None], np.asarray(albedo) / math.pi, 0.0)
+
+
+def kde_gather(index, photons, positions, normals, wos, albedo, radius):
+    """The numpy gather: the ball rows' owners repeated, the diffuse BSDF per
+    neighbour, and one ordered ``bincount`` per channel."""
+    m = len(positions)
+    out = np.zeros((m, 3))
+    if len(photons) == 0 or m == 0:
+        return out
+    flat, splits = index.ball_query_batch(positions, radius)
+    if len(flat) == 0:
+        return out
+    owner = np.repeat(np.arange(m, dtype=np.intp), np.diff(splits))
+    fr = eval_bsdf_batch(albedo[owner], normals[owner], photons.incident[flat], wos[owner])
+    contrib = photons.flux[flat] * fr
+    for ch in range(3):  # bincount sums each row from zero in flat order, as np.add.at would
+        out[:, ch] = np.bincount(owner, weights=contrib[:, ch], minlength=m)
+    out /= math.pi * radius * radius
+    return out

@@ -305,6 +305,50 @@ class TestErrors:
         assert "error: validate:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
 
+    @pytest.mark.parametrize(
+        ("param", "flag", "value", "message"),
+        [
+            ("gaussians", "--kmin", "-1", "k_min must be non-negative"),
+            ("k", "--radius", "nan", "radius must be finite and non-negative"),
+            ("gaussians", "--radius", "-0.5", "radius must be finite and non-negative"),
+            ("k", "--scale0", "0", "initial scale must be finite and positive"),
+            ("k", "--photons", "0", "--photons must be >= 1"),
+        ],
+    )
+    def test_bad_seed_flag_fails_sweep_before_the_reference_render(
+        self, tmp_path, views_file, capsys, monkeypatch, param, flag, value, message
+    ):
+        import photonfield.cli as cli
+
+        renders = []
+        monkeypatch.setattr(cli.integrators, "render_sppm", lambda *a, **k: renders.append(a))
+        argv = ["sweep", "--param", param, "--values", "3,5", "--scene", "builtin:cornell-box", "--views", views_file,
+                "--resolution", "8", "8", flag, value, "--out", str(tmp_path / "sweep.json")]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert renders == []
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    @pytest.mark.parametrize(
+        ("entry", "code"),
+        [("2.5", 2), ("2.0", 2), ("true", 2), ('"2"', 2), ("null", 2), ("[2]", 2),
+         ("-1", 3), ("3", 3), (str(10**30), 3), (str(-(10**30)), 3)],
+    )
+    def test_mesh_index_that_is_not_a_vertex_integer_is_refused(self, tmp_path, capsys, entry, code):
+        # a JSON integer out of range is a validation error; anything else,
+        # booleans included, a parse error
+        data = scene_to_dict(builtin_scene("caustic-sphere"))
+        data["shapes"].append({"type": "mesh", "vertices": [[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]],
+                               "indices": [[0, 1, "@"]], "material": "floor"})
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data).replace('"@"', entry))
+        out = tmp_path / "x.pfm"
+        assert main(["render-pt", "--scene", str(scene), "--spp", "1", "--resolution", "8", "8", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:" if code == 2 else "error: validate:")
+        assert ("triples of integer vertex indices" if code == 2 else "out-of-range vertices") in err
+        assert list(tmp_path.iterdir()) == [scene]
+
     def test_non_finite_sphere_radius_is_validation_error(self, tmp_path, capsys):
         data = scene_to_dict(builtin_scene("caustic-sphere"))
         (sphere,) = [s for s in data["shapes"] if s["type"] == "sphere"]

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import oracles
 from photonfield import core
 from photonfield.core import Rng, fold_key
 from photonfield.field import GaussianField
@@ -25,10 +26,9 @@ from photonfield.photons import _MAX_CHAIN, PhotonMap, trace_photons
 from photonfield.scene import (
     DIFFUSE,
     Camera,
+    Scene,
     builtin_scene,
-    eval_bsdf_batch,
     sample_bsdf_batch,
-    sample_light_emission,
     scene_from_dict,
 )
 from photonfield.spatial import PointIndex
@@ -69,6 +69,37 @@ def _floor_and_light(emission=5.0, light_half=0.25, light_z=1.0, albedo=0.6):
     )
 
 
+# a fan of nine triangles whose area CDF ends below 1, then a zero-area
+# triangle: a draw at or above that end picks the zero-area triangle, whose
+# empty CDF bin the 1e-300 and 1 - 1e-12 clamps of the sampler handle
+_FAN_VERTICES = [[0.0, 0.0], [0.25, 0.03], [0.05, 0.01], [-0.03, 0.26], [-0.06, -0.02], [-0.18, -0.14], [-0.06, -0.07],
+                 [-0.03, -0.27], [0.07, -0.18], [0.1, -0.06], [0.15, -0.06]]
+_FAN_INDICES = [[0, i, i + 1] for i in range(1, 10)] + [[0, 1, 1]]
+
+
+def _mixed_emitter_scene():
+    """A diffuse box lit by a quad, a sphere and a triangle-mesh emitter (slots 0, 1 and 2)."""
+    walls = [
+        ([-1, -1, -1], [2, 0, 0], [0, 2, 0]),
+        ([-1, -1, 1], [0, 2, 0], [2, 0, 0]),
+        ([-1, 1, -1], [2, 0, 0], [0, 0, 2]),
+        ([-1, -1, -1], [0, 2, 0], [0, 0, 2]),
+        ([1, -1, -1], [0, 0, 2], [0, 2, 0]),
+        ([-1, -1, -1], [0, 0, 2], [2, 0, 0]),
+    ]
+    shapes = [{"type": "quad", "corner": c, "edge_u": u, "edge_v": v, "material": "white"} for c, u, v in walls]
+    shapes += [
+        {"type": "quad", "corner": [-0.3, -0.25, 0.9], "edge_u": [0.1, 0.5, 0.05], "edge_v": [0.5, -0.08, 0.02],
+         "material": "lamp", "emission": [6.0, 6.0, 6.0]},
+        {"type": "sphere", "center": [0.4, 0.3, -0.2], "radius": 0.15, "material": "white", "emission": [2.0, 3.0, 4.0]},
+        {"type": "mesh", "vertices": [[x, y, -0.6] for x, y in _FAN_VERTICES], "indices": _FAN_INDICES,
+         "material": "white", "emission": [4.0, 4.0, 4.0]},
+    ]
+    camera = {"position": [0, -0.9, 0], "look_at": [0, 0, -0.3], "up": [0, 0, 1], "vfov": 70.0, "resolution": [12, 12]}
+    with np.errstate(invalid="ignore"):  # the zero-area triangle has no normal
+        return _scene(shapes, camera=camera)
+
+
 def _quad_irradiance_at(point, corner, eu, ev, radiance, nodes=96):
     """Deterministic quadrature of emitter radiance over a quad: the
     independent reference for direct-lighting checks."""
@@ -103,7 +134,7 @@ def _wavefront_photons(scene, n_photons, max_bounces, rng):
     """
     keys = fold_key(rng.key, np.arange(n_photons, dtype=np.uint64))
     ctrs = np.zeros(n_photons, dtype=np.uint64)
-    o, d, flux = sample_light_emission(scene, keys, ctrs)
+    o, d, flux = oracles.sample_light_emission(scene, keys, ctrs)
     throughput = np.ones((n_photons, 3))
     out_pos, out_flux, out_wi = [], [], []
     alive = np.arange(n_photons, dtype=np.intp)
@@ -271,7 +302,7 @@ class TestPhotonTracing:
         rng = Rng(21)
         photons = trace_photons(scene, n, 1, rng)
         keys = fold_key(rng.key, np.arange(n, dtype=np.uint64))
-        o, d, flux = sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
+        o, d, flux = oracles.sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
         hits = scene.intersect_batch(o, d)
         on_floor = hits.valid & (hits.mat_kind == DIFFUSE)
         assert 0 < on_floor.sum() < n
@@ -285,6 +316,62 @@ class TestPhotonTracing:
         # with one bounce every stored photon carries the emission flux
         per = scene.total_power / 50_000
         np.testing.assert_allclose(photons.flux, np.broadcast_to(per, photons.flux.shape), rtol=1e-12)
+
+
+class TestEmitterSampler:
+    """The compiled emitter sampler against the numpy oracle, bit for bit."""
+
+    def test_samples_equal_the_numpy_oracle_bytes(self):
+        scene = _mixed_emitter_scene()
+        mesh = scene.shapes[scene.emitter_ids[2]].kind
+        assert mesh.triangle_areas[-1] == 0.0
+        cdf = np.cumsum(mesh.triangle_areas) / mesh.triangle_areas.sum()
+        assert cdf[-1] < 1.0  # so a draw can land in the zero-area triangle's bin
+        below_one = np.nextafter(1.0, 0.0)
+        edges = np.concatenate([[0.0, 5e-324, 0.5, below_one], cdf, np.nextafter(cdf, 0.0)])
+        u1, u2 = (a.ravel() for a in np.meshgrid(edges, [0.0, 0.3, below_one]))
+        rng = np.random.default_rng(5)
+        u1 = np.concatenate([u1, rng.random(3000)])
+        u2 = np.concatenate([u2, rng.random(3000)])
+        slot = rng.integers(0, 3, len(u1))  # slots mixed in one batch
+        slot[: 3 * len(edges)] = 2
+        got = scene.sample_on_emitter(slot, u1, u2)
+        with np.errstate(invalid="ignore"):  # the zero-area triangle has no normal
+            want = oracles.sample_on_emitter(scene, slot, u1, u2)
+        assert np.isnan(want[1]).any()
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        u = np.concatenate([[0.0, below_one], scene.emitter_cdf, np.nextafter(scene.emitter_cdf, 0.0), rng.random(1000)])
+        np.testing.assert_array_equal(scene.pick_emitter(u), oracles.pick_emitter(scene, u))
+
+    @pytest.mark.parametrize("max_bounces", [1, 16])
+    def test_photon_emission_equals_the_numpy_wavefront_bytes(self, max_bounces):
+        scene = _mixed_emitter_scene()
+        with np.errstate(invalid="ignore"):
+            want = _wavefront_photons(scene, 4000, max_bounces, Rng(71))
+        got = trace_photons(scene, 4000, max_bounces, Rng(71))
+        assert len(got) > 1000
+        _assert_same_bytes(got, want)
+
+    def test_path_tracer_samples_lights_as_the_numpy_oracle(self, monkeypatch):
+        # next-event estimation calls Scene.pick_emitter and
+        # Scene.sample_on_emitter; the oracle in their place gives equal bytes
+        scene = _mixed_emitter_scene()
+        got = render_pt(scene, scene.camera, spp=8, max_depth=4, rng=3)
+        monkeypatch.setattr(Scene, "pick_emitter", lambda self, u: oracles.pick_emitter(self, u))
+        monkeypatch.setattr(Scene, "sample_on_emitter", lambda self, *a: oracles.sample_on_emitter(self, *a))
+        with np.errstate(invalid="ignore"):
+            want = render_pt(scene, scene.camera, spp=8, max_depth=4, rng=3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_slots_out_of_range_are_refused(self):
+        scene = _mixed_emitter_scene()
+        for slot in ([3], [-1]):
+            with pytest.raises(ValueError, match="emitter slots"):
+                scene.sample_on_emitter(np.array(slot), np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="one length"):
+            scene.sample_on_emitter(np.zeros(2, dtype=np.intp), np.zeros(2), np.zeros(3))
 
 
 class TestRadiusSchedule:
@@ -380,12 +467,51 @@ class TestKdeGather:
         got = kde_gather_batch(index, photons, pos, nrm, wo, albedo, r)
         flat, splits = index.ball_query_batch(pos, r)
         owner = np.repeat(np.arange(len(pos)), np.diff(splits))
-        fr = eval_bsdf_batch(albedo[owner], nrm[owner], photons.incident[flat], wo[owner])
+        fr = oracles.eval_bsdf_batch(albedo[owner], nrm[owner], photons.incident[flat], wo[owner])
         expected = np.zeros((len(pos), 3))
         np.add.at(expected, owner, photons.flux[flat] * fr)
         expected /= math.pi * r * r
         assert np.diff(splits).max() > 20
         assert got.tobytes() == expected.tobytes()
+
+
+    def test_compiled_sum_equals_the_numpy_gather_bytes(self):
+        # photons from above and below a floor, points seen from above and
+        # below it, and points with no photon in reach
+        rng = np.random.default_rng(8)
+        n = 4000
+        pos = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), np.zeros(n)])
+        incident = rng.normal(size=(n, 3))
+        incident /= np.linalg.norm(incident, axis=1, keepdims=True)
+        flux = rng.uniform(0.0, 2.0, (n, 3))
+        photons = PhotonMap(pos, flux, incident)
+        m = 600
+        xs = np.column_stack([rng.uniform(-0.6, 0.6, (m, 2)), np.zeros(m)])
+        xs[::7, 0] += 5.0  # out of reach
+        normal = np.tile([0.0, 0.0, 1.0], (m, 1))
+        wo = rng.normal(size=(m, 3))
+        wo /= np.linalg.norm(wo, axis=1, keepdims=True)
+        albedo = rng.uniform(0.0, 1.0, (m, 3))
+        index = PointIndex(photons.positions)
+        r = 0.05
+        got = kde_gather_batch(index, photons, xs, normal, wo, albedo, r)
+        want = oracles.kde_gather(index, photons, xs, normal, wo, albedo, r)
+        assert got.tobytes() == want.tobytes()
+        counts = np.diff(index.ball_query_batch(xs, r)[1])
+        assert (counts == 0).any() and counts.max() > 20
+        assert (incident[:, 2] < 0).any() and (wo[:, 2] < 0).any()
+        assert np.all(got[counts == 0] == 0.0) and np.all(got[wo[:, 2] < 0] == 0.0)
+
+        none = PhotonMap(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+        got = kde_gather_batch(PointIndex(none.positions), none, xs, normal, wo, albedo, r)
+        want = oracles.kde_gather(PointIndex(none.positions), none, xs, normal, wo, albedo, r)
+        assert got.tobytes() == want.tobytes() == np.zeros((m, 3)).tobytes()
+
+    def test_an_index_of_other_points_is_refused(self):
+        hits = self._floor_hit()
+        photons = PhotonMap(hits.position, np.full((1, 3), 0.5), np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="index holds 2 points for 1 photons"):
+            kde_gather_batch(PointIndex(np.zeros((2, 3))), photons, hits.position, hits.normal, hits.wo, hits.albedo, 0.02)
 
 
 class TestRenderSppm:

@@ -25,11 +25,9 @@ from photonfield.scene import (
     SceneParseError,
     SceneValidationError,
     builtin_scene,
-    eval_bsdf_batch,
     fresnel_reflectance,
     load_scene,
     sample_bsdf_batch,
-    sample_light_emission,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -63,13 +61,14 @@ def _sample_one(hits, rng):
 
 def _eval_one(hits, wi):
     """``eval_bsdf_batch`` on a batch of one hit, toward ``wi``."""
-    return eval_bsdf_batch(hits.albedo, hits.normal, np.asarray(wi)[None], hits.wo)[0]
+    return oracles.eval_bsdf_batch(hits.albedo, hits.normal, np.asarray(wi)[None], hits.wo)[0]
 
 
 def _emission(scene, seed, n):
-    """``sample_light_emission`` on ``n`` fresh streams folded from ``Rng(seed)``."""
+    """The numpy emission oracle on ``n`` fresh streams folded from ``Rng(seed)``; the
+    photon tracer's compiled emission equals it bit for bit (``TestEmitterSampler``)."""
     keys = core.fold_key(Rng(seed).key, np.arange(n, dtype=np.uint64))
-    return sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
+    return oracles.sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
 
 
 class TestIntersection:
@@ -306,12 +305,20 @@ class TestCompiledKernel:
             lib.pf_knn(scene.geometry._table, 1, o, 1, best_p.ctypes.data, best_t.ctypes.data)
         keys = np.zeros(1, dtype=np.uint64)
         out = np.empty((4, 3))
-        with pytest.raises(ctypes.ArgumentError, match="argument 9"):
+        records = (out.ctypes.data, out.ctypes.data, out.ctypes.data, keys.ctypes.data, best_p.ctypes.data)
+        with pytest.raises(ctypes.ArgumentError, match="argument 6"):
             lib.pf_trace_photons(
-                1, o, d, d, keys.ctypes.data, keys.ctypes.data, 4, geometry.T_MIN,
-                scene._shading, scene.geometry._table, 4, out.ctypes.data, out.ctypes.data, out.ctypes.data,
-                keys.ctypes.data, best_p.ctypes.data,
+                1, 0, keys.ctypes.data, 4, geometry.T_MIN, scene._shading, scene._shading, scene._emitters, 4, *records
             )
+        with pytest.raises(ctypes.ArgumentError, match="argument 8"):
+            lib.pf_trace_photons(
+                1, 0, keys.ctypes.data, 4, geometry.T_MIN, scene.geometry._table, scene._shading, scene._shading, 4,
+                *records,
+            )
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            lib.pf_pick_emitter(scene._shading, 1, best_t.ctypes.data, best_p.ctypes.data)
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            lib.pf_sample_on_emitter(scene.geometry._table, 1, best_p.ctypes.data, o, o, out.ctypes.data, out.ctypes.data)
         field = GaussianField(np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]], np.zeros((1, 3)), np.ones((1, 3)))
         table, batch = field._forward(np.zeros((1, 3)), np.array([0]), np.array([0, 1]))[1]
         with pytest.raises(ctypes.ArgumentError, match="argument 1"):
@@ -325,8 +332,9 @@ class TestCompiledKernel:
     def test_tables_mirror_the_c_structs(self, tmp_path):
         # kernels that only pass a member back to themselves would not notice two same-typed members swapped
         tables = [("_bvh.h", "pf_bvh", geometry.BvhTable), ("_photons.c", "pf_shading", geometry.ShadingTable),
-                  ("_spatial.c", "pf_kdtree", geometry.KdTreeTable), ("_field.c", "pf_field", geometry.FieldTable),
-                  ("_field.c", "pf_batch", geometry.BatchTable), ("_field.c", "pf_adam", geometry.AdamTable)]
+                  ("_photons.c", "pf_emitters", geometry.EmitterTable), ("_spatial.c", "pf_kdtree", geometry.KdTreeTable),
+                  ("_field.c", "pf_field", geometry.FieldTable), ("_field.c", "pf_batch", geometry.BatchTable),
+                  ("_field.c", "pf_adam", geometry.AdamTable)]
         for src, struct, table in tables:
             checks = [f"_Static_assert(sizeof(struct {struct}) == {ctypes.sizeof(table)}, \"size\");"]
             for name, _ in table._fields_:
@@ -525,7 +533,7 @@ class TestEmission:
         keys = core.fold_key(Rng(9).key, np.arange(n, dtype=np.uint64))
         ctrs = np.arange(n, dtype=np.uint64) % 4
         start = ctrs.copy()
-        origins, dirs, _ = sample_light_emission(scene, keys, ctrs)
+        origins, dirs, _ = oracles.sample_light_emission(scene, keys, ctrs)
         u = [core.draw_unit(keys, start + np.uint64(i)) for i in range(5)]
         pts, nrm, _ = scene.sample_on_emitter(scene.pick_emitter(u[0]), u[1], u[2])
         np.testing.assert_array_equal(origins, pts)
@@ -537,7 +545,7 @@ class TestEmission:
             {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "white"}
         )
         with pytest.raises(ValueError, match="no emitters"):
-            _emission(scene, 0, 10)
+            trace_photons(scene, 10, 4, Rng(0))
 
     def test_emission_is_one_sided(self):
         scene = _single_shape_scene(
