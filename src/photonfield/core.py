@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-UNIT_TOL = 1e-9
 RAY_OFFSET = 1e-7  # spawn distance along a sampled direction, off the surface
 RR_START = 3  # Russian roulette runs from this bounce on
 

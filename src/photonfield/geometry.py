@@ -260,14 +260,14 @@ class Geometry:
         return len(self.kinds)
 
     def _precompute_normals(self):
+        # a degenerate (zero-area) primitive, which no ray hits, keeps a zero normal
         quad = self.kinds == KIND_QUAD
-        if np.any(quad):
-            n = np.cross(self.pb[quad], self.pc[quad])
-            self._normals[quad] = n / np.linalg.norm(n, axis=1, keepdims=True)
         tri = self.kinds == KIND_TRIANGLE
-        if np.any(tri):
-            n = np.cross(self.pb[tri] - self.pa[tri], self.pc[tri] - self.pa[tri])
-            self._normals[tri] = n / np.linalg.norm(n, axis=1, keepdims=True)
+        n = np.zeros_like(self.pa)
+        n[quad] = np.cross(self.pb[quad], self.pc[quad])
+        n[tri] = np.cross(self.pb[tri] - self.pa[tri], self.pc[tri] - self.pa[tri])
+        norm = np.linalg.norm(n, axis=1, keepdims=True)
+        np.divide(n, norm, out=self._normals, where=norm > 0.0)
 
     def _prim_bounds(self):
         n = len(self)

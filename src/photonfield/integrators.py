@@ -6,7 +6,9 @@ tracer that follows rays through delta (mirror/dielectric) bounces to the
 first diffuse hit, accumulating throughput along the way; what happens at
 that hit is the only thing that differs: photon-density gathering, a field
 query, or supervision-point capture. The two renderers also share the
-frame assembly around it (``_camera_frame``). The path tracer keeps its
+frame assembly around it (``_camera_frame``), and photon-mapped renders
+and supervision references share one loop that averages photon passes
+(``_average_photon_passes``). The path tracer keeps its
 own loop (MIS emission, next-event estimation); it and the delta tracer
 take their draws and roulette from ``core`` and their hit subsets from
 ``Hits.subset``. The photon tracer (``photons.py``) and the photon gather's
@@ -109,7 +111,7 @@ class FirstDiffuse:
     ``emitted`` carries beta * L_e from emitter hits seen through a
     delta-only prefix; rays with ``found`` landed on a (non-emitting side
     of a) diffuse surface, with throughput ``beta`` accumulated along the
-    prefix and ``n_delta`` delta bounces before the hit.
+    prefix.
     """
 
     found: np.ndarray  # (n,) bool
@@ -119,7 +121,6 @@ class FirstDiffuse:
     albedo: np.ndarray  # (n, 3)
     beta: np.ndarray  # (n, 3)
     emitted: np.ndarray  # (n, 3)
-    n_delta: np.ndarray  # (n,)
 
 
 def trace_to_first_diffuse(scene: scene_mod.Scene, origins, dirs, keys, ctrs) -> FirstDiffuse:
@@ -138,13 +139,12 @@ def trace_to_first_diffuse(scene: scene_mod.Scene, origins, dirs, keys, ctrs) ->
         albedo=np.zeros((n, 3)),
         beta=np.ones((n, 3)),
         emitted=np.zeros((n, 3)),
-        n_delta=np.zeros(n, dtype=np.intp),
     )
     alive = np.arange(n, dtype=np.intp)
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(dirs, dtype=np.float64)
     beta = np.ones((n, 3))
-    for depth in range(_MAX_DELTA_CHAIN):
+    for _ in range(_MAX_DELTA_CHAIN):
         if alive.size == 0:
             break
         hits = scene.intersect_batch(o, d)
@@ -168,7 +168,6 @@ def trace_to_first_diffuse(scene: scene_mod.Scene, origins, dirs, keys, ctrs) ->
             out.wo[rows] = hits.wo[diffuse]
             out.albedo[rows] = hits.albedo[diffuse]
             out.beta[rows] = beta[diffuse]
-            out.n_delta[rows] = depth
 
         cont = ~emitter & ~diffuse
         if not np.any(cont):
@@ -244,27 +243,43 @@ def _photon_pass(scene: scene_mod.Scene, cfg: SppmConfig, iteration: int):
 def _camera_frame(scene, camera, seed: int, s: int, radiance_at):
     """Flat (w*h, 3) frame of camera pass ``s``.
 
-    Emission seen through each ray's delta prefix, plus
-    ``beta * radiance_at(fd, found)`` at the first diffuse hits, where
-    ``fd`` is the :class:`FirstDiffuse` of the pass and ``found`` its mask.
+    Emission seen through each ray's delta prefix, plus ``beta *
+    radiance_at(positions, normals, wos, albedo)`` at the first diffuse
+    hits, which :func:`trace_to_first_diffuse` records.
     """
     _, keys, ctrs, o, d = _camera_rays(camera, seed, s)
     fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
     frame = fd.emitted
     found = fd.found
     if np.any(found):
-        frame[found] += fd.beta[found] * radiance_at(fd, found)
+        frame[found] += fd.beta[found] * radiance_at(*(a[found] for a in (fd.position, fd.normal, fd.wo, fd.albedo)))
     return frame
 
 
-def _sppm_frame(scene, camera, cfg, t, radius):
-    photons, index = _photon_pass(scene, cfg, t)
+def _average_photon_passes(scene, cfg: SppmConfig, shape, threads: int, estimate, snapshots=()):
+    """Mean over ``cfg.iterations`` photon passes of ``estimate(t, gather)``.
 
-    def gather(fd, found):
-        return kde_gather_batch(index, photons, fd.position[found], fd.normal[found], fd.wo[found], fd.albedo[found], radius)
+    Pass ``t`` traces :func:`_photon_pass`; ``gather(positions, normals,
+    wos, albedo)`` is :func:`kde_gather_batch` over that pass at radius
+    ``sppm_radius(t, ...)``. The passes' ``shape`` arrays are added in pass
+    order, so the thread count cannot change the bits. Returns the mean and
+    {t: running mean after t passes} for the counts in ``snapshots``.
+    """
+    scene._require_emitters()
+    wanted = {int(c) for c in snapshots}
 
-    w, h = camera.resolution
-    return _camera_frame(scene, camera, cfg.seed, t, gather).reshape(h, w, 3)
+    def job(t):
+        photons, index = _photon_pass(scene, cfg, t)
+        radius = sppm_radius(t, cfg.initial_radius, cfg.alpha)
+        return estimate(t, lambda *points: kde_gather_batch(index, photons, *points, radius))
+
+    acc = np.zeros(shape)
+    snaps = {}
+    for t, part in enumerate(_ordered_map(job, range(cfg.iterations), threads)):
+        acc += part
+        if (t + 1) in wanted:
+            snaps[t + 1] = acc / (t + 1)
+    return acc / cfg.iterations, snaps
 
 
 def render_sppm(scene: scene_mod.Scene, camera: scene_mod.Camera, cfg: SppmConfig, threads: int = 1, snapshots=None):
@@ -276,60 +291,28 @@ def render_sppm(scene: scene_mod.Scene, camera: scene_mod.Camera, cfg: SppmConfi
     (image, {count: running-mean image}); the running mean after t
     iterations is bit-identical to a T=t render with the same seed.
     """
-    scene._require_emitters()
     w, h = camera.resolution
-    acc = np.zeros((h, w, 3))
-    snaps = {}
-    wanted = set(int(s) for s in snapshots) if snapshots else set()
-    radii = [sppm_radius(t, cfg.initial_radius, cfg.alpha) for t in range(cfg.iterations)]
 
-    def job(t):
-        return _sppm_frame(scene, camera, cfg, t, radii[t])
+    def frame(t, gather):
+        return _camera_frame(scene, camera, cfg.seed, t, gather).reshape(h, w, 3)
 
-    for t, frame in enumerate(_ordered_map(job, range(cfg.iterations), threads)):
-        acc += frame
-        if (t + 1) in wanted:
-            snaps[t + 1] = acc / (t + 1)
-    img = acc / cfg.iterations
+    img, snaps = _average_photon_passes(scene, cfg, (h, w, 3), threads, frame, snapshots or ())
     if snapshots is not None:
         return img, snaps
     return img
 
 
-@dataclass
-class SurfacePoints:
-    """Diffuse supervision points: position, outgoing direction, and the
-    local frame/material data needed to gather radiance there."""
-
-    position: np.ndarray  # (m, 3)
-    wo: np.ndarray  # (m, 3)
-    normal: np.ndarray  # (m, 3)
-    albedo: np.ndarray  # (m, 3)
-
-    def __len__(self) -> int:
-        return len(self.position)
-
-
-def reference_radiance_at_points(scene: scene_mod.Scene, points: SurfacePoints, cfg: SppmConfig, threads: int = 1):
+def reference_radiance_at_points(scene: scene_mod.Scene, positions, normals, wos, albedo, cfg: SppmConfig, threads: int = 1):
     """Photon-mapped outgoing radiance averaged over cfg.iterations passes.
 
-    ``points`` holds diffuse surface points with their frames, as
-    :func:`trace_to_first_diffuse` records them. Shares the photon-pass
-    seeding of :func:`render_sppm`, so a gather here matches the
-    corresponding camera-pass gather for equal seeds.
+    The (m, 3) arrays describe diffuse surface points as
+    :func:`trace_to_first_diffuse` records them, in
+    :func:`kde_gather_batch`'s order. Shares the photon passes of
+    :func:`render_sppm`, so a gather here matches the corresponding
+    camera-pass gather for equal seeds.
     """
-    scene._require_emitters()
-    m = len(points)
-    acc = np.zeros((m, 3))
-    radii = [sppm_radius(t, cfg.initial_radius, cfg.alpha) for t in range(cfg.iterations)]
-
-    def job(t):
-        photons, index = _photon_pass(scene, cfg, t)
-        return kde_gather_batch(index, photons, points.position, points.normal, points.wo, points.albedo, radii[t])
-
-    for contrib in _ordered_map(job, range(cfg.iterations), threads):
-        acc += contrib
-    return acc / cfg.iterations
+    shape = (len(positions), 3)
+    return _average_photon_passes(scene, cfg, shape, threads, lambda t, gather: gather(positions, normals, wos, albedo))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +478,10 @@ def render_gpf(
     w, h = camera.resolution
     field.ensure_index()
 
-    def radiance_at(fd, found):
-        queried = field.query_batch(fd.position[found])
+    def radiance_at(positions, normals, wos, albedo):
+        queried = field.query_batch(positions)
         if bsdf_modulation:
-            queried = queried * fd.albedo[found]
+            queried = queried * albedo
         return queried
 
     def job(s):

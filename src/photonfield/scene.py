@@ -297,6 +297,8 @@ class Scene:
             self.total_power = np.zeros(3)
         else:
             areas = np.array([self.shapes[i].kind.area for i in ids])
+            if not np.all(areas > 0.0):
+                raise SceneValidationError(f"emitting shapes[{ids[int(np.argmin(areas > 0.0))]}] has no area")
             radiance = np.array([self.shapes[i].emission for i in ids])
             self.emitter_area = areas
             self.emitter_radiance = radiance
@@ -498,12 +500,18 @@ def _finite(value, where: str) -> np.ndarray:
     return v
 
 
+def _number(value, where: str) -> float:
+    """A JSON int or float (``SceneParseError`` for a bool, string or list),
+    finite through :func:`_finite`."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SceneParseError(f"{where} must be a number")
+    return float(_finite(value, where))
+
+
 def _vec3(value, where: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise SceneParseError(f"{where} must be a list of 3 numbers")
-    return _finite(value, where)
+    return np.array([_number(v, where) for v in value])
 
 
 def _material_from_dict(name: str, obj: dict) -> Material:
@@ -527,10 +535,10 @@ def _material_from_dict(name: str, obj: dict) -> Material:
         return Material.mirror(refl)
     if kind == "dielectric":
         _check_keys(obj, {"type", "ior"}, {"type", "ior"}, where)
-        ior = obj["ior"]
-        if not isinstance(ior, (int, float)) or _finite(ior, f"{where}.ior") <= 0.0:
+        ior = _number(obj["ior"], f"{where}.ior")
+        if ior <= 0.0:
             raise SceneValidationError(f"{where}.ior must be a positive number")
-        return Material.dielectric(float(ior))
+        return Material.dielectric(ior)
     raise SceneParseError(f"{where}.type must be one of diffuse/mirror/dielectric")
 
 
@@ -553,10 +561,10 @@ def _shape_from_dict(i: int, obj: dict) -> Shape:
         raise SceneParseError(f"{where}.material must be a material name")
     if kind == "sphere":
         _check_keys(obj, {"type", "center", "radius", "material", "emission"}, {"type", "center", "radius"}, where)
-        radius = obj["radius"]
-        if not isinstance(radius, (int, float)) or _finite(radius, f"{where}.radius") <= 0.0:
+        radius = _number(obj["radius"], f"{where}.radius")
+        if radius <= 0.0:
             raise SceneValidationError(f"{where}.radius must be positive")
-        return Shape(Sphere(_vec3(obj["center"], f"{where}.center"), float(radius)), material, emission)
+        return Shape(Sphere(_vec3(obj["center"], f"{where}.center"), radius), material, emission)
     if kind == "quad":
         _check_keys(
             obj, {"type", "corner", "edge_u", "edge_v", "material", "emission"}, {"type", "corner", "edge_u", "edge_v"}, where
@@ -591,14 +599,14 @@ def camera_from_dict(cam) -> Camera:
     keys = {"position", "look_at", "up", "vfov", "resolution"}
     _check_keys(cam, keys, keys, "camera")
     res = cam["resolution"]
-    if not isinstance(res, (list, tuple)) or len(res) != 2 or not all(isinstance(v, int) for v in res):
+    if not isinstance(res, (list, tuple)) or len(res) != 2 or not all(type(v) is int for v in res):
         raise SceneParseError("camera.resolution must be [width, height] integers")
     return Camera(
         _vec3(cam["position"], "camera.position"),
         _vec3(cam["look_at"], "camera.look_at"),
         _vec3(cam["up"], "camera.up"),
-        float(_finite(cam["vfov"], "camera.vfov")),
-        (int(res[0]), int(res[1])),
+        _number(cam["vfov"], "camera.vfov"),
+        (res[0], res[1]),
     )
 
 

@@ -54,16 +54,14 @@ class PointIndex:
     """
 
     def __init__(self, points):
-        points = np.asarray(points, dtype=np.float64)
+        points = np.ascontiguousarray(points, dtype=np.float64)
         if points.size == 0:
             points = points.reshape(0, 3)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError("points must have shape (n, 3)")
         if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
-        self._points = points.copy()
-        self._points.setflags(write=False)
-        n = len(self._points)
+        self._n = n = len(points)
         if n == 0:
             return
         # the shallowest complete tree whose leaves hold at most _LEAF_SIZE points
@@ -78,14 +76,10 @@ class PointIndex:
             hi=np.empty(((2 << depth) - 1, 3)),  # node box upper corners
             leaf_start=np.empty((1 << depth) + 1, dtype=np.intp),  # leaf j holds perm[leaf_start[j]:leaf_start[j + 1]]
         )
-        load_kernels().pf_kd_build(n, self._points.ctypes.data, self._tree)
+        load_kernels().pf_kd_build(n, points.ctypes.data, self._tree)  # copies the points into tpts
 
     def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def points(self):
-        return self._points
+        return self._n
 
     # -- batch kernels -----------------------------------------------------
 

@@ -5,7 +5,10 @@ through delta-only prefixes; each records its position, the outgoing
 direction back along the arriving segment, and a photon-mapped reference
 radiance. The reference is local outgoing radiance at the point: the
 prefix throughput is deliberately excluded (it gets re-applied by the
-camera pass at render time), so one field serves every view.
+camera pass at render time), so one field serves every view. Only those
+three arrays are kept; the surface frame the gather needs is passed
+straight from :func:`trace_to_first_diffuse` to
+:func:`integrators.reference_radiance_at_points`.
 
 Training minimizes the mean squared radiance error over minibatches with
 Adam. Quaternions take the ambient step and are renormalized; log-scales
@@ -28,7 +31,7 @@ import numpy as np
 from . import core, integrators, scene as scene_mod
 from .field import GRADIENT_WIDTHS, SCALE_MAX, SCALE_MIN, GaussianField, gradient_buffers, read_records, writable, write_records
 from .geometry import AdamTable, load_kernels
-from .integrators import SppmConfig, SurfacePoints, trace_to_first_diffuse
+from .integrators import SppmConfig, trace_to_first_diffuse
 from .spatial import gather_rows
 
 _TAG_DATASET = 0xD5
@@ -37,19 +40,13 @@ _MAGIC = b"GPD1"
 
 
 class SampleSet:
-    """Struct-of-arrays supervision dataset.
+    """Struct-of-arrays supervision dataset: ``position``, ``wo`` and
+    ``l_ref`` rows, which are also its file format."""
 
-    ``position``/``wo``/``l_ref`` are the serialized payload; the
-    provenance arrays (camera/pixel/sample indices, delta-bounce counts,
-    prefix throughput, surface frame) are kept for diagnostics and the
-    render-consistency checks but are not part of the file format.
-    """
-
-    def __init__(self, position, wo, l_ref, **extras):
+    def __init__(self, position, wo, l_ref):
         self.position = np.asarray(position, dtype=np.float64).reshape(-1, 3)
         self.wo = np.asarray(wo, dtype=np.float64).reshape(-1, 3)
         self.l_ref = np.asarray(l_ref, dtype=np.float64).reshape(-1, 3)
-        self.extras = {k: np.asarray(v) for k, v in extras.items()}
 
     def __len__(self) -> int:
         return len(self.position)
@@ -86,43 +83,18 @@ def build_dataset(
     radiance at the collected points is photon-mapped with ``sppm_cfg``
     (local outgoing radiance; prefix throughput excluded).
     """
-    pos, wo, nrm, alb, beta = [], [], [], [], []
-    cam_idx, pix_idx, samp_idx, n_delta = [], [], [], []
+    parts = []  # per pass: position, normal, wo and albedo of the found rays
     for ci, camera in enumerate(cameras):
         seed = camera_seed(sppm_cfg.seed, ci)
         for s in range(samples_per_pixel):
-            pixel_ids, keys, ctrs, o, d = integrators._camera_rays(camera, seed, s)
+            _, keys, ctrs, o, d = integrators._camera_rays(camera, seed, s)
             fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
-            found = fd.found
-            if not np.any(found):
-                continue
-            pos.append(fd.position[found])
-            wo.append(fd.wo[found])
-            nrm.append(fd.normal[found])
-            alb.append(fd.albedo[found])
-            beta.append(fd.beta[found])
-            cam_idx.append(np.full(int(found.sum()), ci, dtype=np.intp))
-            pix_idx.append(pixel_ids[found])
-            samp_idx.append(np.full(int(found.sum()), s, dtype=np.intp))
-            n_delta.append(fd.n_delta[found])
-    if not pos:
+            parts.append([a[fd.found] for a in (fd.position, fd.normal, fd.wo, fd.albedo)])
+    if not sum(len(p[0]) for p in parts):
         raise ValueError("no diffuse surface visible")
-    points = SurfacePoints(
-        np.concatenate(pos), np.concatenate(wo), np.concatenate(nrm), np.concatenate(alb)
-    )
-    l_ref = integrators.reference_radiance_at_points(scene, points, sppm_cfg, threads=threads)
-    return SampleSet(
-        points.position,
-        points.wo,
-        l_ref,
-        normal=points.normal,
-        albedo=points.albedo,
-        beta=np.concatenate(beta),
-        cam_index=np.concatenate(cam_idx),
-        pixel=np.concatenate(pix_idx),
-        sample_index=np.concatenate(samp_idx),
-        n_delta=np.concatenate(n_delta),
-    )
+    position, normal, wo, albedo = (np.concatenate(a) for a in zip(*parts))
+    l_ref = integrators.reference_radiance_at_points(scene, position, normal, wo, albedo, sppm_cfg, threads=threads)
+    return SampleSet(position, wo, l_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,47 @@ class TestErrors:
         assert "radius must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [scene]
 
+    @pytest.mark.parametrize(
+        ("key", "value", "code"),
+        [("vfov", "true", 2), ("vfov", '"40"', 2), ("vfov", "[40, 1]", 2), ("resolution", "[true, true]", 2),
+         ("resolution", "[8.0, 8]", 2), ("radius", "true", 2), ("ior", "true", 2), ("center", '[0, 0, "0"]', 2),
+         ("center", "[0, 0, false]", 2), ("vfov", "0", 3), ("vfov", "1e999", 3), ("radius", "-1", 3),
+         ("radius", "1e999", 3), ("ior", "1e999", 3)],
+    )
+    def test_scene_number_is_a_json_number(self, tmp_path, capsys, key, value, code):
+        # a bool, string or list where a number belongs is a parse error;
+        # a number out of range, a validation error
+        data = scene_to_dict(builtin_scene("caustic-sphere"))
+        (sphere,) = [s for s in data["shapes"] if s["type"] == "sphere"]
+        owner = {"vfov": data["camera"], "resolution": data["camera"], "radius": sphere, "center": sphere,
+                 "ior": data["materials"]["glass"]}[key]
+        owner[key] = "@"
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data).replace('"@"', value))
+        out = tmp_path / "x.pfm"
+        assert main(["render-pt", "--scene", str(scene), "--spp", "1", "--resolution", "8", "8", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:" if code == 2 else "error: validate:")
+        assert key in err
+        assert list(tmp_path.iterdir()) == [scene]
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_area_emitter_is_validation_error(self, tmp_path, capsys):
+        data = scene_to_dict(builtin_scene("cornell-box"))
+        (lamp,) = [s for s in data["shapes"] if "emission" in s]
+        data["shapes"] = [s for s in data["shapes"] if s is not lamp] + [
+            {"type": "mesh", "vertices": [[0, 0, 0], [1, 0, 0], [2, 0, 0]], "indices": [[0, 1, 2]],
+             "material": lamp["material"], "emission": lamp["emission"]}
+        ]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data))
+        out = tmp_path / "x.pfm"
+        argv = ["render-sppm", "--scene", str(scene), "--iterations", "1", "--photons", "200",
+                "--resolution", "8", "8", "--out", str(out)]
+        assert main(argv) == 3
+        assert "has no area" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scene]
+
     @pytest.mark.parametrize("r0", ["inf", "nan"])
     def test_non_finite_r0_is_validation_error(self, tmp_path, capsys, r0):
         out = tmp_path / "x.pfm"

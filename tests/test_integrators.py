@@ -12,7 +12,6 @@ from photonfield.core import Rng, fold_key
 from photonfield.field import GaussianField
 from photonfield.integrators import (
     SppmConfig,
-    SurfacePoints,
     _camera_rays,
     kde_gather_batch,
     reference_radiance_at_points,
@@ -561,19 +560,20 @@ class TestRenderSppm:
 
 class TestReferenceRadiance:
     def test_single_iteration_matches_camera_gather(self):
-        # a pixel with no delta prefix: its render equals the reference
-        # radiance evaluated at its first hit under the same seed
+        # a pixel with no delta prefix (cornell-box has no delta surface):
+        # its render equals the reference radiance evaluated at its first
+        # hit under the same seed
         scene = builtin_scene("cornell-box")
         cam = scene.camera.with_resolution(8, 8)
         cfg = SppmConfig(iterations=1, photons_per_iter=5000, seed=21)
         img = render_sppm(scene, cam, cfg)
         pixel_ids, keys, ctrs, o, d = _camera_rays(cam, cfg.seed, 0)
         fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
-        sel = np.nonzero(fd.found & (fd.n_delta == 0))[0]
+        sel = np.nonzero(fd.found)[0]
         assert len(sel) > 0
         sel = sel[:10]
-        pts = SurfacePoints(fd.position[sel], fd.wo[sel], fd.normal[sel], fd.albedo[sel])
-        lref = reference_radiance_at_points(scene, pts, cfg)
+        assert np.all(fd.beta[sel] == 1.0)
+        lref = reference_radiance_at_points(scene, fd.position[sel], fd.normal[sel], fd.wo[sel], fd.albedo[sel], cfg)
         for row, i in enumerate(sel):
             y, x = divmod(int(pixel_ids[i]), 8)
             np.testing.assert_allclose(lref[row], img[y, x], atol=1e-9)
@@ -592,17 +592,16 @@ class TestReferenceRadiance:
         )
         cfg = SppmConfig(iterations=4, photons_per_iter=20_000, seed=4)
         up = np.array([[0.0, 0.0, 1.0]])
-        pts = SurfacePoints(np.zeros((1, 3)), up, up, np.full((1, 3), 0.7))
-        lref = reference_radiance_at_points(scene, pts, cfg)
+        lref = reference_radiance_at_points(scene, np.zeros((1, 3)), up, up, np.full((1, 3), 0.7), cfg)
         assert float(lref.max()) < 1e-3
 
     def test_single_iteration_config_equals_one_pass_mean(self):
         scene = builtin_scene("cornell-box")
         cfg = SppmConfig(iterations=1, photons_per_iter=3000, seed=5)
         up = np.array([[0.0, 0.0, 1.0]])
-        pts = SurfacePoints(np.array([[0.0, 0.0, -1.0]]), up, up, np.full((1, 3), 0.73))
-        a = reference_radiance_at_points(scene, pts, cfg)
-        b = reference_radiance_at_points(scene, pts, cfg)
+        pts = (np.array([[0.0, 0.0, -1.0]]), up, up, np.full((1, 3), 0.73))
+        a = reference_radiance_at_points(scene, *pts, cfg)
+        b = reference_radiance_at_points(scene, *pts, cfg)
         np.testing.assert_array_equal(a, b)
 
 

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -79,6 +80,15 @@ class TestIntersection:
         assert hits.t[0] == pytest.approx(4.0, abs=1e-12)
         np.testing.assert_allclose(hits.normal[0], [0.0, 0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(hits.position[0], [0.0, 0.0, 4.0], atol=1e-12)
+
+    def test_degenerate_triangle_builds_without_warnings_and_is_never_hit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scene = _single_shape_scene(
+                {"type": "mesh", "vertices": [[0, 0, 0], [1, 0, 0], [2, 0, 0]], "indices": [[0, 1, 2]], "material": "white"}
+            )
+        np.testing.assert_array_equal(scene.geometry._normals, np.zeros((1, 3)))
+        assert not _hit(scene, [0.5, 0.0, 1.0], [0.0, 0.0, -1.0]).valid[0]
 
     def test_ray_parallel_to_quad_misses(self):
         scene = _single_shape_scene(

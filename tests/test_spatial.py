@@ -80,6 +80,19 @@ class TestBallQuery:
         with pytest.raises(ValueError):
             PointIndex(np.array([[np.nan, 0, 0]]))
 
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_rows_ignore_later_writes_to_the_source_points(self, layout):
+        pts = _random_points(300, seed=11)
+        source = layout(pts.copy())
+        idx = PointIndex(source)
+        source[:] = _random_points(300, seed=12)
+        xs = _random_points(8, seed=13)
+        flat, splits = idx.ball_query_batch(xs, 0.4)
+        kflat, ksplits = idx.knn_query_batch(xs, 5)
+        for x, row, krow in zip(xs, _rows(flat, splits), _rows(kflat, ksplits)):
+            np.testing.assert_array_equal(row, linear_ball_query(pts, x, 0.4)[0])
+            np.testing.assert_array_equal(krow, linear_knn_query(pts, x, 5)[0])
+
 
 class TestKnnQuery:
     def test_k_zero_is_empty(self):

@@ -14,7 +14,7 @@ from photonfield.core import Rng
 from photonfield.field import GRADIENT_WIDTHS, SCALE_MAX, SCALE_MIN, GaussianField, gradient_buffers
 from photonfield.integrators import SppmConfig, _camera_rays, trace_to_first_diffuse
 from photonfield.photons import trace_photons
-from photonfield.scene import builtin_scene, scene_from_dict
+from photonfield.scene import DIELECTRIC, builtin_scene, scene_from_dict
 from photonfield.spatial import PointIndex
 from photonfield.training import (
     _TAG_BATCH,
@@ -32,14 +32,23 @@ def _fast_cfg(seed=0, iterations=2, photons=5000):
     return SppmConfig(iterations=iterations, photons_per_iter=photons, seed=seed)
 
 
+def _dataset_paths(scene, cam, cfg, s=0):
+    """The camera rays of pass ``s`` of a one-view dataset, and their first diffuse hits."""
+    _, keys, ctrs, o, d = _camera_rays(cam, camera_seed(cfg.seed, 0), s)
+    return o, d, trace_to_first_diffuse(scene, o, d, keys, ctrs)
+
+
 class TestBuildDataset:
     def test_cornell_views_yield_diffuse_samples(self):
         scene = builtin_scene("cornell-box")
         cams = [scene.camera.with_resolution(24, 24)]
-        ds = build_dataset(scene, cams, _fast_cfg())
+        cfg = _fast_cfg()
+        ds = build_dataset(scene, cams, cfg)
         assert 1 <= len(ds) <= 24 * 24
         # every sample sits on scene geometry with a diffuse response
-        assert np.all(ds.extras["albedo"].max(axis=1) > 0.0)
+        _, _, fd = _dataset_paths(scene, cams[0], cfg)
+        np.testing.assert_array_equal(ds.position, fd.position[fd.found])
+        assert np.all(fd.albedo[fd.found].max(axis=1) > 0.0)
         assert np.all(np.isfinite(ds.l_ref))
 
     def test_all_mirror_scene_yields_no_samples(self):
@@ -61,6 +70,8 @@ class TestBuildDataset:
         )
         with pytest.raises(ValueError, match="no diffuse surface visible"):
             build_dataset(scene, [scene.camera], _fast_cfg())
+        with pytest.raises(ValueError, match="no diffuse surface visible"):
+            build_dataset(scene, [], _fast_cfg())
 
     def test_samples_behind_glass_have_delta_prefix_and_land_on_floor(self):
         scene = builtin_scene("caustic-sphere")
@@ -73,8 +84,12 @@ class TestBuildDataset:
             vfov=30.0,
             resolution=(16, 16),
         )
-        ds = build_dataset(scene, [cam], _fast_cfg(photons=2000))
-        through_glass = ds.extras["n_delta"] >= 2
+        cfg = _fast_cfg(photons=2000)
+        ds = build_dataset(scene, [cam], cfg)
+        # a sample whose primary hit is the glass sphere lies behind glass
+        o, d, fd = _dataset_paths(scene, cam, cfg)
+        np.testing.assert_array_equal(ds.position, fd.position[fd.found])
+        through_glass = (scene.intersect_batch(o, d).mat_kind == DIELECTRIC)[fd.found]
         assert np.any(through_glass)
         np.testing.assert_allclose(ds.position[through_glass][:, 2], -0.5, atol=1e-6)
 
@@ -83,14 +98,11 @@ class TestBuildDataset:
         cam = scene.camera.with_resolution(12, 12)
         cfg = _fast_cfg(seed=3)
         ds = build_dataset(scene, [cam], cfg, samples_per_pixel=2)
-        seed = camera_seed(cfg.seed, 0)
-        for s in (0, 1):
-            pixel_ids, keys, ctrs, o, d = _camera_rays(cam, seed, s)
-            fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
-            mask = (ds.extras["sample_index"] == s)
-            rows = np.nonzero(fd.found)[0]
-            np.testing.assert_array_equal(ds.extras["pixel"][mask], pixel_ids[rows])
-            np.testing.assert_array_equal(ds.position[mask], fd.position[rows])
+        # the samples are pass 0's first diffuse hits in pixel order, then pass 1's
+        fds = [_dataset_paths(scene, cam, cfg, s)[2] for s in (0, 1)]
+        for name in ("position", "wo"):
+            want = np.concatenate([getattr(fd, name)[fd.found] for fd in fds])
+            np.testing.assert_array_equal(getattr(ds, name), want)
 
 
 class TestDatasetFile:
