@@ -2,13 +2,13 @@
  *
  * pf_bvh_nearest walks the flat node arrays built by Geometry._build_bvh
  * for one ray, with an explicit stack, left child first; pf_intersect runs
- * it over a batch of rays and _photons.c along photon paths. Leaf
- * primitives are tested in perm order and a hit replaces the best one only
- * if strictly nearer, so of equal-t hits the first primitive in perm order
- * wins.
+ * it over a batch of rays (for Geometry.intersect, and intersect_linear's
+ * one-leaf tree) and _photons.c along photon paths. Leaf primitives are
+ * tested in perm order and a hit replaces the best one only if strictly
+ * nearer, so of equal-t hits the first primitive in perm order wins.
  *
- * The leaf formulas and their operation order are those of
- * Geometry._leaf_hits; every three-term dot product is summed as
+ * The leaf formulas and their operation order are those of the numpy scan
+ * in tests/oracles.py; every three-term dot product is summed as
  * (x0*y0 + x2*y2) + x1*y1. Build with -ffp-contract=off: a fused
  * multiply-add rounds differently and would move bits.
  */
@@ -108,11 +108,11 @@ int pf_bvh_nearest(const struct pf_bvh *g, const double *o, const double *d, dou
         ptrdiff_t node = stack[--sp];
         if (!slab_hit(o, inv_d, g->node_lo + 3 * node, g->node_hi + 3 * node, t_min, best))
             continue;
-        if (g->node_count[node] == 0 && g->node_left[node] >= 0) {
+        if (g->node_count[node] == 0) { /* inner: its left child is node + 1 */
             if (sp + 2 > g->stack_size)
                 return -1;
             stack[sp++] = g->node_right[node];
-            stack[sp++] = g->node_left[node];
+            stack[sp++] = node + 1;
             continue;
         }
         for (ptrdiff_t j = g->node_start[node]; j < g->node_start[node] + g->node_count[node]; j++) {

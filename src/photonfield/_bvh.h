@@ -6,11 +6,11 @@
 
 enum { KIND_SPHERE, KIND_QUAD, KIND_TRIANGLE };
 
-/* The flat arrays of a Geometry: BVH nodes, then primitives; mirrored
- * member for member by geometry.BvhTable. */
+/* The flat arrays of a Geometry: BVH nodes as Geometry._build_bvh lays
+ * them out, then primitives; mirrored member for member by geometry.BvhTable. */
 struct pf_bvh {
     const double *node_lo, *node_hi;
-    const ptrdiff_t *node_left, *node_right, *node_start, *node_count;
+    const ptrdiff_t *node_right, *node_start, *node_count;
     ptrdiff_t stack_size;
     const ptrdiff_t *perm;
     const unsigned char *kinds;

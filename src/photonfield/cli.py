@@ -248,6 +248,7 @@ def _cmd_sweep(args) -> int:
     lowest = 1 if args.param == "gaussians" else 0  # at least one photon; k_min >= 0
     if min(values) < lowest:
         raise ValueError(f"--values for {args.param} must be >= {lowest}, got {min(values)}")
+    images.check_exposure(args.exposure)
     # the (photon count, k_min) of each value's field, checked before the reference render
     seeds = [(value, args.kmin) if args.param == "gaussians" else (args.photons, value) for value in values]
     for n_photons, k_min in seeds:

@@ -1,13 +1,14 @@
 """Ray-primitive geometry: spheres, quads, triangles, and a BVH.
 
 Primitives live in flat struct-of-array storage, and the BVH in flat node
-arrays in pre-order (a parent before its children, the left subtree before
-the right). Nearest-hit queries run a compiled traversal (``_bvh.c``, loaded
-with ``ctypes``) that walks those arrays one ray at a time, left child
-first, with the per-primitive formulas and operation order of
-``Geometry._leaf_hits``. ``intersect_linear`` runs ``_leaf_hits`` over all
-primitives in ``perm`` order, so BVH and linear scan agree bit for bit,
-equal-``t`` ties included: the first primitive in ``perm`` order wins.
+arrays laid out by :meth:`Geometry._build_bvh`. Nearest-hit queries run a
+compiled traversal (``_bvh.c``, loaded with ``ctypes``) that walks those
+arrays one ray at a time, left child first. ``intersect_linear`` runs the
+same walk over a tree whose root is one leaf over all primitives in
+``perm`` order, so BVH and linear scan agree bit for bit, equal-``t`` ties
+included: the first primitive in ``perm`` order wins. The numpy scan whose
+formulas and operation order the leaf loop compiles is
+``intersect_linear`` in ``tests/oracles.py``.
 
 The traversal, the spatial index's kernels (``_spatial.c``), the emitter
 sampler, photon tracer and photon density sum (``_photons.c``; the tracer
@@ -48,7 +49,6 @@ KIND_QUAD = 1
 KIND_TRIANGLE = 2
 
 _LEAF_SIZE = 8
-_DEGENERATE = 1e-12
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
 _SOURCES = tuple(os.path.join(_DIR, f) for f in ("_bvh.c", "_spatial.c", "_photons.c", "_field.c"))
@@ -70,7 +70,7 @@ class _Table(ctypes.Structure):
 class BvhTable(_Table):
     """``struct pf_bvh`` (``_bvh.h``): a Geometry's BVH nodes, walk stack size and primitives."""
 
-    _fields_ = [(f, _P) for f in ("node_lo", "node_hi", "node_left", "node_right", "node_start", "node_count")]
+    _fields_ = [(f, _P) for f in ("node_lo", "node_hi", "node_right", "node_start", "node_count")]
     _fields_ += [("stack_size", _N)]
     _fields_ += [(f, _P) for f in ("perm", "kinds", "pa", "pb", "pc", "normals", "quad_gram", "tri_e1", "tri_e2")]
 
@@ -209,19 +209,6 @@ def load_kernels():
     return _lib
 
 
-def _dot3(x, y):
-    """Row-wise 3-vector dot product, summed as (x0*y0 + x2*y2) + x1*y1 like ``_bvh.c``."""
-    return (x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]) + x[..., 1] * y[..., 1]
-
-
-def _rays(o, d):
-    o = np.ascontiguousarray(np.atleast_2d(o), dtype=np.float64)
-    d = np.ascontiguousarray(np.atleast_2d(d), dtype=np.float64)
-    if o.ndim != 2 or o.shape[1] != 3 or d.shape != o.shape:
-        raise ValueError(f"ray origins and directions must both have shape (n, 3), got {o.shape} and {d.shape}")
-    return o, d
-
-
 class Geometry:
     """Immutable primitive soup with a BVH; shared read-only by render threads."""
 
@@ -232,15 +219,20 @@ class Geometry:
         self.pc = np.ascontiguousarray(pc, dtype=np.float64)
         self.shape_ids = np.asarray(shape_ids, dtype=np.intp)
         n = len(self.kinds)
+        if n == 0:
+            raise ValueError("geometry has no primitives")
         self._normals = np.zeros((n, 3), dtype=np.float64)
         self._precompute_normals()
         self._precompute_kernels()
         self._build_bvh()
-        self._table = BvhTable(
-            node_lo=self.node_lo, node_hi=self.node_hi, node_left=self.node_left, node_right=self.node_right,
-            node_start=self.node_start, node_count=self.node_count, stack_size=self._stack_size, perm=self.perm,
-            kinds=self.kinds, pa=self.pa, pb=self.pb, pc=self.pc, normals=self._normals,
-            quad_gram=self._quad_gram, tri_e1=self._tri_e1, tri_e2=self._tri_e2,
+        prims = {f: getattr(self, f) for f in ("perm", "kinds", "pa", "pb", "pc")}
+        prims.update(normals=self._normals, quad_gram=self._quad_gram, tri_e1=self._tri_e1, tri_e2=self._tri_e2)
+        nodes = {f: getattr(self, f) for f in ("node_lo", "node_hi", "node_right", "node_start", "node_count")}
+        self._table = BvhTable(**nodes, stack_size=self._stack_size, **prims)
+        # intersect_linear's tree: one leaf, with the root's box, over every primitive in perm order
+        self._linear_table = BvhTable(
+            node_lo=self.node_lo[:1], node_hi=self.node_hi[:1], node_right=np.array([-1], dtype=np.intp),
+            node_start=np.array([0], dtype=np.intp), node_count=np.array([n], dtype=np.intp), stack_size=1, **prims,
         )
 
     def _precompute_kernels(self):
@@ -296,77 +288,47 @@ class Geometry:
         return lo, hi
 
     def _build_bvh(self):
-        n = len(self)
-        self._stack_size = 1
-        if n == 0:
-            self.perm = np.empty(0, dtype=np.intp)
-            self.node_lo = np.zeros((1, 3))
-            self.node_hi = np.zeros((1, 3))
-            self.node_left = np.array([-1], dtype=np.intp)
-            self.node_right = np.array([-1], dtype=np.intp)
-            self.node_start = np.array([0], dtype=np.intp)
-            self.node_count = np.array([0], dtype=np.intp)
-            return
+        """The node arrays, in pre-order (the left subtree before the right):
+        an inner node has ``node_count == 0``, its left child at ``node + 1``
+        and its right child at ``node_right``; a leaf has ``node_right == -1``
+        and 1 to ``_LEAF_SIZE`` primitives, ``perm[node_start:][:node_count]``."""
         lo, hi = self._prim_bounds()
         centroids = 0.5 * (lo + hi)
         order: list[int] = []
-        nodes_lo, nodes_hi, lefts, rights, starts, counts = [], [], [], [], [], []
-        depth = 0
-        # (primitives, parent, is right child, level); the left child is
-        # popped first, so nodes are numbered in pre-order
-        todo = [(np.arange(n, dtype=np.intp), -1, False, 0)]
-        while todo:
-            idx, parent, is_right, level = todo.pop()
+        nodes_lo, nodes_hi, rights, starts, counts = [], [], [], [], []
+
+        def build(idx):
+            """Append the subtree over primitives ``idx``; return its depth."""
             me = len(nodes_lo)
-            if parent >= 0:
-                (rights if is_right else lefts)[parent] = me
-            depth = max(depth, level)
             nodes_lo.append(lo[idx].min(axis=0))
             nodes_hi.append(hi[idx].max(axis=0))
-            lefts.append(-1)
             rights.append(-1)
             if len(idx) <= _LEAF_SIZE:
                 starts.append(len(order))
                 counts.append(len(idx))
                 order.extend(idx.tolist())
-                continue
+                return 0
             starts.append(0)
             counts.append(0)
             c = centroids[idx]
             axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
             half = len(idx) // 2
             split = np.argpartition(c[:, axis], half)
-            todo.append((idx[split[half:]], me, True, level + 1))
-            todo.append((idx[split[:half]], me, False, level + 1))
+            left = build(idx[split[:half]])
+            rights[me] = len(nodes_lo)
+            return 1 + max(left, build(idx[split[half:]]))
+
+        depth = build(np.arange(len(self), dtype=np.intp))
         # a walk down to level L holds at most L + 1 nodes on its stack
         if depth + 1 > _STACK_MAX:
-            raise ValueError(f"BVH of {n} primitives is {depth + 1} levels deep; the traversal takes at most {_STACK_MAX}")
+            raise ValueError(f"BVH of {len(self)} primitives is {depth + 1} levels deep; the traversal takes at most {_STACK_MAX}")
         self._stack_size = depth + 1
         self.perm = np.asarray(order, dtype=np.intp)
         self.node_lo = np.asarray(nodes_lo)
         self.node_hi = np.asarray(nodes_hi)
-        self.node_left = np.asarray(lefts, dtype=np.intp)
         self.node_right = np.asarray(rights, dtype=np.intp)
         self.node_start = np.asarray(starts, dtype=np.intp)
         self.node_count = np.asarray(counts, dtype=np.intp)
-
-    def _pack(self, prims):
-        """Per-kind primitive arrays of the primitives ``prims``."""
-        kinds = self.kinds[prims]
-        pack = {"prims": prims, "k": len(prims)}
-        sph = np.nonzero(kinds == KIND_SPHERE)[0]
-        if sph.size:
-            pid = prims[sph]
-            pack["sph"] = (sph, self.pa[pid], self.pb[pid, 0])
-        quad = np.nonzero(kinds == KIND_QUAD)[0]
-        if quad.size:
-            pid = prims[quad]
-            pack["quad"] = (quad, self.pa[pid], self.pb[pid], self.pc[pid], self._normals[pid], self._quad_gram[pid])
-        tri = np.nonzero(kinds == KIND_TRIANGLE)[0]
-        if tri.size:
-            pid = prims[tri]
-            pack["tri"] = (tri, self.pa[pid], self._tri_e1[pid], self._tri_e2[pid])
-        return pack
 
     # -- intersection ------------------------------------------------------
 
@@ -377,106 +339,23 @@ class Geometry:
         ``o``/``d`` have shape (n, 3); directions are assumed unit length.
         Runs the compiled traversal (built on first use).
         """
-        o, d = _rays(o, d)
-        n = len(o)
-        best_t, best_p = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
-        if len(self) == 0 or n == 0:
-            return best_t, best_p
-        status = load_kernels().pf_intersect(
-            n, o.ctypes.data, d.ctypes.data, T_MIN, best_t.ctypes.data, best_p.ctypes.data, self._table
-        )
-        if status != 0:
-            raise RuntimeError(f"BVH traversal overran its stack of {self._stack_size} slots")
-        return best_t, best_p
+        return self._walk(o, d, self._table)
 
     def intersect_linear(self, o, d):
-        """Brute-force scan over all primitives in ``perm`` order (test oracle of ``intersect``)."""
-        o, d = _rays(o, d)
-        n = len(o)
-        best_t, best_p = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
-        if len(self) == 0:
-            return best_t, best_p
-        pack = self._pack(self.perm)
-        for lo in range(0, n, 1024):  # bounds the (rays, primitives) temporaries
-            sl = slice(lo, lo + 1024)
-            self._leaf_hits(pack, o[sl], d[sl], best_t[sl], best_p[sl])
+        """``intersect`` by a scan of all primitives in ``perm`` order: the
+        compiled walk of a tree whose root is one leaf over them all."""
+        return self._walk(o, d, self._linear_table)
+
+    def _walk(self, o, d, table):
+        o = np.ascontiguousarray(np.atleast_2d(o), dtype=np.float64)
+        d = np.ascontiguousarray(np.atleast_2d(d), dtype=np.float64)
+        if o.ndim != 2 or o.shape[1] != 3 or d.shape != o.shape:
+            raise ValueError(f"ray origins and directions must both have shape (n, 3), got {o.shape} and {d.shape}")
+        best_t, best_p = np.full(len(o), np.inf), np.full(len(o), -1, dtype=np.intp)
+        args = (o.ctypes.data, d.ctypes.data, T_MIN, best_t.ctypes.data, best_p.ctypes.data, table)
+        if load_kernels().pf_intersect(len(o), *args) != 0:
+            raise RuntimeError(f"BVH traversal overran its stack of {table.stack_size} slots")
         return best_t, best_p
-
-    def _leaf_hits(self, pack, ro, rd, best_t, best_p):
-        """Nearest hit of every ray among the primitives of ``pack``; the formulas ``_bvh.c`` compiles."""
-        prims = pack["prims"]
-        t_mat = np.full((len(ro), pack["k"]), np.inf)
-
-        if "sph" in pack:
-            cols, c, r = pack["sph"]
-            oc = ro[:, None, :] - c[None, :, :]
-            b = _dot3(oc, rd[:, None, :])
-            cc = _dot3(oc, oc) - r[None, :] ** 2
-            disc = b * b - cc
-            ok = disc >= 0.0
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            t_near = -b - sq
-            t_far = -b + sq
-            t = np.where(t_near > T_MIN, t_near, t_far)
-            t = np.where(ok & (t > T_MIN), t, np.inf)
-            t_mat[:, cols] = t
-
-        if "quad" in pack:
-            cols, corner, eu, ev, nq, gram = pack["quad"]
-            denom = _dot3(rd[:, None, :], nq[None, :, :])
-            w0 = corner[None, :, :] - ro[:, None, :]
-            t = _dot3(w0, nq[None, :, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = t / denom
-                p = ro[:, None, :] + t[..., None] * rd[:, None, :]
-                w = p - corner[None, :, :]
-                r1 = _dot3(w, eu[None, :, :])
-                r2 = _dot3(w, ev[None, :, :])
-                alpha = gram[:, 2] * r1 - gram[:, 1] * r2
-                beta = gram[:, 0] * r2 - gram[:, 1] * r1
-                ok = (
-                    (np.abs(denom) > _DEGENERATE)
-                    & (t > T_MIN)
-                    & (alpha >= 0.0)
-                    & (alpha <= 1.0)
-                    & (beta >= 0.0)
-                    & (beta <= 1.0)
-                    & np.isfinite(t)
-                )
-            t_mat[:, cols] = np.where(ok, t, np.inf)
-
-        if "tri" in pack:
-            cols, pa, e1, e2 = pack["tri"]
-            dx, dy, dz = rd[:, None, 0], rd[:, None, 1], rd[:, None, 2]
-            px = dy * e2[None, :, 2] - dz * e2[None, :, 1]
-            py = dz * e2[None, :, 0] - dx * e2[None, :, 2]
-            pz = dx * e2[None, :, 1] - dy * e2[None, :, 0]
-            det = e1[None, :, 0] * px + e1[None, :, 1] * py + e1[None, :, 2] * pz
-            tvec = ro[:, None, :] - pa[None, :, :]
-            tx, ty, tz = tvec[..., 0], tvec[..., 1], tvec[..., 2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv_det = 1.0 / det
-                u = (tx * px + ty * py + tz * pz) * inv_det
-                qx = ty * e1[None, :, 2] - tz * e1[None, :, 1]
-                qy = tz * e1[None, :, 0] - tx * e1[None, :, 2]
-                qz = tx * e1[None, :, 1] - ty * e1[None, :, 0]
-                v = (dx * qx + dy * qy + dz * qz) * inv_det
-                t = (e2[None, :, 0] * qx + e2[None, :, 1] * qy + e2[None, :, 2] * qz) * inv_det
-                ok = (
-                    (np.abs(det) > _DEGENERATE)
-                    & (u >= 0.0)
-                    & (v >= 0.0)
-                    & (u + v <= 1.0)
-                    & (t > T_MIN)
-                    & np.isfinite(t)
-                )
-            t_mat[:, cols] = np.where(ok, t, np.inf)
-
-        leaf_best = t_mat.min(axis=1)
-        leaf_arg = t_mat.argmin(axis=1)
-        better = leaf_best < best_t
-        best_t[better] = leaf_best[better]
-        best_p[better] = prims[leaf_arg[better]]
 
     def normals_at(self, prim_idx, points):
         """Geometric (outward/winding) unit normals for prior hit results."""

@@ -83,7 +83,7 @@ def read_pfm(path) -> np.ndarray:
         w, h, scale = int(wtok), int(htok), float(stok)
     except ValueError as e:
         raise ValueError(f"malformed PFM header: {e}") from e
-    if w <= 0 or h <= 0 or scale == 0.0:
+    if w <= 0 or h <= 0 or not 0.0 < abs(scale) < math.inf:
         raise ValueError("malformed PFM header: bad dimensions or scale")
     pos += 1  # single whitespace byte after the scale line
     expect = w * h * 3 * 4
@@ -93,7 +93,10 @@ def read_pfm(path) -> np.ndarray:
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(raw, dtype=dtype).reshape(h, w, 3).astype(np.float64)
     if abs(scale) != 1.0:
-        data = data * abs(scale)
+        with np.errstate(over="ignore"):
+            data = data * abs(scale)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("PFM holds non-finite pixels")
     return np.flipud(data).copy()
 
 
@@ -111,8 +114,15 @@ def srgb_encode(linear):
     )
 
 
+def check_exposure(exposure: float) -> None:
+    """Raise ValueError unless the display scale ``exposure`` is finite and positive."""
+    if not 0.0 < exposure < math.inf:
+        raise ValueError(f"exposure must be finite and positive, got {exposure}")
+
+
 def tone_map(img, exposure: float = 1.0) -> np.ndarray:
     """Deterministic display transform: scale, clamp, sRGB, 8-bit."""
+    check_exposure(exposure)
     img = _as_image(img)
     v = np.clip(img * exposure, 0.0, 1.0)
     return np.clip(np.rint(srgb_encode(v) * 255.0), 0, 255).astype(np.uint8)

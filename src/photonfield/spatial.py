@@ -16,11 +16,8 @@ ball row, topped up from the kNN row when the ball holds fewer than
 ``k_eff = min(k_min, n)`` ids. Every row is (distance, id)-sorted with the
 same rounding, so such a short ball row is a prefix of its kNN row, and its
 hybrid row is the kNN row: the hybrid query splices the ball and kNN
-results with that row gather.
-
-``linear_ball_query`` / ``linear_knn_query`` / ``linear_hybrid_query`` are
-the reference scans used by the test suite; they share only the distance
-convention, not the index.
+results with that row gather. The linear scans the rows must equal are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,16 +27,6 @@ import numpy as np
 from .geometry import KdTreeTable, load_kernels
 
 _LEAF_SIZE = 16  # at most this many points per leaf
-
-
-def _distances(points, x):
-    d = points - np.asarray(x, dtype=np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
-
-
-def _sort_by_distance_then_id(ids, dists):
-    order = np.lexsort((ids, dists))
-    return ids[order], dists[order]
 
 
 def _empty_rows(m):
@@ -171,38 +158,3 @@ def _queries(xs):
     if not np.all(np.isfinite(xs)):
         raise ValueError("query points must be finite")
     return xs
-
-
-def linear_ball_query(points, x, r: float):
-    """Reference scan: all (id, distance) with distance <= r, (distance, id)-sorted."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(points) == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-    dists = _distances(points, x)
-    ids = np.nonzero(dists <= r)[0].astype(np.intp)
-    return _sort_by_distance_then_id(ids, dists[ids])
-
-
-def linear_knn_query(points, x, k: int):
-    """Reference scan: min(k, n) nearest (id, distance), (distance, id)-sorted."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = len(points)
-    k_eff = min(k, n)
-    if k_eff == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-    dists = _distances(points, x)
-    ids = np.arange(n, dtype=np.intp)
-    order = np.lexsort((ids, dists))[:k_eff]
-    return ids[order], dists[order]
-
-
-def linear_hybrid_query(points, x, r: float, k_min: int):
-    """Reference scan for the hybrid (ball union kNN top-up) query."""
-    ids, _ = linear_ball_query(points, x, r)
-    if len(ids) >= k_min:
-        return ids
-    knn_ids, _ = linear_knn_query(points, x, k_min)
-    if len(ids) == 0:
-        return knn_ids
-    extra = knn_ids[~np.isin(knn_ids, ids)]
-    return np.concatenate([ids, extra])

@@ -1,11 +1,12 @@
 """Numpy oracles of the compiled kernels: the field's passes and Adam step
-(``_field.c``), and the emitter sampler and photon density sum
-(``_photons.c``).
+(``_field.c``), the emitter sampler and photon density sum
+(``_photons.c``), the nearest-hit ray scan (``_bvh.c``) and the linear
+ball, k-nearest and hybrid point scans (``_spatial.c``).
 
 These are the numpy code the kernels replaced: per-neighbour-row
 temporaries, einsums, ordered ``bincount`` reductions, one Adam per
-parameter block, and the per-slot emitter loop. The compiled code must
-equal them bit for bit.
+parameter block, the per-slot emitter loop, and scans over every
+primitive or point. The compiled code must equal them bit for bit.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from photonfield import core
 from photonfield.core import vdot
 from photonfield.field import SCALE_MAX, SCALE_MIN
+from photonfield.geometry import KIND_QUAD, KIND_SPHERE, KIND_TRIANGLE, T_MIN
 from photonfield.scene import Quad, Sphere
 
 FALLOFF_SHARPNESS = 3.0
@@ -312,3 +314,173 @@ def kde_gather(index, photons, positions, normals, wos, albedo, radius):
         out[:, ch] = np.bincount(owner, weights=contrib[:, ch], minlength=m)
     out /= math.pi * radius * radius
     return out
+
+
+# ---------------------------------------------------------------------------
+# ray intersection (_bvh.c)
+
+DEGENERATE = 1e-12  # DEGENERATE in _bvh.c
+
+
+def _dot3(x, y):
+    """Row-wise 3-vector dot product, summed as (x0*y0 + x2*y2) + x1*y1 like ``_bvh.c``."""
+    return (x[..., 0] * y[..., 0] + x[..., 2] * y[..., 2]) + x[..., 1] * y[..., 1]
+
+
+def _pack(g, prims):
+    """Per-kind primitive arrays of the primitives ``prims`` of geometry ``g``."""
+    kinds = g.kinds[prims]
+    pack = {"prims": prims, "k": len(prims)}
+    sph = np.nonzero(kinds == KIND_SPHERE)[0]
+    if sph.size:
+        pid = prims[sph]
+        pack["sph"] = (sph, g.pa[pid], g.pb[pid, 0])
+    quad = np.nonzero(kinds == KIND_QUAD)[0]
+    if quad.size:
+        pid = prims[quad]
+        pack["quad"] = (quad, g.pa[pid], g.pb[pid], g.pc[pid], g._normals[pid], g._quad_gram[pid])
+    tri = np.nonzero(kinds == KIND_TRIANGLE)[0]
+    if tri.size:
+        pid = prims[tri]
+        pack["tri"] = (tri, g.pa[pid], g._tri_e1[pid], g._tri_e2[pid])
+    return pack
+
+
+def intersect_linear(g, o, d):
+    """Nearest hit per ray (t, prim_index) by a numpy scan of all primitives
+    of ``g`` in ``perm`` order: the formulas the leaf loop of ``_bvh.c`` compiles."""
+    o = np.atleast_2d(np.asarray(o, dtype=np.float64))
+    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+    n = len(o)
+    best_t, best_p = np.full(n, np.inf), np.full(n, -1, dtype=np.intp)
+    pack = _pack(g, g.perm)
+    for lo in range(0, n, 1024):  # bounds the (rays, primitives) temporaries
+        sl = slice(lo, lo + 1024)
+        _leaf_hits(pack, o[sl], d[sl], best_t[sl], best_p[sl])
+    return best_t, best_p
+
+
+def _leaf_hits(pack, ro, rd, best_t, best_p):
+    """Nearest hit of every ray among the primitives of ``pack``."""
+    prims = pack["prims"]
+    t_mat = np.full((len(ro), pack["k"]), np.inf)
+
+    if "sph" in pack:
+        cols, c, r = pack["sph"]
+        oc = ro[:, None, :] - c[None, :, :]
+        b = _dot3(oc, rd[:, None, :])
+        cc = _dot3(oc, oc) - r[None, :] ** 2
+        disc = b * b - cc
+        ok = disc >= 0.0
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        t_near = -b - sq
+        t_far = -b + sq
+        t = np.where(t_near > T_MIN, t_near, t_far)
+        t = np.where(ok & (t > T_MIN), t, np.inf)
+        t_mat[:, cols] = t
+
+    if "quad" in pack:
+        cols, corner, eu, ev, nq, gram = pack["quad"]
+        denom = _dot3(rd[:, None, :], nq[None, :, :])
+        w0 = corner[None, :, :] - ro[:, None, :]
+        t = _dot3(w0, nq[None, :, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = t / denom
+            p = ro[:, None, :] + t[..., None] * rd[:, None, :]
+            w = p - corner[None, :, :]
+            r1 = _dot3(w, eu[None, :, :])
+            r2 = _dot3(w, ev[None, :, :])
+            alpha = gram[:, 2] * r1 - gram[:, 1] * r2
+            beta = gram[:, 0] * r2 - gram[:, 1] * r1
+            ok = (
+                (np.abs(denom) > DEGENERATE)
+                & (t > T_MIN)
+                & (alpha >= 0.0)
+                & (alpha <= 1.0)
+                & (beta >= 0.0)
+                & (beta <= 1.0)
+                & np.isfinite(t)
+            )
+        t_mat[:, cols] = np.where(ok, t, np.inf)
+
+    if "tri" in pack:
+        cols, pa, e1, e2 = pack["tri"]
+        dx, dy, dz = rd[:, None, 0], rd[:, None, 1], rd[:, None, 2]
+        px = dy * e2[None, :, 2] - dz * e2[None, :, 1]
+        py = dz * e2[None, :, 0] - dx * e2[None, :, 2]
+        pz = dx * e2[None, :, 1] - dy * e2[None, :, 0]
+        det = e1[None, :, 0] * px + e1[None, :, 1] * py + e1[None, :, 2] * pz
+        tvec = ro[:, None, :] - pa[None, :, :]
+        tx, ty, tz = tvec[..., 0], tvec[..., 1], tvec[..., 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_det = 1.0 / det
+            u = (tx * px + ty * py + tz * pz) * inv_det
+            qx = ty * e1[None, :, 2] - tz * e1[None, :, 1]
+            qy = tz * e1[None, :, 0] - tx * e1[None, :, 2]
+            qz = tx * e1[None, :, 1] - ty * e1[None, :, 0]
+            v = (dx * qx + dy * qy + dz * qz) * inv_det
+            t = (e2[None, :, 0] * qx + e2[None, :, 1] * qy + e2[None, :, 2] * qz) * inv_det
+            ok = (
+                (np.abs(det) > DEGENERATE)
+                & (u >= 0.0)
+                & (v >= 0.0)
+                & (u + v <= 1.0)
+                & (t > T_MIN)
+                & np.isfinite(t)
+            )
+        t_mat[:, cols] = np.where(ok, t, np.inf)
+
+    leaf_best = t_mat.min(axis=1)
+    leaf_arg = t_mat.argmin(axis=1)
+    better = leaf_best < best_t
+    best_t[better] = leaf_best[better]
+    best_p[better] = prims[leaf_arg[better]]
+
+
+# ---------------------------------------------------------------------------
+# point queries (_spatial.c)
+
+
+def _distances(points, x):
+    d = points - np.asarray(x, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def _sort_by_distance_then_id(ids, dists):
+    order = np.lexsort((ids, dists))
+    return ids[order], dists[order]
+
+
+def linear_ball_query(points, x, r: float):
+    """Reference scan: all (id, distance) with distance <= r, (distance, id)-sorted."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(points) == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
+    dists = _distances(points, x)
+    ids = np.nonzero(dists <= r)[0].astype(np.intp)
+    return _sort_by_distance_then_id(ids, dists[ids])
+
+
+def linear_knn_query(points, x, k: int):
+    """Reference scan: min(k, n) nearest (id, distance), (distance, id)-sorted."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = len(points)
+    k_eff = min(k, n)
+    if k_eff == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
+    dists = _distances(points, x)
+    ids = np.arange(n, dtype=np.intp)
+    order = np.lexsort((ids, dists))[:k_eff]
+    return ids[order], dists[order]
+
+
+def linear_hybrid_query(points, x, r: float, k_min: int):
+    """Reference scan for the hybrid (ball union kNN top-up) query."""
+    ids, _ = linear_ball_query(points, x, r)
+    if len(ids) >= k_min:
+        return ids
+    knn_ids, _ = linear_knn_query(points, x, k_min)
+    if len(ids) == 0:
+        return knn_ids
+    extra = knn_ids[~np.isin(knn_ids, ids)]
+    return np.concatenate([ids, extra])

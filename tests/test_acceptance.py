@@ -13,15 +13,11 @@ import numpy as np
 import pytest
 
 import photonfield as pf
+from oracles import linear_ball_query, linear_hybrid_query, linear_knn_query
 from photonfield.field import GaussianField
 from photonfield.integrators import SppmConfig, sppm_radius
 from photonfield.scene import Camera
-from photonfield.spatial import (
-    PointIndex,
-    linear_ball_query,
-    linear_hybrid_query,
-    linear_knn_query,
-)
+from photonfield.spatial import PointIndex
 from photonfield.training import SampleSet, TrainConfig, build_dataset, train
 
 

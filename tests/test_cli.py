@@ -410,6 +410,40 @@ class TestErrors:
         assert "initial_radius must be finite and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("exposure", ["nan", "inf", "-1", "0"])
+    @pytest.mark.filterwarnings("error")
+    def test_exposure_not_finite_and_positive_fails_compare(self, tmp_path, capsys, exposure):
+        a, b, out = tmp_path / "a.pfm", tmp_path / "b.pfm", tmp_path / "table.json"
+        write_pfm(a, np.full((16, 16, 3), 0.2))
+        write_pfm(b, np.full((16, 16, 3), 0.7))
+        assert main(["compare", "--ref", str(a), "--test", str(b), "--exposure", exposure, "--out", str(out)]) == 3
+        assert "exposure must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_exposure_fails_sweep_before_the_reference_render(self, tmp_path, views_file, capsys, monkeypatch):
+        import photonfield.cli as cli
+
+        renders = []
+        monkeypatch.setattr(cli.integrators, "render_sppm", lambda *a, **k: renders.append(a))
+        argv = ["sweep", "--param", "k", "--values", "3,5", "--scene", "builtin:cornell-box", "--views", views_file,
+                "--resolution", "8", "8", "--exposure", "nan", "--out", str(tmp_path / "sweep.json")]
+        assert main(argv) == 3
+        assert "exposure must be finite and positive" in capsys.readouterr().err
+        assert renders == []
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    @pytest.mark.parametrize(("scale", "pixel"), [(b"-1.0", np.nan), (b"-1.0", np.inf), (b"nan", 1.0), (b"-1e308", 4.0)])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_pfm_fails_compare(self, tmp_path, capsys, scale, pixel):
+        a, b, out = tmp_path / "a.pfm", tmp_path / "b.pfm", tmp_path / "table.json"
+        write_pfm(a, np.full((16, 16, 3), 0.2))
+        data = np.full((16, 16, 3), 0.2, dtype="<f4")
+        data[3, 4, 1] = pixel
+        b.write_bytes(b"PF\n16 16\n" + scale + b"\n" + data.tobytes())
+        assert main(["compare", "--ref", str(a), "--test", str(b), "--out", str(out)]) == 3
+        assert "error: validate:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(("param", "values"), [("gaussians", "500,0"), ("k", "3,-1")])
     def test_bad_sweep_value_is_validation_error_before_any_work(self, tmp_path, views_file, capsys, param, values):
         out = tmp_path / "sweep.json"

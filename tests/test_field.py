@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import quaternion_to_matrix, rotation_jacobian, rotation_jacobian_tdot
+from oracles import linear_hybrid_query, quaternion_to_matrix, rotation_jacobian, rotation_jacobian_tdot
 from photonfield.core import Rng, random_unit_quaternion
 from photonfield.field import GRADIENT_WIDTHS, GaussianField, gradient_buffers
 from photonfield.photons import PhotonMap, trace_photons
 from photonfield.scene import builtin_scene
-from photonfield.spatial import linear_hybrid_query
 
 
 def _random_field(rng, n=40, radius=0.05, k_min=3, span=0.1):

@@ -81,6 +81,20 @@ class TestPfm:
             read_pfm(path)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("scale", "pixel"),
+        [(b"-1.0", np.nan), (b"-1.0", np.inf), (b"nan", 1.0), (b"inf", 1.0), (b"-inf", 1.0), (b"-1e308", 4.0)],
+    )
+    def test_non_finite_scale_or_pixel_rejected_on_read(self, tmp_path, scale, pixel):
+        data = np.full((2, 3, 3), 0.5, dtype="<f4")
+        data[1, 2, 0] = pixel
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"PF\n3 2\n" + scale + b"\n" + data.tobytes())
+        with pytest.raises(ValueError, match="non-finite pixels" if pixel != 1.0 else "bad dimensions or scale"):
+            read_pfm(path)
+
+
 class _FullDisk:
     """A file whose second write fails, as on a full disk."""
 

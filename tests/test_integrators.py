@@ -1,5 +1,6 @@
 """Photon tracing, photon-mapped rendering, and the path tracer."""
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -596,13 +597,26 @@ class TestReferenceRadiance:
         assert float(lref.max()) < 1e-3
 
     def test_single_iteration_config_equals_one_pass_mean(self):
+        # one pass: its gather at r0; two passes: the mean of both passes'
+        # gathers, each at its own radius
+        from photonfield.integrators import _photon_pass
+
         scene = builtin_scene("cornell-box")
-        cfg = SppmConfig(iterations=1, photons_per_iter=3000, seed=5)
-        up = np.array([[0.0, 0.0, 1.0]])
-        pts = (np.array([[0.0, 0.0, -1.0]]), up, up, np.full((1, 3), 0.73))
-        a = reference_radiance_at_points(scene, *pts, cfg)
-        b = reference_radiance_at_points(scene, *pts, cfg)
-        np.testing.assert_array_equal(a, b)
+        _, keys, ctrs, o, d = _camera_rays(scene.camera.with_resolution(8, 8), 3, 0)
+        fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
+        pts = [a[fd.found] for a in (fd.position, fd.normal, fd.wo, fd.albedo)]
+        cfg = SppmConfig(iterations=1, photons_per_iter=3000, initial_radius=0.1, seed=5)
+
+        def gather(t):
+            photons, index = _photon_pass(scene, cfg, t)
+            return kde_gather_batch(index, photons, *pts, sppm_radius(t, cfg.initial_radius, cfg.alpha))
+
+        gathers = [gather(0), gather(1)]
+        assert np.count_nonzero(gathers[0]) and not np.array_equal(gathers[0], gathers[1])
+        one = reference_radiance_at_points(scene, *pts, cfg)
+        assert one.tobytes() == gathers[0].tobytes()
+        two = reference_radiance_at_points(scene, *pts, dataclasses.replace(cfg, iterations=2))
+        assert two.tobytes() == ((gathers[0] + gathers[1]) / 2).tobytes()
 
 
 class TestPathTracer:

@@ -20,11 +20,15 @@ from photonfield import core, geometry
 from photonfield.core import Rng
 from photonfield.field import GaussianField
 from photonfield.photons import trace_photons
-from photonfield.spatial import PointIndex, linear_knn_query
+from photonfield.spatial import PointIndex
 from photonfield.scene import (
     Camera,
+    Material,
+    Scene,
     SceneParseError,
     SceneValidationError,
+    Shape,
+    TriangleMesh,
     builtin_scene,
     fresnel_reflectance,
     load_scene,
@@ -70,6 +74,15 @@ def _emission(scene, seed, n):
     photon tracer's compiled emission equals it bit for bit (``TestEmitterSampler``)."""
     keys = core.fold_key(Rng(seed).key, np.arange(n, dtype=np.uint64))
     return oracles.sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
+
+
+def _assert_walks_equal_the_numpy_scan(g, o, d):
+    """``intersect`` and ``intersect_linear`` give the numpy scan's bytes; returns them."""
+    t_o, p_o = oracles.intersect_linear(g, o, d)
+    for t, p in (g.intersect(o, d), g.intersect_linear(o, d)):
+        np.testing.assert_array_equal(p, p_o)
+        assert t.tobytes() == t_o.tobytes() and p.tobytes() == p_o.tobytes()
+    return t_o, p_o
 
 
 class TestIntersection:
@@ -125,10 +138,7 @@ class TestIntersection:
         db[np.arange(len(nodes)), (axis + rng.integers(1, 3, len(nodes))) % 3] = rng.choice([-1.0, 1.0], len(nodes))
         o = np.concatenate([o, o[: len(zd)], ob])
         d = np.concatenate([d, zd, db])
-        t_b, p_b = g.intersect(o, d)
-        t_l, p_l = g.intersect_linear(o, d)
-        np.testing.assert_array_equal(p_b, p_l)
-        np.testing.assert_array_equal(t_b, t_l)
+        t_l, p_l = _assert_walks_equal_the_numpy_scan(g, o, d)
         assert np.any(p_l[-len(ob):] >= 0)
 
     def test_equal_t_hits_resolve_to_first_primitive_in_perm_order(self, cornell_box_dict):
@@ -141,10 +151,7 @@ class TestIntersection:
         o = rng.uniform(-0.9, 0.9, (n, 3))
         d = rng.normal(size=(n, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        t_b, p_b = g.intersect(o, d)
-        t_l, p_l = g.intersect_linear(o, d)
-        np.testing.assert_array_equal(p_b, p_l)
-        np.testing.assert_array_equal(t_b, t_l)
+        t_b, p_b = _assert_walks_equal_the_numpy_scan(g, o, d)
         half = len(g) // 2
         twin = np.where(p_b < half, p_b + half, p_b - half)
         rank = np.argsort(g.perm)
@@ -155,19 +162,28 @@ class TestIntersection:
         assert np.any(leaf_of[p_b[hit]] != leaf_of[twin[hit]])
 
     def test_bvh_nodes_are_numbered_in_pre_order(self):
-        g = builtin_scene("caustic-pool").geometry
-        inner = np.nonzero(g.node_left >= 0)[0]
-        np.testing.assert_array_equal(g.node_left[inner], inner + 1)
+        for name in ("cornell-box", "caustic-sphere", "caustic-pool"):
+            g = builtin_scene(name).geometry
+            inner = g.node_count == 0
+            # a node is inner exactly when it has a right child, so no leaf is empty
+            np.testing.assert_array_equal(inner, g.node_right >= 0)
+            assert np.all(g.node_count[~inner] >= 1)
 
-        def size(node):
-            return 1 if g.node_left[node] < 0 else 1 + size(g.node_left[node]) + size(g.node_right[node])
+            def size(node):  # the left child of an inner node is node + 1
+                return 1 + size(node + 1) + size(g.node_right[node]) if inner[node] else 1
 
-        for node in inner:
-            assert g.node_right[node] == g.node_left[node] + size(g.node_left[node])
-        assert size(0) == len(g.node_lo)
-        leaves = np.nonzero(g.node_left < 0)[0]
-        np.testing.assert_array_equal(np.cumsum(g.node_count[leaves])[:-1], g.node_start[leaves][1:])
-        np.testing.assert_array_equal(np.sort(g.perm), np.arange(len(g)))
+            for node in np.nonzero(inner)[0]:
+                assert g.node_right[node] == node + 1 + size(node + 1)
+            assert size(0) == len(g.node_lo)
+            leaves = np.nonzero(~inner)[0]
+            assert g.node_start[leaves][0] == 0
+            np.testing.assert_array_equal(np.cumsum(g.node_count[leaves])[:-1], g.node_start[leaves][1:])
+            np.testing.assert_array_equal(np.sort(g.perm), np.arange(len(g)))
+
+    def test_faceless_mesh_is_rejected_before_the_bvh(self):
+        mesh = Shape(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.intp)), "white")
+        with pytest.raises(ValueError, match="^geometry has no primitives$"):
+            Scene(builtin_scene("cornell-box").camera, {"white": Material.diffuse([0.5, 0.5, 0.5])}, [mesh])
 
     def test_tree_deeper_than_the_traversal_stack_is_rejected(self, monkeypatch):
         monkeypatch.setattr(geometry, "_STACK_MAX", 2)
@@ -217,7 +233,7 @@ class TestCompiledKernel:
         real_compile = geometry._compile
         monkeypatch.setattr(geometry, "_compile", lambda cc, path: (compiled.append(path), real_compile(cc, path)))
         g = scene.geometry
-        expected = g.intersect_linear(*self._rays())
+        expected = oracles.intersect_linear(g, *self._rays())
         pts = np.random.default_rng(0).uniform(-1, 1, (50, 3))
 
         def ray_query():
@@ -226,7 +242,7 @@ class TestCompiledKernel:
 
         def neighbour_query():
             monkeypatch.setattr(geometry, "_lib", None)
-            np.testing.assert_array_equal(PointIndex(pts).knn_query_batch(pts[:1], 3)[0], linear_knn_query(pts, pts[0], 3)[0])
+            np.testing.assert_array_equal(PointIndex(pts).knn_query_batch(pts[:1], 3)[0], oracles.linear_knn_query(pts, pts[0], 3)[0])
 
         def photon_pass():
             monkeypatch.setattr(geometry, "_lib", None)

@@ -8,12 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from photonfield.spatial import (
-    PointIndex,
-    linear_ball_query,
-    linear_hybrid_query,
-    linear_knn_query,
-)
+from oracles import linear_ball_query, linear_hybrid_query, linear_knn_query
+from photonfield.spatial import PointIndex
 
 
 def _random_points(n, seed=0, lo=-1.0, hi=1.0):
