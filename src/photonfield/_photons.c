@@ -1,28 +1,22 @@
-/* Photon emission, photon paths and the photon density sum.
+/* Photon emission, hit shading, BSDF draws, photon paths and the photon density sum.
  *
- * The emitter sampler picks a slot by power (Scene.pick_emitter), a
- * uniform-area point and unit normal on it (Scene.sample_on_emitter: a
- * sphere, a quad, or a mesh triangle picked by its area CDF) and a cosine
- * lobe about that normal. pf_trace_photons emits each photon through it and
- * runs the photon's whole path in one pass: nearest hit (pf_bvh_nearest),
- * the hit shading of Scene.intersect_batch, a record at every diffuse hit,
- * the BSDF draw of scene.sample_bsdf_batch, and from bounce RR_START - 1 on
- * the Russian roulette of core.roulette. Photon i draws from stream keys[i]
- * with core.draw_unit's SplitMix64: 5 emission draws from counter 0 (slot,
- * two area draws, two direction draws), then 3 draws per bounce that
- * samples a continuation, then 1 roulette draw. pf_kde_sum is the sum of
+ * The emitter sampler picks a slot by power (Scene.pick_emitter), a uniform-area point and unit normal on
+ * it (Scene.sample_on_emitter: a sphere, a quad, or a mesh triangle picked by its area CDF) and a cosine
+ * lobe about that normal. shade() is the package's one hit shading and sample_bsdf() its one BSDF draw;
+ * pf_shade_hits (Scene.intersect_batch) and pf_sample_bsdf (scene.sample_bsdf_batch) run them on a batch of
+ * rays. pf_trace_photons emits each photon and runs its whole path in one pass: nearest hit
+ * (pf_bvh_nearest), shade(), a record at every diffuse hit, sample_bsdf(), and from bounce RR_START - 1 on
+ * the Russian roulette of core.roulette. Photon i draws from stream keys[i] with core.draw_unit's
+ * SplitMix64: 5 emission draws from counter 0 (slot, two area draws, two direction draws), then 3 draws per
+ * bounce that samples a continuation, then 1 roulette draw. pf_kde_sum is the sum of
  * integrators.kde_gather_batch over CSR neighbour rows.
  *
- * Every formula keeps the operation order of its numpy original: vdot
- * (einsum) sums as (x0*y0 + x2*y2) + x1*y1, linalg.norm as
- * (x0*x0 + x1*x1) + x2*x2, np.cross term by term, and libm's sqrt, cos and
- * sin give numpy's bits. Build with -ffp-contract=off: a fused
- * multiply-add would move bits.
+ * Every formula keeps the operation order of its numpy oracle in tests/oracles.py: vdot (einsum) sums as
+ * (x0*y0 + x2*y2) + x1*y1, linalg.norm as (x0*x0 + x1*x1) + x2*x2, np.cross term by term, and libm's sqrt,
+ * cos and sin give numpy's bits. Build with -ffp-contract=off: a fused multiply-add would move bits.
  *
- * Records are written in photon order, each with its bounce index; the
- * caller sorts them stably by bounce. No state is static, so threads may
- * trace at once.
- */
+ * Records are written in photon order, each with its bounce index; the caller sorts them stably by bounce.
+ * No state is static, so threads may trace at once. */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -34,11 +28,22 @@
 
 enum { DIFFUSE, MIRROR, DIELECTRIC }; /* scene.DIFFUSE, MIRROR, DIELECTRIC */
 
-/* prim -> shape -> material lookup; geometry.ShadingTable mirrors it member for member. */
+/* prim -> shape -> material lookup and shape emission; geometry.ShadingTable mirrors it member for member. */
 struct pf_shading {
     const ptrdiff_t *shape_ids, *shape_mat;
     const unsigned char *mat_kind;
-    const double *mat_albedo, *mat_ior;
+    const double *mat_albedo, *mat_ior, *shape_emission;
+};
+
+/* n rows of scene.Hits, member for member (bools as 0/1 bytes); geometry.HitsTable mirrors it. */
+struct pf_hits {
+    ptrdiff_t n;
+    unsigned char *valid;
+    double *t, *position, *normal, *wo;
+    ptrdiff_t *shape_id;
+    unsigned char *mat_kind;
+    double *albedo, *ior, *emission;
+    unsigned char *entering;
 };
 
 /* A Scene's emitters; geometry.EmitterTable mirrors it member for member.
@@ -83,16 +88,8 @@ static double clip(double x, double lo, double hi)
     return isnan(x) ? x : x < lo ? lo : x > hi ? hi : x;
 }
 
-/* core.reflect */
-static void reflect(const double *d, const double *n, double *out)
-{
-    double k = 2.0 * vdot(d, n);
-    for (int i = 0; i < 3; i++)
-        out[i] = d[i] - k * n[i];
-}
-
-/* core.sample_cosine_hemisphere with core.orthonormal_basis */
-static void cosine_lobe(double u1, double u2, const double *n, double *out)
+/* A cosine-weighted direction about the unit normal n (branchless frame); returns its pdf cos / pi. */
+static double cosine_lobe(double u1, double u2, const double *n, double *out)
 {
     u1 = clip(u1, 0.0, 1.0 - 1e-16);
     double r = sqrt(u1), phi = (2.0 * M_PI) * u2, z = sqrt(1.0 - u1);
@@ -104,9 +101,10 @@ static void cosine_lobe(double u1, double u2, const double *n, double *out)
     double bt[3] = {b, s + n[1] * n[1] * a, -n[1]};
     for (int k = 0; k < 3; k++)
         out[k] = (rc * t[k] + rs * bt[k]) + z * n[k];
+    return z / M_PI;
 }
 
-/* scene.fresnel_reflectance */
+/* Unpolarized Fresnel reflectance into (entering) or out of a medium of index ior; 1 past the critical angle. */
 static double fresnel(double cos_i, double ior, int entering)
 {
     cos_i = clip(fabs(cos_i), 0.0, 1.0);
@@ -121,26 +119,25 @@ static double fresnel(double cos_i, double ior, int entering)
     return 0.5 * (r_par * r_par + r_perp * r_perp);
 }
 
-/* scene.sample_bsdf_batch for one hit seen along d: direction wi and weight. */
-static void sample_bsdf(int kind, const double *albedo, double ior, int entering, const double *nrm, const double *d,
-                        const double *wo, double u1, double u2, double u3, double *wi, double *weight)
+/* One BSDF draw wi at a hit seen from wo, nrm flipped toward wo: the cosine lobe with weight albedo
+ * (diffuse), the mirror direction with weight albedo (mirror), or, with weight 1, the mirror direction with
+ * the Fresnel probability (u3 < F, or under total internal reflection) and else the refracted one
+ * (dielectric). Returns the pdf: cos / pi, or 0 if delta. */
+static double sample_bsdf(int kind, const double *albedo, double ior, int entering, const double *nrm,
+                          const double *wo, double u1, double u2, double u3, double *wi, double *weight)
 {
     for (int k = 0; k < 3; k++)
         weight[k] = kind == DIELECTRIC ? 1.0 : albedo[k];
-    if (kind == DIFFUSE) {
-        cosine_lobe(u1, u2, nrm, wi);
-        return;
-    }
-    if (kind == MIRROR) {
-        reflect(d, nrm, wi);
-        return;
-    }
+    if (kind == DIFFUSE)
+        return cosine_lobe(u1, u2, nrm, wi);
     double cos_i = clip(vdot(wo, nrm), 0.0, 1.0);
     double eta = entering ? 1.0 / ior : ior;
     double sin2_t = eta * eta * (1.0 - cos_i * cos_i);
-    if (u3 < fresnel(cos_i, ior, entering) || sin2_t >= 1.0) {
-        reflect(d, nrm, wi);
-        return;
+    if (kind == MIRROR || u3 < fresnel(cos_i, ior, entering) || sin2_t >= 1.0) {
+        double d[3] = {-wo[0], -wo[1], -wo[2]}, k2 = 2.0 * vdot(d, nrm);
+        for (int k = 0; k < 3; k++)
+            wi[k] = d[k] - k2 * nrm[k];
+        return 0.0;
     }
     double cos_t = sqrt(clip(1.0 - sin2_t, 0.0, 1.0));
     for (int k = 0; k < 3; k++)
@@ -149,6 +146,32 @@ static void sample_bsdf(int kind, const double *albedo, double ior, int entering
     len = len > 0 ? len : 1.0;
     for (int k = 0; k < 3; k++)
         wi[k] /= len;
+    return 0.0;
+}
+
+/* The hit at t along (o, d) on primitive prim: its position, wo = -d and the geometric normal (a sphere's
+ * radial one, else the stored one) flipped toward wo into nrm. Returns whether wo lies on the geometric
+ * normal's side (the ray enters the surface). */
+static int shade(const struct pf_bvh *g, ptrdiff_t prim, const double *o, const double *d, double t, double *pos,
+                 double *wo, double *nrm)
+{
+    const double *ngeo = g->normals + 3 * prim;
+    double v[3];
+    for (int k = 0; k < 3; k++) {
+        pos[k] = o[k] + t * d[k];
+        wo[k] = -d[k];
+        v[k] = pos[k] - g->pa[3 * prim + k];
+    }
+    if (g->kinds[prim] == KIND_SPHERE) {
+        double len = vnorm(v);
+        for (int k = 0; k < 3; k++)
+            v[k] /= len;
+        ngeo = v;
+    }
+    int entering = vdot(ngeo, wo) > 0.0;
+    for (int k = 0; k < 3; k++)
+        nrm[k] = entering ? ngeo[k] : -ngeo[k];
+    return entering;
 }
 
 /* np.maximum / np.minimum: a NaN operand wins. */
@@ -243,26 +266,8 @@ static int trace_one(const struct pf_bvh *g, const struct pf_shading *sh, const 
         if (prim < 0)
             return 0;
 
-        /* Scene.intersect_batch */
-        double pos[3], wo[3], ngeo[3], nrm[3];
-        for (int k = 0; k < 3; k++) {
-            pos[k] = o[k] + t * d[k];
-            wo[k] = -d[k];
-        }
-        if (g->kinds[prim] == KIND_SPHERE) {
-            double v[3];
-            for (int k = 0; k < 3; k++)
-                v[k] = pos[k] - g->pa[3 * prim + k];
-            double len = vnorm(v);
-            for (int k = 0; k < 3; k++)
-                ngeo[k] = v[k] / len;
-        } else {
-            for (int k = 0; k < 3; k++)
-                ngeo[k] = g->normals[3 * prim + k];
-        }
-        int entering = vdot(ngeo, wo) > 0.0;
-        for (int k = 0; k < 3; k++)
-            nrm[k] = entering ? ngeo[k] : -ngeo[k];
+        double pos[3], wo[3], nrm[3];
+        int entering = shade(g, prim, o, d, t, pos, wo, nrm);
         ptrdiff_t mat = sh->shape_mat[sh->shape_ids[prim]];
         int kind = sh->mat_kind[mat];
 
@@ -280,7 +285,7 @@ static int trace_one(const struct pf_bvh *g, const struct pf_shading *sh, const 
 
         double u1 = draw_unit(key, &ctr), u2 = draw_unit(key, &ctr), u3 = draw_unit(key, &ctr);
         double wi[3], weight[3];
-        sample_bsdf(kind, sh->mat_albedo + 3 * mat, sh->mat_ior[mat], entering, nrm, d, wo, u1, u2, u3, wi, weight);
+        sample_bsdf(kind, sh->mat_albedo + 3 * mat, sh->mat_ior[mat], entering, nrm, wo, u1, u2, u3, wi, weight);
         for (int k = 0; k < 3; k++) {
             beta[k] = beta[k] * weight[k];
             flux[k] = flux[k] * weight[k];
@@ -338,6 +343,55 @@ ptrdiff_t pf_trace_photons(ptrdiff_t n, ptrdiff_t done, const uint64_t *keys, in
             return -1;
     }
     return n;
+}
+
+/* Scene.intersect_batch: fill the rows of h (t written) for the rays (o, d) and their nearest primitives
+ * prim: a hit takes its shape's material and, from the normal's side, its emission; a miss (prim -1) is
+ * zero but for wo = -d, shape_id -1 and ior 1. */
+void pf_shade_hits(const struct pf_bvh *g, const struct pf_shading *sh, const double *o, const double *d,
+                   const ptrdiff_t *prim, const struct pf_hits *h)
+{
+    for (ptrdiff_t i = 0; i < h->n; i++) {
+        double *pos = h->position + 3 * i, *nrm = h->normal + 3 * i, *wo = h->wo + 3 * i;
+        double *albedo = h->albedo + 3 * i, *emission = h->emission + 3 * i;
+        ptrdiff_t p = prim[i];
+        h->valid[i] = p >= 0;
+        if (p < 0) {
+            for (int k = 0; k < 3; k++) {
+                pos[k] = nrm[k] = albedo[k] = emission[k] = 0.0;
+                wo[k] = -d[3 * i + k];
+            }
+            h->shape_id[i] = -1;
+            h->mat_kind[i] = h->entering[i] = 0;
+            h->ior[i] = 1.0;
+            continue;
+        }
+        int entering = shade(g, p, o + 3 * i, d + 3 * i, h->t[i], pos, wo, nrm);
+        ptrdiff_t s = sh->shape_ids[p], mat = sh->shape_mat[s];
+        h->shape_id[i] = s;
+        h->mat_kind[i] = sh->mat_kind[mat];
+        h->ior[i] = sh->mat_ior[mat];
+        h->entering[i] = (unsigned char)entering;
+        for (int k = 0; k < 3; k++) {
+            albedo[k] = sh->mat_albedo[3 * mat + k];
+            emission[k] = entering ? sh->shape_emission[3 * s + k] : 0.0;
+        }
+    }
+}
+
+/* scene.sample_bsdf_batch: one BSDF draw per valid row of h from the draws
+ * u1[i], u2[i], u3[i]; the outputs of an invalid row keep the caller's zeros. */
+void pf_sample_bsdf(const struct pf_hits *h, const double *u1, const double *u2, const double *u3, double *wi,
+                    double *weight, unsigned char *is_delta, double *pdf)
+{
+    for (ptrdiff_t i = 0; i < h->n; i++) {
+        int kind = h->mat_kind[i];
+        if (!h->valid[i])
+            continue;
+        pdf[i] = sample_bsdf(kind, h->albedo + 3 * i, h->ior[i], h->entering[i], h->normal + 3 * i, h->wo + 3 * i,
+                             u1[i], u2[i], u3[i], wi + 3 * i, weight + 3 * i);
+        is_delta[i] = kind != DIFFUSE;
+    }
 }
 
 /* Scene.pick_emitter for the n draws u. */

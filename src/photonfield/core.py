@@ -1,9 +1,9 @@
-"""Shared math primitives: vectors, quaternions, hemisphere sampling, RNG.
+"""Shared math primitives: vectors, quaternions, RNG.
 
-Vectors are plain float64 numpy arrays with a trailing axis of size 3.
-Every helper broadcasts over leading axes, so the same code path serves a
-single point and a wavefront batch. Radiometric triples (radiance, flux,
-throughput) use the same (..., 3) convention in linear units.
+Vectors are plain float64 numpy arrays with a trailing axis of size 3;
+the vector helpers work row-wise over leading axes. Radiometric triples
+(radiance, flux, throughput) use the same (..., 3) convention in linear
+units.
 
 The generator is counter-based (SplitMix64-style): a stream is a 64-bit
 key plus a draw counter, and draw ``i`` of stream ``k`` is a pure function
@@ -14,8 +14,8 @@ regardless of chunking or thread count.
 The wavefront bounce loops (camera prefix, path tracer) keep one stream
 per path: :func:`draw_units` takes a path's next draws and advances its
 counter, and :func:`roulette` is the Russian roulette they share, from
-bounce ``RR_START`` on. The compiled photon tracer (``_photons.c``) draws
-and plays roulette the same way.
+bounce ``RR_START`` on. The compiled photon tracer (``_photons.c``), whose
+BSDF draws they share, draws and plays roulette the same way.
 """
 
 from __future__ import annotations
@@ -146,58 +146,12 @@ def vdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def norm(v):
-    return np.sqrt(vdot(v, v))
-
-
 def normalize(v):
     """Unit-length copy of ``v``; raises on zero-length input."""
-    n = norm(v)
+    n = np.sqrt(vdot(v, v))
     if np.any(n == 0.0):
         raise ValueError("cannot normalize zero-length vector")
     return v / n[..., None]
-
-
-def reflect(d, n):
-    """Mirror direction ``d`` about unit normal ``n`` (both (..., 3))."""
-    return d - 2.0 * vdot(d, n)[..., None] * n
-
-
-def orthonormal_basis(n):
-    """Tangent/bitangent pair completing unit normal ``n`` to a frame.
-
-    Branchless construction, stable for all orientations; vectorized over
-    leading axes. Returns (t, b) with ``t x b = n`` up to rounding.
-    """
-    n = np.asarray(n, dtype=np.float64)
-    x, y, z = n[..., 0], n[..., 1], n[..., 2]
-    s = np.where(z >= 0.0, 1.0, -1.0)
-    a = -1.0 / (s + z)
-    b = x * y * a
-    t = np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=-1)
-    bt = np.stack([b, s + y * y * a, -y], axis=-1)
-    return t, bt
-
-
-def sample_cosine_hemisphere(u1, u2, n):
-    """Cosine-weighted direction about unit normal ``n``.
-
-    ``u1``/``u2`` are uniform in [0, 1); returns (direction, pdf) where
-    pdf = cos(theta) / pi for the returned direction. The inputs broadcast
-    against each other.
-    """
-    u1 = np.clip(np.asarray(u1, dtype=np.float64), 0.0, 1.0 - 1e-16)
-    u2 = np.asarray(u2, dtype=np.float64)
-    r = np.sqrt(u1)
-    phi = (2.0 * np.pi) * u2
-    z = np.sqrt(1.0 - u1)
-    t, b = orthonormal_basis(n)
-    d = (
-        (r * np.cos(phi))[..., None] * t
-        + (r * np.sin(phi))[..., None] * b
-        + z[..., None] * np.asarray(n, dtype=np.float64)
-    )
-    return d, z / np.pi
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,19 @@ included: the first primitive in ``perm`` order wins. The numpy scan whose
 formulas and operation order the leaf loop compiles is
 ``intersect_linear`` in ``tests/oracles.py``.
 
-The traversal, the spatial index's kernels (``_spatial.c``), the emitter
-sampler, photon tracer and photon density sum (``_photons.c``; the tracer
-walks the BVH with the traversal's per-ray ``pf_bvh_nearest``, declared in
-``_bvh.h``) and the field's forward and backward passes and Adam step
-(``_field.c``) are one shared library, compiled with the system ``cc`` by
-:func:`load_kernels` at the first ray query, point-index build, photon
-pass or field pass, into ``$XDG_CACHE_HOME/photonfield`` (default
-``~/.cache/photonfield``) under a name keyed by every C source and header,
-the flags and the compiler version; importing the package compiles
-nothing. This module alone knows the library's binary interface: its
-prototypes, and a ``ctypes.Structure`` mirror of each C struct the kernels
-take by typed pointer (:class:`BvhTable`, :class:`ShadingTable`,
+The traversal, the spatial index's kernels (``_spatial.c``), the hit
+shading and BSDF draws, emitter sampler, photon tracer and photon density
+sum (``_photons.c``; the tracer walks the BVH with the traversal's per-ray
+``pf_bvh_nearest``, declared in ``_bvh.h``) and the field's forward and
+backward passes and Adam step (``_field.c``) are one shared library,
+compiled with the system ``cc`` by :func:`load_kernels` at the first ray
+query, point-index build, photon pass or field pass, into
+``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
+name keyed by every C source and header, the flags and the compiler
+version; importing the package compiles nothing. This module alone knows
+the library's binary interface: its prototypes, and a ``ctypes.Structure``
+mirror of each C struct the kernels take by typed pointer
+(:class:`BvhTable`, :class:`ShadingTable`, :class:`HitsTable`,
 :class:`EmitterTable`, :class:`KdTreeTable`, :class:`FieldTable`,
 :class:`BatchTable`, :class:`AdamTable`).
 
@@ -76,9 +77,15 @@ class BvhTable(_Table):
 
 
 class ShadingTable(_Table):
-    """``struct pf_shading`` (``_photons.c``): a Scene's primitive -> shape -> material lookup."""
+    """``struct pf_shading`` (``_photons.c``): a Scene's primitive -> shape -> material lookup and shape emission."""
 
-    _fields_ = [(f, _P) for f in ("shape_ids", "shape_mat", "mat_kind", "mat_albedo", "mat_ior")]
+    _fields_ = [(f, _P) for f in ("shape_ids", "shape_mat", "mat_kind", "mat_albedo", "mat_ior", "shape_emission")]
+
+
+class HitsTable(_Table):
+    """``struct pf_hits`` (``_photons.c``): the rows of a ``scene.Hits``, field for field."""
+
+    _fields_ = [("n", _N)] + [(f, _P) for f in "valid t position normal wo shape_id mat_kind albedo ior emission entering".split()]
 
 
 class EmitterTable(_Table):
@@ -115,13 +122,14 @@ class AdamTable(_Table):
     _fields_ += [(f, ctypes.c_double) for f in ("lr", "beta1", "beta2", "eps", "log_scale_min", "log_scale_max")]
 
 
-_BVH, _SHADING, _EMITTERS, _KDTREE, _FIELD, _BATCH, _ADAM = (
-    ctypes.POINTER(t) for t in (BvhTable, ShadingTable, EmitterTable, KdTreeTable, FieldTable, BatchTable, AdamTable)
-)
+_BVH, _SHADING, _HITS, _EMITTERS, _KDTREE, _FIELD, _BATCH, _ADAM = (ctypes.POINTER(t) for t in (
+    BvhTable, ShadingTable, HitsTable, EmitterTable, KdTreeTable, FieldTable, BatchTable, AdamTable))
 # restype and argtypes of every function the library exports; a table goes by pointer
 _PROTOTYPES = {
     "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double, _P, _P, _BVH]),
     "pf_trace_photons": (_N, [_N, _N, _P, ctypes.c_int, ctypes.c_double, _BVH, _SHADING, _EMITTERS, _N] + [_P] * 5),
+    "pf_shade_hits": (None, [_BVH, _SHADING, _P, _P, _P, _HITS]),
+    "pf_sample_bsdf": (None, [_HITS] + [_P] * 7),
     "pf_pick_emitter": (None, [_EMITTERS, _N, _P, _P]),
     "pf_sample_on_emitter": (None, [_EMITTERS, _N] + [_P] * 5),
     "pf_kde_sum": (None, [_N] + [_P] * 8),
@@ -356,14 +364,3 @@ class Geometry:
         if load_kernels().pf_intersect(len(o), *args) != 0:
             raise RuntimeError(f"BVH traversal overran its stack of {table.stack_size} slots")
         return best_t, best_p
-
-    def normals_at(self, prim_idx, points):
-        """Geometric (outward/winding) unit normals for prior hit results."""
-        prim_idx = np.asarray(prim_idx, dtype=np.intp)
-        out = self._normals[prim_idx].copy()
-        sph = self.kinds[prim_idx] == KIND_SPHERE
-        if np.any(sph):
-            pid = prim_idx[sph]
-            v = points[sph] - self.pa[pid]
-            out[sph] = v / np.linalg.norm(v, axis=1, keepdims=True)
-        return out

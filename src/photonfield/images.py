@@ -87,11 +87,11 @@ def read_pfm(path) -> np.ndarray:
         raise ValueError("malformed PFM header: bad dimensions or scale")
     pos += 1  # single whitespace byte after the scale line
     expect = w * h * 3 * 4
-    raw = blob[pos:pos + expect]
-    if len(raw) != expect:
-        raise ValueError("truncated PFM payload")
+    if len(blob) - pos != expect:
+        kind = "truncated" if len(blob) - pos < expect else "overlong"
+        raise ValueError(f"{kind} PFM payload: {len(blob) - pos} bytes, where its {w}x{h} header needs {expect}")
     dtype = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(raw, dtype=dtype).reshape(h, w, 3).astype(np.float64)
+    data = np.frombuffer(blob[pos:], dtype=dtype).reshape(h, w, 3).astype(np.float64)
     if abs(scale) != 1.0:
         with np.errstate(over="ignore"):
             data = data * abs(scale)

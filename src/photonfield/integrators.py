@@ -11,8 +11,8 @@ and supervision references share one loop that averages photon passes
 (``_average_photon_passes``). The path tracer keeps its
 own loop (MIS emission, next-event estimation); it and the delta tracer
 take their draws and roulette from ``core`` and their hit subsets from
-``Hits.subset``. The photon tracer (``photons.py``) and the photon gather's
-sum are compiled.
+``Hits.subset``, and shade hits and sample BSDFs with the C code of the
+photon tracer (``photons.py``). The photon gather's sum is compiled too.
 
 Images are (height, width, 3) float64 arrays of linear radiance.
 Everything is deterministic for a fixed seed: random streams are keyed by

@@ -11,11 +11,11 @@ continuation so transport stays unbiased.
 Emission and paths run in a compiled kernel (``_photons.c``, loaded by
 :func:`geometry.load_kernels`) that emits each photon through the emitter
 sampler of ``Scene.pick_emitter`` and ``Scene.sample_on_emitter`` and
-traces its whole path in one pass, with the hit shading of
-``Scene.intersect_batch``, the BSDF draws of ``scene.sample_bsdf_batch``
-and the draws of ``core.draw_units``, formula for formula. Records come
-out in bounce-major order, ascending photon index within a bounce, the
-order of a wavefront over all photons at once.
+traces its whole path in one pass, shading hits and sampling BSDFs with
+the C code of ``Scene.intersect_batch`` and ``scene.sample_bsdf_batch``
+and drawing as ``core.draw_units`` does. Records come out in bounce-major
+order, ascending photon index within a bounce, the order of a wavefront
+over all photons at once.
 
 Stored incident directions point from the surface back toward where the
 photon came from (the convention the gather-side BSDF evaluation expects).

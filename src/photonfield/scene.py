@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import core, geometry
-from .core import normalize, vdot
+from . import geometry
+from .core import normalize
 from .images import write_atomic
 
 DIFFUSE = 0
@@ -62,28 +62,6 @@ class Material:
     @property
     def is_diffuse(self) -> bool:
         return self.kind == DIFFUSE
-
-
-def fresnel_reflectance(cos_i, ior, entering) -> np.ndarray:
-    """Unpolarized dielectric Fresnel reflectance for |cos| of incidence.
-
-    ``entering`` selects whether the ray crosses into (True) or out of the
-    medium with the given index. Total internal reflection returns 1.
-    Vectorized over ``cos_i``/``ior``/``entering``.
-    """
-    cos_i = np.clip(np.abs(np.asarray(cos_i, dtype=np.float64)), 0.0, 1.0)
-    entering = np.asarray(entering, dtype=bool)
-    ior = np.asarray(ior, dtype=np.float64)
-    eta_i = np.where(entering, 1.0, ior)
-    eta_t = np.where(entering, ior, 1.0)
-    sin2_t = (eta_i / eta_t) ** 2 * (1.0 - cos_i**2)
-    tir = sin2_t >= 1.0
-    cos_t = np.sqrt(np.clip(1.0 - sin2_t, 0.0, 1.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r_par = (eta_t * cos_i - eta_i * cos_t) / (eta_t * cos_i + eta_i * cos_t)
-        r_perp = (eta_i * cos_i - eta_t * cos_t) / (eta_i * cos_i + eta_t * cos_t)
-        f = 0.5 * (r_par**2 + r_perp**2)
-    return np.where(tir, 1.0, f)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +181,15 @@ class Camera:
         return Camera(self.position, self.look_at, self.up, self.vfov, (width, height))
 
 
+def _hit_layout(name: str, n: int):
+    """(shape, dtype) of the ``Hits`` field ``name`` for ``n`` hits."""
+    shape = (n, 3) if name in ("position", "normal", "wo", "albedo", "emission") else (n,)
+    return shape, np.dtype({"valid": bool, "shape_id": np.intp, "mat_kind": np.uint8, "entering": bool}.get(name, float))
+
+
 @dataclass
 class Hits:
-    """Struct-of-arrays batch of ray-surface hits."""
+    """Struct-of-arrays batch of ray-surface hits: ``struct pf_hits`` of ``_photons.c``."""
 
     valid: np.ndarray  # (n,) bool
     t: np.ndarray  # (n,)
@@ -219,13 +203,17 @@ class Hits:
     emission: np.ndarray  # (n, 3) toward wo
     entering: np.ndarray  # (n,) bool
 
-    @property
-    def is_diffuse(self):
-        return self.valid & (self.mat_kind == DIFFUSE)
-
     def subset(self, mask) -> "Hits":
         """The rows ``mask`` (boolean mask or index array) of every field."""
         return Hits(*(getattr(self, f.name)[mask] for f in fields(self)))
+
+    def table(self) -> geometry.HitsTable:
+        """These rows as ``struct pf_hits``; ``ValueError`` unless each field has its dtype and ``len(t)`` rows."""
+        n, arrays = len(self.t), {f.name: np.ascontiguousarray(getattr(self, f.name)) for f in fields(self)}
+        for name, a in arrays.items():
+            if (a.shape, a.dtype) != _hit_layout(name, n):
+                raise ValueError(f"Hits.{name} is a {a.dtype} array of shape {a.shape}, which does not fit {n} hits")
+        return geometry.HitsTable(n=n, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +236,12 @@ class Scene:
         self._mat_albedo = np.array([self.materials[n].albedo for n in mat_names], dtype=np.float64)
         self._mat_ior = np.array([self.materials[n].ior for n in mat_names], dtype=np.float64)
         self.shape_mat = np.array([mat_index[s.material] for s in self.shapes], dtype=np.intp)
-        self.shape_emission = np.array([s.emission for s in self.shapes])
+        self.shape_emission = np.array([s.emission for s in self.shapes], dtype=np.float64)
         self._build_geometry()
         self._build_emitters()
         self._shading = geometry.ShadingTable(
             shape_ids=self.geometry.shape_ids, shape_mat=self.shape_mat, mat_kind=self._mat_kind,
-            mat_albedo=self._mat_albedo, mat_ior=self._mat_ior,
+            mat_albedo=self._mat_albedo, mat_ior=self._mat_ior, shape_emission=self.shape_emission,
         )
 
     def _build_geometry(self):
@@ -333,36 +321,15 @@ class Scene:
     # -- intersection ------------------------------------------------------
 
     def intersect_batch(self, o, d) -> Hits:
-        o = np.atleast_2d(np.asarray(o, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-        n = len(o)
+        """Nearest hits of the rays (o, d), each (n, 3), shaded by the photon tracer's ``shade()`` (``_photons.c``);
+        a miss row is zero but for ``wo = -d``, ``t = inf``, ``shape_id -1`` and ``ior 1``."""
+        o = np.ascontiguousarray(np.atleast_2d(o), dtype=np.float64)
+        d = np.ascontiguousarray(np.atleast_2d(d), dtype=np.float64)
         t, prim = self.geometry.intersect(o, d)
-        valid = prim >= 0
-        pos = np.zeros((n, 3))
-        nrm = np.zeros((n, 3))
-        shape_id = np.full(n, -1, dtype=np.intp)
-        mat_kind = np.zeros(n, dtype=np.uint8)
-        albedo = np.zeros((n, 3))
-        ior = np.ones(n)
-        emission = np.zeros((n, 3))
-        entering = np.zeros(n, dtype=bool)
-        wo = -d
-        if np.any(valid):
-            vi = np.nonzero(valid)[0]
-            pv = prim[vi]
-            pos[vi] = o[vi] + t[vi, None] * d[vi]
-            ngeo = self.geometry.normals_at(pv, pos[vi])
-            front = vdot(ngeo, wo[vi]) > 0.0
-            entering[vi] = front
-            nrm[vi] = np.where(front[:, None], ngeo, -ngeo)
-            sids = self.geometry.shape_ids[pv]
-            shape_id[vi] = sids
-            mids = self.shape_mat[sids]
-            mat_kind[vi] = self._mat_kind[mids]
-            albedo[vi] = self._mat_albedo[mids]
-            ior[vi] = self._mat_ior[mids]
-            emission[vi] = np.where(front[:, None], self.shape_emission[sids], 0.0)
-        return Hits(valid, t, pos, nrm, wo, shape_id, mat_kind, albedo, ior, emission, entering)
+        hits = Hits(t=t, **{f.name: np.empty(*_hit_layout(f.name, len(t))) for f in fields(Hits) if f.name != "t"})
+        args = (o.ctypes.data, d.ctypes.data, prim.ctypes.data, geometry.HitsTable(n=len(t), **vars(hits)))
+        geometry.load_kernels().pf_shade_hits(self.geometry._table, self._shading, *args)
+        return hits
 
     # -- emitters ----------------------------------------------------------
 
@@ -372,6 +339,9 @@ class Scene:
 
     def pick_emitter(self, u):
         """Power-proportional emitter slots for the uniform draws ``u`` (a 1-d array)."""
+        self._require_emitters()
+        if np.ndim(u) != 1:
+            raise ValueError(f"u must be a 1-d array of draws, got shape {np.shape(u)}")
         u = np.ascontiguousarray(u, dtype=np.float64)
         slot = np.empty(len(u), dtype=np.intp)
         geometry.load_kernels().pf_pick_emitter(self._emitters, len(u), u.ctypes.data, slot.ctypes.data)
@@ -424,54 +394,23 @@ class Scene:
 
 
 def sample_bsdf_batch(hits: Hits, u1, u2, u3):
-    """Sample one continuation direction per valid hit.
-
-    Returns (wi, f_over_pdf, is_delta, pdf_dir): diffuse rows are cosine
-    sampled with weight = albedo and pdf = cos/pi; mirror rows reflect with
-    weight = reflectance; dielectric rows choose reflect/refract with the
-    Fresnel probability and carry weight 1 per channel (one-sample
-    estimator; the probability cancels). ``pdf_dir`` is 0 for delta rows.
-    """
+    """One continuation per valid hit from the float64 draws ``u1``, ``u2``, ``u3`` (one each per hit), by the
+    photon tracer's ``sample_bsdf()`` (``_photons.c``). Returns (wi, f_over_pdf, is_delta, pdf_dir): diffuse
+    rows are cosine sampled with weight albedo and pdf cos/pi; mirror rows reflect with weight reflectance;
+    dielectric rows reflect with the Fresnel probability, else refract, with weight 1. ``pdf_dir`` is 0 for
+    delta rows; invalid rows are zeros. ``ValueError`` for other draws, for ``hits`` that :meth:`Hits.table`
+    refuses, or for an unknown ``mat_kind``."""
     n = len(hits.t)
-    wi = np.zeros((n, 3))
-    weight = np.zeros((n, 3))
-    is_delta = np.zeros(n, dtype=bool)
-    pdf_dir = np.zeros(n)
-
-    dif = hits.is_diffuse
-    if np.any(dif):
-        d, pdf = core.sample_cosine_hemisphere(u1[dif], u2[dif], hits.normal[dif])
-        wi[dif] = d
-        weight[dif] = hits.albedo[dif]
-        pdf_dir[dif] = pdf
-
-    mir = hits.valid & (hits.mat_kind == MIRROR)
-    if np.any(mir):
-        wi[mir] = core.reflect(-hits.wo[mir], hits.normal[mir])
-        weight[mir] = hits.albedo[mir]
-        is_delta[mir] = True
-
-    die = hits.valid & (hits.mat_kind == DIELECTRIC)
-    if np.any(die):
-        nrm = hits.normal[die]
-        wo = hits.wo[die]
-        ior = hits.ior[die]
-        entering = hits.entering[die]
-        cos_i = np.clip(vdot(wo, nrm), 0.0, 1.0)
-        eta = np.where(entering, 1.0 / ior, ior)
-        sin2_t = eta**2 * (1.0 - cos_i**2)
-        tir = sin2_t >= 1.0
-        f = fresnel_reflectance(cos_i, ior, entering)
-        reflect_choice = (u3[die] < f) | tir
-        refl = core.reflect(-wo, nrm)
-        cos_t = np.sqrt(np.clip(1.0 - sin2_t, 0.0, 1.0))
-        refr = -eta[:, None] * wo + (eta * cos_i - cos_t)[:, None] * nrm
-        refr_norm = np.linalg.norm(refr, axis=1, keepdims=True)
-        refr = refr / np.where(refr_norm > 0, refr_norm, 1.0)
-        wi[die] = np.where(reflect_choice[:, None], refl, refr)
-        weight[die] = 1.0
-        is_delta[die] = True
-    return wi, weight, is_delta, pdf_dir
+    u = [np.asarray(x) for x in (u1, u2, u3)]
+    if any(x.shape != (n,) or x.dtype != np.float64 for x in u):
+        raise ValueError(f"u1, u2 and u3 must be float64 arrays of {n} draws, got {', '.join(f'{x.dtype} {x.shape}' for x in u)}")
+    table = hits.table()
+    if n and table.arrays["mat_kind"].max() > DIELECTRIC:
+        raise ValueError(f"mat_kind must be DIFFUSE, MIRROR or DIELECTRIC, got {table.arrays['mat_kind'].max()}")
+    u = [np.ascontiguousarray(x) for x in u]
+    out = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n, dtype=bool), np.zeros(n)
+    geometry.load_kernels().pf_sample_bsdf(table, *(a.ctypes.data for a in (*u, *out)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Numpy oracles of the compiled kernels: the field's passes and Adam step
-(``_field.c``), the emitter sampler and photon density sum
-(``_photons.c``), the nearest-hit ray scan (``_bvh.c``) and the linear
-ball, k-nearest and hybrid point scans (``_spatial.c``).
+(``_field.c``), the hit shading, BSDF draws, emitter sampler and photon
+density sum (``_photons.c``), the nearest-hit ray scan (``_bvh.c``) and
+the linear ball, k-nearest and hybrid point scans (``_spatial.c``).
 
 These are the numpy code the kernels replaced: per-neighbour-row
 temporaries, einsums, ordered ``bincount`` reductions, one Adam per
-parameter block, the per-slot emitter loop, and scans over every
-primitive or point. The compiled code must equal them bit for bit.
+parameter block, masked wavefront shading and BSDF sampling, the per-slot
+emitter loop, and scans over every primitive or point. The compiled code
+must equal them bit for bit.
 """
 
 import math
@@ -17,7 +18,7 @@ from photonfield import core
 from photonfield.core import vdot
 from photonfield.field import SCALE_MAX, SCALE_MIN
 from photonfield.geometry import KIND_QUAD, KIND_SPHERE, KIND_TRIANGLE, T_MIN
-from photonfield.scene import Quad, Sphere
+from photonfield.scene import DIELECTRIC, DIFFUSE, MIRROR, Hits, Quad, Sphere
 
 FALLOFF_SHARPNESS = 3.0
 
@@ -219,6 +220,165 @@ def adam_update(field, opt, grads, lr):
 
 
 # ---------------------------------------------------------------------------
+# hit shading and BSDF draws (_photons.c)
+
+
+def reflect(d, n):
+    """Mirror direction ``d`` about unit normal ``n`` (both (..., 3))."""
+    return d - 2.0 * vdot(d, n)[..., None] * n
+
+
+def orthonormal_basis(n):
+    """Tangent/bitangent pair completing unit normal ``n`` to a frame.
+
+    Branchless construction, stable for all orientations; vectorized over
+    leading axes. Returns (t, b) with ``t x b = n`` up to rounding.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    s = np.where(z >= 0.0, 1.0, -1.0)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    t = np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=-1)
+    bt = np.stack([b, s + y * y * a, -y], axis=-1)
+    return t, bt
+
+
+def sample_cosine_hemisphere(u1, u2, n):
+    """Cosine-weighted direction about unit normal ``n``.
+
+    ``u1``/``u2`` are uniform in [0, 1); returns (direction, pdf) where
+    pdf = cos(theta) / pi for the returned direction. The inputs broadcast
+    against each other.
+    """
+    u1 = np.clip(np.asarray(u1, dtype=np.float64), 0.0, 1.0 - 1e-16)
+    u2 = np.asarray(u2, dtype=np.float64)
+    r = np.sqrt(u1)
+    phi = (2.0 * np.pi) * u2
+    z = np.sqrt(1.0 - u1)
+    t, b = orthonormal_basis(n)
+    d = (
+        (r * np.cos(phi))[..., None] * t
+        + (r * np.sin(phi))[..., None] * b
+        + z[..., None] * np.asarray(n, dtype=np.float64)
+    )
+    return d, z / np.pi
+
+
+def fresnel_reflectance(cos_i, ior, entering) -> np.ndarray:
+    """Unpolarized dielectric Fresnel reflectance for |cos| of incidence.
+
+    ``entering`` selects whether the ray crosses into (True) or out of the
+    medium with the given index. Total internal reflection returns 1.
+    Vectorized over ``cos_i``/``ior``/``entering``.
+    """
+    cos_i = np.clip(np.abs(np.asarray(cos_i, dtype=np.float64)), 0.0, 1.0)
+    entering = np.asarray(entering, dtype=bool)
+    ior = np.asarray(ior, dtype=np.float64)
+    eta_i = np.where(entering, 1.0, ior)
+    eta_t = np.where(entering, ior, 1.0)
+    sin2_t = (eta_i / eta_t) ** 2 * (1.0 - cos_i**2)
+    tir = sin2_t >= 1.0
+    cos_t = np.sqrt(np.clip(1.0 - sin2_t, 0.0, 1.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r_par = (eta_t * cos_i - eta_i * cos_t) / (eta_t * cos_i + eta_i * cos_t)
+        r_perp = (eta_i * cos_i - eta_t * cos_t) / (eta_i * cos_i + eta_t * cos_t)
+        f = 0.5 * (r_par**2 + r_perp**2)
+    return np.where(tir, 1.0, f)
+
+
+def normals_at(g, prim_idx, points):
+    """Geometric (outward/winding) unit normals of geometry ``g`` for prior hit results."""
+    prim_idx = np.asarray(prim_idx, dtype=np.intp)
+    out = g._normals[prim_idx].copy()
+    sph = g.kinds[prim_idx] == KIND_SPHERE
+    if np.any(sph):
+        pid = prim_idx[sph]
+        v = points[sph] - g.pa[pid]
+        out[sph] = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return out
+
+
+def intersect_batch(scene, o, d) -> Hits:
+    """``Scene.intersect_batch``: the nearest hits of the rays, shaded in numpy row masks."""
+    o = np.atleast_2d(np.asarray(o, dtype=np.float64))
+    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+    n = len(o)
+    t, prim = scene.geometry.intersect(o, d)
+    valid = prim >= 0
+    pos = np.zeros((n, 3))
+    nrm = np.zeros((n, 3))
+    shape_id = np.full(n, -1, dtype=np.intp)
+    mat_kind = np.zeros(n, dtype=np.uint8)
+    albedo = np.zeros((n, 3))
+    ior = np.ones(n)
+    emission = np.zeros((n, 3))
+    entering = np.zeros(n, dtype=bool)
+    wo = -d
+    if np.any(valid):
+        vi = np.nonzero(valid)[0]
+        pv = prim[vi]
+        pos[vi] = o[vi] + t[vi, None] * d[vi]
+        ngeo = normals_at(scene.geometry, pv, pos[vi])
+        front = vdot(ngeo, wo[vi]) > 0.0
+        entering[vi] = front
+        nrm[vi] = np.where(front[:, None], ngeo, -ngeo)
+        sids = scene.geometry.shape_ids[pv]
+        shape_id[vi] = sids
+        mids = scene.shape_mat[sids]
+        mat_kind[vi] = scene._mat_kind[mids]
+        albedo[vi] = scene._mat_albedo[mids]
+        ior[vi] = scene._mat_ior[mids]
+        emission[vi] = np.where(front[:, None], scene.shape_emission[sids], 0.0)
+    return Hits(valid, t, pos, nrm, wo, shape_id, mat_kind, albedo, ior, emission, entering)
+
+
+def sample_bsdf_batch(hits, u1, u2, u3):
+    """``scene.sample_bsdf_batch``: one continuation per valid hit, sampled
+    per material kind over row masks; (wi, weight, is_delta, pdf_dir)."""
+    n = len(hits.t)
+    wi = np.zeros((n, 3))
+    weight = np.zeros((n, 3))
+    is_delta = np.zeros(n, dtype=bool)
+    pdf_dir = np.zeros(n)
+
+    dif = hits.valid & (hits.mat_kind == DIFFUSE)
+    if np.any(dif):
+        d, pdf = sample_cosine_hemisphere(u1[dif], u2[dif], hits.normal[dif])
+        wi[dif] = d
+        weight[dif] = hits.albedo[dif]
+        pdf_dir[dif] = pdf
+
+    mir = hits.valid & (hits.mat_kind == MIRROR)
+    if np.any(mir):
+        wi[mir] = reflect(-hits.wo[mir], hits.normal[mir])
+        weight[mir] = hits.albedo[mir]
+        is_delta[mir] = True
+
+    die = hits.valid & (hits.mat_kind == DIELECTRIC)
+    if np.any(die):
+        nrm = hits.normal[die]
+        wo = hits.wo[die]
+        ior = hits.ior[die]
+        entering = hits.entering[die]
+        cos_i = np.clip(vdot(wo, nrm), 0.0, 1.0)
+        eta = np.where(entering, 1.0 / ior, ior)
+        sin2_t = eta**2 * (1.0 - cos_i**2)
+        tir = sin2_t >= 1.0
+        f = fresnel_reflectance(cos_i, ior, entering)
+        reflect_choice = (u3[die] < f) | tir
+        refl = reflect(-wo, nrm)
+        cos_t = np.sqrt(np.clip(1.0 - sin2_t, 0.0, 1.0))
+        refr = -eta[:, None] * wo + (eta * cos_i - cos_t)[:, None] * nrm
+        refr_norm = np.linalg.norm(refr, axis=1, keepdims=True)
+        refr = refr / np.where(refr_norm > 0, refr_norm, 1.0)
+        wi[die] = np.where(reflect_choice[:, None], refl, refr)
+        weight[die] = 1.0
+        is_delta[die] = True
+    return wi, weight, is_delta, pdf_dir
+
+
+# ---------------------------------------------------------------------------
 # emission and density estimation (_photons.c)
 
 
@@ -283,7 +443,7 @@ def sample_light_emission(scene, keys, ctrs):
     n = len(keys)
     u_pick, u_a1, u_a2, u_d1, u_d2 = core.draw_units(keys, ctrs, slice(None), 5)
     pts, nrm, _ = sample_on_emitter(scene, pick_emitter(scene, u_pick), u_a1, u_a2)
-    dirs, _ = core.sample_cosine_hemisphere(u_d1, u_d2, nrm)
+    dirs, _ = sample_cosine_hemisphere(u_d1, u_d2, nrm)
     flux = np.broadcast_to(scene.total_power / n, (n, 3)).copy()
     return pts, dirs, flux
 

@@ -444,6 +444,19 @@ class TestErrors:
         assert "error: validate:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["trailing bytes", "understated header"])
+    @pytest.mark.filterwarnings("error")
+    def test_pfm_payload_longer_than_its_header_fails_compare(self, tmp_path, capsys, case):
+        a, b, out = tmp_path / "a.pfm", tmp_path / "b.pfm", tmp_path / "table.json"
+        write_pfm(a, np.full((16, 16, 3), 0.2))
+        if case == "trailing bytes":  # the same 16x16 image, then 220 more bytes
+            b.write_bytes(a.read_bytes() + b"\x00" * 220)
+        else:  # a 16x32 image under a 16x16 header
+            b.write_bytes(b"PF\n16 16\n-1.0\n" + np.full((32, 16, 3), 0.2, dtype="<f4").tobytes())
+        assert main(["compare", "--ref", str(a), "--test", str(b), "--out", str(out)]) == 3
+        assert "overlong PFM payload" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(("param", "values"), [("gaussians", "500,0"), ("k", "3,-1")])
     def test_bad_sweep_value_is_validation_error_before_any_work(self, tmp_path, views_file, capsys, param, values):
         out = tmp_path / "sweep.json"

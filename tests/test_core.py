@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from photonfield.core import (
     Rng,
     draw_unit,
     draw_units,
     fold_key,
     normalize,
-    orthonormal_basis,
     random_unit_quaternion,
     roulette,
-    sample_cosine_hemisphere,
     seed_key,
 )
+from photonfield.scene import sample_bsdf_batch
 
 
 class TestQuaternions:
@@ -25,49 +25,53 @@ class TestQuaternions:
 
 
 class TestCosineHemisphere:
-    def test_zero_inputs_give_pole_direction(self):
+    """The cosine lobe of diffuse rows, as ``sample_bsdf_batch`` draws it (direction ``wi`` and ``pdf_dir``)."""
+
+    @staticmethod
+    def _sample(make_hits, u1, u2, normals):
+        normals = np.broadcast_to(normals, (len(u1), 3))
+        wi, _, _, pdf = sample_bsdf_batch(make_hits(normals, normals), u1, u2, np.zeros(len(u1)))
+        return wi, pdf
+
+    def test_zero_inputs_give_pole_direction(self, make_hits):
         n = np.array([[0.0, 0.0, 1.0]])
-        d, pdf = sample_cosine_hemisphere(np.zeros(1), np.zeros(1), n)
+        d, pdf = self._sample(make_hits, np.zeros(1), np.zeros(1), n)
         np.testing.assert_allclose(d, n, atol=1e-12)
         assert pdf[0] == pytest.approx(1.0 / np.pi, rel=1e-12)
 
-    def test_directions_stay_in_normal_hemisphere(self):
+    def test_directions_stay_in_normal_hemisphere(self, make_hits):
         rng = Rng(8)
         n = normalize(np.stack([rng.uniform(500) - 0.5, rng.uniform(500) - 0.5, rng.uniform(500) - 0.5], axis=1))
-        d, pdf = sample_cosine_hemisphere(rng.uniform(500), rng.uniform(500), n)
+        d, pdf = self._sample(make_hits, rng.uniform(500), rng.uniform(500), n)
         assert np.all(np.einsum("ij,ij->i", d, n) > 0.0)
         assert np.all(pdf > 0.0)
         np.testing.assert_allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
 
-    def test_monte_carlo_integral_of_cosine_is_pi(self):
+    def test_monte_carlo_integral_of_cosine_is_pi(self, make_hits):
         # importance-weighted estimate of the hemisphere integral of cos
         rng = Rng(9)
-        n = np.array([0.0, 0.0, 1.0])
         m = 100_000
-        nn = np.broadcast_to(n, (m, 3))
-        d, pdf = sample_cosine_hemisphere(rng.uniform(m), rng.uniform(m), nn)
+        d, pdf = self._sample(make_hits, rng.uniform(m), rng.uniform(m), np.array([0.0, 0.0, 1.0]))
         cos = d[:, 2]
+        np.testing.assert_array_equal(pdf, np.maximum(cos, 0.0) / np.pi)
         est = float(np.mean(cos / pdf))
         assert est == pytest.approx(np.pi, rel=0.01)
 
-    def test_monte_carlo_integral_of_cosine_squared(self):
+    def test_monte_carlo_integral_of_cosine_squared(self, make_hits):
         # independent target: integral of cos^2 over the hemisphere is 2*pi/3
         rng = Rng(10)
-        n = np.array([0.0, 0.0, 1.0])
         m = 100_000
-        nn = np.broadcast_to(n, (m, 3))
-        d, pdf = sample_cosine_hemisphere(rng.uniform(m), rng.uniform(m), nn)
+        d, pdf = self._sample(make_hits, rng.uniform(m), rng.uniform(m), np.array([0.0, 0.0, 1.0]))
         cos = d[:, 2]
         est = float(np.mean(cos**2 / pdf))
         assert est == pytest.approx(2.0 * np.pi / 3.0, rel=0.01)
 
-    def test_empirical_density_matches_cosine_by_chi_square(self):
+    def test_empirical_density_matches_cosine_by_chi_square(self, make_hits):
         # marginal density of cos(theta) under cos/pi sampling is 2c, so the
         # expected mass of bin [a, b] is b^2 - a^2
         rng = Rng(11)
         m = 100_000
-        n = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (m, 3))
-        d, _ = sample_cosine_hemisphere(rng.uniform(m), rng.uniform(m), n)
+        d, _ = self._sample(make_hits, rng.uniform(m), rng.uniform(m), np.array([0.0, 0.0, 1.0]))
         cos = d[:, 2]
         edges = np.linspace(0.0, 1.0, 17)
         counts, _ = np.histogram(cos, bins=edges)
@@ -130,9 +134,10 @@ class TestRng:
 
 class TestBasis:
     def test_orthonormal_basis_completes_frame(self):
+        # the cosine lobe's frame, which only the numpy oracle exposes
         rng = Rng(12)
         n = normalize(np.stack([rng.uniform(300) - 0.5, rng.uniform(300) - 0.5, rng.uniform(300) - 0.5], axis=1))
-        t, b = orthonormal_basis(n)
+        t, b = oracles.orthonormal_basis(n)
         np.testing.assert_allclose(np.einsum("ij,ij->i", t, n), 0.0, atol=1e-12)
         np.testing.assert_allclose(np.einsum("ij,ij->i", b, n), 0.0, atol=1e-12)
         np.testing.assert_allclose(np.einsum("ij,ij->i", t, b), 0.0, atol=1e-12)

@@ -80,6 +80,19 @@ class TestPfm:
         with pytest.raises(ValueError, match="truncated"):
             read_pfm(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_payload_longer_than_its_header_rejected(self, tmp_path):
+        # a header must describe the whole payload: trailing bytes, or a
+        # header that names fewer rows than the payload holds, are errors
+        path = tmp_path / "long.pfm"
+        data = np.full((32, 16, 3), 0.5, dtype="<f4")
+        path.write_bytes(b"PF\n16 32\n-1.0\n" + data.tobytes())
+        assert read_pfm(path).shape == (32, 16, 3)
+        for blob in (b"PF\n16 32\n-1.0\n" + data.tobytes() + b"\x00", b"PF\n16 16\n-1.0\n" + data.tobytes()):
+            path.write_bytes(blob)
+            with pytest.raises(ValueError, match="overlong PFM payload"):
+                read_pfm(path)
+
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from photonfield.scene import (
     Camera,
     Scene,
     builtin_scene,
-    sample_bsdf_batch,
     scene_from_dict,
 )
 from photonfield.spatial import PointIndex
@@ -127,10 +126,11 @@ def _quad_irradiance_at(point, corner, eu, ev, radiance, nodes=96):
 def _wavefront_photons(scene, n_photons, max_bounces, rng):
     """The numpy wavefront photon tracer, the oracle of the compiled one.
 
-    All live photons advance one bounce per step through
-    ``Scene.intersect_batch``, ``sample_bsdf_batch``, ``core.draw_units``
-    and ``core.roulette``, so the records come out bounce by bounce, in
-    photon order within a bounce.
+    All live photons advance one bounce per step through the numpy shading
+    and BSDF oracles (``oracles.intersect_batch``,
+    ``oracles.sample_bsdf_batch``), ``core.draw_units`` and
+    ``core.roulette``, so the records come out bounce by bounce, in photon
+    order within a bounce.
     """
     keys = fold_key(rng.key, np.arange(n_photons, dtype=np.uint64))
     ctrs = np.zeros(n_photons, dtype=np.uint64)
@@ -142,7 +142,7 @@ def _wavefront_photons(scene, n_photons, max_bounces, rng):
     for bounce in range(bounces):
         if alive.size == 0:
             break
-        hits = scene.intersect_batch(o, d)
+        hits = oracles.intersect_batch(scene, o, d)
         hit = hits.valid
         if not np.any(hit):
             break
@@ -160,7 +160,7 @@ def _wavefront_photons(scene, n_photons, max_bounces, rng):
         if bounce == bounces - 1:
             break
 
-        wi, weight, _, _ = sample_bsdf_batch(hits, *core.draw_units(keys, ctrs, alive, 3))
+        wi, weight, _, _ = oracles.sample_bsdf_batch(hits, *core.draw_units(keys, ctrs, alive, 3))
         throughput = throughput * weight
         flux = flux * weight
 

@@ -2,6 +2,7 @@
 
 import copy
 import ctypes
+import dataclasses
 import errno
 import json
 import math
@@ -22,7 +23,11 @@ from photonfield.field import GaussianField
 from photonfield.photons import trace_photons
 from photonfield.spatial import PointIndex
 from photonfield.scene import (
+    DIELECTRIC,
+    DIFFUSE,
+    MIRROR,
     Camera,
+    Hits,
     Material,
     Scene,
     SceneParseError,
@@ -30,7 +35,6 @@ from photonfield.scene import (
     Shape,
     TriangleMesh,
     builtin_scene,
-    fresnel_reflectance,
     load_scene,
     sample_bsdf_batch,
     save_scene,
@@ -343,6 +347,12 @@ class TestCompiledKernel:
             )
         with pytest.raises(ctypes.ArgumentError, match="argument 1"):
             lib.pf_pick_emitter(scene._shading, 1, best_t.ctypes.data, best_p.ctypes.data)
+        hits = scene.intersect_batch(*rays).table()
+        with pytest.raises(ctypes.ArgumentError, match="argument 6"):
+            lib.pf_shade_hits(scene.geometry._table, scene._shading, o, d, best_p.ctypes.data, scene._shading)
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            lib.pf_sample_bsdf(scene._shading, *(out.ctypes.data,) * 7)
+        lib.pf_sample_bsdf(hits, *(out.ctypes.data,) * 7)
         with pytest.raises(ctypes.ArgumentError, match="argument 1"):
             lib.pf_sample_on_emitter(scene.geometry._table, 1, best_p.ctypes.data, o, o, out.ctypes.data, out.ctypes.data)
         field = GaussianField(np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]], np.zeros((1, 3)), np.ones((1, 3)))
@@ -358,9 +368,9 @@ class TestCompiledKernel:
     def test_tables_mirror_the_c_structs(self, tmp_path):
         # kernels that only pass a member back to themselves would not notice two same-typed members swapped
         tables = [("_bvh.h", "pf_bvh", geometry.BvhTable), ("_photons.c", "pf_shading", geometry.ShadingTable),
-                  ("_photons.c", "pf_emitters", geometry.EmitterTable), ("_spatial.c", "pf_kdtree", geometry.KdTreeTable),
-                  ("_field.c", "pf_field", geometry.FieldTable), ("_field.c", "pf_batch", geometry.BatchTable),
-                  ("_field.c", "pf_adam", geometry.AdamTable)]
+                  ("_photons.c", "pf_hits", geometry.HitsTable), ("_photons.c", "pf_emitters", geometry.EmitterTable),
+                  ("_spatial.c", "pf_kdtree", geometry.KdTreeTable), ("_field.c", "pf_field", geometry.FieldTable),
+                  ("_field.c", "pf_batch", geometry.BatchTable), ("_field.c", "pf_adam", geometry.AdamTable)]
         for src, struct, table in tables:
             checks = [f"_Static_assert(sizeof(struct {struct}) == {ctypes.sizeof(table)}, \"size\");"]
             for name, _ in table._fields_:
@@ -413,21 +423,40 @@ class TestBsdf:
         np.testing.assert_allclose(weight, [0.9, 0.8, 0.7])
         assert is_delta
 
-    def test_fresnel_normal_incidence_matches_closed_form(self):
-        # ((n-1)/(n+1))^2 at cos=1 for n=1.5
-        f = fresnel_reflectance(1.0, 1.5, True)
-        assert float(f) == pytest.approx(((1.5 - 1.0) / (1.5 + 1.0)) ** 2, abs=1e-6)
+    _M = 4000  # stratified u3 draws per incidence angle
 
-    def test_fresnel_energy_split_sums_to_one(self):
-        cos = np.linspace(0.0, 1.0, 2001)
+    def _reflect_share(self, make_hits, cos_i, entering):
+        """The share of ``_M`` stratified draws that ``sample_bsdf_batch`` reflects at a
+        glass (ior 1.5) hit seen at incidence cosine ``cos_i``, entering or leaving the glass."""
+        m = self._M
+        wo = np.tile([math.sqrt(1.0 - cos_i * cos_i), 0.0, cos_i], (m, 1))
+        hits = make_hits(np.tile([0.0, 0.0, 1.0], (m, 1)), wo, DIELECTRIC, entering=np.full(m, entering))
+        wi, weight, is_delta, pdf = sample_bsdf_batch(hits, np.zeros(m), np.zeros(m), (np.arange(m) + 0.5) / m)
+        # every draw is a delta lobe of weight 1: reflected (above the surface) or refracted (below it)
+        np.testing.assert_array_equal(weight, 1.0)
+        assert np.all(is_delta) and np.all(pdf == 0.0) and np.all(wi[:, 2] != 0.0)
+        np.testing.assert_allclose(np.linalg.norm(wi, axis=1), 1.0, atol=1e-12)
+        return float(np.mean(wi[:, 2] > 0.0))
+
+    def test_fresnel_normal_incidence_matches_closed_form(self, make_hits):
+        # ((n-1)/(n+1))^2 at cos=1 for n=1.5, from either side
+        f = ((1.5 - 1.0) / (1.5 + 1.0)) ** 2
+        assert float(oracles.fresnel_reflectance(1.0, 1.5, True)) == pytest.approx(f, abs=1e-6)
         for entering in (True, False):
-            f = fresnel_reflectance(cos, 1.5, entering)
-            t = 1.0 - f
-            assert np.all(f >= 0.0) and np.all(f <= 1.0)
-            np.testing.assert_allclose(f + t, 1.0, atol=1e-12)
+            assert self._reflect_share(make_hits, 1.0, entering) == pytest.approx(f, abs=1.0 / self._M)
 
-    def test_fresnel_grazing_goes_to_one(self):
-        assert float(fresnel_reflectance(0.0, 1.5, True)) == pytest.approx(1.0, abs=1e-9)
+    def test_fresnel_energy_split_sums_to_one(self, make_hits):
+        # a draw reflects with probability F and refracts otherwise, F as the
+        # numpy oracle gives it (1 past the critical angle on the way out)
+        for entering in (True, False):
+            for cos in np.linspace(0.05, 1.0, 20):
+                f = float(oracles.fresnel_reflectance(cos, 1.5, entering))
+                assert 0.0 <= f <= 1.0
+                assert self._reflect_share(make_hits, cos, entering) == pytest.approx(f, abs=1.0 / self._M)
+
+    def test_fresnel_grazing_goes_to_one(self, make_hits):
+        assert self._reflect_share(make_hits, 1e-9, True) == 1.0
+        assert float(oracles.fresnel_reflectance(0.0, 1.5, True)) == pytest.approx(1.0, abs=1e-9)
 
     def test_total_internal_reflection_reflects(self):
         # shallow internal hit beyond the critical angle: no refraction branch
@@ -479,6 +508,145 @@ class TestBsdf:
         wi = core.normalize(np.array([0.2, 0.1, -1.0]))
         np.testing.assert_array_equal(_eval_one(hits, wi), np.zeros(3))
 
+
+
+def _assert_kernels_equal_the_oracles(scene, o, d, rng):
+    """``intersect_batch`` and ``sample_bsdf_batch`` on the rays (o, d) give the bytes of
+    their numpy oracles, every ``Hits`` field included; returns the hits and the draw."""
+    hits = scene.intersect_batch(o, d)
+    want = oracles.intersect_batch(scene, o, d)
+    for f in dataclasses.fields(Hits):
+        a, b = getattr(hits, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    u = rng.random((3, len(o)))
+    edges = np.array([[0.0, 1.0, 0.5, 1.0 - 1e-16], [0.0, 0.0, 1.0 - 1e-16, 0.25], [0.0, 1.0, 0.0, 0.999]])
+    u[:, :4] = edges[:, : len(o)]  # u1 = 1 is clipped below 1 by the cosine lobe
+    drawn = sample_bsdf_batch(hits, *u)
+    for name, a, b in zip(("wi", "weight", "is_delta", "pdf_dir"), drawn, oracles.sample_bsdf_batch(hits, *u)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    return hits, drawn
+
+
+def _random_rays(rng, n, lo=-1.0, hi=1.0):
+    o = rng.uniform(lo, hi, (n, 3))
+    d = rng.normal(size=(n, 3))
+    return o, d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+class TestShadingKernel:
+    """The compiled hit shading and BSDF draws against their numpy oracles, byte for byte."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["cornell-box", "caustic-sphere", "caustic-pool"])
+    def test_camera_wavefronts_equal_the_numpy_bytes(self, name):
+        # camera rays followed for six bounces, misses and zero-weight paths included
+        scene = builtin_scene(name)
+        rng = np.random.default_rng(17)
+        cam = scene.camera.with_resolution(48, 48)
+        o, d = cam.primary_rays(np.arange(48 * 48), rng.random((48 * 48, 2)))
+        kinds = set()
+        for _ in range(6):
+            hits, (wi, _, _, _) = _assert_kernels_equal_the_oracles(scene, o, d, rng)
+            kinds |= set(hits.mat_kind[hits.valid].tolist())
+            o, d = hits.position[hits.valid] + core.RAY_OFFSET * wi[hits.valid], wi[hits.valid]
+        assert kinds == ({DIFFUSE} if name == "cornell-box" else {DIFFUSE, DIELECTRIC})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["cornell-box", "caustic-sphere", "caustic-pool"])
+    def test_random_rays_equal_the_numpy_bytes(self, name):
+        scene = builtin_scene(name)
+        rng = np.random.default_rng(23)
+        hits, _ = _assert_kernels_equal_the_oracles(scene, *_random_rays(rng, 20_000), rng)
+        assert 0 < hits.valid.sum() < len(hits.valid)
+        assert np.any(hits.entering) and np.any(hits.valid & ~hits.entering)
+
+    @pytest.mark.filterwarnings("error")
+    def test_mirror_and_total_internal_reflection_equal_the_numpy_bytes(self):
+        rng = np.random.default_rng(29)
+        mirror = _single_shape_scene(
+            {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "m"},
+            extra_materials={"m": {"type": "mirror", "reflectance": [0.9, 0.8, 0.7]}},
+        )
+        hits, (_, _, is_delta, _) = _assert_kernels_equal_the_oracles(mirror, *_random_rays(rng, 5000, -1.5, 1.5), rng)
+        assert np.all(hits.mat_kind[hits.valid] == MIRROR) and np.all(is_delta == hits.valid)
+        glass = _single_shape_scene(
+            {"type": "sphere", "center": [0, 0, 0], "radius": 1.0, "material": "g"},
+            extra_materials={"g": {"type": "dielectric", "ior": 1.5}},
+        )
+        # from inside the sphere: every ray meets the glass from within, and is
+        # reflected (beyond the critical angle or by Fresnel) or refracted out
+        o, d = _random_rays(rng, 5000, -0.5, 0.5)
+        hits, (wi, _, _, _) = _assert_kernels_equal_the_oracles(glass, 0.9 * o / np.linalg.norm(o, axis=1, keepdims=True) + 0.09 * o, d, rng)
+        assert np.all(hits.valid) and not np.any(hits.entering)
+        reflected = np.einsum("ij,ij->i", wi, hits.normal) > 0.0
+        assert 0 < reflected.sum() < len(reflected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_back_face_emitter_hits_equal_the_numpy_bytes(self):
+        scene = builtin_scene("cornell-box")
+        rng = np.random.default_rng(31)
+        # rays from above the lamp quad (z 0.995, normal -z) hit its back face; the rest its front
+        o = rng.uniform(-0.2, 0.2, (1000, 3)) * [1, 1, 0] + np.repeat([[0, 0, 0.999], [0, 0, 0.5]], 500, axis=0)
+        d = np.concatenate([np.tile([0.0, 0.0, -1.0], (500, 1)), np.tile([0.0, 0.0, 1.0], (500, 1))])
+        hits, _ = _assert_kernels_equal_the_oracles(scene, o, d, rng)
+        lamp = hits.shape_id == scene.emitter_ids[0]
+        assert np.all(lamp) and np.all(hits.entering[500:]) and not np.any(hits.entering[:500])
+        np.testing.assert_array_equal(hits.emission, np.repeat([[0.0] * 3, [12.0] * 3], 500, axis=0))
+
+
+class TestShadingInputs:
+    """Malformed rays, draws and hits fail before the kernels read them."""
+
+    def _hits(self, n=4):
+        scene = builtin_scene("cornell-box")
+        o = np.zeros((n, 3))
+        d = np.tile([0.0, 0.0, 1.0], (n, 1))
+        return scene.intersect_batch(o, d)
+
+    @pytest.mark.filterwarnings("error")
+    def test_ray_arrays_of_other_shapes_are_rejected(self):
+        scene = builtin_scene("cornell-box")
+        with pytest.raises(ValueError, match="shape"):
+            scene.intersect_batch(np.zeros((4, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            scene.intersect_batch(np.zeros((4, 2)), np.zeros((4, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("n", "draw"),
+        [(4, np.zeros(3)), (4, np.zeros(5)), (4, np.zeros((4, 1))), (4, np.zeros(4, dtype=np.intp)),
+         (4, np.zeros(4, dtype=np.float32)), (1, np.array(0.5))],
+    )
+    def test_draws_other_than_one_float64_per_hit_are_rejected(self, n, draw):
+        with pytest.raises(ValueError, match=f"float64 arrays of {n} draws"):
+            sample_bsdf_batch(self._hits(n), np.zeros(n), draw, np.zeros(n))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("valid", np.ones(3, dtype=bool)), ("normal", np.zeros((4, 2))), ("albedo", np.zeros(12)),
+         ("mat_kind", np.zeros(4, dtype=np.int64)), ("entering", np.zeros(4)), ("ior", np.ones((4, 1)))],
+    )
+    def test_hits_of_other_lengths_widths_or_dtypes_are_rejected(self, field, value):
+        hits = dataclasses.replace(self._hits(), **{field: value})
+        with pytest.raises(ValueError, match=f"Hits.{field} "):
+            sample_bsdf_batch(hits, np.zeros(4), np.zeros(4), np.zeros(4))
+
+    @pytest.mark.filterwarnings("error")
+    def test_unknown_material_kind_is_rejected(self):
+        # the compiled draw would take a kind it does not know for a dielectric
+        hits = self._hits()
+        assert np.all(hits.valid)
+        hits.mat_kind[2] = DIELECTRIC + 1
+        with pytest.raises(ValueError, match="mat_kind"):
+            sample_bsdf_batch(hits, np.zeros(4), np.zeros(4), np.zeros(4))
+
+    def test_invalid_rows_draw_zeros(self):
+        hits = self._hits()
+        hits.valid[1:3] = False
+        wi, weight, is_delta, pdf = sample_bsdf_batch(hits, np.full(4, 0.3), np.full(4, 0.6), np.full(4, 0.9))
+        assert not np.any(wi[1:3]) and not np.any(weight[1:3]) and not np.any(is_delta[1:3]) and not np.any(pdf[1:3])
+        assert np.all(pdf[[0, 3]] > 0.0)
 
 
 class TestEmission:
@@ -563,7 +731,7 @@ class TestEmission:
         u = [core.draw_unit(keys, start + np.uint64(i)) for i in range(5)]
         pts, nrm, _ = scene.sample_on_emitter(scene.pick_emitter(u[0]), u[1], u[2])
         np.testing.assert_array_equal(origins, pts)
-        np.testing.assert_array_equal(dirs, core.sample_cosine_hemisphere(u[3], u[4], nrm)[0])
+        np.testing.assert_array_equal(dirs, oracles.sample_cosine_hemisphere(u[3], u[4], nrm)[0])
         np.testing.assert_array_equal(ctrs, start + np.uint64(5))
 
     def test_no_emitters_is_an_error(self):
@@ -572,6 +740,15 @@ class TestEmission:
         )
         with pytest.raises(ValueError, match="no emitters"):
             trace_photons(scene, 10, 4, Rng(0))
+        # the compiled pick would clip to slot -1 of no slots
+        with pytest.raises(ValueError, match="no emitters"):
+            scene.pick_emitter(np.array([0.5]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u", [np.array(0.5), np.full((2, 2), 0.5)])
+    def test_pick_emitter_takes_a_1d_array_of_draws(self, u):
+        with pytest.raises(ValueError, match="1-d"):
+            builtin_scene("cornell-box").pick_emitter(u)
 
     def test_emission_is_one_sided(self):
         scene = _single_shape_scene(
