@@ -21,7 +21,7 @@ from . import images, integrators, training
 from .core import Rng
 from .field import GaussianField, check_seed_params
 from .integrators import SppmConfig
-from .photons import trace_photons
+from .photons import _MAX_CHAIN, trace_photons
 from .scene import (
     Camera,
     Scene,
@@ -249,6 +249,8 @@ def _cmd_sweep(args) -> int:
     if min(values) < lowest:
         raise ValueError(f"--values for {args.param} must be >= {lowest}, got {min(values)}")
     images.check_exposure(args.exposure)
+    if args.spp < 1:
+        raise ValueError(f"--spp must be >= 1, got {args.spp}")
     # the (photon count, k_min) of each value's field, checked before the reference render
     seeds = [(value, args.kmin) if args.param == "gaussians" else (args.photons, value) for value in values]
     for n_photons, k_min in seeds:
@@ -294,6 +296,9 @@ def _cmd_sweep(args) -> int:
 # parser
 
 
+_BOUNCES_HELP = f"photon path length, 1 to {_MAX_CHAIN} hits"
+
+
 def _add_common(p, with_threads=True):
     p.add_argument("--seed", type=int, default=0)
     if with_threads:
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--photons", type=int, default=100_000)
     p.add_argument("--r0", type=float, default=0.02)
     p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--max-bounces", type=int, default=16)
+    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--resolution", type=int, nargs=2, metavar=("W", "H"))
     _add_common(p)
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale0", type=float, default=0.01)
     p.add_argument("--radius", type=float, default=0.02)
     p.add_argument("--kmin", type=int, default=3)
-    p.add_argument("--max-bounces", type=int, default=16)
+    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
     p.add_argument("--out-checkpoint", required=True)
     _add_common(p, with_threads=False)
     p.set_defaults(func=_cmd_gpf_init)
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sppm-photons", type=int, default=100_000)
     p.add_argument("--r0", type=float, default=0.02)
     p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--max-bounces", type=int, default=16)
+    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--lr", type=float, default=5e-4)
     p.add_argument("--batch", type=int, default=1024)
@@ -391,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sppm-photons", type=int, default=50_000)
     p.add_argument("--r0", type=float, default=0.02)
     p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--max-bounces", type=int, default=16)
+    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--lr", type=float, default=5e-4)
     p.add_argument("--batch", type=int, default=1024)

@@ -130,10 +130,6 @@ class GaussianField:
     def scales(self):
         return np.exp(self.log_scales)
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def mark_updated(self):
         """Record a parameter mutation: makes the index stale, so the next
         ``ensure_index`` rebuilds it."""

@@ -32,7 +32,7 @@ from . import core, scene as scene_mod
 from .core import RAY_OFFSET, RR_START, draw_units, fold_key, roulette, seed_key, vdot
 from .core import draw_unit  # noqa: F401  (re-exported; perfbench traces this binding)
 from .geometry import load_kernels
-from .photons import PhotonMap, trace_photons
+from .photons import _MAX_CHAIN, PhotonMap, trace_photons
 from .spatial import PointIndex
 
 _TAG_PHOTON = 0xA1
@@ -59,8 +59,8 @@ class SppmConfig:
             raise ValueError(f"initial_radius must be finite and positive, got {self.initial_radius}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        if self.max_photon_bounces < 1:
-            raise ValueError(f"max_photon_bounces must be >= 1, got {self.max_photon_bounces}")
+        if not 1 <= self.max_photon_bounces <= _MAX_CHAIN:
+            raise ValueError(f"max_photon_bounces must lie in [1, {_MAX_CHAIN}], got {self.max_photon_bounces}")
 
 
 def sppm_radius(t: int, r0: float, alpha: float) -> float:
@@ -83,7 +83,9 @@ def _ordered_map(fn, args, threads: int):
     Results are yielded in submission order regardless of completion
     order, so parallel reductions stay bit-identical to serial ones.
     """
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
         for a in args:
             yield fn(a)
         return
@@ -256,17 +258,15 @@ def _camera_frame(scene, camera, seed: int, s: int, radiance_at):
     return frame
 
 
-def _average_photon_passes(scene, cfg: SppmConfig, shape, threads: int, estimate, snapshots=()):
+def _average_photon_passes(scene, cfg: SppmConfig, shape, threads: int, estimate):
     """Mean over ``cfg.iterations`` photon passes of ``estimate(t, gather)``.
 
     Pass ``t`` traces :func:`_photon_pass`; ``gather(positions, normals,
     wos, albedo)`` is :func:`kde_gather_batch` over that pass at radius
     ``sppm_radius(t, ...)``. The passes' ``shape`` arrays are added in pass
-    order, so the thread count cannot change the bits. Returns the mean and
-    {t: running mean after t passes} for the counts in ``snapshots``.
+    order, so the thread count cannot change the bits.
     """
     scene._require_emitters()
-    wanted = {int(c) for c in snapshots}
 
     def job(t):
         photons, index = _photon_pass(scene, cfg, t)
@@ -274,32 +274,26 @@ def _average_photon_passes(scene, cfg: SppmConfig, shape, threads: int, estimate
         return estimate(t, lambda *points: kde_gather_batch(index, photons, *points, radius))
 
     acc = np.zeros(shape)
-    snaps = {}
-    for t, part in enumerate(_ordered_map(job, range(cfg.iterations), threads)):
+    for part in _ordered_map(job, range(cfg.iterations), threads):
         acc += part
-        if (t + 1) in wanted:
-            snaps[t + 1] = acc / (t + 1)
-    return acc / cfg.iterations, snaps
+    return acc / cfg.iterations
 
 
-def render_sppm(scene: scene_mod.Scene, camera: scene_mod.Camera, cfg: SppmConfig, threads: int = 1, snapshots=None):
+def render_sppm(scene: scene_mod.Scene, camera: scene_mod.Camera, cfg: SppmConfig, threads: int = 1):
     """Progressive photon-mapping render: mean of per-iteration frames.
 
     Each iteration traces a fresh photon map, follows camera rays to the
-    first diffuse hit, and gathers with the iteration's radius. When
-    ``snapshots`` is given (iterable of iteration counts), returns
-    (image, {count: running-mean image}); the running mean after t
-    iterations is bit-identical to a T=t render with the same seed.
+    first diffuse hit, and gathers with the iteration's radius. Iteration
+    t depends only on the seed and t, not on ``cfg.iterations``, so a T=t
+    render is bit-identical to the running mean of a longer render's first
+    t iterations with the same seed.
     """
     w, h = camera.resolution
 
     def frame(t, gather):
         return _camera_frame(scene, camera, cfg.seed, t, gather).reshape(h, w, 3)
 
-    img, snaps = _average_photon_passes(scene, cfg, (h, w, 3), threads, frame, snapshots or ())
-    if snapshots is not None:
-        return img, snaps
-    return img
+    return _average_photon_passes(scene, cfg, (h, w, 3), threads, frame)
 
 
 def reference_radiance_at_points(scene: scene_mod.Scene, positions, normals, wos, albedo, cfg: SppmConfig, threads: int = 1):
@@ -312,7 +306,7 @@ def reference_radiance_at_points(scene: scene_mod.Scene, positions, normals, wos
     camera-pass gather for equal seeds.
     """
     shape = (len(positions), 3)
-    return _average_photon_passes(scene, cfg, shape, threads, lambda t, gather: gather(positions, normals, wos, albedo))[0]
+    return _average_photon_passes(scene, cfg, shape, threads, lambda t, gather: gather(positions, normals, wos, albedo))
 
 
 # ---------------------------------------------------------------------------

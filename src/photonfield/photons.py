@@ -52,7 +52,7 @@ def _grow(a, n: int, cap: int):
 
 def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng: Rng) -> PhotonMap:
     """Trace ``n_photons`` light paths of at most ``max_bounces`` hits
-    (capped at ``_MAX_CHAIN``) and return the stored photon map.
+    (1 to ``_MAX_CHAIN``) and return the stored photon map.
 
     Deterministic for a fixed generator: photon i draws from a stream
     keyed by (generator key, i), independent of batching or thread count.
@@ -63,11 +63,11 @@ def trace_photons(scene: scene_mod.Scene, n_photons: int, max_bounces: int, rng:
     """
     if n_photons < 1:
         raise ValueError(f"n_photons must be >= 1, got {n_photons}")
-    if max_bounces < 1:
-        raise ValueError(f"max_bounces must be >= 1, got {max_bounces}")
+    if not 1 <= max_bounces <= _MAX_CHAIN:
+        raise ValueError(f"max_bounces must lie in [1, {_MAX_CHAIN}], got {max_bounces}")
     scene._require_emitters()
     keys = core.fold_key(rng.key, np.arange(n_photons, dtype=np.uint64))
-    bounces = min(int(max_bounces), _MAX_CHAIN)
+    bounces = int(max_bounces)
 
     # records in photon order, with room for about one per photon at first:
     # the kernel stops before a photon that might not fit, and the buffers

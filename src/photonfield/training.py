@@ -1,13 +1,13 @@
 """Supervision dataset construction and field optimization.
 
 Supervision points are the first diffuse hits of camera rays traced
-through delta-only prefixes; each records its position, the outgoing
-direction back along the arriving segment, and a photon-mapped reference
-radiance. The reference is local outgoing radiance at the point: the
-prefix throughput is deliberately excluded (it gets re-applied by the
-camera pass at render time), so one field serves every view. Only those
-three arrays are kept; the surface frame the gather needs is passed
-straight from :func:`trace_to_first_diffuse` to
+through delta-only prefixes; each records its position and a
+photon-mapped reference radiance. The reference is local outgoing radiance
+at the point: the prefix throughput is deliberately excluded (it gets
+re-applied by the camera pass at render time), so one field serves every
+view. Only those two arrays are kept, since the field is queried by
+position alone; the surface frame and outgoing direction the gather needs
+are passed straight from :func:`trace_to_first_diffuse` to
 :func:`integrators.reference_radiance_at_points`.
 
 Training minimizes the mean squared radiance error over minibatches with
@@ -36,32 +36,32 @@ from .spatial import gather_rows
 
 _TAG_DATASET = 0xD5
 _TAG_BATCH = 0xB7
-_MAGIC = b"GPD1"
+_MAGIC = b"GPD2"
 
 
 class SampleSet:
-    """Struct-of-arrays supervision dataset: ``position``, ``wo`` and
-    ``l_ref`` rows, which are also its file format."""
+    """Struct-of-arrays supervision dataset: ``position`` and ``l_ref``
+    rows, which are also its file format."""
 
-    def __init__(self, position, wo, l_ref):
+    def __init__(self, position, l_ref):
         self.position = np.asarray(position, dtype=np.float64).reshape(-1, 3)
-        self.wo = np.asarray(wo, dtype=np.float64).reshape(-1, 3)
         self.l_ref = np.asarray(l_ref, dtype=np.float64).reshape(-1, 3)
+        if len(self.position) != len(self.l_ref):
+            raise ValueError(f"{len(self.position)} positions but {len(self.l_ref)} reference radiances")
 
     def __len__(self) -> int:
         return len(self.position)
 
     def save(self, path) -> None:
-        payload = np.empty((len(self), 9), dtype="<f4")
+        payload = np.empty((len(self), 6), dtype="<f4")
         payload[:, 0:3] = self.position
-        payload[:, 3:6] = self.wo
-        payload[:, 6:9] = self.l_ref
+        payload[:, 3:6] = self.l_ref
         write_records(path, _MAGIC, payload)
 
     @classmethod
     def load(cls, path) -> "SampleSet":
-        data = read_records(path, _MAGIC, 9, "dataset file")
-        return cls(data[:, 0:3], data[:, 3:6], data[:, 6:9])
+        data = read_records(path, _MAGIC, 6, "dataset file")
+        return cls(data[:, 0:3], data[:, 3:6])
 
 
 def camera_seed(seed: int, cam_index: int) -> int:
@@ -83,6 +83,8 @@ def build_dataset(
     radiance at the collected points is photon-mapped with ``sppm_cfg``
     (local outgoing radiance; prefix throughput excluded).
     """
+    if samples_per_pixel < 1:
+        raise ValueError(f"samples_per_pixel must be >= 1, got {samples_per_pixel}")
     parts = []  # per pass: position, normal, wo and albedo of the found rays
     for ci, camera in enumerate(cameras):
         seed = camera_seed(sppm_cfg.seed, ci)
@@ -94,7 +96,7 @@ def build_dataset(
         raise ValueError("no diffuse surface visible")
     position, normal, wo, albedo = (np.concatenate(a) for a in zip(*parts))
     l_ref = integrators.reference_radiance_at_points(scene, position, normal, wo, albedo, sppm_cfg, threads=threads)
-    return SampleSet(position, wo, l_ref)
+    return SampleSet(position, l_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +167,10 @@ def _mean_squared_error(dataset: SampleSet, predict, chunk: int = 8192) -> float
     return total / n
 
 
-def dataset_loss(field: GaussianField, dataset: SampleSet, chunk: int = 8192) -> float:
+def dataset_loss(field: GaussianField, dataset: SampleSet) -> float:
     """Mean squared radiance error of the field over the whole dataset."""
     field.ensure_index()
-    return _mean_squared_error(dataset, lambda lo, hi: field.query_batch(dataset.position[lo:hi]), chunk)
+    return _mean_squared_error(dataset, lambda lo, hi: field.query_batch(dataset.position[lo:hi]))
 
 
 def train(field: GaussianField, dataset: SampleSet, cfg: TrainConfig) -> TrainLog:

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, manifests, error categories."""
 
+import argparse
 import errno
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from photonfield.cli import main
+from photonfield.cli import build_parser, main
 from photonfield.field import GaussianField
 from photonfield.images import read_pfm, write_pfm
 from photonfield.integrators import render_gpf
@@ -466,6 +467,68 @@ class TestErrors:
         assert main(argv) == 3
         assert f"--values for {param} must be >=" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    @pytest.mark.parametrize("spp", ["0", "-2"])
+    def test_sample_count_below_one_fails_gpf_train(self, tmp_path, views_file, capsys, spp):
+        argv = ["gpf-train", "--scene", "builtin:cornell-box", "--views", views_file, "--sppm-iterations", "1",
+                "--sppm-photons", "500", "--photons", "500", "--steps", "2", "--batch", "16", "--spp", spp,
+                "--out-checkpoint", str(tmp_path / "f.gpf"), "--dataset-out", str(tmp_path / "d.gpd"),
+                "--log", str(tmp_path / "log.json")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"samples_per_pixel must be >= 1, got {spp}" in err and "no diffuse surface" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    @pytest.mark.parametrize("spp", ["0", "-2"])
+    def test_sample_count_below_one_fails_sweep_before_the_reference_render(
+        self, tmp_path, views_file, capsys, monkeypatch, spp
+    ):
+        import photonfield.cli as cli
+
+        renders = []
+        monkeypatch.setattr(cli.integrators, "render_sppm", lambda *a, **k: renders.append(a))
+        argv = ["sweep", "--param", "k", "--values", "3,5", "--scene", "builtin:cornell-box", "--views", views_file,
+                "--resolution", "8", "8", "--spp", spp, "--out", str(tmp_path / "sweep.json")]
+        assert main(argv) == 3
+        assert f"--spp must be >= 1, got {spp}" in capsys.readouterr().err
+        assert renders == []
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render-pt", "--scene", "builtin:cornell-box", "--spp", "1"],
+            ["render-sppm", "--scene", "builtin:cornell-box", "--iterations", "1", "--photons", "100"],
+        ],
+        ids=["render-pt", "render-sppm"],
+    )
+    def test_thread_count_below_one_is_validation_error(self, tmp_path, capsys, argv, threads):
+        rc = main(argv + ["--resolution", "4", "4", "--threads", threads, "--out", str(tmp_path / "x.pfm")])
+        assert rc == 3
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render-sppm", "--scene", "builtin:cornell-box", "--iterations", "1", "--photons", "100",
+             "--resolution", "4", "4", "--out"],
+            ["gpf-init", "--scene", "builtin:cornell-box", "--photons", "100", "--out-checkpoint"],
+        ],
+        ids=["render-sppm", "gpf-init"],
+    )
+    @pytest.mark.parametrize("bounces", ["65", "1000"])
+    def test_bounce_cap_above_max_chain_is_validation_error(self, tmp_path, capsys, argv, bounces):
+        assert main(argv + [str(tmp_path / "out"), "--max-bounces", bounces]) == 3
+        assert f"must lie in [1, 64], got {bounces}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bounce_cap_help_states_the_cap(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("render-sppm", "gpf-init", "gpf-train", "sweep"):
+            flag = next(a for a in sub.choices[command]._actions if "--max-bounces" in a.option_strings)
+            assert flag.help == "photon path length, 1 to 64 hits"
 
     @pytest.mark.parametrize("scale0", ["-1", "0"])
     @pytest.mark.filterwarnings("error")

@@ -130,7 +130,7 @@ class _FullDisk:
 _WRITERS = {
     "pfm": lambda path: write_pfm(path, np.full((4, 5, 3), 0.5)),
     "gpf": lambda path: GaussianField(np.zeros((2, 3)), np.tile([1.0, 0, 0, 0], (2, 1)), np.zeros((2, 3)), np.ones((2, 3))).save(path),
-    "gpd": lambda path: SampleSet(np.zeros((3, 3)), np.ones((3, 3)), np.ones((3, 3))).save(path),
+    "gpd": lambda path: SampleSet(np.zeros((3, 3)), np.ones((3, 3))).save(path),
 }
 
 

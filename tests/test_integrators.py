@@ -13,7 +13,9 @@ from photonfield.core import Rng, fold_key
 from photonfield.field import GaussianField
 from photonfield.integrators import (
     SppmConfig,
+    _camera_frame,
     _camera_rays,
+    _photon_pass,
     kde_gather_batch,
     reference_radiance_at_points,
     render_gpf,
@@ -203,10 +205,16 @@ class TestPhotonTracing:
         with pytest.raises(ValueError, match="max_bounces"):
             trace_photons(builtin_scene("cornell-box"), 100, max_bounces, Rng(0))
 
-    @pytest.mark.parametrize("max_bounces", [1, 3, 16, 100])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("max_bounces", [_MAX_CHAIN + 1, 200])
+    def test_bounce_cap_above_max_chain_is_rejected(self, max_bounces):
+        with pytest.raises(ValueError, match=rf"max_bounces must lie in \[1, 64\], got {max_bounces}"):
+            trace_photons(builtin_scene("cornell-box"), 100, max_bounces, Rng(0))
+
+    @pytest.mark.parametrize("max_bounces", [1, 3, 16, _MAX_CHAIN])
     @pytest.mark.parametrize("name", ["cornell-box", "caustic-sphere", "caustic-pool"])
     def test_compiled_paths_equal_the_numpy_wavefront_bytes(self, name, max_bounces):
-        # 100 is above _MAX_CHAIN, so both tracers stop at the cap
+        # at the cap itself, both tracers stop after _MAX_CHAIN hits
         scene = builtin_scene(name)
         _assert_same_bytes(trace_photons(scene, 4000, max_bounces, Rng(61)), _wavefront_photons(scene, 4000, max_bounces, Rng(61)))
 
@@ -232,9 +240,9 @@ class TestPhotonTracing:
         # 64 are free; a photon stores at most 64 records, so more than
         # n + 64 in all means the buffers grew before the last photon
         scene = builtin_scene("cornell-box")
-        got = trace_photons(scene, 200, 100, Rng(63))
+        got = trace_photons(scene, 200, _MAX_CHAIN, Rng(63))
         assert len(got) > 200 + 64
-        _assert_same_bytes(got, _wavefront_photons(scene, 200, 100, Rng(63)))
+        _assert_same_bytes(got, _wavefront_photons(scene, 200, _MAX_CHAIN, Rng(63)))
 
     def test_two_threads_trace_identical_bytes(self):
         scene = builtin_scene("caustic-pool")
@@ -531,15 +539,23 @@ class TestRenderSppm:
         b = render_sppm(scene, cam, cfg, threads=2)
         np.testing.assert_array_equal(a, b)
 
-    def test_running_mean_snapshot_equals_shorter_run(self):
+    def test_shorter_run_equals_running_mean_of_longer_runs_passes(self):
         scene = builtin_scene("cornell-box")
         cam = scene.camera.with_resolution(12, 12)
         cfg8 = SppmConfig(iterations=8, photons_per_iter=2000, seed=13)
-        cfg3 = SppmConfig(iterations=3, photons_per_iter=2000, seed=13)
-        img8, snaps = render_sppm(scene, cam, cfg8, snapshots=[3, 8])
-        img3 = render_sppm(scene, cam, cfg3)
-        np.testing.assert_array_equal(snaps[3], img3)
-        np.testing.assert_array_equal(snaps[8], img8)
+
+        def frame(t):  # pass t of the T=8 run, built from its parts
+            photons, index = _photon_pass(scene, cfg8, t)
+            radius = sppm_radius(t, cfg8.initial_radius, cfg8.alpha)
+            gather = lambda *points: kde_gather_batch(index, photons, *points, radius)  # noqa: E731
+            return _camera_frame(scene, cam, cfg8.seed, t, gather).reshape(12, 12, 3)
+
+        acc, means = np.zeros((12, 12, 3)), {}
+        for t in range(8):
+            acc += frame(t)
+            means[t + 1] = acc / (t + 1)
+        np.testing.assert_array_equal(render_sppm(scene, cam, dataclasses.replace(cfg8, iterations=3)), means[3])
+        np.testing.assert_array_equal(render_sppm(scene, cam, cfg8), means[8])
 
     @pytest.mark.parametrize("r0", [0.0, -0.02, math.nan, math.inf])
     def test_initial_radius_must_be_finite_and_positive(self, r0):
@@ -550,6 +566,12 @@ class TestRenderSppm:
     def test_photon_bounce_cap_below_one_is_rejected(self, bounces):
         with pytest.raises(ValueError, match="max_photon_bounces"):
             SppmConfig(iterations=1, photons_per_iter=100, max_photon_bounces=bounces)
+
+    @pytest.mark.parametrize("bounces", [_MAX_CHAIN + 1, 10**6])
+    def test_photon_bounce_cap_above_max_chain_is_rejected(self, bounces):
+        with pytest.raises(ValueError, match=rf"max_photon_bounces must lie in \[1, 64\], got {bounces}"):
+            SppmConfig(iterations=1, photons_per_iter=100, max_photon_bounces=bounces)
+        assert SppmConfig(iterations=1, photons_per_iter=100, max_photon_bounces=_MAX_CHAIN).max_photon_bounces == 64
 
     def test_no_emitters_raises(self):
         scene = _scene(

@@ -12,7 +12,7 @@ import oracles
 from photonfield import core, geometry
 from photonfield.core import Rng
 from photonfield.field import GRADIENT_WIDTHS, SCALE_MAX, SCALE_MIN, GaussianField, gradient_buffers
-from photonfield.integrators import SppmConfig, _camera_rays, trace_to_first_diffuse
+from photonfield.integrators import SppmConfig, _camera_rays, reference_radiance_at_points, trace_to_first_diffuse
 from photonfield.photons import trace_photons
 from photonfield.scene import DIELECTRIC, builtin_scene, scene_from_dict
 from photonfield.spatial import PointIndex
@@ -21,6 +21,7 @@ from photonfield.training import (
     SampleSet,
     TrainConfig,
     _Adam,
+    _mean_squared_error,
     build_dataset,
     camera_seed,
     dataset_loss,
@@ -73,6 +74,12 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="no diffuse surface visible"):
             build_dataset(scene, [], _fast_cfg())
 
+    @pytest.mark.parametrize("spp", [0, -2])
+    def test_sample_count_below_one_is_rejected(self, spp):
+        scene = builtin_scene("cornell-box")
+        with pytest.raises(ValueError, match=f"samples_per_pixel must be >= 1, got {spp}"):
+            build_dataset(scene, [scene.camera.with_resolution(8, 8)], _fast_cfg(), samples_per_pixel=spp)
+
     def test_samples_behind_glass_have_delta_prefix_and_land_on_floor(self):
         scene = builtin_scene("caustic-sphere")
         # look straight through the sphere from above
@@ -98,17 +105,20 @@ class TestBuildDataset:
         cam = scene.camera.with_resolution(12, 12)
         cfg = _fast_cfg(seed=3)
         ds = build_dataset(scene, [cam], cfg, samples_per_pixel=2)
-        # the samples are pass 0's first diffuse hits in pixel order, then pass 1's
+        # the samples are pass 0's first diffuse hits in pixel order, then
+        # pass 1's, and their targets are gathered at those hits
         fds = [_dataset_paths(scene, cam, cfg, s)[2] for s in (0, 1)]
-        for name in ("position", "wo"):
-            want = np.concatenate([getattr(fd, name)[fd.found] for fd in fds])
-            np.testing.assert_array_equal(getattr(ds, name), want)
+        position, normal, wo, albedo = (
+            np.concatenate([getattr(fd, name)[fd.found] for fd in fds]) for name in ("position", "normal", "wo", "albedo")
+        )
+        np.testing.assert_array_equal(ds.position, position)
+        np.testing.assert_array_equal(ds.l_ref, reference_radiance_at_points(scene, position, normal, wo, albedo, cfg))
 
 
 class TestDatasetFile:
     def test_round_trip_is_bit_exact_at_float32(self, tmp_path):
         rng = np.random.default_rng(0)
-        ds = SampleSet(rng.normal(size=(50, 3)), rng.normal(size=(50, 3)), rng.normal(size=(50, 3)))
+        ds = SampleSet(rng.normal(size=(50, 3)), rng.normal(size=(50, 3)))
         p1 = tmp_path / "a.gpd"
         p2 = tmp_path / "b.gpd"
         ds.save(p1)
@@ -118,26 +128,39 @@ class TestDatasetFile:
         assert len(loaded) == 50
 
     def test_file_layout(self, tmp_path):
-        ds = SampleSet(np.array([[1.0, 2.0, 3.0]]), np.array([[0.0, 0.0, 1.0]]), np.array([[7.0, 8.0, 9.0]]))
-        path = tmp_path / "one.gpd"
+        ds = SampleSet(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.array([[7.0, 8.0, 9.0], [0.5, 0.25, 0.125]]))
+        path = tmp_path / "two.gpd"
         ds.save(path)
         blob = path.read_bytes()
-        assert blob[:4] == b"GPD1"
-        assert int.from_bytes(blob[4:8], "little") == 1
+        assert blob[:4] == b"GPD2"
+        assert int.from_bytes(blob[4:8], "little") == 2
+        assert len(blob) == 8 + 2 * 6 * 4
         vals = np.frombuffer(blob[8:], dtype="<f4")
-        np.testing.assert_allclose(vals, [1, 2, 3, 0, 0, 1, 7, 8, 9])
+        np.testing.assert_array_equal(vals, [1, 2, 3, 7, 8, 9, 4, 5, 6, 0.5, 0.25, 0.125])
+
+    @pytest.mark.parametrize("n_pos,n_ref", [(5, 3), (3, 5), (0, 1)])
+    def test_mismatched_rows_rejected(self, n_pos, n_ref):
+        with pytest.raises(ValueError, match=f"{n_pos} positions but {n_ref} reference radiances"):
+            SampleSet(np.zeros((n_pos, 3)), np.ones((n_ref, 3)))
+
+    def test_nine_column_gpd1_file_rejected(self, tmp_path):
+        # the earlier layout: position, view direction and radiance per row
+        path = tmp_path / "old.gpd"
+        path.write_bytes(b"GPD1" + (2).to_bytes(4, "little") + np.ones(18, dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match="bad magic b'GPD1'"):
+            SampleSet.load(path)
 
     @staticmethod
     def _dataset_file(tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "d.gpd"
-        SampleSet(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3))).save(path)
+        SampleSet(rng.normal(size=(4, 3)), rng.normal(size=(4, 3))).save(path)
         return path
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self._dataset_file(tmp_path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 36)
-        with pytest.raises(ValueError, match="36 bytes after its 4 rows"):
+        path.write_bytes(path.read_bytes() + b"\x00" * 24)
+        with pytest.raises(ValueError, match="24 bytes after its 4 rows"):
             SampleSet.load(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -175,7 +198,7 @@ class TestTrain:
         field.rebuild_index()
         xs = rng.uniform(-0.04, 0.04, (40, 3))
         targets = field.query_batch(xs)
-        ds = SampleSet(xs, np.tile([0.0, 0.0, 1.0], (40, 1)), targets)
+        ds = SampleSet(xs, targets)
         before = {k: getattr(field, k).copy() for k in ("means", "quats", "log_scales", "flux")}
         log = train(field, ds, TrainConfig(steps=50, batch_size=16, rebuild_every=10, seed=2))
         assert np.all(log.losses <= 1e-15)
@@ -186,7 +209,7 @@ class TestTrain:
         field = GaussianField(
             np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]), np.log(np.full((1, 3), 0.01)), np.zeros((1, 3))
         )
-        ds = SampleSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]), np.ones((1, 3)))
+        ds = SampleSet(np.zeros((1, 3)), np.ones((1, 3)))
         log = train(field, ds, TrainConfig(steps=5000, batch_size=4, seed=0))
         assert np.all(np.abs(field.flux[0] - 1.0) < 1e-3)
         # loss is non-increasing in the smoothed sense and ends tiny
@@ -212,7 +235,7 @@ class TestTrain:
         field = GaussianField(
             np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]), np.log(np.full((1, 3), 0.01)), np.zeros((1, 3))
         )
-        bad = SampleSet(np.zeros((2, 3)), np.tile([0.0, 0.0, 1.0], (2, 1)), np.array([[1.0, 1.0, 1.0], [np.inf, 1.0, 1.0]]))
+        bad = SampleSet(np.zeros((2, 3)), np.array([[1.0, 1.0, 1.0], [np.inf, 1.0, 1.0]]))
         with pytest.raises(RuntimeError, match="non-finite loss at step"):
             train(field, bad, TrainConfig(steps=5, batch_size=8, seed=0))
 
@@ -220,7 +243,7 @@ class TestTrain:
         field = GaussianField(
             np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0, 0.0]]), np.log(np.full((1, 3), 0.01)), np.zeros((1, 3))
         )
-        empty = SampleSet(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+        empty = SampleSet(np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
             train(field, empty, TrainConfig(steps=1, batch_size=1, seed=0))
 
@@ -488,7 +511,7 @@ class TestNeighborhoodsPerRebuild:
         rebuild = GaussianField.rebuild_index
 
         def counting_rebuild(field):
-            calls.append(field.version)
+            calls.append(field._version)
             rebuild(field)
 
         monkeypatch.setattr(GaussianField, "rebuild_index", counting_rebuild)
@@ -526,9 +549,10 @@ class TestDatasetLoss:
             rng.uniform(0, 1, (20, 3)),
         )
         xs = rng.uniform(-0.05, 0.05, (100, 3))
-        ds = SampleSet(xs, np.tile([0.0, 0.0, 1.0], (100, 1)), rng.uniform(0, 1, (100, 3)))
-        total = dataset_loss(field, ds, chunk=7)
+        ds = SampleSet(xs, rng.uniform(0, 1, (100, 3)))
         field.ensure_index()
+        total = _mean_squared_error(ds, lambda lo, hi: field.query_batch(xs[lo:hi]), chunk=7)
         pred = field.query_batch(xs)
         direct = float(np.mean(np.sum((pred - ds.l_ref) ** 2, axis=1)))
         assert total == pytest.approx(direct, rel=1e-12)
+        assert dataset_loss(field, ds) == pytest.approx(direct, rel=1e-12)
