@@ -19,7 +19,7 @@ import time
 
 from . import images, integrators, training
 from .core import Rng
-from .field import GaussianField, check_seed_params
+from .field import DEFAULT_INITIAL_SCALE, DEFAULT_K_MIN, DEFAULT_RADIUS, GaussianField, check_seed_params
 from .integrators import SppmConfig
 from .photons import _MAX_CHAIN, trace_photons
 from .scene import (
@@ -69,41 +69,30 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _resolved_argv(command: str, args: argparse.Namespace) -> list[str]:
-    skip = {"func", "command"}
-    argv = [command]
-    for key in sorted(vars(args)):
-        if key in skip:
+def _resolved_argv(args: argparse.Namespace) -> list[str]:
+    argv = [args.command]
+    for key, value in sorted(vars(args).items()):
+        if key in ("func", "command") or value is None or value is False:
             continue
-        value = getattr(args, key)
-        flag = "--" + key.replace("_", "-")
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-            continue
+        argv.append("--" + key.replace("_", "-"))
         if isinstance(value, (list, tuple)):
-            argv.append(flag)
             argv.extend(str(v) for v in value)
-            continue
-        argv.extend([flag, str(value)])
+        elif value is not True:
+            argv.append(str(value))
     return argv
 
 
-def _write_manifest(command: str, args: argparse.Namespace, scene: Scene | None, outputs: list[str]):
+def _write_manifest(args: argparse.Namespace, scene: Scene | None, outputs: list[str]):
     from . import __version__
 
     out = {
-        "command": command,
-        "argv": _resolved_argv(command, args),
+        "command": args.command,
+        "argv": _resolved_argv(args),
         "package_version": __version__,
         "scene_hash": scene.content_hash() if scene is not None else None,
         "outputs": {p: _sha256_file(p) for p in outputs},
     }
-    path = outputs[0] + ".manifest.json"
-    images.write_atomic(path, (json.dumps(out, indent=2) + "\n").encode())
-    return path
+    images.write_atomic(outputs[0] + ".manifest.json", (json.dumps(out, indent=2) + "\n").encode())
 
 
 def _apply_resolution(camera: Camera, resolution) -> Camera:
@@ -148,7 +137,7 @@ def _cmd_render_pt(args) -> int:
     camera = _apply_resolution(scene.camera, args.resolution)
     img = integrators.render_pt(scene, camera, args.spp, args.max_depth, args.seed, threads=args.threads)
     images.write_pfm(args.out, img)
-    _write_manifest("render-pt", args, scene, [args.out])
+    _write_manifest(args, scene, [args.out])
     return 0
 
 
@@ -158,7 +147,7 @@ def _cmd_render_sppm(args) -> int:
     cfg = _sppm_config(args, args.iterations, args.photons)
     img = integrators.render_sppm(scene, camera, cfg, threads=args.threads)
     images.write_pfm(args.out, img)
-    _write_manifest("render-sppm", args, scene, [args.out])
+    _write_manifest(args, scene, [args.out])
     return 0
 
 
@@ -166,7 +155,7 @@ def _cmd_gpf_init(args) -> int:
     scene = _load_scene_arg(args.scene)
     field = _seed_field(scene, args, args.photons, args.kmin)
     field.save(args.out_checkpoint)
-    _write_manifest("gpf-init", args, scene, [args.out_checkpoint])
+    _write_manifest(args, scene, [args.out_checkpoint])
     n = len(field)
     print(f"initialized {n} primitives from {n} photon records stored by {args.photons} traced photons")
     return 0
@@ -202,7 +191,7 @@ def _cmd_gpf_train(args) -> int:
         }
         images.write_atomic(args.log, (json.dumps(losses) + "\n").encode())
         outputs.append(args.log)
-    _write_manifest("gpf-train", args, scene, outputs)
+    _write_manifest(args, scene, outputs)
     print(
         f"trained {len(field)} primitives on {len(dataset)} samples: "
         f"loss {log.initial_full_loss:.6g} -> {log.final_full_loss:.6g}"
@@ -219,7 +208,7 @@ def _cmd_gpf_render(args) -> int:
         scene, camera, field, spp=args.spp, seed=args.seed, bsdf_modulation=args.bsdf_modulation, threads=args.threads
     )
     images.write_pfm(args.out, img)
-    _write_manifest("gpf-render", args, scene, [args.out])
+    _write_manifest(args, scene, [args.out])
     return 0
 
 
@@ -240,6 +229,8 @@ def _cmd_sweep(args) -> int:
     import os
 
     tcfg = _train_config(args)
+    ref_cfg = _sppm_config(args, args.ref_iterations, args.sppm_photons)
+    train_cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
     scene = _load_scene_arg(args.scene)
     cameras = _load_views_file(args.views)
     heldout = scene.camera if args.camera is None else _load_camera_file(args.camera)
@@ -249,18 +240,13 @@ def _cmd_sweep(args) -> int:
     if min(values) < lowest:
         raise ValueError(f"--values for {args.param} must be >= {lowest}, got {min(values)}")
     images.check_exposure(args.exposure)
-    if args.spp < 1:
-        raise ValueError(f"--spp must be >= 1, got {args.spp}")
     # the (photon count, k_min) of each value's field, checked before the reference render
     seeds = [(value, args.kmin) if args.param == "gaussians" else (args.photons, value) for value in values]
     for n_photons, k_min in seeds:
         if n_photons < 1:
             raise ValueError(f"--photons must be >= 1, got {n_photons}")
         check_seed_params(args.scale0, args.radius, k_min)
-    reference = integrators.render_sppm(
-        scene, heldout, _sppm_config(args, args.ref_iterations, args.sppm_photons), threads=args.threads
-    )
-    train_cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
+    reference = integrators.render_sppm(scene, heldout, ref_cfg, threads=args.threads)
     rows, ckpts = [], []
     dataset = None
     for value, (n_photons, k_min) in zip(values, seeds):
@@ -288,7 +274,7 @@ def _cmd_sweep(args) -> int:
     blob = json.dumps({"param": args.param, "rows": rows}, indent=2)
     print(blob)
     images.write_atomic(args.out, (blob + "\n").encode())
-    _write_manifest("sweep", args, scene, [args.out, *ckpts])
+    _write_manifest(args, scene, [args.out, *ckpts])
     return 0
 
 
@@ -296,129 +282,111 @@ def _cmd_sweep(args) -> int:
 # parser
 
 
-_BOUNCES_HELP = f"photon path length, 1 to {_MAX_CHAIN} hits"
-
-
-def _add_common(p, with_threads=True):
-    p.add_argument("--seed", type=int, default=0)
-    if with_threads:
-        p.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+def _group(*flags) -> argparse.ArgumentParser:
+    """A parent parser holding flags that several commands share, one ``(name, options)`` pair per flag."""
+    parser = argparse.ArgumentParser(add_help=False)
+    for name, options in flags:
+        parser.add_argument(name, **options)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="photonfield", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag that several commands take is declared once, and a default the library has is read from it
+    scene = _group(("--scene", dict(required=True, help="scene JSON path or builtin:<name>")))
+    seed = _group(("--seed", dict(type=int, default=0)))
+    threads = _group(("--threads", dict(type=int, default=1, help="worker cap; never changes results")))
+    image = _group(("--out", dict(required=True)), ("--resolution", dict(type=int, nargs=2, metavar=("W", "H"))))
+    bounces_help = f"photon path length, 1 to {_MAX_CHAIN} hits"
+    bounces = _group(("--max-bounces", dict(type=int, default=SppmConfig.max_photon_bounces, help=bounces_help)))
+    sppm = _group(
+        ("--r0", dict(type=float, default=SppmConfig.initial_radius)), ("--alpha", dict(type=float, default=SppmConfig.alpha))
+    )
+    index = _group(("--radius", dict(type=float, default=DEFAULT_RADIUS)), ("--kmin", dict(type=int, default=DEFAULT_K_MIN)))
+    scale0 = _group(("--scale0", dict(type=float, default=DEFAULT_INITIAL_SCALE)))
+    checkpoint_out = _group(("--out-checkpoint", dict(required=True)))
+    exposure = _group(("--exposure", dict(type=float, default=1.0)))
+    train = _group(
+        ("--views", dict(required=True, help="JSON array of camera objects")),
+        ("--lr", dict(type=float, default=training.TrainConfig.learning_rate)),
+        ("--batch", dict(type=int, default=training.TrainConfig.batch_size)),
+        ("--rebuild-every", dict(type=int, default=training.TrainConfig.rebuild_every)),
+    )
 
-    p = sub.add_parser("render-pt", help="path-traced render (NEE + MIS)")
-    p.add_argument("--scene", required=True, help="scene JSON path or builtin:<name>")
+    p = sub.add_parser("render-pt", parents=[scene, image, seed, threads], help="path-traced render (NEE + MIS)")
     p.add_argument("--spp", type=int, default=64)
     p.add_argument("--max-depth", type=int, default=16)
-    p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, nargs=2, metavar=("W", "H"))
-    _add_common(p)
     p.set_defaults(func=_cmd_render_pt)
 
-    p = sub.add_parser("render-sppm", help="progressive photon-mapping render")
-    p.add_argument("--scene", required=True)
+    p = sub.add_parser(
+        "render-sppm", parents=[scene, image, sppm, bounces, seed, threads], help="progressive photon-mapping render"
+    )
     p.add_argument("--iterations", type=int, default=64)
     p.add_argument("--photons", type=int, default=100_000)
-    p.add_argument("--r0", type=float, default=0.02)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
-    p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, nargs=2, metavar=("W", "H"))
-    _add_common(p)
     p.set_defaults(func=_cmd_render_sppm)
 
-    p = sub.add_parser("gpf-init", help="seed a photon field from traced photons")
-    p.add_argument("--scene", required=True)
+    p = sub.add_parser(
+        "gpf-init", parents=[scene, checkpoint_out, index, scale0, bounces, seed], help="seed a photon field from traced photons"
+    )
     p.add_argument("--photons", type=int, default=100_000)
-    p.add_argument("--scale0", type=float, default=0.01)
-    p.add_argument("--radius", type=float, default=0.02)
-    p.add_argument("--kmin", type=int, default=3)
-    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
-    p.add_argument("--out-checkpoint", required=True)
-    _add_common(p, with_threads=False)
     p.set_defaults(func=_cmd_gpf_init)
 
-    p = sub.add_parser("gpf-train", help="optimize a photon field against photon-mapped references")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--views", required=True, help="JSON array of camera objects")
+    p = sub.add_parser(
+        "gpf-train",
+        parents=[scene, checkpoint_out, train, sppm, bounces, index, scale0, seed, threads],
+        help="optimize a photon field against photon-mapped references",
+    )
     p.add_argument("--sppm-iterations", type=int, default=256)
     p.add_argument("--sppm-photons", type=int, default=100_000)
-    p.add_argument("--r0", type=float, default=0.02)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
     p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--batch", type=int, default=1024)
-    p.add_argument("--radius", type=float, default=0.02)
-    p.add_argument("--kmin", type=int, default=3)
-    p.add_argument("--rebuild-every", type=int, default=100)
     p.add_argument("--spp", type=int, default=1, help="supervision samples per pixel")
     p.add_argument("--in-checkpoint", help="start from this field (default: fresh photon init)")
-    p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--photons", type=int, default=100_000, help="photon count for fresh init")
-    p.add_argument("--scale0", type=float, default=0.01)
     p.add_argument("--dataset-out", help="also save the supervision dataset")
     p.add_argument("--log", help="write per-step losses as JSON")
-    _add_common(p)
     p.set_defaults(func=_cmd_gpf_train)
 
-    p = sub.add_parser("gpf-render", help="render by querying a trained photon field")
-    p.add_argument("--scene", required=True)
+    p = sub.add_parser(
+        "gpf-render", parents=[scene, image, index, seed, threads], help="render by querying a trained photon field"
+    )
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--camera", help="JSON camera object (default: scene camera)")
-    p.add_argument("--out", required=True)
     p.add_argument("--spp", type=int, default=1)
-    p.add_argument("--radius", type=float, default=0.02)
-    p.add_argument("--kmin", type=int, default=3)
     p.add_argument("--bsdf-modulation", action="store_true", help="ablation: multiply queries by albedo")
-    p.add_argument("--resolution", type=int, nargs=2, metavar=("W", "H"))
-    _add_common(p)
     p.set_defaults(func=_cmd_gpf_render)
 
-    p = sub.add_parser("compare", help="PSNR/SSIM between a reference and test images")
+    p = sub.add_parser("compare", parents=[exposure], help="PSNR/SSIM between a reference and test images")
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True, action="append")
-    p.add_argument("--exposure", type=float, default=1.0)
     p.add_argument("--out", help="also write the JSON table here")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("sweep", help="ablation sweep over primitive count or k")
+    p = sub.add_parser(
+        "sweep",
+        parents=[scene, image, train, sppm, bounces, index, scale0, exposure, seed, threads],
+        help="ablation sweep over primitive count or k",
+    )
     p.add_argument("--param", required=True, choices=("gaussians", "k"))
     p.add_argument("--values", required=True, help="comma-separated integers")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--views", required=True)
     p.add_argument("--camera", help="held-out camera (default: scene camera)")
     p.add_argument("--ref-iterations", type=int, default=256)
     p.add_argument("--sppm-iterations", type=int, default=64)
     p.add_argument("--sppm-photons", type=int, default=50_000)
-    p.add_argument("--r0", type=float, default=0.02)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--max-bounces", type=int, default=16, help=_BOUNCES_HELP)
     p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--batch", type=int, default=1024)
-    p.add_argument("--radius", type=float, default=0.02)
-    p.add_argument("--kmin", type=int, default=3)
-    p.add_argument("--rebuild-every", type=int, default=100)
     p.add_argument("--photons", type=int, default=10_000, help="init photons when sweeping k")
-    p.add_argument("--scale0", type=float, default=0.01)
     p.add_argument("--spp", type=int, default=1)
-    p.add_argument("--exposure", type=float, default=1.0)
-    p.add_argument("--resolution", type=int, nargs=2, metavar=("W", "H"))
-    p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for name in ("threads", "spp"):  # counts every command checks before it does any work
+            if getattr(args, name, 1) < 1:
+                raise ValueError(f"--{name} must be >= 1, got {getattr(args, name)}")
         return args.func(args)
     except SceneParseError as e:
         print(f"error: parse: {e}", file=sys.stderr)

@@ -8,11 +8,12 @@ import os
 import numpy as np
 import pytest
 
-from photonfield.cli import build_parser, main
-from photonfield.field import GaussianField
+from photonfield.cli import _resolved_argv, build_parser, main
+from photonfield.field import DEFAULT_INITIAL_SCALE, DEFAULT_K_MIN, DEFAULT_RADIUS, GaussianField
 from photonfield.images import read_pfm, write_pfm
-from photonfield.integrators import render_gpf
+from photonfield.integrators import SppmConfig, render_gpf
 from photonfield.scene import builtin_scene, scene_to_dict
+from photonfield.training import TrainConfig
 
 
 @pytest.fixture()
@@ -314,6 +315,7 @@ class TestErrors:
             ("gaussians", "--radius", "-0.5", "radius must be finite and non-negative"),
             ("k", "--scale0", "0", "initial scale must be finite and positive"),
             ("k", "--photons", "0", "--photons must be >= 1"),
+            ("k", "--sppm-iterations", "0", "iterations and photons_per_iter must be >= 1"),
         ],
     )
     def test_bad_seed_flag_fails_sweep_before_the_reference_render(
@@ -476,7 +478,7 @@ class TestErrors:
                 "--log", str(tmp_path / "log.json")]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert f"samples_per_pixel must be >= 1, got {spp}" in err and "no diffuse surface" not in err
+        assert f"--spp must be >= 1, got {spp}" in err and "no diffuse surface" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
 
     @pytest.mark.parametrize("spp", ["0", "-2"])
@@ -508,6 +510,34 @@ class TestErrors:
         assert rc == 3
         assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [(c, "--threads") for c in ("render-pt", "render-sppm", "gpf-train", "gpf-render", "sweep")]
+        + [(c, "--spp") for c in ("render-pt", "gpf-train", "gpf-render", "sweep")],
+    )
+    def test_count_below_one_fails_before_any_work(self, tmp_path, views_file, capsys, monkeypatch, command, flag):
+        import photonfield.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the count was checked")
+
+        for owner, name in ((cli, "trace_photons"), (cli.training, "build_dataset"), (GaussianField, "load"),
+                            (cli.integrators, "render_sppm"), (cli.integrators, "render_pt"), (cli.integrators, "render_gpf")):
+            monkeypatch.setattr(owner, name, refuse)
+        scene = ["--scene", "builtin:cornell-box"]
+        argv = {
+            "render-pt": ["render-pt", *scene, "--out", str(tmp_path / "x.pfm")],
+            "render-sppm": ["render-sppm", *scene, "--out", str(tmp_path / "x.pfm")],
+            "gpf-train": ["gpf-train", *scene, "--views", views_file, "--out-checkpoint", str(tmp_path / "f.gpf"),
+                          "--log", str(tmp_path / "log.json"), "--dataset-out", str(tmp_path / "d.gpd")],
+            "gpf-render": ["gpf-render", *scene, "--checkpoint", views_file, "--out", str(tmp_path / "x.pfm")],
+            "sweep": ["sweep", "--param", "k", "--values", "3", *scene, "--views", views_file,
+                      "--out", str(tmp_path / "sweep.json")],
+        }[command]
+        assert main(argv + [flag, "0"]) == 3
+        assert capsys.readouterr().err == f"error: validate: {flag} must be >= 1, got 0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -582,3 +612,86 @@ class TestOutputs:
         new = {p.name for p in tmp_path.iterdir()} - before
         assert failing not in new
         assert not [n for n in new if n.endswith((".manifest.json", ".tmp"))]
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlags:
+    # each command's argv with only its required flags, and the argv its manifest records: these pin every
+    # default, so a change to a list changes what every manifest of that command says
+    MINIMAL = {
+        "render-pt": (
+            ["--scene", "builtin:cornell-box", "--out", "x.pfm"],
+            ["render-pt", "--max-depth", "16", "--out", "x.pfm", "--scene", "builtin:cornell-box", "--seed", "0",
+             "--spp", "64", "--threads", "1"],
+        ),
+        "render-sppm": (
+            ["--scene", "builtin:cornell-box", "--out", "x.pfm"],
+            ["render-sppm", "--alpha", "0.7", "--iterations", "64", "--max-bounces", "16", "--out", "x.pfm",
+             "--photons", "100000", "--r0", "0.02", "--scene", "builtin:cornell-box", "--seed", "0", "--threads", "1"],
+        ),
+        "gpf-init": (
+            ["--scene", "builtin:cornell-box", "--out-checkpoint", "f.gpf"],
+            ["gpf-init", "--kmin", "3", "--max-bounces", "16", "--out-checkpoint", "f.gpf", "--photons", "100000",
+             "--radius", "0.02", "--scale0", "0.01", "--scene", "builtin:cornell-box", "--seed", "0"],
+        ),
+        "gpf-train": (
+            ["--scene", "builtin:cornell-box", "--views", "v.json", "--out-checkpoint", "f.gpf"],
+            ["gpf-train", "--alpha", "0.7", "--batch", "1024", "--kmin", "3", "--lr", "0.0005", "--max-bounces", "16",
+             "--out-checkpoint", "f.gpf", "--photons", "100000", "--r0", "0.02", "--radius", "0.02",
+             "--rebuild-every", "100", "--scale0", "0.01", "--scene", "builtin:cornell-box", "--seed", "0",
+             "--spp", "1", "--sppm-iterations", "256", "--sppm-photons", "100000", "--steps", "10000",
+             "--threads", "1", "--views", "v.json"],
+        ),
+        "gpf-render": (
+            ["--scene", "builtin:cornell-box", "--checkpoint", "f.gpf", "--out", "x.pfm"],
+            ["gpf-render", "--checkpoint", "f.gpf", "--kmin", "3", "--out", "x.pfm", "--radius", "0.02",
+             "--scene", "builtin:cornell-box", "--seed", "0", "--spp", "1", "--threads", "1"],
+        ),
+        "compare": (
+            ["--ref", "a.pfm", "--test", "b.pfm"],
+            ["compare", "--exposure", "1.0", "--ref", "a.pfm", "--test", "b.pfm"],
+        ),
+        "sweep": (
+            ["--param", "k", "--values", "3", "--scene", "builtin:cornell-box", "--views", "v.json", "--out", "s.json"],
+            ["sweep", "--alpha", "0.7", "--batch", "1024", "--exposure", "1.0", "--kmin", "3", "--lr", "0.0005",
+             "--max-bounces", "16", "--out", "s.json", "--param", "k", "--photons", "10000", "--r0", "0.02",
+             "--radius", "0.02", "--rebuild-every", "100", "--ref-iterations", "256", "--scale0", "0.01",
+             "--scene", "builtin:cornell-box", "--seed", "0", "--spp", "1", "--sppm-iterations", "64",
+             "--sppm-photons", "50000", "--steps", "2000", "--threads", "1", "--values", "3", "--views", "v.json"],
+        ),
+    }
+
+    def test_manifest_argv_at_the_defaults_is_pinned(self):
+        assert set(self.MINIMAL) == set(_subcommands())
+        for command, (required, resolved) in self.MINIMAL.items():
+            assert _resolved_argv(build_parser().parse_args([command, *required])) == resolved
+
+    def test_shared_flag_defaults_are_the_library_defaults(self):
+        library = {
+            "max_bounces": SppmConfig.max_photon_bounces, "r0": SppmConfig.initial_radius, "alpha": SppmConfig.alpha,
+            "radius": DEFAULT_RADIUS, "kmin": DEFAULT_K_MIN, "scale0": DEFAULT_INITIAL_SCALE,
+            "lr": TrainConfig.learning_rate, "batch": TrainConfig.batch_size, "rebuild_every": TrainConfig.rebuild_every,
+        }
+        seen = set()
+        for parser in _subcommands().values():
+            for action in parser._actions:
+                if action.dest in library:
+                    assert action.default == library[action.dest], action.dest
+                    seen.add(action.dest)
+        assert seen == set(library)
+
+    def test_a_shared_flag_is_one_declaration(self):
+        # the flags whose default or help differs by command are declared per command
+        per_command = {"-h", "--help", "--photons", "--steps", "--spp", "--sppm-iterations", "--sppm-photons",
+                       "--iterations", "--camera"}
+        declarations = {}
+        for command, parser in _subcommands().items():
+            for action in parser._actions:
+                for flag in set(action.option_strings) - per_command:
+                    if (command, flag) != ("compare", "--out"):  # compare's optional table, not an image
+                        declarations.setdefault(flag, set()).add(action)
+        assert len(declarations) > 10
+        assert {flag for flag, actions in declarations.items() if len(actions) != 1} == set()

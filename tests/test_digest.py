@@ -91,3 +91,12 @@ def test_an_unchanged_tree_reads_equal(two_revisions, capsys):
     rows = lines[1:-1]
     assert len(rows) >= 20 * len(digest.SCENES) and all(row.startswith("equal ") for row in rows)
     assert lines[-1] == f"{len(rows)} of {len(rows)} outputs equal"
+
+
+def test_ab_records_which_outputs_differ(two_revisions):
+    base, change, scratch = two_revisions
+    ab = sys.modules["ab"]
+    assert ab.digest_record(base, change, scratch) == {
+        "digests_equal": False, "digests_differ": [f"{scene}/dataset.file" for scene in sorted(digest.SCENES)],
+    }
+    assert ab.digest_record(base, base, scratch) == {"digests_equal": True, "digests_differ": []}

@@ -17,7 +17,9 @@ verdict against the metric's bound in ``BENCHMARK.json`` (see
 summary, both revisions and the machine. It warns when the two revisions
 hold different benchmarks (``perfbench/`` or ``BENCHMARK.json``), since a
 gain measured across two benchmarks does not count; the record keeps that
-as ``benchmark_identical``.
+as ``benchmark_identical``. Before the pairs it also runs ``tools/digest.py``'s
+recipe on both revisions and records ``digests_equal`` and
+``digests_differ``, the outputs that differ or exist on one side only.
 """
 
 from __future__ import annotations
@@ -158,6 +160,15 @@ def benchmark_identical(base: str, change: str, repo: Path = ROOT) -> bool:
     return res.returncode == 0
 
 
+def digest_record(base: str, change: str, scratch: Path) -> dict:
+    """Whether the recipe of ``tools/digest.py`` gives equal outputs on ``base`` and ``change``, and which do not."""
+    from digest import compare, revision_digests  # not at the top: digest imports this module
+
+    (_, base_digests), (_, change_digests) = (revision_digests(rev, scratch) for rev in (base, change))
+    differ = sorted(name for name, state in compare(base_digests, change_digests).items() if state != "equal")
+    return {"digests_equal": not differ, "digests_differ": differ}
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` run: its metric values, or None and the error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -208,6 +219,8 @@ def main(argv=None) -> int:
         oid, path = export(getattr(args, side), args.scratch)
         subprocess.run([sys.executable, "-c", WARM], cwd=path, check=True)
         sides[side] = {"rev": getattr(args, side), "oid": oid, "path": path}
+    digests = digest_record(args.base, args.change, args.scratch)
+    print(f"output digests equal: {digests['digests_equal']}; differ: {digests['digests_differ']}", file=sys.stderr)
 
     runs = []
     seeds = parse_seeds(args.seeds)
@@ -229,6 +242,7 @@ def main(argv=None) -> int:
         "base": {k: sides["base"][k] for k in ("rev", "oid")},
         "change": {k: sides["change"][k] for k in ("rev", "oid")},
         "benchmark_identical": identical,
+        **digests,
         "seconds": args.seconds,
         "seeds": seeds,
         "machine": machine(),
