@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -22,43 +23,13 @@ from .core import Rng
 from .field import DEFAULT_INITIAL_SCALE, DEFAULT_K_MIN, DEFAULT_RADIUS, GaussianField, check_seed_params
 from .integrators import SppmConfig
 from .photons import _MAX_CHAIN, trace_photons
-from .scene import (
-    Camera,
-    Scene,
-    SceneParseError,
-    SceneValidationError,
-    builtin_scene,
-    camera_from_dict,
-    load_scene,
-)
+from .scene import Camera, Scene, SceneParseError, SceneValidationError, builtin_scene, load_camera, load_scene, load_views
 
 
 def _load_scene_arg(source: str) -> Scene:
     if source.startswith("builtin:"):
         return builtin_scene(source[len("builtin:"):])
     return load_scene(source)
-
-
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SceneParseError(f"invalid JSON in {path}: {e.msg} at line {e.lineno} column {e.colno}") from e
-
-
-def _load_camera_file(path) -> Camera:
-    obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise SceneParseError(f"{path} must hold a single camera object")
-    return camera_from_dict(obj)
-
-
-def _load_views_file(path) -> list[Camera]:
-    arr = _read_json(path)
-    if not isinstance(arr, list) or not arr:
-        raise SceneParseError(f"{path} must hold a non-empty JSON array of cameras")
-    return [camera_from_dict(o) for o in arr]
 
 
 def _sha256_file(path) -> str:
@@ -170,7 +141,7 @@ def _train_config(args) -> training.TrainConfig:
 def _cmd_gpf_train(args) -> int:
     tcfg = _train_config(args)
     scene = _load_scene_arg(args.scene)
-    cameras = _load_views_file(args.views)
+    cameras = load_views(args.views)
     cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
     if args.in_checkpoint is not None:
         field = GaussianField.load(args.in_checkpoint, radius=args.radius, k_min=args.kmin)
@@ -201,7 +172,7 @@ def _cmd_gpf_train(args) -> int:
 
 def _cmd_gpf_render(args) -> int:
     scene = _load_scene_arg(args.scene)
-    camera = scene.camera if args.camera is None else _load_camera_file(args.camera)
+    camera = scene.camera if args.camera is None else load_camera(args.camera)
     camera = _apply_resolution(camera, args.resolution)
     field = GaussianField.load(args.checkpoint, radius=args.radius, k_min=args.kmin)
     img = integrators.render_gpf(
@@ -226,14 +197,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import os
-
     tcfg = _train_config(args)
     ref_cfg = _sppm_config(args, args.ref_iterations, args.sppm_photons)
     train_cfg = _sppm_config(args, args.sppm_iterations, args.sppm_photons)
     scene = _load_scene_arg(args.scene)
-    cameras = _load_views_file(args.views)
-    heldout = scene.camera if args.camera is None else _load_camera_file(args.camera)
+    cameras = load_views(args.views)
+    heldout = scene.camera if args.camera is None else load_camera(args.camera)
     heldout = _apply_resolution(heldout, args.resolution)
     values = [int(v) for v in args.values.split(",")]
     lowest = 1 if args.param == "gaussians" else 0  # at least one photon; k_min >= 0
@@ -383,6 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in ("out", "out_checkpoint", "dataset_out", "log"):  # output paths, checked before any work
+        path = getattr(args, name, None)
+        if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            flag = "--" + name.replace("_", "-")
+            print(f"error: parse: {flag} {path} must name a file in an existing directory", file=sys.stderr)
+            return 2
     try:
         for name in ("threads", "spp"):  # counts every command checks before it does any work
             if getattr(args, name, 1) < 1:
@@ -391,8 +366,9 @@ def main(argv=None) -> int:
     except SceneParseError as e:
         print(f"error: parse: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: parse: missing file: {e.filename or e}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as e:
+        what = "missing file" if isinstance(e, FileNotFoundError) else "a directory, not a file"
+        print(f"error: parse: {what}: {e.filename or e}", file=sys.stderr)
         return 2
     except (SceneValidationError, ValueError) as e:
         print(f"error: validate: {e}", file=sys.stderr)

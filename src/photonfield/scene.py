@@ -24,11 +24,8 @@ DIFFUSE = 0
 MIRROR = 1
 DIELECTRIC = 2
 
-_MAT_KIND_NAMES = {"diffuse": DIFFUSE, "mirror": MIRROR, "dielectric": DIELECTRIC}
-
-
 class SceneParseError(ValueError):
-    """Malformed scene file (bad JSON or wrong structure)."""
+    """Malformed scene, camera or views file (not UTF-8 JSON, or the wrong structure)."""
 
 
 class SceneValidationError(ValueError):
@@ -62,6 +59,10 @@ class Material:
     @property
     def is_diffuse(self) -> bool:
         return self.kind == DIFFUSE
+
+    @property
+    def reflectance(self) -> np.ndarray:  # a mirror's name for its albedo
+        return self.albedo
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +418,6 @@ def sample_bsdf_batch(hits: Hits, u1, u2, u3):
 # JSON serialization
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SceneParseError(f"unknown key {sorted(unknown)[0]!r} in {where}")
-    missing = required - set(obj)
-    if missing:
-        raise SceneParseError(f"missing key {sorted(missing)[0]!r} in {where}")
-
-
 def _finite(value, where: str) -> np.ndarray:
     """A JSON number, or list of numbers, as float64; ``SceneValidationError``
     unless every one is finite. Python's json reads NaN and Infinity, 1e999
@@ -447,117 +439,133 @@ def _number(value, where: str) -> float:
     return float(_finite(value, where))
 
 
+def _positive(value, where: str) -> float:
+    v = _number(value, where)
+    if v <= 0.0:
+        raise SceneValidationError(f"{where} must be positive")
+    return v
+
+
 def _vec3(value, where: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise SceneParseError(f"{where} must be a list of 3 numbers")
-    return np.array([_number(v, where) for v in value])
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise SceneParseError(f"{where} must be a number")
+    return _finite(value, where)
 
 
-def _material_from_dict(name: str, obj: dict) -> Material:
-    where = f"materials[{name!r}]"
+def _channels(value, where: str) -> np.ndarray:
+    v = _vec3(value, where)
+    if np.any(v < 0.0) or np.any(v > 1.0):
+        raise SceneValidationError(f"{where} channels must lie in [0, 1]")
+    return v
+
+
+def _vertices(value, where: str) -> np.ndarray:
+    if not isinstance(value, list) or not value:
+        raise SceneParseError(f"{where} must be a non-empty list")
+    if all(type(p) is list and len(p) == 3 for p in value) and {type(x) for p in value for x in p} <= {int, float}:
+        try:  # every vertex in one call
+            return _finite(value, where)
+        except SceneValidationError:  # a non-finite number: the loop below names its vertex
+            pass
+    return np.array([_vec3(p, f"{where}[{j}]") for j, p in enumerate(value)])
+
+
+def _indices(value, where: str) -> list:
+    """Triples of JSON integers (type bool is not int: numpy would truncate 2.5, and read true and "2" as
+    numbers), left as Python ints for the range check against the vertices."""
+    if not isinstance(value, list) or not value:
+        raise SceneParseError(f"{where} must be a non-empty list")
+    if not all(type(t) is list and len(t) == 3 for t in value) or {type(j) for t in value for j in t} != {int}:
+        raise SceneParseError(f"{where} must be triples of integer vertex indices")
+    return value
+
+
+def _resolution(value, where: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(type(v) is int for v in value):
+        raise SceneParseError(f"{where} must be [width, height] integers")
+    return value[0], value[1]
+
+
+# Each scene-file object type, declared once: its keys in file order, one reader each, named as the object's
+# attributes. The reader and scene_to_dict both walk these tables. A shape type gives its class; a material
+# type gives its kind and constructor.
+_MATERIALS = {
+    "diffuse": (DIFFUSE, Material.diffuse, (("albedo", _channels),)),
+    "mirror": (MIRROR, Material.mirror, (("reflectance", _channels),)),
+    "dielectric": (DIELECTRIC, Material.dielectric, (("ior", _positive),)),
+}
+_SHAPES = {
+    "sphere": (Sphere, (("center", _vec3), ("radius", _positive))),
+    "quad": (Quad, (("corner", _vec3), ("edge_u", _vec3), ("edge_v", _vec3))),
+    "mesh": (TriangleMesh, (("vertices", _vertices), ("indices", _indices))),
+}
+_CAMERA = (("position", _vec3), ("look_at", _vec3), ("up", _vec3), ("vfov", _number), ("resolution", _resolution))
+
+
+def _read_keys(obj, where: str, keys, required=frozenset(), optional=frozenset()) -> list:
+    """The value of each of ``keys`` in the scene-file object ``obj``, which holds
+    exactly those keys and ``required``, and may hold ``optional``."""
+    if not isinstance(obj, dict):
+        raise SceneParseError(f"{where} must be an object")
+    names = {key for key, _ in keys} | required
+    if set(obj) - names - optional:
+        raise SceneParseError(f"unknown key {min(set(obj) - names - optional)!r} in {where}")
+    if names - set(obj):
+        raise SceneParseError(f"missing key {min(names - set(obj))!r} in {where}")
+    return [read(obj[key], f"{where}.{key}") for key, read in keys]
+
+
+def _read_typed(obj, where: str, types: dict, required=frozenset(), optional=frozenset()):
+    """The entry of ``types`` named by the ``type`` of the scene-file object
+    ``obj``, and the value of each of that entry's keys."""
     if not isinstance(obj, dict):
         raise SceneParseError(f"{where} must be an object")
     if "type" not in obj:
         raise SceneParseError(f"missing key 'type' in {where}")
-    kind = obj["type"]
-    if kind == "diffuse":
-        _check_keys(obj, {"type", "albedo"}, {"type", "albedo"}, where)
-        albedo = _vec3(obj["albedo"], f"{where}.albedo")
-        if np.any(albedo < 0.0) or np.any(albedo > 1.0):
-            raise SceneValidationError(f"{where}.albedo channels must lie in [0, 1]")
-        return Material.diffuse(albedo)
-    if kind == "mirror":
-        _check_keys(obj, {"type", "reflectance"}, {"type", "reflectance"}, where)
-        refl = _vec3(obj["reflectance"], f"{where}.reflectance")
-        if np.any(refl < 0.0) or np.any(refl > 1.0):
-            raise SceneValidationError(f"{where}.reflectance channels must lie in [0, 1]")
-        return Material.mirror(refl)
-    if kind == "dielectric":
-        _check_keys(obj, {"type", "ior"}, {"type", "ior"}, where)
-        ior = _number(obj["ior"], f"{where}.ior")
-        if ior <= 0.0:
-            raise SceneValidationError(f"{where}.ior must be a positive number")
-        return Material.dielectric(ior)
-    raise SceneParseError(f"{where}.type must be one of diffuse/mirror/dielectric")
+    entry = types.get(obj["type"]) if isinstance(obj["type"], str) else None
+    if entry is None:
+        raise SceneParseError(f"{where}.type must be one of {'/'.join(types)}")
+    return entry, _read_keys(obj, where, entry[-1], {"type", *required}, optional)
 
 
-def _shape_from_dict(i: int, obj: dict) -> Shape:
+def _shape_from_dict(i: int, obj) -> Shape:
     where = f"shapes[{i}]"
-    if not isinstance(obj, dict):
-        raise SceneParseError(f"{where} must be an object")
-    if "type" not in obj:
-        raise SceneParseError(f"missing key 'type' in {where}")
-    kind = obj["type"]
+    (cls, _), values = _read_typed(obj, where, _SHAPES, {"material"}, {"emission"})
+    if not isinstance(obj["material"], str):
+        raise SceneParseError(f"{where}.material must be a material name")
     emission = np.zeros(3)
     if "emission" in obj:
         emission = _vec3(obj["emission"], f"{where}.emission")
         if np.any(emission < 0.0):
             raise SceneValidationError(f"{where}.emission channels must be non-negative")
-    if "material" not in obj:
-        raise SceneParseError(f"missing key 'material' in {where}")
-    material = obj["material"]
-    if not isinstance(material, str):
-        raise SceneParseError(f"{where}.material must be a material name")
-    if kind == "sphere":
-        _check_keys(obj, {"type", "center", "radius", "material", "emission"}, {"type", "center", "radius"}, where)
-        radius = _number(obj["radius"], f"{where}.radius")
-        if radius <= 0.0:
-            raise SceneValidationError(f"{where}.radius must be positive")
-        return Shape(Sphere(_vec3(obj["center"], f"{where}.center"), radius), material, emission)
-    if kind == "quad":
-        _check_keys(
-            obj, {"type", "corner", "edge_u", "edge_v", "material", "emission"}, {"type", "corner", "edge_u", "edge_v"}, where
-        )
-        eu = _vec3(obj["edge_u"], f"{where}.edge_u")
-        ev = _vec3(obj["edge_v"], f"{where}.edge_v")
-        if np.linalg.norm(np.cross(eu, ev)) < 1e-12:
-            raise SceneValidationError(f"{where} edges must be linearly independent")
-        return Shape(Quad(_vec3(obj["corner"], f"{where}.corner"), eu, ev), material, emission)
-    if kind == "mesh":
-        _check_keys(obj, {"type", "vertices", "indices", "material", "emission"}, {"type", "vertices", "indices"}, where)
-        verts = obj["vertices"]
-        idx = obj["indices"]
-        if not isinstance(verts, list) or not verts:
-            raise SceneParseError(f"{where}.vertices must be a non-empty list")
-        v = np.array([_vec3(p, f"{where}.vertices[{j}]") for j, p in enumerate(verts)])
-        if not isinstance(idx, list) or not idx:
-            raise SceneParseError(f"{where}.indices must be a non-empty list")
-        # JSON integers only (type bool is not int): numpy would truncate 2.5, and read true and "2" as numbers
-        if not all(type(t) is list and len(t) == 3 for t in idx) or {type(j) for t in idx for j in t} != {int}:
-            raise SceneParseError(f"{where}.indices must be triples of integer vertex indices")
-        flat = [j for t in idx for j in t]
-        if min(flat) < 0 or max(flat) >= len(v):
+    # the two checks that read two keys
+    if cls is Quad and np.linalg.norm(np.cross(values[1], values[2])) < 1e-12:
+        raise SceneValidationError(f"{where} edges must be linearly independent")
+    if cls is TriangleMesh:
+        flat = [j for t in values[1] for j in t]  # on the JSON ints, so that 10**30 is out of range, not an overflow
+        if min(flat) < 0 or max(flat) >= len(values[0]):
             raise SceneValidationError(f"{where}.indices reference out-of-range vertices")
-        return Shape(TriangleMesh(v, np.array(idx, dtype=np.intp)), material, emission)
-    raise SceneParseError(f"{where}.type must be one of sphere/quad/mesh")
+        values[1] = np.array(values[1], dtype=np.intp)
+    return Shape(cls(*values), obj["material"], emission)
 
 
-def camera_from_dict(cam) -> Camera:
-    if not isinstance(cam, dict):
-        raise SceneParseError("camera must be an object")
-    keys = {"position", "look_at", "up", "vfov", "resolution"}
-    _check_keys(cam, keys, keys, "camera")
-    res = cam["resolution"]
-    if not isinstance(res, (list, tuple)) or len(res) != 2 or not all(type(v) is int for v in res):
-        raise SceneParseError("camera.resolution must be [width, height] integers")
-    return Camera(
-        _vec3(cam["position"], "camera.position"),
-        _vec3(cam["look_at"], "camera.look_at"),
-        _vec3(cam["up"], "camera.up"),
-        _number(cam["vfov"], "camera.vfov"),
-        (res[0], res[1]),
-    )
+def camera_from_dict(cam, where: str = "camera") -> Camera:
+    """The camera object ``cam``; its errors call it ``where``."""
+    return Camera(*_read_keys(cam, where, _CAMERA))
 
 
 def scene_from_dict(data: dict) -> Scene:
-    if not isinstance(data, dict):
-        raise SceneParseError("scene root must be an object")
-    _check_keys(data, {"camera", "materials", "shapes"}, {"camera", "materials", "shapes"}, "scene")
+    _read_keys(data, "scene", (), {"camera", "materials", "shapes"})
     camera = camera_from_dict(data["camera"])
     mats = data["materials"]
     if not isinstance(mats, dict) or not mats:
         raise SceneParseError("materials must be a non-empty object")
-    materials = {name: _material_from_dict(name, obj) for name, obj in mats.items()}
+    materials = {}
+    for name, obj in mats.items():
+        (_, build, _), values = _read_typed(obj, f"materials[{name!r}]", _MATERIALS)
+        materials[name] = build(*values)
     shp = data["shapes"]
     if not isinstance(shp, list) or not shp:
         raise SceneParseError("shapes must be a non-empty list")
@@ -565,63 +573,56 @@ def scene_from_dict(data: dict) -> Scene:
     return Scene(camera, materials, shapes)
 
 
-def scene_to_dict(scene: Scene) -> dict:
-    def vec(v):
-        return [float(x) for x in v]
+def _write_keys(obj, keys) -> dict:
+    return {key: np.asarray(getattr(obj, key)).tolist() for key, _ in keys}
 
-    mats = {}
-    for name, m in scene.materials.items():
-        if m.kind == DIFFUSE:
-            mats[name] = {"type": "diffuse", "albedo": vec(m.albedo)}
-        elif m.kind == MIRROR:
-            mats[name] = {"type": "mirror", "reflectance": vec(m.albedo)}
-        else:
-            mats[name] = {"type": "dielectric", "ior": float(m.ior)}
+
+def _write_typed(obj, types: dict, tag) -> dict:
+    """``obj`` as the object of the entry of ``types`` whose first item is ``tag``."""
+    name, keys = next((name, entry[-1]) for name, entry in types.items() if entry[0] == tag)
+    return {"type": name, **_write_keys(obj, keys)}
+
+
+def scene_to_dict(scene: Scene) -> dict:
     shapes = []
     for s in scene.shapes:
-        k = s.kind
-        if isinstance(k, Sphere):
-            obj = {"type": "sphere", "center": vec(k.center), "radius": float(k.radius), "material": s.material}
-        elif isinstance(k, Quad):
-            obj = {
-                "type": "quad",
-                "corner": vec(k.corner),
-                "edge_u": vec(k.edge_u),
-                "edge_v": vec(k.edge_v),
-                "material": s.material,
-            }
-        else:
-            obj = {
-                "type": "mesh",
-                "vertices": [vec(v) for v in k.vertices],
-                "indices": [[int(i) for i in f] for f in k.indices],
-                "material": s.material,
-            }
+        obj = {**_write_typed(s.kind, _SHAPES, type(s.kind)), "material": s.material}
         if s.is_emitter:
-            obj["emission"] = vec(s.emission)
+            obj["emission"] = np.asarray(s.emission).tolist()
         shapes.append(obj)
-    cam = scene.camera
     return {
-        "camera": {
-            "position": vec(cam.position),
-            "look_at": vec(cam.look_at),
-            "up": vec(cam.up),
-            "vfov": float(cam.vfov),
-            "resolution": [int(cam.resolution[0]), int(cam.resolution[1])],
-        },
-        "materials": mats,
+        "camera": _write_keys(scene.camera, _CAMERA),
+        "materials": {name: _write_typed(m, _MATERIALS, m.kind) for name, m in scene.materials.items()},
         "shapes": shapes,
     }
 
 
-def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _read_json(path):
+    """The JSON value in the file ``path``; ``SceneParseError`` naming the file
+    unless it holds UTF-8 JSON."""
     try:
-        data = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError as e:
+        raise SceneParseError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise SceneParseError(f"invalid JSON in {path}: {e.msg} at line {e.lineno} column {e.colno}") from e
-    return scene_from_dict(data)
+
+
+def load_scene(path) -> Scene:
+    return scene_from_dict(_read_json(path))
+
+
+def load_camera(path) -> Camera:
+    return camera_from_dict(_read_json(path), str(path))
+
+
+def load_views(path) -> list[Camera]:
+    """The non-empty array of camera objects in the JSON file ``path``; an entry's errors name it ``path[i]``."""
+    cams = _read_json(path)
+    if not isinstance(cams, list) or not cams:
+        raise SceneParseError(f"{path} must hold a non-empty JSON array of cameras")
+    return [camera_from_dict(cam, f"{path}[{i}]") for i, cam in enumerate(cams)]
 
 
 def save_scene(scene: Scene, path) -> None:

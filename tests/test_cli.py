@@ -219,8 +219,97 @@ class TestErrors:
             "--views": ["gpf-train", "--out-checkpoint", str(tmp_path / "f.gpf")],
         }[flag]
         assert main(argv + ["--scene", "builtin:cornell-box", flag, str(path)]) == 2
-        assert capsys.readouterr().err == "error: parse: unknown key 'fov' in camera\n"
+        # the error names the file, and a views-file entry also its index
+        where = {"--camera": str(path), "--views": f"{path}[0]"}[flag]
+        assert capsys.readouterr().err == f"error: parse: unknown key 'fov' in {where}\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        ("key", "value", "code", "message"),
+        [("fov", 30.0, 2, "unknown key 'fov' in {views}[1]"), ("vfov", "wide", 2, "{views}[1].vfov must be a number"),
+         ("up", [0.0, 0.0], 2, "{views}[1].up must be a list of 3 numbers")],
+    )
+    def test_bad_views_entry_names_the_file_and_entry(self, tmp_path, capsys, views_file, key, value, code, message):
+        cams = json.loads(open(views_file).read())
+        cams[1][key] = value
+        with open(views_file, "w") as fh:
+            json.dump(cams, fh)
+        argv = ["gpf-train", "--scene", "builtin:cornell-box", "--views", views_file, "--out-checkpoint", str(tmp_path / "f.gpf")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == "error: parse: " + message.format(views=views_file) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    @staticmethod
+    def _refuse_work(monkeypatch, read_checkpoints=False):
+        """Make every renderer, the photon tracer and the dataset build fail if entered, and the checkpoint
+        reader too unless ``read_checkpoints``."""
+        import photonfield.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the flags and files were checked")
+
+        for owner, name in ((cli, "trace_photons"), (cli.training, "build_dataset"), (GaussianField, "load"),
+                            (cli.integrators, "render_sppm"), (cli.integrators, "render_pt"), (cli.integrators, "render_gpf")):
+            if not (read_checkpoints and name == "load"):
+                monkeypatch.setattr(owner, name, refuse)
+
+    @pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [("render-pt", "--out"), ("render-sppm", "--out"), ("gpf-init", "--out-checkpoint"),
+         ("gpf-train", "--out-checkpoint"), ("gpf-train", "--dataset-out"), ("gpf-train", "--log"),
+         ("gpf-render", "--out"), ("compare", "--out"), ("sweep", "--out")],
+    )
+    def test_bad_output_path_fails_before_any_work(self, tmp_path, capsys, monkeypatch, views_file, command, flag, where):
+        self._refuse_work(monkeypatch)
+        pfm = tmp_path / "ref.pfm"
+        write_pfm(pfm, np.zeros((2, 2, 3), dtype=np.float32))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        bad = str(tmp_path / "missing" / "x.out") if where == "missing directory" else str(tmp_path)
+        out = {f: str(tmp_path / f"ok{f}") for f in ("--out", "--out-checkpoint", "--dataset-out", "--log")} | {flag: bad}
+        scene = ["--scene", "builtin:cornell-box"]
+        argv = {
+            "render-pt": ["render-pt", *scene, "--out", out["--out"]],
+            "render-sppm": ["render-sppm", *scene, "--out", out["--out"]],
+            "gpf-init": ["gpf-init", *scene, "--out-checkpoint", out["--out-checkpoint"]],
+            "gpf-train": ["gpf-train", *scene, "--views", views_file, "--out-checkpoint", out["--out-checkpoint"],
+                          "--dataset-out", out["--dataset-out"], "--log", out["--log"]],
+            "gpf-render": ["gpf-render", *scene, "--checkpoint", str(pfm), "--out", out["--out"]],
+            "compare": ["compare", "--ref", str(pfm), "--test", str(pfm), "--out", out["--out"]],
+            "sweep": ["sweep", "--param", "k", "--values", "3", *scene, "--views", views_file, "--out", out["--out"]],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: parse: {flag} {bad} must name a file in an existing directory\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "bad"),
+        [(command, flag, bad) for command, flag in (("render-pt", "--scene"), ("gpf-render", "--camera"), ("gpf-train", "--views"))
+         for bad in ("directory", "not utf-8")]
+        # a checkpoint is binary: only a directory applies
+        + [("gpf-render", "--checkpoint", "directory"), ("gpf-train", "--in-checkpoint", "directory")],
+    )
+    def test_unreadable_input_is_parse_error_before_any_work(self, tmp_path, capsys, monkeypatch, views_file,
+                                                            command, flag, bad):
+        self._refuse_work(monkeypatch, read_checkpoints=flag.endswith("checkpoint"))
+        path = tmp_path / "input"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"camera": "\xff"}')
+        scene = ["--scene", "builtin:cornell-box"] if flag != "--scene" else []
+        argv = {
+            "render-pt": ["render-pt", "--out", str(tmp_path / "x.pfm")],
+            "gpf-render": ["gpf-render", "--checkpoint", str(tmp_path / "f.gpf"), "--out", str(tmp_path / "x.pfm")],
+            "gpf-train": ["gpf-train", "--views", views_file, "--out-checkpoint", str(tmp_path / "f.gpf")],
+        }[command]
+        assert main(argv + scene + [flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse: ") and str(path) in err
+        assert ("is not UTF-8 text" if bad == "not utf-8" else "a directory, not a file") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input", "views.json"]
 
     @pytest.mark.filterwarnings("error")
     def test_zero_init_photons_is_validation_error(self, tmp_path, capsys):
@@ -517,14 +606,7 @@ class TestErrors:
         + [(c, "--spp") for c in ("render-pt", "gpf-train", "gpf-render", "sweep")],
     )
     def test_count_below_one_fails_before_any_work(self, tmp_path, views_file, capsys, monkeypatch, command, flag):
-        import photonfield.cli as cli
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("ran before the count was checked")
-
-        for owner, name in ((cli, "trace_photons"), (cli.training, "build_dataset"), (GaussianField, "load"),
-                            (cli.integrators, "render_sppm"), (cli.integrators, "render_pt"), (cli.integrators, "render_gpf")):
-            monkeypatch.setattr(owner, name, refuse)
+        self._refuse_work(monkeypatch)
         scene = ["--scene", "builtin:cornell-box"]
         argv = {
             "render-pt": ["render-pt", *scene, "--out", str(tmp_path / "x.pfm")],

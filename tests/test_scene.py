@@ -4,6 +4,7 @@ import copy
 import ctypes
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import subprocess
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -866,6 +868,43 @@ class TestSceneFiles:
         path2 = tmp_path / "scene2.json"
         save_scene(loaded, path2)
         assert path.read_text() == path2.read_text()
+
+    @pytest.mark.parametrize(
+        ("name", "file_sha256", "content_hash"),
+        [
+            ("cornell-box", "ff8723f4bd46c3c8d2c7ac38be9ff9f9fe99bda544ff83500d78d6dedc0f24cd",
+             "87ef591c826a0b3ef6f318708a88a81c6214d071334e00b19f9d6239b88ff7b6"),
+            ("caustic-sphere", "8fae14477b098112f08b3a141be10ef0f422b884c3a3e0b94cca0b10e42c27fc",
+             "f0b754762ea948e6f9d19c8043ec0559af0e0c2890ac8837a762666d5fed0e7c"),
+            ("caustic-pool", "d19eb6610d01e314db1953dfa611fecd43e851eb320effcbaacf482b2aa02dc1",
+             "5e4a0bad6364df7d2c815d1d5ee0bf9ab01a0ae187912731903f4f1f3b04d239"),
+        ],
+    )
+    def test_saved_builtin_bytes_and_content_hash_are_pinned(self, tmp_path, name, file_sha256, content_hash):
+        # the manifests' scene_hash is content_hash, so the writer's floats, ints and key order are part of the format
+        scene = builtin_scene(name)
+        save_scene(scene, tmp_path / "scene.json")
+        assert hashlib.sha256((tmp_path / "scene.json").read_bytes()).hexdigest() == file_sha256
+        assert scene.content_hash() == content_hash
+
+    def test_readme_scene_example_round_trips(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("## Scene JSON", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        source = tmp_path / "example.json"
+        source.write_text(example)
+        scene = load_scene(source)
+        # every material type, every shape type and an emitter, so each table entry is read and written
+        assert sorted(m.kind for m in scene.materials.values()) == [DIFFUSE, MIRROR, DIELECTRIC]
+        assert sorted(type(s.kind).__name__ for s in scene.shapes) == ["Quad", "Sphere", "TriangleMesh"]
+        assert len(scene.emitter_ids) == 1
+        saved = tmp_path / "saved.json"
+        save_scene(scene, saved)
+        assert scene_to_dict(scene) == json.loads(saved.read_text())
+        assert scene_to_dict(load_scene(source)) == json.loads(saved.read_text())
+        again = tmp_path / "again.json"
+        save_scene(load_scene(saved), again)
+        assert again.read_bytes() == saved.read_bytes()
+        assert load_scene(saved).content_hash() == scene.content_hash()
 
     def test_save_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "scene.json"
