@@ -85,6 +85,7 @@ def _sppm_config(args, iterations: int, photons: int) -> SppmConfig:
 
 def _seed_field(scene: Scene, args, n_photons: int, k_min: int) -> GaussianField:
     """A field with one primitive per photon stored by ``n_photons`` traced photons."""
+    check_seed_params(args.scale0, args.radius, k_min)  # before the photons are traced
     photons = trace_photons(scene, n_photons, args.max_bounces, Rng(args.seed))
     return GaussianField.from_photons(
         photons, initial_scale=args.scale0, rng=Rng(args.seed, 0x51), radius=args.radius, k_min=k_min

@@ -64,6 +64,8 @@ def check_seed_params(initial_scale, radius, k_min) -> None:
     """Raise the ``ValueError`` that :meth:`GaussianField.from_photons` raises for these parameters, if any."""
     if not 0.0 < initial_scale < math.inf:
         raise ValueError(f"initial scale must be finite and positive, got {initial_scale}")
+    if not SCALE_MIN <= initial_scale <= SCALE_MAX:  # a checkpoint holds no scale outside these
+        raise ValueError(f"initial scale must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}], got {initial_scale}")
     _check_index_params(radius, k_min)
 
 

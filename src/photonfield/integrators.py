@@ -7,9 +7,10 @@ first diffuse hit, accumulating throughput along the way; what happens at
 that hit is the only thing that differs: photon-density gathering, a field
 query, or supervision-point capture. The two renderers also share the
 frame assembly around it (``_camera_frame``), and photon-mapped renders
-and supervision references share one loop that averages photon passes
-(``_average_photon_passes``). The path tracer keeps its
-own loop (MIS emission, next-event estimation); it and the delta tracer
+and supervision references share one photon-pass job
+(``_average_photon_passes``). Every multi-pass estimate adds its passes
+through one loop (``_ordered_sum``). The path tracer keeps its own
+wavefront (MIS emission, next-event estimation); it and the delta tracer
 take their draws and roulette from ``core`` and their hit subsets from
 ``Hits.subset``, and shade hits and sample BSDFs with the C code of the
 photon tracer (``photons.py``). The photon gather's sum is compiled too.
@@ -102,6 +103,16 @@ def _ordered_map(fn, args, threads: int):
             yield pending.popleft().result()
 
 
+def _ordered_sum(fn, args, threads: int):
+    """Sum of ``fn(a)`` over the non-empty ``args``, added from zero in
+    argument order, so the thread count cannot change the bits."""
+    parts = _ordered_map(fn, args, threads)  # looked up per call: a tracer may replace it
+    total = 0.0 + next(parts)
+    for part in parts:
+        total += part
+    return total
+
+
 # ---------------------------------------------------------------------------
 # shared camera pass
 
@@ -183,15 +194,10 @@ def trace_to_first_diffuse(scene: scene_mod.Scene, origins, dirs, keys, ctrs) ->
     return out
 
 
-def _camera_keys(seed: int, pass_idx: int, pixel_ids):
-    base = fold_key(fold_key(seed_key(seed), _TAG_CAMERA), pass_idx)
-    return fold_key(base, pixel_ids.astype(np.uint64))
-
-
 def _camera_rays(camera: scene_mod.Camera, seed: int, pass_idx: int):
     w, h = camera.resolution
     pixel_ids = np.arange(w * h, dtype=np.intp)
-    keys = _camera_keys(seed, pass_idx, pixel_ids)
+    keys = fold_key(fold_key(fold_key(seed_key(seed), _TAG_CAMERA), pass_idx), pixel_ids.astype(np.uint64))
     ctrs = np.zeros(w * h, dtype=np.uint64)
     jx, jy = draw_units(keys, ctrs, slice(None), 2)
     o, d = camera.primary_rays(pixel_ids, np.stack([jx, jy], axis=1))
@@ -251,20 +257,18 @@ def _camera_frame(scene, camera, seed: int, s: int, radiance_at):
     """
     _, keys, ctrs, o, d = _camera_rays(camera, seed, s)
     fd = trace_to_first_diffuse(scene, o, d, keys, ctrs)
-    frame = fd.emitted
-    found = fd.found
+    frame, found = fd.emitted, fd.found
     if np.any(found):
         frame[found] += fd.beta[found] * radiance_at(*(a[found] for a in (fd.position, fd.normal, fd.wo, fd.albedo)))
     return frame
 
 
-def _average_photon_passes(scene, cfg: SppmConfig, shape, threads: int, estimate):
+def _average_photon_passes(scene, cfg: SppmConfig, threads: int, estimate):
     """Mean over ``cfg.iterations`` photon passes of ``estimate(t, gather)``.
 
     Pass ``t`` traces :func:`_photon_pass`; ``gather(positions, normals,
     wos, albedo)`` is :func:`kde_gather_batch` over that pass at radius
-    ``sppm_radius(t, ...)``. The passes' ``shape`` arrays are added in pass
-    order, so the thread count cannot change the bits.
+    ``sppm_radius(t, ...)``. The passes' arrays are added in pass order.
     """
     scene._require_emitters()
 
@@ -273,10 +277,7 @@ def _average_photon_passes(scene, cfg: SppmConfig, shape, threads: int, estimate
         radius = sppm_radius(t, cfg.initial_radius, cfg.alpha)
         return estimate(t, lambda *points: kde_gather_batch(index, photons, *points, radius))
 
-    acc = np.zeros(shape)
-    for part in _ordered_map(job, range(cfg.iterations), threads):
-        acc += part
-    return acc / cfg.iterations
+    return _ordered_sum(job, range(cfg.iterations), threads) / cfg.iterations
 
 
 def render_sppm(scene: scene_mod.Scene, camera: scene_mod.Camera, cfg: SppmConfig, threads: int = 1):
@@ -289,11 +290,8 @@ def render_sppm(scene: scene_mod.Scene, camera: scene_mod.Camera, cfg: SppmConfi
     t iterations with the same seed.
     """
     w, h = camera.resolution
-
-    def frame(t, gather):
-        return _camera_frame(scene, camera, cfg.seed, t, gather).reshape(h, w, 3)
-
-    return _average_photon_passes(scene, cfg, (h, w, 3), threads, frame)
+    mean = _average_photon_passes(scene, cfg, threads, lambda t, gather: _camera_frame(scene, camera, cfg.seed, t, gather))
+    return mean.reshape(h, w, 3)
 
 
 def reference_radiance_at_points(scene: scene_mod.Scene, positions, normals, wos, albedo, cfg: SppmConfig, threads: int = 1):
@@ -305,25 +303,11 @@ def reference_radiance_at_points(scene: scene_mod.Scene, positions, normals, wos
     :func:`render_sppm`, so a gather here matches the corresponding
     camera-pass gather for equal seeds.
     """
-    shape = (len(positions), 3)
-    return _average_photon_passes(scene, cfg, shape, threads, lambda t, gather: gather(positions, normals, wos, albedo))
+    return _average_photon_passes(scene, cfg, threads, lambda t, gather: gather(positions, normals, wos, albedo))
 
 
 # ---------------------------------------------------------------------------
 # path tracer (reference integrator)
-
-
-def _pt_chunk(scene, camera, seed, max_depth, sample_range):
-    w, h = camera.resolution
-    npix = w * h
-    s0, s1 = sample_range
-    parts = [_camera_rays(camera, seed, s) for s in range(s0, s1)]
-    pixel_ids = np.concatenate([p[0] for p in parts])
-    keys = np.concatenate([p[1] for p in parts])
-    ctrs = np.concatenate([p[2] for p in parts])
-    o = np.concatenate([p[3] for p in parts])
-    d = np.concatenate([p[4] for p in parts])
-    return _pt_trace(scene, pixel_ids, keys, ctrs, o, d, max_depth, npix)
 
 
 def _pt_trace(scene, pixel_ids, keys, ctrs, o, d, max_depth, npix):
@@ -434,16 +418,14 @@ def render_pt(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     seed = int(rng)
     w, h = camera.resolution
+    # the samples of one chunk share one wavefront and one np.add.at per vertex
     chunk = max(1, min(spp, max(1, (1 << 17) // (w * h))))
-    ranges = [(s, min(s + chunk, spp)) for s in range(0, spp, chunk)]
 
-    def job(r):
-        return _pt_chunk(scene, camera, seed, max_depth, r)
+    def job(s0):
+        rays = zip(*(_camera_rays(camera, seed, s) for s in range(s0, min(s0 + chunk, spp))))
+        return _pt_trace(scene, *map(np.concatenate, rays), max_depth, w * h)
 
-    acc = np.zeros((w * h, 3))
-    for part in _ordered_map(job, ranges, threads):
-        acc += part
-    return (acc / spp).reshape(h, w, 3)
+    return (_ordered_sum(job, range(0, spp, chunk), threads) / spp).reshape(h, w, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +463,4 @@ def render_gpf(
     def job(s):
         return _camera_frame(scene, camera, seed, s, radiance_at)
 
-    acc = np.zeros((w * h, 3))
-    for frame in _ordered_map(job, range(spp), threads):
-        acc += frame
-    img = (acc / spp).reshape(h, w, 3)
-    return np.maximum(img, 0.0)
+    return np.maximum((_ordered_sum(job, range(spp), threads) / spp).reshape(h, w, 3), 0.0)

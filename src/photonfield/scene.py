@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
 from . import geometry
-from .core import normalize
+from .core import vdot
 from .images import write_atomic
 
 DIFFUSE = 0
@@ -139,24 +139,27 @@ class Camera:
     up: np.ndarray
     vfov: float  # vertical field of view, degrees
     resolution: tuple[int, int]  # (width, height)
+    where: InitVar[str] = "camera"  # what its errors call it
 
-    def __post_init__(self):
+    def __post_init__(self, where):
         if not (0.0 < self.vfov < 180.0):
-            raise SceneValidationError("camera vfov must be in (0, 180) degrees")
+            raise SceneValidationError(f"{where}.vfov must be in (0, 180) degrees")
         w, h = self.resolution
         if w <= 0 or h <= 0 or w != int(w) or h != int(h):
-            raise SceneValidationError("camera resolution must be positive integers")
-        if np.allclose(self.position, self.look_at):
-            raise SceneValidationError("camera look_at must differ from position")
+            raise SceneValidationError(f"{where}.resolution must be positive integers")
+        self._basis(where)
 
-    def _basis(self):
-        fwd = normalize(self.look_at - self.position)
+    def _basis(self, where="camera"):
+        fwd = self.look_at - self.position
+        length = np.sqrt(vdot(fwd, fwd))
+        if not 0.0 < length < math.inf:
+            raise SceneValidationError(f"{where}.look_at must differ from position")
+        fwd = fwd / length
         right = np.cross(fwd, self.up)
         if np.linalg.norm(right) < 1e-12:
-            raise SceneValidationError("camera up vector is parallel to the view direction")
+            raise SceneValidationError(f"{where}.up is parallel to the view direction")
         right = right / np.linalg.norm(right)
-        up = np.cross(right, fwd)
-        return fwd, right, up
+        return fwd, right, np.cross(right, fwd)
 
     def primary_rays(self, pixel_ids, jitter):
         """Rays for flat pixel indices (row-major, (0,0) top-left).
@@ -553,7 +556,7 @@ def _shape_from_dict(i: int, obj) -> Shape:
 
 def camera_from_dict(cam, where: str = "camera") -> Camera:
     """The camera object ``cam``; its errors call it ``where``."""
-    return Camera(*_read_keys(cam, where, _CAMERA))
+    return Camera(*_read_keys(cam, where, _CAMERA), where=where)
 
 
 def scene_from_dict(data: dict) -> Scene:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from photonfield.cli import _resolved_argv, build_parser, main
-from photonfield.field import DEFAULT_INITIAL_SCALE, DEFAULT_K_MIN, DEFAULT_RADIUS, GaussianField
+from photonfield.field import DEFAULT_INITIAL_SCALE, DEFAULT_K_MIN, DEFAULT_RADIUS, SCALE_MAX, SCALE_MIN, GaussianField
 from photonfield.images import read_pfm, write_pfm
 from photonfield.integrators import SppmConfig, render_gpf
 from photonfield.scene import builtin_scene, scene_to_dict
@@ -650,6 +650,84 @@ class TestErrors:
         assert main(argv) == 3
         assert "initial scale must be finite and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scale0", ["100", "10.5", "1e-6", "1e-300"])
+    @pytest.mark.parametrize("command", ["gpf-init", "gpf-train", "sweep"])
+    def test_scale0_a_checkpoint_cannot_hold_fails_before_any_photon_is_traced(
+        self, tmp_path, views_file, capsys, monkeypatch, command, scale0
+    ):
+        self._refuse_work(monkeypatch)
+        scene = ["--scene", "builtin:cornell-box", "--scale0", scale0]
+        argv = {
+            "gpf-init": ["gpf-init", *scene, "--out-checkpoint", str(tmp_path / "f.gpf")],
+            "gpf-train": ["gpf-train", *scene, "--views", views_file, "--out-checkpoint", str(tmp_path / "f.gpf")],
+            "sweep": ["sweep", "--param", "k", "--values", "3", *scene, "--views", views_file, "--out", str(tmp_path / "s.json")],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: validate: initial scale must lie in [1e-05, 10], got {float(scale0)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    @pytest.mark.parametrize("scale0", [SCALE_MIN, SCALE_MAX])
+    def test_scale0_at_either_bound_is_what_the_checkpoint_holds(self, tmp_path, scale0):
+        ckpt = tmp_path / "field.gpf"
+        argv = ["gpf-init", "--scene", "builtin:cornell-box", "--photons", "300", "--scale0", repr(scale0), "--out-checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        np.testing.assert_allclose(GaussianField.load(ckpt).scales, scale0, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        ("source", "key", "value", "message"),
+        [
+            ("scene", "vfov", 0.0, "camera.vfov must be in (0, 180) degrees"),
+            ("scene", "up", [0.0, 1.0, 0.0], "camera.up is parallel to the view direction"),
+            ("--camera", "vfov", 180.0, "{path}.vfov must be in (0, 180) degrees"),
+            ("--camera", "look_at", [0.6, -3.6, 0.3], "{path}.look_at must differ from position"),
+            ("--views", "vfov", 0.0, "{path}[1].vfov must be in (0, 180) degrees"),
+            ("--views", "resolution", [0, 12], "{path}[1].resolution must be positive integers"),
+            ("--views", "look_at", [0.6, -3.6, 0.3], "{path}[1].look_at must differ from position"),
+            ("--views", "up", [-0.6, 3.6, -0.3], "{path}[1].up is parallel to the view direction"),
+        ],
+    )
+    def test_camera_value_error_names_its_source_before_any_work(
+        self, tmp_path, views_file, capsys, monkeypatch, cornell_box_dict, source, key, value, message
+    ):
+        # the views file's entry [1], alone as a --camera file or as the scene camera (looking along +y)
+        self._refuse_work(monkeypatch)
+        cams = json.loads(open(views_file).read())
+        cam = cams[1] if source != "scene" else cornell_box_dict["camera"]
+        cam[key] = value
+        out = ["--out", str(tmp_path / "x.pfm")]
+        path = {"scene": tmp_path / "scene.json", "--camera": tmp_path / "cam.json", "--views": tmp_path / "views.json"}[source]
+        path.write_text(json.dumps({"scene": cornell_box_dict, "--camera": cam, "--views": cams}[source]))
+        argv = {
+            "scene": ["render-pt", "--scene", str(path), *out],
+            "--camera": ["gpf-render", "--scene", "builtin:cornell-box", "--camera", str(path), "--checkpoint", "f.gpf", *out],
+            "--views": ["gpf-train", "--scene", "builtin:cornell-box", "--views", str(path), "--out-checkpoint", str(tmp_path / "f.gpf")],
+        }[source]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: validate: " + message.format(path=path) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"views.json", path.name})
+
+    @pytest.mark.parametrize("command", ["gpf-train", "sweep"])
+    def test_views_camera_with_up_along_its_view_fails_before_any_photon_is_traced(self, tmp_path, capsys, monkeypatch, command):
+        self._refuse_work(monkeypatch)
+        views = tmp_path / "views.json"
+        views.write_text(json.dumps([{"position": [0.0, -3.9, 0.0], "look_at": [0.0, 0.0, 0.0], "up": [0.0, 1.0, 0.0],
+                                      "vfov": 28.0, "resolution": [12, 12]}]))
+        argv = {
+            "gpf-train": ["gpf-train", "--out-checkpoint", str(tmp_path / "f.gpf"), "--photons", "2000"],
+            "sweep": ["sweep", "--param", "k", "--values", "3", "--out", str(tmp_path / "s.json")],
+        }[command]
+        assert main(argv + ["--scene", "builtin:cornell-box", "--views", str(views)]) == 3
+        assert capsys.readouterr().err == f"error: validate: {views}[0].up is parallel to the view direction\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
+    def test_camera_far_from_the_origin_with_a_short_view_is_accepted(self, tmp_path, cornell_box_dict):
+        cornell_box_dict["camera"].update(position=[1000.0, 0.0, 0.0], look_at=[1000.001, 0.0, 0.0])
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(cornell_box_dict))
+        argv = ["render-pt", "--scene", str(scene), "--spp", "1", "--max-depth", "1", "--resolution", "2", "2", "--out", str(tmp_path / "x.pfm")]
+        assert main(argv) == 0
+        assert read_pfm(tmp_path / "x.pfm").shape == (2, 2, 3)
 
 
 class TestOutputs:

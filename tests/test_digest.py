@@ -46,7 +46,7 @@ def test_recipe_digests_every_output_and_reruns_equal():
     first, second = _run_json(), _run_json()
     assert first == second
     outputs = {name.split("/", 1)[1] for name in first}
-    assert {"render_pt", "render_sppm", "render_gpf", "dataset.position", "dataset.l_ref", "dataset.file",
+    assert {"render_pt", "render_pt.chunked", "render_sppm", "render_gpf", "dataset.position", "dataset.l_ref", "dataset.file",
             "train.losses", "train.field", "train.checkpoint", "bvh.perm"} <= outputs
     assert {name.split("/", 1)[0] for name in first} == set(digest.SCENES)
     assert len(first) == len(digest.SCENES) * len(outputs)

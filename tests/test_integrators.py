@@ -705,6 +705,14 @@ class TestPathTracer:
         b = render_pt(scene, cam, spp=8, max_depth=6, rng=9, threads=2)
         np.testing.assert_array_equal(a, b)
 
+    def test_chunks_summed_on_three_threads_reproduce_one_threads_bytes(self):
+        # 256x256 puts (1 << 17) // (w * h) = 2 samples in a chunk, so spp 6 is three chunks
+        scene = builtin_scene("cornell-box")
+        cam = scene.camera.with_resolution(256, 256)
+        a = render_pt(scene, cam, spp=6, max_depth=2, rng=9, threads=1)
+        b = render_pt(scene, cam, spp=6, max_depth=2, rng=9, threads=3)
+        assert a.tobytes() == b.tobytes()
+
     def test_spp_must_be_positive(self):
         scene = builtin_scene("cornell-box")
         with pytest.raises(ValueError):

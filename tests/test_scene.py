@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import time
@@ -944,3 +945,22 @@ class TestCamera:
     def test_vfov_range_enforced(self):
         with pytest.raises(SceneValidationError, match="vfov"):
             Camera(np.zeros(3), np.ones(3), np.array([0.0, 0.0, 1.0]), 181.0, (8, 8))
+
+    @pytest.mark.parametrize("look_at", [[1000.001, 0.0, 0.0], [1000.0, 1e-9, 0.0], [-1000.0, 0.0, 0.0]])
+    def test_look_at_near_a_far_position_is_accepted(self, look_at):
+        cam = Camera(np.array([1000.0, 0.0, 0.0]), np.array(look_at), np.array([0.0, 0.0, 1.0]), 40.0, (3, 3))
+        _, d = cam.primary_rays(np.arange(9), np.full((9, 2), 0.5))
+        np.testing.assert_allclose(d[4], np.sign(np.array(look_at) - cam.position) * [1, 1, 0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        ("position", "look_at", "up", "message"),
+        [
+            ([1000.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 0.0, 1.0], "camera.look_at must differ from position"),
+            ([0.0, 0.0, 0.0], [0.0, 0.0, np.nan], [0.0, 1.0, 0.0], "camera.look_at must differ from position"),
+            ([0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, -3.0, 0.0], "camera.up is parallel to the view direction"),
+            ([0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0], "camera.up is parallel to the view direction"),
+        ],
+    )
+    def test_degenerate_view_is_refused_at_construction(self, position, look_at, up, message):
+        with pytest.raises(SceneValidationError, match=f"^{re.escape(message)}$"):
+            Camera(np.array(position), np.array(look_at), np.array(up), 40.0, (8, 8))

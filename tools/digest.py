@@ -3,7 +3,8 @@
     python3 tools/digest.py                          # this tree's src/
     python3 tools/digest.py --base HEAD~1 --change HEAD
 
-On each builtin scene the recipe runs ``render_pt`` (40x40, 8 spp),
+On each builtin scene the recipe runs ``render_pt`` (40x40, 8 spp, one
+chunk of samples; and 260x256, 2 spp, two chunks),
 ``render_sppm`` (40x40, 3 passes of 12,000 photons, two threads),
 ``build_dataset`` (two 24x24 views, spp 2, two threads), 10 ``train``
 steps from a 3,000-photon seed, ``render_gpf`` of the trained field, and
@@ -72,6 +73,8 @@ def recipe(pf, scene_name: str, tmp: Path) -> dict[str, str]:
         if hasattr(geometry, name):
             out[f"bvh.{name}"] = array_digest(getattr(geometry, name))
     out["render_pt"] = array_digest(pf.render_pt(scene, cam, spp=8, max_depth=16, rng=11, threads=2))
+    chunked = scene.camera.with_resolution(260, 256)  # one sample a chunk, so two chunks
+    out["render_pt.chunked"] = array_digest(pf.render_pt(scene, chunked, spp=2, max_depth=4, rng=18, threads=2))
     sppm = pf.SppmConfig(iterations=3, photons_per_iter=12_000, seed=12)
     out["render_sppm"] = array_digest(pf.render_sppm(scene, cam, sppm, threads=2))
 
