@@ -418,7 +418,7 @@ def render_pt(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     seed = int(rng)
     w, h = camera.resolution
-    # the samples of one chunk share one wavefront and one np.add.at per vertex
+    # the samples of one chunk share one wavefront and its np.add.at sums, so the chunk size fixes the bits
     chunk = max(1, min(spp, max(1, (1 << 17) // (w * h))))
 
     def job(s0):

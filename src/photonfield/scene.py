@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field, fields
 import numpy as np
 
 from . import geometry
-from .core import vdot
+from .core import normalize, vdot
 from .images import write_atomic
 
 DIFFUSE = 0
@@ -151,10 +151,9 @@ class Camera:
 
     def _basis(self, where="camera"):
         fwd = self.look_at - self.position
-        length = np.sqrt(vdot(fwd, fwd))
-        if not 0.0 < length < math.inf:
+        if not 0.0 < vdot(fwd, fwd) < math.inf:
             raise SceneValidationError(f"{where}.look_at must differ from position")
-        fwd = fwd / length
+        fwd = normalize(fwd)
         right = np.cross(fwd, self.up)
         if np.linalg.norm(right) < 1e-12:
             raise SceneValidationError(f"{where}.up is parallel to the view direction")
