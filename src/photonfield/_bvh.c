@@ -1,11 +1,24 @@
-/* Nearest-hit BVH traversal for photonfield.geometry.
+/* BVH build and nearest-hit traversal for photonfield.geometry.
  *
- * pf_bvh_nearest walks the flat node arrays built by Geometry._build_bvh
- * for one ray, with an explicit stack, left child first; pf_intersect runs
- * it over a batch of rays (for Geometry.intersect, and intersect_linear's
- * one-leaf tree) and _photons.c along photon paths. Leaf primitives are
- * tested in perm order and a hit replaces the best one only if strictly
- * nearer, so of equal-t hits the first primitive in perm order wins.
+ * pf_bvh_build builds the tree into flat node arrays in pre-order: the left
+ * child of an inner node is node + 1, the right one node_right, and a leaf
+ * holds perm[node_start .. node_start + node_count). Each node is split
+ * where the surface-area heuristic (MacDonald and Booth 1990), swept over
+ * every position of the primitives sorted by centroid along each axis, is
+ * cheapest, ties going to the lowest axis and then the lowest position, so
+ * a build is a pure function of the primitive boxes. A node of at most
+ * LEAF_SIZE primitives becomes a leaf when no split is cheaper than testing
+ * them all, counting COST_NODE for the split. A node whose centroids all
+ * coincide, or that has no depth to spare, is split at its median along
+ * its widest centroid spread instead, so the tree is never deeper than
+ * halving every node would make it.
+ *
+ * pf_bvh_nearest walks those arrays for one ray, with an explicit stack,
+ * left child first; pf_intersect runs it over a batch of rays (for
+ * Geometry.intersect, and intersect_linear's one-leaf tree) and _photons.c
+ * along photon paths. Leaf primitives are tested in perm order and a hit
+ * replaces the best one only if strictly nearer, so of equal-t hits the
+ * first primitive in perm order wins, whatever the tree's shape.
  *
  * The leaf formulas and their operation order are those of the numpy scan
  * in tests/oracles.py; every three-term dot product is summed as
@@ -146,4 +159,214 @@ int pf_intersect(ptrdiff_t n, const double *o, const double *d, double t_min, do
         if (pf_bvh_nearest(g, o + 3 * i, d + 3 * i, t_min, best_t + i, best_p + i) != 0)
             return -1;
     return 0;
+}
+
+/* ---- build ------------------------------------------------------------- */
+
+#define LEAF_SIZE 8 /* geometry._LEAF_SIZE */
+/* The SAH cost of a split, in primitive tests: the walk then tests both
+ * children's boxes. At 1.0 caustic-sphere's 3 primitives split into 3
+ * leaves and its photon pass ran about 10% slower, while caustic-pool's
+ * and cornell-box's ran no faster than at 2.5. */
+#define COST_NODE 2.5
+
+struct builder {
+    const struct pf_bvh *g;   /* primitives in, nodes and perm out */
+    double *lo, *hi, *cen;    /* primitive boxes and their centroids, n x 3 each */
+    double *area;             /* sweep scratch: half areas of the right-hand boxes */
+    ptrdiff_t *order[3];      /* primitive ids by (centroid, id) on each axis; a node owns one range of all three */
+    ptrdiff_t *tmp, *is_left; /* sort and partition scratch, by position and by primitive id */
+    int max_depth;
+    ptrdiff_t nodes;
+};
+
+static double half_area(const double *l, const double *h)
+{
+    double dx = h[0] - l[0], dy = h[1] - l[1], dz = h[2] - l[2];
+    return (dx * dy + dy * dz) + dz * dx;
+}
+
+static void grow(double *l, double *h, const double *pl, const double *ph)
+{
+    for (int k = 0; k < 3; k++) {
+        l[k] = pl[k] < l[k] ? pl[k] : l[k];
+        h[k] = ph[k] > h[k] ? ph[k] : h[k];
+    }
+}
+
+/* The box of primitive p: a sphere's centre +- radius, a quad's four corners, a triangle's vertices. */
+static void prim_box(const struct pf_bvh *g, ptrdiff_t p, double *l, double *h)
+{
+    const double *a = g->pa + 3 * p, *b = g->pb + 3 * p, *c = g->pc + 3 * p;
+    for (int k = 0; k < 3; k++) {
+        l[k] = g->kinds[p] == KIND_SPHERE ? a[k] - b[0] : INFINITY;
+        h[k] = g->kinds[p] == KIND_SPHERE ? a[k] + b[0] : -INFINITY;
+    }
+    if (g->kinds[p] == KIND_QUAD) {
+        double ab[3] = {a[0] + b[0], a[1] + b[1], a[2] + b[2]}, ac[3] = {a[0] + c[0], a[1] + c[1], a[2] + c[2]};
+        double abc[3] = {ab[0] + c[0], ab[1] + c[1], ab[2] + c[2]};
+        grow(l, h, a, a);
+        grow(l, h, ab, ab);
+        grow(l, h, ac, ac);
+        grow(l, h, abc, abc);
+    } else if (g->kinds[p] == KIND_TRIANGLE) {
+        grow(l, h, a, a);
+        grow(l, h, b, b);
+        grow(l, h, c, c);
+    }
+}
+
+/* Sort ids[0, m) by their centroids along axis, stably (a merge sort through b->tmp). */
+static void sort_ids(const struct builder *b, int axis, ptrdiff_t *ids, ptrdiff_t m)
+{
+    if (m < 2)
+        return;
+    ptrdiff_t half = m / 2, i = 0, j = half, k = 0;
+    sort_ids(b, axis, ids, half);
+    sort_ids(b, axis, ids + half, m - half);
+    while (i < half && j < m)
+        b->tmp[k++] = b->cen[3 * ids[j] + axis] < b->cen[3 * ids[i] + axis] ? ids[j++] : ids[i++];
+    while (i < half)
+        b->tmp[k++] = ids[i++];
+    for (i = 0; i < k; i++) /* ids[j, m) are in place */
+        ids[i] = b->tmp[i];
+}
+
+/* Levels below a node of m primitives when every split halves it. */
+static int median_levels(ptrdiff_t m)
+{
+    int levels = 0;
+    for (; m > LEAF_SIZE; m -= m / 2)
+        levels++;
+    return levels;
+}
+
+/* The SAH's cheapest split of the node over positions [s, e): the first *k
+ * primitives of order[*axis] go left. Returns its cost, in primitive tests
+ * times the node's half area, or INFINITY (and *axis = -1) if every cost
+ * overflows. Ties go to the lowest axis, then the lowest k. */
+static double sah_split(const struct builder *b, ptrdiff_t s, ptrdiff_t e, int *axis, ptrdiff_t *k)
+{
+    ptrdiff_t m = e - s;
+    double best = INFINITY;
+    *axis = -1;
+    for (int a = 0; a < 3; a++) {
+        const ptrdiff_t *ord = b->order[a] + s;
+        double l[3] = {INFINITY, INFINITY, INFINITY}, h[3] = {-INFINITY, -INFINITY, -INFINITY};
+        for (ptrdiff_t j = m - 1; j > 0; j--) {
+            grow(l, h, b->lo + 3 * ord[j], b->hi + 3 * ord[j]);
+            b->area[j] = half_area(l, h);
+        }
+        double ll[3] = {INFINITY, INFINITY, INFINITY}, lh[3] = {-INFINITY, -INFINITY, -INFINITY};
+        for (ptrdiff_t j = 1; j < m; j++) {
+            grow(ll, lh, b->lo + 3 * ord[j - 1], b->hi + 3 * ord[j - 1]);
+            double cost = half_area(ll, lh) * (double)j + b->area[j] * (double)(m - j);
+            if (cost < best) {
+                best = cost;
+                *axis = a;
+                *k = j;
+            }
+        }
+    }
+    return best;
+}
+
+/* Move the first k primitives of order[axis]'s range [s, e) to the front
+ * of the other two orders' ranges, keeping each side's order. */
+static void partition(const struct builder *b, ptrdiff_t s, ptrdiff_t e, int axis, ptrdiff_t k)
+{
+    for (ptrdiff_t j = s; j < e; j++)
+        b->is_left[b->order[axis][j]] = j < s + k;
+    for (int a = 0; a < 3; a++) {
+        if (a == axis)
+            continue;
+        ptrdiff_t *ord = b->order[a], nl = s, nr = 0;
+        for (ptrdiff_t j = s; j < e; j++) {
+            if (b->is_left[ord[j]])
+                ord[nl++] = ord[j];
+            else
+                b->tmp[nr++] = ord[j];
+        }
+        for (ptrdiff_t j = 0; j < nr; j++)
+            ord[nl + j] = b->tmp[j];
+    }
+}
+
+/* Append the subtree over positions [s, e) at the given depth, in pre-order;
+ * returns the depth of its deepest leaf. */
+static int build_node(struct builder *b, ptrdiff_t s, ptrdiff_t e, int depth)
+{
+    const struct pf_bvh *g = b->g;
+    ptrdiff_t me = b->nodes++, m = e - s;
+    double *l = g->node_lo + 3 * me, *h = g->node_hi + 3 * me;
+    for (int k = 0; k < 3; k++) {
+        l[k] = INFINITY;
+        h[k] = -INFINITY;
+    }
+    for (ptrdiff_t j = s; j < e; j++)
+        grow(l, h, b->lo + 3 * b->order[0][j], b->hi + 3 * b->order[0][j]);
+    g->node_right[me] = -1;
+
+    double spread[3];
+    for (int a = 0; a < 3; a++)
+        spread[a] = b->cen[3 * b->order[a][e - 1] + a] - b->cen[3 * b->order[a][s] + a];
+    int axis = -1;
+    ptrdiff_t k = 0;
+    /* the SAH may split unevenly only while a median split below each child
+     * still fits the depth budget, and only where centroids differ */
+    if (depth + 1 + median_levels(m) <= b->max_depth && (spread[0] > 0.0 || spread[1] > 0.0 || spread[2] > 0.0)) {
+        double area = half_area(l, h);
+        double split = sah_split(b, s, e, &axis, &k) + COST_NODE * area;
+        if (m <= LEAF_SIZE && !(split < (double)m * area))
+            axis = -1;
+    }
+    if (axis < 0 && m > LEAF_SIZE) { /* the median along the widest centroid spread */
+        axis = 0;
+        for (int a = 1; a < 3; a++)
+            if (spread[a] > spread[axis])
+                axis = a;
+        k = m / 2;
+    }
+    if (axis < 0) { /* a leaf: its primitives in id order */
+        ptrdiff_t *leaf = g->perm + s;
+        for (ptrdiff_t j = 0; j < m; j++) {
+            ptrdiff_t p = b->order[0][s + j], i = j;
+            for (; i > 0 && leaf[i - 1] > p; i--)
+                leaf[i] = leaf[i - 1];
+            leaf[i] = p;
+        }
+        g->node_start[me] = s;
+        g->node_count[me] = m;
+        return depth;
+    }
+    partition(b, s, e, axis, k);
+    g->node_start[me] = 0;
+    g->node_count[me] = 0;
+    int left = build_node(b, s, s + k, depth + 1);
+    g->node_right[me] = b->nodes;
+    int right = build_node(b, s + k, e, depth + 1);
+    return left > right ? left : right;
+}
+
+/* Build the BVH of g's n > 0 primitives into its node arrays (room for
+ * 2n - 1 nodes) and perm, and write the node count into *nodes. fwork (10n)
+ * and iwork (5n) are scratch. Returns the depth of the deepest leaf, which
+ * stays within max_depth whenever halving every node would. */
+int pf_bvh_build(const struct pf_bvh *g, ptrdiff_t n, int max_depth, double *fwork, ptrdiff_t *iwork, ptrdiff_t *nodes)
+{
+    struct builder b = {g, fwork, fwork + 3 * n, fwork + 6 * n, fwork + 9 * n, {iwork, iwork + n, iwork + 2 * n},
+                        iwork + 3 * n, iwork + 4 * n, max_depth, 0};
+    for (ptrdiff_t p = 0; p < n; p++) {
+        prim_box(g, p, b.lo + 3 * p, b.hi + 3 * p);
+        for (int k = 0; k < 3; k++)
+            b.cen[3 * p + k] = 0.5 * (b.lo[3 * p + k] + b.hi[3 * p + k]);
+    }
+    for (int a = 0; a < 3; a++) {
+        for (ptrdiff_t p = 0; p < n; p++)
+            b.order[a][p] = p;
+        sort_ids(&b, a, b.order[a], n);
+    }
+    int depth = build_node(&b, 0, n, 0);
+    *nodes = b.nodes;
+    return depth;
 }

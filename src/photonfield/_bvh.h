@@ -6,13 +6,13 @@
 
 enum { KIND_SPHERE, KIND_QUAD, KIND_TRIANGLE };
 
-/* The flat arrays of a Geometry: BVH nodes as Geometry._build_bvh lays
- * them out, then primitives; mirrored member for member by geometry.BvhTable. */
+/* The flat arrays of a Geometry: BVH nodes and perm, which pf_bvh_build
+ * writes, then primitives; mirrored member for member by geometry.BvhTable. */
 struct pf_bvh {
-    const double *node_lo, *node_hi;
-    const ptrdiff_t *node_right, *node_start, *node_count;
+    double *node_lo, *node_hi;
+    ptrdiff_t *node_right, *node_start, *node_count;
     ptrdiff_t stack_size;
-    const ptrdiff_t *perm;
+    ptrdiff_t *perm;
     const unsigned char *kinds;
     const double *pa, *pb, *pc, *normals, *quad_gram, *tri_e1, *tri_e2;
 };

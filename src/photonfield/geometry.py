@@ -1,22 +1,30 @@
 """Ray-primitive geometry: spheres, quads, triangles, and a BVH.
 
 Primitives live in flat struct-of-array storage, and the BVH in flat node
-arrays laid out by :meth:`Geometry._build_bvh`. Nearest-hit queries run a
-compiled traversal (``_bvh.c``, loaded with ``ctypes``) that walks those
-arrays one ray at a time, left child first. ``intersect_linear`` runs the
-same walk over a tree whose root is one leaf over all primitives in
-``perm`` order, so BVH and linear scan agree bit for bit, equal-``t`` ties
-included: the first primitive in ``perm`` order wins. The numpy scan whose
-formulas and operation order the leaf loop compiles is
-``intersect_linear`` in ``tests/oracles.py``.
+arrays that the compiled ``pf_bvh_build`` (``_bvh.c``, loaded with
+``ctypes``) lays out in pre-order when a Geometry is made
+(:meth:`Geometry._build_bvh`). It splits each node where the
+surface-area heuristic is cheapest, ties going to the lowest axis and
+position, so two builds give the same bytes. A node of at most
+``_LEAF_SIZE`` primitives becomes a leaf when splitting does not pay. A
+node whose centroids coincide, or that has no depth to spare, is split at
+its median, so every tree that halving each node keeps within
+``_STACK_MAX`` levels fits. Nearest-hit queries run a compiled traversal
+that walks those arrays one ray at a time, left child first.
+``intersect_linear`` runs the same walk over a tree whose root is one
+leaf over all primitives in ``perm`` order, so BVH and linear scan agree
+bit for bit, equal-``t`` ties included: whatever the tree's shape, the
+first primitive in ``perm`` order wins. The numpy scan whose formulas and
+operation order the leaf loop compiles is ``intersect_linear`` in
+``tests/oracles.py``.
 
 The traversal, the spatial index's kernels (``_spatial.c``), the hit
 shading and BSDF draws, emitter sampler, photon tracer and photon density
 sum (``_photons.c``; the tracer walks the BVH with the traversal's per-ray
 ``pf_bvh_nearest``, declared in ``_bvh.h``) and the field's forward and
 backward passes and Adam step (``_field.c``) are one shared library,
-compiled with the system ``cc`` by :func:`load_kernels` at the first ray
-query, point-index build, photon pass or field pass, into
+compiled with the system ``cc`` by :func:`load_kernels` at the first
+Geometry (scene) build, point-index build or field pass, into
 ``$XDG_CACHE_HOME/photonfield`` (default ``~/.cache/photonfield``) under a
 name keyed by every C source and header, the flags and the compiler
 version; importing the package compiles nothing. This module alone knows
@@ -57,6 +65,7 @@ _HEADERS = (os.path.join(_DIR, "_bvh.h"),)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CACHE_MAX_AGE_S = 7 * 24 * 3600  # a cached library not loaded for this long is deleted after the next build
 _STACK_MAX = 64  # STACK_MAX in _bvh.c; a walk of a tree with leaves at depth D needs D + 1 slots
+_NODE_FIELDS = ("node_lo", "node_hi", "node_right", "node_start", "node_count")
 _P, _N = ctypes.c_void_p, ctypes.c_ssize_t
 
 
@@ -127,6 +136,7 @@ _BVH, _SHADING, _HITS, _EMITTERS, _KDTREE, _FIELD, _BATCH, _ADAM = (ctypes.POINT
 # restype and argtypes of every function the library exports; a table goes by pointer
 _PROTOTYPES = {
     "pf_intersect": (ctypes.c_int, [_N, _P, _P, ctypes.c_double, _P, _P, _BVH]),
+    "pf_bvh_build": (ctypes.c_int, [_BVH, _N, ctypes.c_int, _P, _P, _P]),
     "pf_trace_photons": (_N, [_N, _N, _P, ctypes.c_int, ctypes.c_double, _BVH, _SHADING, _EMITTERS, _N] + [_P] * 5),
     "pf_shade_hits": (None, [_BVH, _SHADING, _P, _P, _P, _HITS]),
     "pf_sample_bsdf": (None, [_HITS] + [_P] * 7),
@@ -232,28 +242,33 @@ class Geometry:
         self._normals = np.zeros((n, 3), dtype=np.float64)
         self._precompute_normals()
         self._precompute_kernels()
-        self._build_bvh()
-        prims = {f: getattr(self, f) for f in ("perm", "kinds", "pa", "pb", "pc")}
-        prims.update(normals=self._normals, quad_gram=self._quad_gram, tri_e1=self._tri_e1, tri_e2=self._tri_e2)
-        nodes = {f: getattr(self, f) for f in ("node_lo", "node_hi", "node_right", "node_start", "node_count")}
-        self._table = BvhTable(**nodes, stack_size=self._stack_size, **prims)
+        self._table = self._build_bvh()
         # intersect_linear's tree: one leaf, with the root's box, over every primitive in perm order
         self._linear_table = BvhTable(
             node_lo=self.node_lo[:1], node_hi=self.node_hi[:1], node_right=np.array([-1], dtype=np.intp),
-            node_start=np.array([0], dtype=np.intp), node_count=np.array([n], dtype=np.intp), stack_size=1, **prims,
+            node_start=np.array([0], dtype=np.intp), node_count=np.array([n], dtype=np.intp), stack_size=1,
+            **self._prims(),
         )
+
+    def _prims(self):
+        """The primitive members of a :class:`BvhTable`, perm included."""
+        return dict(perm=self.perm, kinds=self.kinds, pa=self.pa, pb=self.pb, pc=self.pc, normals=self._normals,
+                    quad_gram=self._quad_gram, tri_e1=self._tri_e1, tri_e2=self._tri_e2)
 
     def _precompute_kernels(self):
         # triangle edges for the intersection kernel
         self._tri_e1 = self.pb - self.pa
         self._tri_e2 = self.pc - self.pa
-        # quad Gram inverse for the inside test
-        g11 = np.einsum("ki,ki->k", self.pb, self.pb)
-        g12 = np.einsum("ki,ki->k", self.pb, self.pc)
-        g22 = np.einsum("ki,ki->k", self.pc, self.pc)
+        # quad Gram inverse for the inside test; a triangle's pb and pc are vertices, not edges
+        quad = self.kinds == KIND_QUAD
+        eu, ev = self.pb[quad], self.pc[quad]
+        g11 = np.einsum("ki,ki->k", eu, eu)
+        g12 = np.einsum("ki,ki->k", eu, ev)
+        g22 = np.einsum("ki,ki->k", ev, ev)
+        self._quad_gram = np.zeros((len(self.kinds), 3))
         with np.errstate(divide="ignore", invalid="ignore"):
             det = g11 * g22 - g12 * g12
-            self._quad_gram = np.stack([g11 / det, g12 / det, g22 / det], axis=1)
+            self._quad_gram[quad] = np.stack([g11 / det, g12 / det, g22 / det], axis=1)
         self._quad_gram[~np.isfinite(self._quad_gram)] = 0.0
 
     def __len__(self) -> int:
@@ -269,74 +284,26 @@ class Geometry:
         norm = np.linalg.norm(n, axis=1, keepdims=True)
         np.divide(n, norm, out=self._normals, where=norm > 0.0)
 
-    def _prim_bounds(self):
-        n = len(self)
-        lo = np.empty((n, 3))
-        hi = np.empty((n, 3))
-        sph = self.kinds == KIND_SPHERE
-        r = self.pb[sph, 0][:, None]
-        lo[sph] = self.pa[sph] - r
-        hi[sph] = self.pa[sph] + r
-        quad = self.kinds == KIND_QUAD
-        corners = np.stack(
-            [
-                self.pa[quad],
-                self.pa[quad] + self.pb[quad],
-                self.pa[quad] + self.pc[quad],
-                self.pa[quad] + self.pb[quad] + self.pc[quad],
-            ],
-            axis=1,
-        )
-        lo[quad] = corners.min(axis=1)
-        hi[quad] = corners.max(axis=1)
-        tri = self.kinds == KIND_TRIANGLE
-        verts = np.stack([self.pa[tri], self.pb[tri], self.pc[tri]], axis=1)
-        lo[tri] = verts.min(axis=1)
-        hi[tri] = verts.max(axis=1)
-        return lo, hi
-
     def _build_bvh(self):
-        """The node arrays, in pre-order (the left subtree before the right):
-        an inner node has ``node_count == 0``, its left child at ``node + 1``
-        and its right child at ``node_right``; a leaf has ``node_right == -1``
-        and 1 to ``_LEAF_SIZE`` primitives, ``perm[node_start:][:node_count]``."""
-        lo, hi = self._prim_bounds()
-        centroids = 0.5 * (lo + hi)
-        order: list[int] = []
-        nodes_lo, nodes_hi, rights, starts, counts = [], [], [], [], []
-
-        def build(idx):
-            """Append the subtree over primitives ``idx``; return its depth."""
-            me = len(nodes_lo)
-            nodes_lo.append(lo[idx].min(axis=0))
-            nodes_hi.append(hi[idx].max(axis=0))
-            rights.append(-1)
-            if len(idx) <= _LEAF_SIZE:
-                starts.append(len(order))
-                counts.append(len(idx))
-                order.extend(idx.tolist())
-                return 0
-            starts.append(0)
-            counts.append(0)
-            c = centroids[idx]
-            axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
-            half = len(idx) // 2
-            split = np.argpartition(c[:, axis], half)
-            left = build(idx[split[:half]])
-            rights[me] = len(nodes_lo)
-            return 1 + max(left, build(idx[split[half:]]))
-
-        depth = build(np.arange(len(self), dtype=np.intp))
+        """The BVH table, with node arrays that ``pf_bvh_build`` fills in
+        pre-order (the left subtree before the right): an inner node has
+        ``node_count == 0``, its left child at ``node + 1`` and its right child
+        at ``node_right``; a leaf has ``node_right == -1`` and 1 to
+        ``_LEAF_SIZE`` primitives, ``perm[node_start:][:node_count]``."""
+        n = len(self)
+        self.perm = np.empty(n, dtype=np.intp)
+        self.node_lo, self.node_hi = np.empty((2 * n - 1, 3)), np.empty((2 * n - 1, 3))
+        self.node_right, self.node_start, self.node_count = (np.empty(2 * n - 1, dtype=np.intp) for _ in range(3))
+        table = BvhTable(**{f: getattr(self, f) for f in _NODE_FIELDS}, stack_size=0, **self._prims())
+        fwork, iwork, nodes = np.empty(10 * n), np.empty(5 * n, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        depth = load_kernels().pf_bvh_build(table, n, _STACK_MAX - 1, fwork.ctypes.data, iwork.ctypes.data, nodes.ctypes.data)
         # a walk down to level L holds at most L + 1 nodes on its stack
         if depth + 1 > _STACK_MAX:
-            raise ValueError(f"BVH of {len(self)} primitives is {depth + 1} levels deep; the traversal takes at most {_STACK_MAX}")
-        self._stack_size = depth + 1
-        self.perm = np.asarray(order, dtype=np.intp)
-        self.node_lo = np.asarray(nodes_lo)
-        self.node_hi = np.asarray(nodes_hi)
-        self.node_right = np.asarray(rights, dtype=np.intp)
-        self.node_start = np.asarray(starts, dtype=np.intp)
-        self.node_count = np.asarray(counts, dtype=np.intp)
+            raise ValueError(f"BVH of {n} primitives is {depth + 1} levels deep; the traversal takes at most {_STACK_MAX}")
+        self._stack_size = table.stack_size = depth + 1
+        for f in _NODE_FIELDS:
+            setattr(self, f, getattr(self, f)[: nodes[0]])
+        return table
 
     # -- intersection ------------------------------------------------------
 

@@ -17,8 +17,10 @@ photon tracer (``photons.py``). The photon gather's sum is compiled too.
 
 Images are (height, width, 3) float64 arrays of linear radiance.
 Everything is deterministic for a fixed seed: random streams are keyed by
-(seed, pass, pixel, sample), never by execution order, so thread count and
-chunking cannot change output bits.
+(seed, pass, pixel, sample), never by execution order, so the thread count
+never changes output bits. ``render_pt``'s chunk policy does: the samples
+of one chunk share one wavefront and its sums, so the chunk size, which
+the resolution and ``spp`` fix, decides the bits.
 """
 
 from __future__ import annotations

@@ -83,6 +83,43 @@ def _emission(scene, seed, n):
     return oracles.sample_light_emission(scene, keys, np.zeros(n, dtype=np.uint64))
 
 
+def _unusual_scene(case):
+    """A scene dict whose BVH the builtins do not exercise, and rays (o, d) into it:
+    - "far-vertex": one triangle with a vertex at x = 1e80;
+    - "geometric": 2,000 triangles, the k-th at x = 1.1^k;
+    - "copies": 12 copies of one quad, more than a leaf holds, with equal centroids;
+    - "soup": 3,000 random triangles."""
+    rng = np.random.default_rng(23)
+    shapes = []
+    if case == "far-vertex":
+        tris = np.array([[[0.0, 0.0, 0.0], [1e80, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+        o = np.column_stack([rng.uniform(-0.5, 1.5, (2000, 2)), np.ones(2000)])
+    elif case == "geometric":
+        x = 1.1 ** np.arange(2000.0)
+        tris = np.stack([np.column_stack([x, np.zeros(2000), np.zeros(2000)]), np.column_stack([x, np.ones(2000), np.zeros(2000)]),
+                         np.column_stack([x, np.zeros(2000), np.ones(2000)])], axis=1)
+        o = np.column_stack([x - 0.5, rng.uniform(-0.2, 0.7, (2000, 2))])
+    elif case == "copies":
+        tris = np.zeros((0, 3, 3))
+        quad = {"type": "quad", "corner": [-1, -1, 0], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "white"}
+        shapes = [dict(quad) for _ in range(12)]
+        o = np.column_stack([rng.uniform(-1.5, 1.5, (2000, 2)), np.ones(2000)])
+    else:
+        tris = rng.uniform(-1.0, 1.0, (3000, 1, 3)) + rng.normal(0.0, 0.1, (3000, 3, 3))
+        o = rng.uniform(-1.5, 1.5, (2000, 3))
+    if len(tris):
+        vertices = tris.reshape(-1, 3).tolist()
+        indices = np.arange(len(vertices)).reshape(-1, 3).tolist()
+        shapes.append({"type": "mesh", "vertices": vertices, "indices": indices, "material": "white"})
+    cam = {"position": [0, -3, 0], "look_at": [0, 0, 0], "up": [0, 0, 1], "vfov": 40.0, "resolution": [16, 16]}
+    data = {"camera": cam, "materials": {"white": {"type": "diffuse", "albedo": [0.7, 0.7, 0.7]}}, "shapes": shapes}
+    # along +x in the geometric case, down onto z = 0 in the others, and half of them in random directions
+    d = np.tile([1.0, 0.0, 0.0], (len(o), 1)) if case == "geometric" else rng.normal(size=(len(o), 3)) + [0.0, 0.0, -3.0]
+    d[::2] = rng.normal(size=(len(o[::2]), 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return data, o, d
+
+
 def _assert_walks_equal_the_numpy_scan(g, o, d):
     """``intersect`` and ``intersect_linear`` give the numpy scan's bytes; returns them."""
     t_o, p_o = oracles.intersect_linear(g, o, d)
@@ -164,13 +201,42 @@ class TestIntersection:
         rank = np.argsort(g.perm)
         hit = p_b >= 0
         assert np.all(rank[p_b[hit]] < rank[twin[hit]])
-        # the twins of some hits sit in another leaf, after the winner's
-        leaf_of = np.searchsorted(g.node_start[g.node_count > 0], rank, side="right")
-        assert np.any(leaf_of[p_b[hit]] != leaf_of[twin[hit]])
+
+    def test_equal_t_hits_across_leaves_resolve_to_first_primitive_in_perm_order(self):
+        # more copies of one quad than a leaf holds: every centroid is equal, so only a median split separates them
+        data, o, d = _unusual_scene("copies")
+        g = scene_from_dict(data).geometry
+        t_b, p_b = _assert_walks_equal_the_numpy_scan(g, o, d)
+        hit = p_b >= 0
+        assert np.count_nonzero(hit) > len(o) // 4 and np.all(p_b[hit] == g.perm[0])
+        # the copies that lose sit in another leaf too, after the winner's
+        leaf_of = np.searchsorted(g.node_start[g.node_count > 0], np.argsort(g.perm), side="right")
+        assert np.any(leaf_of != leaf_of[g.perm[0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["far-vertex", "geometric", "copies", "soup"])
+    def test_unusual_inputs_build_within_the_stack_reproducibly(self, case):
+        data, o, d = _unusual_scene(case)
+        g, again = (scene_from_dict(copy.deepcopy(data)).geometry for _ in range(2))
+        assert g._stack_size <= geometry._STACK_MAX
+        for name in ("perm", "node_lo", "node_hi", "node_right", "node_start", "node_count"):
+            assert getattr(g, name).tobytes() == getattr(again, name).tobytes(), name
+        t, p = _assert_walks_equal_the_numpy_scan(g, o, d)
+        assert np.count_nonzero(p >= 0) > len(o) // 10
+
+    def test_depth_budget_falls_back_to_median_splits(self, monkeypatch):
+        # halving every node of 2,000 primitives takes 8 levels; the SAH alone goes deeper on these
+        data, o, d = _unusual_scene("geometric")
+        assert scene_from_dict(data).geometry._stack_size > 9
+        monkeypatch.setattr(geometry, "_STACK_MAX", 9)
+        g = scene_from_dict(data).geometry
+        assert g._stack_size == 9
+        _assert_walks_equal_the_numpy_scan(g, o, d)
 
     def test_bvh_nodes_are_numbered_in_pre_order(self):
-        for name in ("cornell-box", "caustic-sphere", "caustic-pool"):
-            g = builtin_scene(name).geometry
+        builtins = [builtin_scene(name) for name in ("cornell-box", "caustic-sphere", "caustic-pool")]
+        unusual = [scene_from_dict(_unusual_scene(case)[0]) for case in ("geometric", "copies", "soup")]
+        for g in (scene.geometry for scene in builtins + unusual):
             inner = g.node_count == 0
             # a node is inner exactly when it has a right child, so no leaf is empty
             np.testing.assert_array_equal(inner, g.node_right >= 0)
@@ -395,15 +461,17 @@ class TestCompiledKernel:
             assert (res.returncode, res.stderr) == (0, ""), f"{src} {extra}:\n{res.stderr}"
 
     def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
+        scene = builtin_scene("caustic-sphere")
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.setattr(geometry, "_lib", None)
-        g = builtin_scene("caustic-sphere").geometry
         with pytest.raises(RuntimeError, match="'cc'"):
-            g.intersect(*self._rays())
+            builtin_scene("caustic-sphere")
+        with pytest.raises(RuntimeError, match="'cc'"):
+            scene.geometry.intersect(*self._rays())
         with pytest.raises(RuntimeError, match="'cc'"):
             PointIndex(np.zeros((4, 3)))
         with pytest.raises(RuntimeError, match="'cc'"):
-            trace_photons(builtin_scene("caustic-sphere"), 10, 4, Rng(0))
+            trace_photons(scene, 10, 4, Rng(0))
 
 
 class TestBsdf:

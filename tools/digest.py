@@ -8,7 +8,9 @@ chunk of samples; and 260x256, 2 spp, two chunks),
 ``render_sppm`` (40x40, 3 passes of 12,000 photons, two threads),
 ``build_dataset`` (two 24x24 views, spp 2, two threads), 10 ``train``
 steps from a 3,000-photon seed, ``render_gpf`` of the trained field, and
-reads the BVH arrays. It prints one digest per output. An array's digest
+reads the BVH arrays. ``bvh.hits`` digests ``Geometry.intersect``'s hits
+of 50,000 seeded rays, so a change of tree layout that keeps every
+nearest hit shows as such. It prints one digest per output. An array's digest
 covers its dtype, shape and bytes. The dataset's ``position`` and
 ``l_ref`` arrays and its saved file are digested apart, as are the
 trained parameters and the saved checkpoint, so a change of file layout
@@ -62,6 +64,23 @@ def _second_view(pf, cam):
     )
 
 
+def _random_rays(n=40_000):
+    """``n`` seeded rays from [-2, 2]^3, then ``n // 4`` more from the first origins
+    with one or two direction components +0.0 or -0.0."""
+    import numpy as np
+
+    rng = np.random.default_rng(42)
+    o = rng.uniform(-2.0, 2.0, (n, 3))
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    zd = d[: n // 4].copy()
+    rows, first = np.arange(len(zd)), rng.integers(0, 3, len(zd))
+    zd[rows, first] = rng.choice([0.0, -0.0], len(zd))
+    zd[rows[::2], (first[::2] + 1) % 3] = -0.0
+    zd /= np.linalg.norm(zd, axis=1, keepdims=True)
+    return np.concatenate([o, o[: len(zd)]]), np.concatenate([d, zd])
+
+
 def recipe(pf, scene_name: str, tmp: Path) -> dict[str, str]:
     """``{output: digest}`` of the recipe on one builtin, run with the
     ``photonfield`` module ``pf``; files go to ``tmp``."""
@@ -72,6 +91,7 @@ def recipe(pf, scene_name: str, tmp: Path) -> dict[str, str]:
     for name in BVH_ARRAYS:
         if hasattr(geometry, name):
             out[f"bvh.{name}"] = array_digest(getattr(geometry, name))
+    out["bvh.hits"] = array_digest(*geometry.intersect(*_random_rays()))
     out["render_pt"] = array_digest(pf.render_pt(scene, cam, spp=8, max_depth=16, rng=11, threads=2))
     chunked = scene.camera.with_resolution(260, 256)  # one sample a chunk, so two chunks
     out["render_pt.chunked"] = array_digest(pf.render_pt(scene, chunked, spp=2, max_depth=4, rng=18, threads=2))
