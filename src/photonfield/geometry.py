@@ -57,7 +57,7 @@ KIND_SPHERE = 0
 KIND_QUAD = 1
 KIND_TRIANGLE = 2
 
-_LEAF_SIZE = 8
+_LEAF_SIZE = 8  # LEAF_SIZE in _bvh.c: the most primitives a leaf holds
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
 _SOURCES = tuple(os.path.join(_DIR, f) for f in ("_bvh.c", "_spatial.c", "_photons.c", "_field.c"))
@@ -80,7 +80,7 @@ class _Table(ctypes.Structure):
 class BvhTable(_Table):
     """``struct pf_bvh`` (``_bvh.h``): a Geometry's BVH nodes, walk stack size and primitives."""
 
-    _fields_ = [(f, _P) for f in ("node_lo", "node_hi", "node_right", "node_start", "node_count")]
+    _fields_ = [(f, _P) for f in _NODE_FIELDS]
     _fields_ += [("stack_size", _N)]
     _fields_ += [(f, _P) for f in ("perm", "kinds", "pa", "pb", "pc", "normals", "quad_gram", "tri_e1", "tri_e2")]
 

@@ -224,6 +224,11 @@ class TestIntersection:
         t, p = _assert_walks_equal_the_numpy_scan(g, o, d)
         assert np.count_nonzero(p >= 0) > len(o) // 10
 
+    def test_split_that_does_not_pay_leaves_one_leaf(self):
+        # caustic-sphere's floor, sphere and lamp: splitting them made its photon pass slower
+        g = builtin_scene("caustic-sphere").geometry
+        assert len(g.node_lo) == 1 and g.node_count[0] == 3
+
     def test_depth_budget_falls_back_to_median_splits(self, monkeypatch):
         # halving every node of 2,000 primitives takes 8 levels; the SAH alone goes deeper on these
         data, o, d = _unusual_scene("geometric")
@@ -240,7 +245,7 @@ class TestIntersection:
             inner = g.node_count == 0
             # a node is inner exactly when it has a right child, so no leaf is empty
             np.testing.assert_array_equal(inner, g.node_right >= 0)
-            assert np.all(g.node_count[~inner] >= 1)
+            assert np.all(g.node_count[~inner] >= 1) and np.all(g.node_count <= geometry._LEAF_SIZE)
 
             def size(node):  # the left child of an inner node is node + 1
                 return 1 + size(node + 1) + size(g.node_right[node]) if inner[node] else 1

@@ -64,12 +64,12 @@ def _second_view(pf, cam):
     )
 
 
-def _random_rays(n=40_000):
-    """``n`` seeded rays from [-2, 2]^3, then ``n // 4`` more from the first origins
+def _random_rays():
+    """40,000 seeded rays from [-2, 2]^3, then 10,000 more from the first origins
     with one or two direction components +0.0 or -0.0."""
     import numpy as np
 
-    rng = np.random.default_rng(42)
+    n, rng = 40_000, np.random.default_rng(42)
     o = rng.uniform(-2.0, 2.0, (n, 3))
     d = rng.normal(size=(n, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
