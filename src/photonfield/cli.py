@@ -252,6 +252,15 @@ def _cmd_sweep(args) -> int:
 # parser
 
 
+def _int_list(text: str) -> str:
+    """``text`` unchanged, so that the manifest prints it back as one argument, if it is comma-separated integers."""
+    try:
+        [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    return text
+
+
 def _group(*flags) -> argparse.ArgumentParser:
     """A parent parser holding flags that several commands share, one ``(name, options)`` pair per flag."""
     parser = argparse.ArgumentParser(add_help=False)
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ablation sweep over primitive count or k",
     )
     p.add_argument("--param", required=True, choices=("gaussians", "k"))
-    p.add_argument("--values", required=True, help="comma-separated integers")
+    p.add_argument("--values", required=True, type=_int_list, help="comma-separated integers")
     p.add_argument("--camera", help="held-out camera (default: scene camera)")
     p.add_argument("--ref-iterations", type=int, default=256)
     p.add_argument("--sppm-iterations", type=int, default=64)

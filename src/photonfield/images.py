@@ -85,11 +85,12 @@ def read_pfm(path) -> np.ndarray:
         raise ValueError(f"malformed PFM header: {e}") from e
     if w <= 0 or h <= 0 or not 0.0 < abs(scale) < math.inf:
         raise ValueError("malformed PFM header: bad dimensions or scale")
-    pos += 1  # single whitespace byte after the scale line
+    pos += 1  # single whitespace byte after the scale line (none when the file ends at the scale)
     expect = w * h * 3 * 4
-    if len(blob) - pos != expect:
-        kind = "truncated" if len(blob) - pos < expect else "overlong"
-        raise ValueError(f"{kind} PFM payload: {len(blob) - pos} bytes, where its {w}x{h} header needs {expect}")
+    have = max(len(blob) - pos, 0)
+    if have != expect:
+        kind = "truncated" if have < expect else "overlong"
+        raise ValueError(f"{kind} PFM payload: {have} bytes, where its {w}x{h} header needs {expect}")
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(blob[pos:], dtype=dtype).reshape(h, w, 3).astype(np.float64)
     if abs(scale) != 1.0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
@@ -150,9 +151,13 @@ class Camera:
         self._basis(where)
 
     def _basis(self, where="camera"):
-        fwd = self.look_at - self.position
-        if not 0.0 < vdot(fwd, fwd) < math.inf:
+        with np.errstate(over="ignore"):  # an infinite difference or squared length is refused below
+            fwd = self.look_at - self.position
+            length2 = vdot(fwd, fwd)
+        if not length2 > 0.0:
             raise SceneValidationError(f"{where}.look_at must differ from position")
+        if length2 == math.inf:
+            raise SceneValidationError(f"{where}.look_at is too far from position")
         fwd = normalize(fwd)
         right = np.cross(fwd, self.up)
         if np.linalg.norm(right) < 1e-12:
@@ -632,179 +637,15 @@ def save_scene(scene: Scene, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# builtin scenes (desk scale, z-up, normalized to fit [-1, 1]^3)
+# builtin scenes: the scene files in scenes/, one per name (desk scale, z-up, within [-1, 1]^3)
 
-
-def _box_mesh(center_xy, z0, size_xy, height, angle_deg):
-    """Axis-extruded box resting on the floor, rotated about z.
-
-    The bottom face is omitted: it would be exactly coplanar with the
-    floor (never visible, and coplanar overlaps make nearest-hit results
-    ambiguous ties).
-    """
-    hx, hy = size_xy[0] / 2.0, size_xy[1] / 2.0
-    base = np.array(
-        [[-hx, -hy], [hx, -hy], [hx, hy], [-hx, hy]],
-    )
-    a = math.radians(angle_deg)
-    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-    xy = base @ rot.T + np.asarray(center_xy)
-    verts = np.array(
-        [[x, y, z0] for x, y in xy] + [[x, y, z0 + height] for x, y in xy]
-    )
-    # winding chosen so normals point outward
-    quads = [
-        (4, 5, 6, 7),  # top (+z)
-        (0, 1, 5, 4),
-        (1, 2, 6, 5),
-        (2, 3, 7, 6),
-        (3, 0, 4, 7),
-    ]
-    tris = []
-    for q in quads:
-        tris.append([q[0], q[1], q[2]])
-        tris.append([q[0], q[2], q[3]])
-    return verts, np.asarray(tris, dtype=np.intp)
-
-
-def _cornell_box_dict() -> dict:
-    tall_v, tall_i = _box_mesh((-0.33, 0.3), -1.0, (0.6, 0.6), 1.2, 17.0)
-    short_v, short_i = _box_mesh((0.37, -0.35), -1.0, (0.6, 0.6), 0.6, -18.0)
-
-    def mesh_obj(v, i, mat):
-        return {
-            "type": "mesh",
-            "vertices": [[float(x) for x in p] for p in v],
-            "indices": [[int(x) for x in f] for f in i],
-            "material": mat,
-        }
-
-    return {
-        "camera": {
-            "position": [0.0, -3.9, 0.0],
-            "look_at": [0.0, 0.0, 0.0],
-            "up": [0.0, 0.0, 1.0],
-            "vfov": 28.0,
-            "resolution": [128, 128],
-        },
-        "materials": {
-            "white": {"type": "diffuse", "albedo": [0.73, 0.73, 0.73]},
-            "red": {"type": "diffuse", "albedo": [0.63, 0.065, 0.05]},
-            "green": {"type": "diffuse", "albedo": [0.14, 0.45, 0.091]},
-            "lamp": {"type": "diffuse", "albedo": [0.0, 0.0, 0.0]},
-        },
-        "shapes": [
-            {"type": "quad", "corner": [-1, -1, -1], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "white"},
-            {"type": "quad", "corner": [-1, -1, 1], "edge_u": [0, 2, 0], "edge_v": [2, 0, 0], "material": "white"},
-            {"type": "quad", "corner": [-1, 1, -1], "edge_u": [2, 0, 0], "edge_v": [0, 0, 2], "material": "white"},
-            {"type": "quad", "corner": [-1, -1, -1], "edge_u": [0, 2, 0], "edge_v": [0, 0, 2], "material": "red"},
-            {"type": "quad", "corner": [1, -1, -1], "edge_u": [0, 0, 2], "edge_v": [0, 2, 0], "material": "green"},
-            mesh_obj(tall_v, tall_i, "white"),
-            mesh_obj(short_v, short_i, "white"),
-            {
-                "type": "quad",
-                "corner": [-0.25, -0.25, 0.995],
-                "edge_u": [0.0, 0.5, 0.0],
-                "edge_v": [0.5, 0.0, 0.0],
-                "material": "lamp",
-                "emission": [12.0, 12.0, 12.0],
-            },
-        ],
-    }
-
-
-def _caustic_sphere_dict() -> dict:
-    # glass sphere close under a small lamp: a strong floor caustic, with
-    # the lamp low enough that most photons land on the (finite) floor
-    return {
-        "camera": {
-            "position": [1.1, -1.1, 0.5],
-            "look_at": [0.0, 0.0, -0.35],
-            "up": [0.0, 0.0, 1.0],
-            "vfov": 42.0,
-            "resolution": [128, 128],
-        },
-        "materials": {
-            "floor": {"type": "diffuse", "albedo": [0.65, 0.65, 0.65]},
-            "glass": {"type": "dielectric", "ior": 1.5},
-            "lamp": {"type": "diffuse", "albedo": [0.0, 0.0, 0.0]},
-        },
-        "shapes": [
-            {"type": "quad", "corner": [-0.8, -0.8, -0.5], "edge_u": [1.6, 0, 0], "edge_v": [0, 1.6, 0],
-             "material": "floor"},
-            {"type": "sphere", "center": [0.0, 0.0, -0.19], "radius": 0.26, "material": "glass"},
-            {
-                "type": "quad",
-                "corner": [-0.04, -0.16, 0.28],
-                "edge_u": [0.0, 0.32, 0.0],
-                "edge_v": [0.32, 0.0, 0.0],
-                "material": "lamp",
-                "emission": [22.0, 22.0, 22.0],
-            },
-        ],
-    }
-
-
-def _caustic_pool_dict() -> dict:
-    n = 28
-    xs = np.linspace(-0.9, 0.9, n)
-    ys = np.linspace(-0.9, 0.9, n)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    gz = 0.02 * np.sin(2.0 * np.pi * (1.1 * gx + 0.15)) + 0.018 * np.cos(
-        2.0 * np.pi * (0.9 * gy - 0.1) + 1.5 * gx
-    )
-    verts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    tris = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            v00 = i * n + j
-            v01 = i * n + j + 1
-            v10 = (i + 1) * n + j
-            v11 = (i + 1) * n + j + 1
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    return {
-        "camera": {
-            "position": [0.9, -1.35, 0.75],
-            "look_at": [0.0, 0.0, -0.3],
-            "up": [0.0, 0.0, 1.0],
-            "vfov": 46.0,
-            "resolution": [128, 128],
-        },
-        "materials": {
-            "floor": {"type": "diffuse", "albedo": [0.35, 0.55, 0.65]},
-            "water": {"type": "dielectric", "ior": 1.33},
-            "lamp": {"type": "diffuse", "albedo": [0.0, 0.0, 0.0]},
-        },
-        "shapes": [
-            {"type": "quad", "corner": [-1, -1, -0.5], "edge_u": [2, 0, 0], "edge_v": [0, 2, 0], "material": "floor"},
-            {
-                "type": "mesh",
-                "vertices": [[float(x) for x in p] for p in verts],
-                "indices": [[int(x) for x in f] for f in tris],
-                "material": "water",
-            },
-            {
-                "type": "quad",
-                "corner": [-0.15, -0.15, 0.85],
-                "edge_u": [0.0, 0.3, 0.0],
-                "edge_v": [0.3, 0.0, 0.0],
-                "material": "lamp",
-                "emission": [35.0, 35.0, 35.0],
-            },
-        ],
-    }
-
-
-_BUILTINS = {
-    "cornell-box": _cornell_box_dict,
-    "caustic-sphere": _caustic_sphere_dict,
-    "caustic-pool": _caustic_pool_dict,
-}
+_SCENES_DIR = os.path.join(geometry._DIR, "scenes")
 
 
 def builtin_scene(name: str) -> Scene:
-    """One of the bundled scenes: cornell-box, caustic-sphere, caustic-pool."""
-    if name not in _BUILTINS:
-        raise SceneValidationError(f"unknown builtin scene {name!r}; expected one of {sorted(_BUILTINS)}")
-    return scene_from_dict(_BUILTINS[name]())
+    """One of the bundled scenes, named by the stem of its file in ``scenes/``:
+    cornell-box, caustic-sphere, caustic-pool."""
+    names = sorted(f[:-len(".json")] for f in os.listdir(_SCENES_DIR) if f.endswith(".json"))
+    if name not in names:  # a closed set: no other path is ever opened
+        raise SceneValidationError(f"unknown builtin scene {name!r}; expected one of {names}")
+    return load_scene(os.path.join(_SCENES_DIR, name + ".json"))

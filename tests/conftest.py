@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from photonfield import scene
 @pytest.fixture
 def cornell_box_dict():
     """The cornell-box scene as a fresh JSON-style dict, for a test to edit."""
-    return scene._BUILTINS["cornell-box"]()
+    with open(os.path.join(scene._SCENES_DIR, "cornell-box.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @pytest.fixture

@@ -559,6 +559,21 @@ class TestErrors:
         assert f"--values for {param} must be >=" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
 
+    @pytest.mark.parametrize("values", ["1,a", "1,,3", ""])
+    def test_malformed_sweep_values_are_a_parse_error_before_the_scene_is_built(
+        self, tmp_path, views_file, capsys, monkeypatch, values
+    ):
+        import photonfield.cli as cli
+
+        monkeypatch.setattr(cli, "builtin_scene", lambda name: pytest.fail("built the scene before reading --values"))
+        argv = ["sweep", "--param", "k", "--values", values, "--scene", "builtin:cornell-box", "--views", views_file,
+                "--out", str(tmp_path / "sweep.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument --values: expected comma-separated integers, got {values!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["views.json"]
+
     @pytest.mark.parametrize("spp", ["0", "-2"])
     def test_sample_count_below_one_fails_gpf_train(self, tmp_path, views_file, capsys, spp):
         argv = ["gpf-train", "--scene", "builtin:cornell-box", "--views", views_file, "--sppm-iterations", "1",
@@ -681,6 +696,7 @@ class TestErrors:
             ("scene", "up", [0.0, 1.0, 0.0], "camera.up is parallel to the view direction"),
             ("--camera", "vfov", 180.0, "{path}.vfov must be in (0, 180) degrees"),
             ("--camera", "look_at", [0.6, -3.6, 0.3], "{path}.look_at must differ from position"),
+            ("--camera", "look_at", [-1e308, 0.0, 0.0], "{path}.look_at is too far from position"),
             ("--views", "vfov", 0.0, "{path}[1].vfov must be in (0, 180) degrees"),
             ("--views", "resolution", [0, 12], "{path}[1].resolution must be positive integers"),
             ("--views", "look_at", [0.6, -3.6, 0.3], "{path}[1].look_at must differ from position"),

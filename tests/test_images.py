@@ -79,6 +79,9 @@ class TestPfm:
         path.write_bytes(b"PF\n4 4\n-1.0\n" + b"\x00" * 10)
         with pytest.raises(ValueError, match="truncated"):
             read_pfm(path)
+        path.write_bytes(b"PF\n1 1\n-1.0")  # the file ends at the scale: no separator byte and no payload
+        with pytest.raises(ValueError, match="^truncated PFM payload: 0 bytes, where its 1x1 header needs 12$"):
+            read_pfm(path)
 
     @pytest.mark.filterwarnings("error")
     def test_payload_longer_than_its_header_rejected(self, tmp_path):

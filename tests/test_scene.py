@@ -1,5 +1,6 @@
 """Scenes: intersection, BSDFs, emitters, and JSON round trips."""
 
+import builtins
 import copy
 import ctypes
 import dataclasses
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import oracles
-from photonfield import core, geometry
+from photonfield import core, geometry, scene as scene_module
 from photonfield.core import Rng
 from photonfield.field import GaussianField
 from photonfield.photons import trace_photons
@@ -38,6 +39,7 @@ from photonfield.scene import (
     Shape,
     TriangleMesh,
     builtin_scene,
+    camera_from_dict,
     load_scene,
     sample_bsdf_batch,
     save_scene,
@@ -857,9 +859,27 @@ class TestSceneFiles:
             assert 2 in kinds  # dielectric present
             assert len(scene.emitter_ids) == 1
 
-    def test_unknown_builtin_rejected(self):
-        with pytest.raises(SceneValidationError, match="unknown builtin"):
-            builtin_scene("missing-scene")
+    def test_unknown_builtin_rejected(self, monkeypatch):
+        # the names are a closed set, refused before any file is opened: no path, suffix or other case reaches a file
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda *args, **kwargs: opened.append(args[0]) or real_open(*args, **kwargs))
+        expected = re.escape("; expected one of ['caustic-pool', 'caustic-sphere', 'cornell-box']")
+        for name in ("missing-scene", "../scenes/cornell-box", "cornell-box.json", "", "CORNELL-BOX"):
+            with pytest.raises(SceneValidationError, match=f"^unknown builtin scene {re.escape(repr(name))}{expected}$"):
+                builtin_scene(name)
+        assert opened == []
+        builtin_scene("cornell-box")  # the spy sees the file a builtin is read from
+        assert opened == [os.path.join(scene_module._SCENES_DIR, "cornell-box.json")]
+
+    def test_builtin_scenes_are_the_files_in_the_scenes_directory(self):
+        assert sorted(os.listdir(scene_module._SCENES_DIR)) == ["caustic-pool.json", "caustic-sphere.json", "cornell-box.json"]
+
+    @pytest.mark.parametrize("name", ["cornell-box", "caustic-sphere", "caustic-pool"])
+    def test_builtin_file_is_what_save_scene_writes_of_it(self, tmp_path, name):
+        path = Path(scene_module._SCENES_DIR) / f"{name}.json"
+        save_scene(load_scene(path), tmp_path / "scene.json")
+        assert (tmp_path / "scene.json").read_bytes() == path.read_bytes()
 
     def test_malformed_json_names_the_problem(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1037,3 +1057,17 @@ class TestCamera:
     def test_degenerate_view_is_refused_at_construction(self, position, look_at, up, message):
         with pytest.raises(SceneValidationError, match=f"^{re.escape(message)}$"):
             Camera(np.array(position), np.array(look_at), np.array(up), 40.0, (8, 8))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("position", "look_at"),
+        [([0.0, 0.0, 0.0], [2e154, 0.0, 0.0]), ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0])],
+        ids=["squared-length-overflows", "difference-overflows"],
+    )
+    def test_look_at_too_far_from_position_is_named_without_a_warning(self, position, look_at):
+        cam = {"position": position, "look_at": look_at, "up": [0.0, 0.0, 1.0], "vfov": 40.0, "resolution": [8, 8]}
+        with pytest.raises(SceneValidationError, match=r"^views\[2\]\.look_at is too far from position$"):
+            camera_from_dict(cam, "views[2]")
+        cam.update(position=[0.0, 0.0, 0.0], look_at=[1e153, 0.0, 0.0])  # a squared length of 1e306 is finite
+        _, d = camera_from_dict(cam).primary_rays(np.array([36]), np.zeros((1, 2)))  # the image centre
+        np.testing.assert_allclose(d[0], [1.0, 0.0, 0.0], atol=1e-12)
