@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_file_opened_at_run_time_is_package_data():
-    # no wheel is built here, so the globs are expanded the way setuptools expands them: relative to the package
+    # the test builds no wheel, so it expands the globs as setuptools does: relative to the package directory
     with open(ROOT / "pyproject.toml", "rb") as fh:
         globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["photonfield"]
     shipped = {os.path.normpath(p) for pattern in globs for p in glob.glob(pattern, root_dir=geometry._DIR)}
